@@ -128,27 +128,35 @@ def matern_bivariate(sigma1, sigma2, rho, nu1, nu12, nu2, s11, s12, s22) -> Biva
                           matern(nu1, s11), matern(nu12, s12), matern(nu2, s22))
 
 
-def eval_matrix(model: BivariateModel, r):
-    """Evaluate C(r) as a 2x2 array (shape (..., 2, 2) for array input)."""
-    p11 = evaluate(model.psi11, r)
-    p12 = evaluate(model.psi12, r)
-    p22 = evaluate(model.psi22, r)
-    c11 = model.sigma1 ** 2 * np.asarray(p11)
-    c12 = model.rho * model.sigma1 * model.sigma2 * np.asarray(p12)
-    c22 = model.sigma2 ** 2 * np.asarray(p22)
-    out = np.stack([np.stack([c11, c12], axis=-1),
-                    np.stack([c12, c22], axis=-1)], axis=-2)
-    return out
+_PAIRS = ("11", "12", "22")
+
+
+def _entry(model, pair: str, r) -> np.ndarray:
+    """Entry ``pair`` ("11", "12" or "22") of C(r) for either model class."""
+    if isinstance(model, LmcBivariate):
+        k = _PAIRS.index(pair)
+        return (model.b1[k] * np.asarray(evaluate(model.psi1, r))
+                + model.b2[k] * np.asarray(evaluate(model.psi2, r)))
+    amp = {"11": model.sigma1 ** 2,
+           "12": model.rho * model.sigma1 * model.sigma2,
+           "22": model.sigma2 ** 2}[pair]
+    fam = {"11": model.psi11, "12": model.psi12, "22": model.psi22}[pair]
+    return amp * np.asarray(evaluate(fam, r))
+
+
+def eval_matrix(model, r):
+    """Evaluate C(r) as a 2x2 array (shape (..., 2, 2) for array input).
+
+    Accepts a :class:`BivariateModel` or an :class:`LmcBivariate`.
+    """
+    c11, c12, c22 = (_entry(model, pair, r) for pair in _PAIRS)
+    return np.stack([np.stack([c11, c12], axis=-1),
+                     np.stack([c12, c22], axis=-1)], axis=-2)
 
 
 def eval_lmc(model: LmcBivariate, r):
     """Evaluate B1*psi1(r) + B2*psi2(r) as a 2x2 array (shape (..., 2, 2) for arrays)."""
-    p1 = np.asarray(evaluate(model.psi1, r))
-    p2 = np.asarray(evaluate(model.psi2, r))
-    out = np.empty(p1.shape + (2, 2))
-    for (i, j, k) in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 2)):
-        out[..., i, j] = model.b1[k] * p1 + model.b2[k] * p2
-    return out
+    return eval_matrix(model, r)
 
 
 # ---------------------------------------------------------------------------

@@ -17,19 +17,18 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bimodels import (BivariateModel, LmcBivariate, ModelParseError,
                        model_from_text, model_to_text)
-from .field import FieldSample, cokrige, fit_ml, loo_rmse, nll, simulate
+from .field import FieldSample, _cokrige, fit_ml, loo_rmse, simulate
 from .spectral import NonIntegrable, QuadratureError, cross_spectral_profile
 from .validity import (INCONCLUSIVE, NECESSARILY_ZERO, SUFFICIENT,
                        NotApplicable, generic_sufficient_check, max_rho_cauchy,
                        max_rho_stable, spherical_triviality)
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 EXIT_VALID = 0
 EXIT_INCONCLUSIVE = 1
@@ -44,31 +43,6 @@ class SchemaError(ValueError):
     """A CSV file does not match the expected schema."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    model_path: str | None = None
-    data_path: str | None = None
-    targets_path: str | None = None
-    out_path: str | None = None
-    n: int = 3
-    seed: int = 0
-    sweep: str | None = None
-    grid: str | None = None
-    points_path: str | None = None
-    umax: float = 10.0
-    points: int = 101
-    kind: str | None = None
-    starts: int = 8
-    max_evals: int | None = None
-    fit_nugget: bool = False
-    component: int = 1
-    nugget1: float = 0.0
-    nugget2: float = 0.0
-    mean1: float = 0.0
-    mean2: float = 0.0
-
-
 def _g(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -80,46 +54,15 @@ def _load_model(path: str):
         return model_from_text(fh.read())
 
 
-def _read_data_csv(path: str) -> FieldSample:
-    """Columns x, y[, z], component, value; header mandatory."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("row 1: empty file") from None
-        header = [h.strip() for h in header]
-        if header not in (["x", "y", "component", "value"],
-                          ["x", "y", "z", "component", "value"],
-                          ["x", "component", "value"]):
-            raise SchemaError(f"row 1: unexpected header {','.join(header)}")
-        dim = len(header) - 2
-        locs, comps, vals = [], [], []
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(f"row {i}: expected {len(header)} fields, "
-                                  f"got {len(row)}")
-            try:
-                locs.append([float(v) for v in row[:dim]])
-                comp = int(row[dim])
-                vals.append(float(row[dim + 1]))
-            except ValueError as exc:
-                raise SchemaError(f"row {i}: {exc}") from None
-            if comp not in (1, 2):
-                raise SchemaError(f"row {i}: component must be 1 or 2")
-            comps.append(comp)
-    if not locs:
-        raise SchemaError("row 2: no data rows")
-    return FieldSample(locations=np.array(locs), components=np.array(comps),
-                       values=np.array(vals))
+_COLUMN_TYPES = {"component": int, "value": float}
 
 
-def _read_points_csv(path: str, need_component: bool):
-    """Columns x, y[, z] with optional component column."""
+def _read_csv(path: str, tails):
+    """Columns x[, y[, z]] followed by one of the column tuples in ``tails``.
+
+    Header mandatory.  Returns the (N, d) locations and a dict holding each
+    tail column as an array.
+    """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -128,14 +71,11 @@ def _read_points_csv(path: str, need_component: bool):
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise SchemaError("row 1: empty file") from None
-        coords = [c for c in ("x", "y", "z") if c in header]
-        if header[:len(coords)] != coords or not coords:
+        dim = next((d for d in (3, 2, 1) if header[:d] == ["x", "y", "z"][:d]), 0)
+        tail = tuple(header[dim:])
+        if not dim or tail not in tails:
             raise SchemaError(f"row 1: unexpected header {','.join(header)}")
-        rest = header[len(coords):]
-        if rest not in ([], ["component"]):
-            raise SchemaError(f"row 1: unexpected header {','.join(header)}")
-        has_comp = rest == ["component"]
-        locs, comps = [], []
+        locs, cols = [], {name: [] for name in tail}
         for i, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -143,17 +83,24 @@ def _read_points_csv(path: str, need_component: bool):
                 raise SchemaError(f"row {i}: expected {len(header)} fields, "
                                   f"got {len(row)}")
             try:
-                locs.append([float(v) for v in row[:len(coords)]])
-                if has_comp:
-                    comps.append(int(row[len(coords)]))
+                loc = [float(v) for v in row[:dim]]
+                cells = {name: _COLUMN_TYPES[name](v) for name, v in zip(tail, row[dim:])}
             except ValueError as exc:
                 raise SchemaError(f"row {i}: {exc}") from None
+            if "component" in cells and cells["component"] not in (1, 2):
+                raise SchemaError(f"row {i}: component must be 1 or 2")
+            locs.append(loc)
+            for name, v in cells.items():
+                cols[name].append(v)
     if not locs:
         raise SchemaError("row 2: no data rows")
-    locations = np.array(locs)
-    if has_comp and need_component:
-        return locations, np.array(comps)
-    return locations, None
+    return np.array(locs), {name: np.array(v) for name, v in cols.items()}
+
+
+def _read_sample(path: str) -> FieldSample:
+    locations, cols = _read_csv(path, [("component", "value")])
+    return FieldSample(locations=locations, components=cols["component"],
+                       values=cols["value"])
 
 
 def _write_sample_csv(path: str, sample: FieldSample) -> None:
@@ -170,8 +117,8 @@ def _write_sample_csv(path: str, sample: FieldSample) -> None:
 # ---------------------------------------------------------------------------
 # Subcommand handlers.
 
-def _cmd_validate(cfg: RunConfig) -> int:
-    model = _load_model(cfg.model_path)
+def _cmd_validate(args: argparse.Namespace) -> int:
+    model = _load_model(args.model)
 
     if isinstance(model, LmcBivariate):
         print("kind=lmc")
@@ -193,9 +140,9 @@ def _cmd_validate(cfg: RunConfig) -> int:
         return EXIT_VALID if verdict.valid else EXIT_INVALID
 
     if kind == "stable":
-        report = max_rho_stable(model, cfg.n)
+        report = max_rho_stable(model, args.dim)
     elif kind == "cauchy":
-        report = max_rho_cauchy(model, cfg.n)
+        report = max_rho_cauchy(model, args.dim)
     else:
         if model.rho == 0.0:
             print(f"kind={kind}")
@@ -205,7 +152,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
                   "marginals are")
             return EXIT_VALID
         try:
-            report = generic_sufficient_check(model, cfg.n)
+            report = generic_sufficient_check(model, args.dim)
         except NotApplicable as exc:
             print(f"kind={kind}")
             print("decidability=ZeroInfimumInconclusive")
@@ -236,18 +183,18 @@ _SWEEPABLE_MISSING = ("rho is the certified output of the bound, "
                       "not a sweepable input")
 
 
-def _cmd_curve(cfg: RunConfig) -> int:
-    model = _load_model(cfg.model_path)
+def _cmd_curve(args: argparse.Namespace) -> int:
+    model = _load_model(args.model)
     if isinstance(model, LmcBivariate) or model.kind not in ("stable", "cauchy"):
         raise SchemaError("curve sweeps require a stable or Cauchy model file")
     try:
-        param, rng = cfg.sweep.split("=", 1)
+        param, rng = args.sweep.split("=", 1)
         lo_s, hi_s, steps_s = rng.split(":")
         lo, hi, steps = float(lo_s), float(hi_s), int(steps_s)
         if steps < 2 or not lo < hi:
             raise ValueError
     except ValueError:
-        raise SchemaError(f"invalid sweep spec {cfg.sweep!r}; "
+        raise SchemaError(f"invalid sweep spec {args.sweep!r}; "
                           "expected param=lo:hi:steps") from None
     param = param.strip()
     if param == "rho":
@@ -265,26 +212,26 @@ def _cmd_curve(cfg: RunConfig) -> int:
         lines = [f"{param} = {_g(value)}" if ln.split("=", 1)[0].strip() == param
                  else ln for ln in base_lines]
         swept = model_from_text("\n".join(lines))
-        report = bound_fn(swept, cfg.n)
+        report = bound_fn(swept, args.dim)
         rows.append((value, report.rho_bound, report.decidability))
 
-    with open(cfg.out_path, "w", newline="", encoding="utf-8") as fh:
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"{param},rho_bound,decidability\n")
         for value, bound, tag in rows:
             fh.write(f"{_g(value)},{_g(bound)},{tag}\n")
-    print(f"wrote {len(rows)} rows to {cfg.out_path}")
+    print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_VALID
 
 
-def _cmd_spectral(cfg: RunConfig) -> int:
-    model = _load_model(cfg.model_path)
+def _cmd_spectral(args: argparse.Namespace) -> int:
+    model = _load_model(args.model)
     if isinstance(model, LmcBivariate):
         raise SchemaError("spectral profiles expect a bivariate member model")
-    n = 3 if cfg.n == 2 else cfg.n
-    u = np.linspace(0.0, cfg.umax, cfg.points)
+    n = 3 if args.dim == 2 else args.dim
+    u = np.linspace(0.0, args.umax, args.points)
     profile = cross_spectral_profile(model, n, u)
-    profile.to_csv(cfg.out_path)
-    print(f"wrote {cfg.points} rows to {cfg.out_path}")
+    profile.to_csv(args.out)
+    print(f"wrote {args.points} rows to {args.out}")
     return EXIT_VALID
 
 
@@ -303,34 +250,35 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
-    model = _load_model(cfg.model_path)
-    if cfg.grid is not None:
-        pts = _parse_grid(cfg.grid)
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    model = _load_model(args.model)
+    if args.grid is not None:
+        pts = _parse_grid(args.grid)
         comps = None
     else:
-        pts, comps = _read_points_csv(cfg.points_path, need_component=True)
+        pts, cols = _read_csv(args.points_path, [(), ("component",)])
+        comps = cols.get("component")
     if comps is None:
         locations = np.repeat(pts, 2, axis=0)
         components = np.tile([1, 2], pts.shape[0])
     else:
         locations, components = pts, comps
-    sample = simulate(model, locations, components, seed=cfg.seed,
-                      mean1=cfg.mean1, mean2=cfg.mean2,
-                      nugget1=cfg.nugget1, nugget2=cfg.nugget2)
-    _write_sample_csv(cfg.out_path, sample)
-    print(f"wrote {locations.shape[0]} rows to {cfg.out_path} "
-          f"(seed {cfg.seed}, jitter {_g(sample.info['jitter'])})")
+    sample = simulate(model, locations, components, seed=args.seed,
+                      mean1=args.mean1, mean2=args.mean2,
+                      nugget1=args.nugget1, nugget2=args.nugget2)
+    _write_sample_csv(args.out, sample)
+    print(f"wrote {locations.shape[0]} rows to {args.out} "
+          f"(seed {args.seed}, jitter {_g(sample.info['jitter'])})")
     return EXIT_VALID
 
 
-def _cmd_fit(cfg: RunConfig) -> int:
-    data = _read_data_csv(cfg.data_path)
-    result = fit_ml(data, cfg.kind, n_starts=cfg.starts, seed=cfg.seed,
-                    max_evals=cfg.max_evals, fit_nugget=cfg.fit_nugget,
-                    nugget1=cfg.nugget1, nugget2=cfg.nugget2)
+def _cmd_fit(args: argparse.Namespace) -> int:
+    data = _read_sample(args.data)
+    result = fit_ml(data, args.kind, n_starts=args.starts, seed=args.seed,
+                    max_evals=args.max_evals, fit_nugget=args.fit_nugget,
+                    nugget1=args.nugget1, nugget2=args.nugget2)
     rmse = loo_rmse(result, data)
-    with open(cfg.out_path, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(model_to_text(result.model))
     print(f"kind={result.kind}")
     print(f"nll={_g(result.nll)}")
@@ -342,25 +290,24 @@ def _cmd_fit(cfg: RunConfig) -> int:
     print(f"nugget2={_g(result.nugget2)}")
     print(f"converged={str(result.converged).lower()}")
     print(f"n_iter={result.n_iter}")
-    print(f"model written to {cfg.out_path}")
+    print(f"model written to {args.out}")
     return EXIT_VALID
 
 
-def _cmd_krige(cfg: RunConfig) -> int:
-    model = _load_model(cfg.model_path)
-    data = _read_data_csv(cfg.data_path)
-    targets, _ = _read_points_csv(cfg.targets_path, need_component=False)
-    _, mu1, mu2 = nll(model, data, cfg.nugget1, cfg.nugget2)
-    pred, var = cokrige(model, data, targets, cfg.component,
-                        nugget1=cfg.nugget1, nugget2=cfg.nugget2,
-                        mean1=mu1, mean2=mu2)
+def _cmd_krige(args: argparse.Namespace) -> int:
+    model = _load_model(args.model)
+    data = _read_sample(args.data)
+    targets, _ = _read_csv(args.targets, [(), ("component",)])
+    # one Gram factor serves both the profiled means and the weights
+    pred, var = _cokrige(model, data, targets, args.component,
+                         args.nugget1, args.nugget2)
     dim = targets.shape[1]
     names = ["x", "y", "z"][:dim]
-    with open(cfg.out_path, "w", newline="", encoding="utf-8") as fh:
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(names + ["prediction", "variance"]) + "\n")
         for loc, p, v in zip(targets, pred, var):
             fh.write(",".join([_g(c) for c in loc] + [_g(p), _g(v)]) + "\n")
-    print(f"wrote {targets.shape[0]} rows to {cfg.out_path}")
+    print(f"wrote {targets.shape[0]} rows to {args.out}")
     return EXIT_VALID
 
 
@@ -426,33 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    get = lambda name, default=None: getattr(args, name, default)
-    return RunConfig(
-        subcommand=args.subcommand,
-        model_path=get("model"),
-        data_path=get("data"),
-        targets_path=get("targets"),
-        out_path=get("out"),
-        n=get("dim", 3),
-        seed=get("seed", 0),
-        sweep=get("sweep"),
-        grid=get("grid"),
-        points_path=get("points_path"),
-        umax=get("umax", 10.0),
-        points=get("points", 101),
-        kind=get("kind"),
-        starts=get("starts", 8),
-        max_evals=get("max_evals"),
-        fit_nugget=bool(get("fit_nugget", False)),
-        component=get("component", 1),
-        nugget1=get("nugget1", 0.0),
-        nugget2=get("nugget2", 0.0),
-        mean1=get("mean1", 0.0),
-        mean2=get("mean2", 0.0),
-    )
-
-
 _HANDLERS = {
     "validate": _cmd_validate,
     "curve": _cmd_curve,
@@ -468,9 +388,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALID if exc.code == 0 else EXIT_USAGE
-    cfg = _config_from_args(args)
     try:
-        return _HANDLERS[cfg.subcommand](cfg)
+        return _HANDLERS[args.subcommand](args)
     except FileNotFoundError as exc:
         print(f"file not found: {exc}", file=sys.stderr)
         return EXIT_NOFILE
@@ -480,6 +399,10 @@ def main(argv=None) -> int:
     except (NonIntegrable, QuadratureError, np.linalg.LinAlgError,
             ValueError) as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_COMPUTE
+    except (OverflowError, RuntimeError) as exc:
+        # engine failures; the bare message ("math range error") names no cause
+        print(f"computation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 
 

@@ -24,9 +24,9 @@ from scipy.optimize import minimize
 from scipy.special import gammaln
 from scipy.stats import qmc
 
-from .bimodels import (LmcBivariate, cauchy_bivariate, matern_bivariate,
+from .bimodels import (LmcBivariate, _entry, cauchy_bivariate, matern_bivariate,
                        stable_bivariate)
-from .corrfn import evaluate, stable
+from .corrfn import stable
 from .validity import max_rho_cauchy, max_rho_stable
 
 __all__ = [
@@ -96,18 +96,6 @@ class FitResult:
 # ---------------------------------------------------------------------------
 # Gram assembly.
 
-def _pair_value(model, pair: str, r: np.ndarray) -> np.ndarray:
-    if isinstance(model, LmcBivariate):
-        idx = {"11": 0, "12": 1, "22": 2}[pair]
-        return (model.b1[idx] * np.asarray(evaluate(model.psi1, r))
-                + model.b2[idx] * np.asarray(evaluate(model.psi2, r)))
-    amp = {"11": model.sigma1 ** 2,
-           "12": model.rho * model.sigma1 * model.sigma2,
-           "22": model.sigma2 ** 2}[pair]
-    fam = {"11": model.psi11, "12": model.psi12, "22": model.psi22}[pair]
-    return amp * np.asarray(evaluate(fam, r))
-
-
 def gram(model, sample: FieldSample, nugget1: float = 0.0,
          nugget2: float = 0.0) -> np.ndarray:
     """Block covariance matrix in the sample's row order.
@@ -115,24 +103,37 @@ def gram(model, sample: FieldSample, nugget1: float = 0.0,
     Each off-diagonal pair is evaluated once and mirrored, so the result is
     bitwise symmetric.  Nuggets add to the matching diagonal entries only.
     """
-    X, comp = sample.locations, sample.components
-    n_obs = X.shape[0]
-    iu, ju = np.triu_indices(n_obs, k=1)
-    dist = np.linalg.norm(X[iu] - X[ju], axis=1)
-    key = comp[iu] + comp[ju]        # 2 -> 11, 3 -> 12, 4 -> 22
-    vals = np.empty(dist.shape)
-    for code, pair in ((2, "11"), (3, "12"), (4, "22")):
-        m = key == code
-        if np.any(m):
-            vals[m] = _pair_value(model, pair, dist[m])
-    out = np.zeros((n_obs, n_obs))
-    out[iu, ju] = vals
-    out[ju, iu] = vals
-    var1 = float(_pair_value(model, "11", np.zeros(1))[0])
-    var2 = float(_pair_value(model, "22", np.zeros(1))[0])
-    di = np.arange(n_obs)
-    out[di, di] = np.where(comp == 1, var1 + nugget1, var2 + nugget2)
-    return out
+    return _GramCache(sample).build(model, nugget1, nugget2)
+
+
+class _GramCache:
+    """Pair distances of a sample, kept so repeated builds only re-evaluate families."""
+
+    def __init__(self, sample: FieldSample):
+        self.comp = sample.components
+        n_obs = sample.locations.shape[0]
+        self.n_obs = n_obs
+        self.iu, self.ju = np.triu_indices(n_obs, k=1)
+        dist = np.linalg.norm(sample.locations[self.iu] - sample.locations[self.ju], axis=1)
+        key = self.comp[self.iu] + self.comp[self.ju]   # 2 -> 11, 3 -> 12, 4 -> 22
+        self.mask = {pair: key == code
+                     for code, pair in ((2, "11"), (3, "12"), (4, "22"))}
+        self.dist = {pair: dist[m] for pair, m in self.mask.items()}
+        self.diag1 = self.comp == 1
+
+    def build(self, model, nugget1: float, nugget2: float) -> np.ndarray:
+        vals = np.empty(self.iu.shape)
+        for pair in ("11", "12", "22"):
+            if self.dist[pair].size:
+                vals[self.mask[pair]] = _entry(model, pair, self.dist[pair])
+        out = np.zeros((self.n_obs, self.n_obs))
+        out[self.iu, self.ju] = vals
+        out[self.ju, self.iu] = vals
+        var1 = float(_entry(model, "11", np.zeros(1))[0])
+        var2 = float(_entry(model, "22", np.zeros(1))[0])
+        di = np.arange(self.n_obs)
+        out[di, di] = np.where(self.diag1, var1 + nugget1, var2 + nugget2)
+        return out
 
 
 def check_pd(matrix: np.ndarray, tol_rel: float = 1e-8) -> PdCheck:
@@ -188,6 +189,7 @@ def simulate(model, locations, components, seed: int, n_draws: int = 1,
 # Exact Gaussian likelihood with profiled per-component means.
 
 def _nll_core(m: np.ndarray, comp: np.ndarray, z: np.ndarray):
+    """NLL, profiled means (mean1, mean2) and the Cholesky factor of m."""
     factor = cho_factor(m, lower=True)
     cols = [c for c in (1, 2) if np.any(comp == c)]
     design = np.column_stack([(comp == c).astype(float) for c in cols])
@@ -199,7 +201,7 @@ def _nll_core(m: np.ndarray, comp: np.ndarray, z: np.ndarray):
     quad_form = float(resid @ cho_solve(factor, resid))
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
     value = 0.5 * (len(z) * math.log(2.0 * math.pi) + logdet + quad_form)
-    return value, mu1, mu2
+    return value, mu1, mu2, factor
 
 
 def nll(model, data: FieldSample, nugget1: float = 0.0,
@@ -208,43 +210,11 @@ def nll(model, data: FieldSample, nugget1: float = 0.0,
     if data.values is None:
         raise ValueError("data sample carries no values")
     m = gram(model, data, nugget1, nugget2)
-    return _nll_core(m, data.components, np.asarray(data.values, dtype=float))
+    return _nll_core(m, data.components, np.asarray(data.values, dtype=float))[:3]
 
 
 # ---------------------------------------------------------------------------
 # Maximum likelihood fitting.
-
-class _GramCache:
-    """Precomputed pair distances so the fit loop only re-evaluates families."""
-
-    def __init__(self, data: FieldSample):
-        self.comp = data.components
-        self.z = np.asarray(data.values, dtype=float)
-        n_obs = data.locations.shape[0]
-        self.n_obs = n_obs
-        self.iu, self.ju = np.triu_indices(n_obs, k=1)
-        dist = np.linalg.norm(data.locations[self.iu] - data.locations[self.ju], axis=1)
-        key = self.comp[self.iu] + self.comp[self.ju]
-        self.dist = {pair: dist[key == code]
-                     for code, pair in ((2, "11"), (3, "12"), (4, "22"))}
-        self.mask = {pair: key == code
-                     for code, pair in ((2, "11"), (3, "12"), (4, "22"))}
-        self.diag1 = self.comp == 1
-
-    def build(self, model, nugget1: float, nugget2: float) -> np.ndarray:
-        vals = np.empty(self.iu.shape)
-        for pair in ("11", "12", "22"):
-            if self.dist[pair].size:
-                vals[self.mask[pair]] = _pair_value(model, pair, self.dist[pair])
-        out = np.zeros((self.n_obs, self.n_obs))
-        out[self.iu, self.ju] = vals
-        out[self.ju, self.iu] = vals
-        var1 = float(_pair_value(model, "11", np.zeros(1))[0])
-        var2 = float(_pair_value(model, "22", np.zeros(1))[0])
-        di = np.arange(self.n_obs)
-        out[di, di] = np.where(self.diag1, var1 + nugget1, var2 + nugget2)
-        return out
-
 
 def _clip_rho(want: float, bound: float) -> tuple[float, float]:
     cap = bound * (1.0 - 1e-12)
@@ -312,18 +282,14 @@ class _ParamSpec:
         lv1, lv2 = math.log(v1), math.log(v2)
         ls = math.log(s_mid)
         box = [(lv1 - 1.2, lv1 + 1.2), (lv2 - 1.2, lv2 + 1.2), (-0.7, 0.7)]
-        if kind == "stable":
+        if kind in ("stable", "cauchy"):
             box += [(_box_inv(0.35, 1e-3, 1.0), _box_inv(0.95, 1e-3, 1.0)),
                     (_box_inv(0.35, 1e-3, 1.0), _box_inv(0.95, 1e-3, 1.0)),
                     (_box_inv(0.5, 1e-3, 2.0), _box_inv(1.2, 1e-3, 2.0))]
-            box += [(ls - 2.0, ls + 2.0)] * 3
-        elif kind == "cauchy":
-            box += [(_box_inv(0.35, 1e-3, 1.0), _box_inv(0.95, 1e-3, 1.0)),
-                    (_box_inv(0.35, 1e-3, 1.0), _box_inv(0.95, 1e-3, 1.0)),
-                    (_box_inv(0.5, 1e-3, 2.0), _box_inv(1.2, 1e-3, 2.0))]
-            lb = (_box_inv(math.log(0.3), math.log(0.01), math.log(50.0)),
-                  _box_inv(math.log(5.0), math.log(0.01), math.log(50.0)))
-            box += [lb, lb, lb]
+            if kind == "cauchy":
+                lb = (_box_inv(math.log(0.3), math.log(0.01), math.log(50.0)),
+                      _box_inv(math.log(5.0), math.log(0.01), math.log(50.0)))
+                box += [lb, lb, lb]
             box += [(ls - 2.0, ls + 2.0)] * 3
         elif kind == "matern":
             lo = _box_inv(math.log(0.3), math.log(0.05), math.log(10.0))
@@ -391,38 +357,25 @@ class _ParamSpec:
         a22 = _box(th[4], 1e-3, 1.0)
         a12 = _box(th[5], 1e-3, 2.0)
         if self.kind == "stable":
-            s11, s22, s12 = (math.exp(v) for v in th[6:9])
-            probe = stable_bivariate(1.0, 1.0, 0.0, a11, a12, a22, s11, s12, s22)
-            report = max_rho_stable(probe, self.n_valid, grid_points=grid,
-                                    refine_brackets=0 if coarse else 8)
-            rho, excess = _clip_rho(want, report.rho_bound)
-            model = stable_bivariate(sig1, sig2, rho, a11, a12, a22, s11, s12, s22)
-            return model, nug1, nug2, excess
-
-        lb_lo, lb_hi = math.log(0.01), math.log(50.0)
-        b11 = math.exp(_box(th[6], lb_lo, lb_hi))
-        b22 = math.exp(_box(th[7], lb_lo, lb_hi))
-        b12 = math.exp(_box(th[8], lb_lo, lb_hi))
-        s11, s22, s12 = (math.exp(v) for v in th[9:12])
-        probe = cauchy_bivariate(1.0, 1.0, 0.0, a11, a12, a22,
-                                 b11, b12, b22, s11, s12, s22)
-        report = max_rho_cauchy(probe, self.n_valid, grid_points=grid,
-                                refine_brackets=0 if coarse else 8)
+            make, bound_fn, betas = stable_bivariate, max_rho_stable, ()
+        else:
+            lb_lo, lb_hi = math.log(0.01), math.log(50.0)
+            b11, b22, b12 = (math.exp(_box(v, lb_lo, lb_hi)) for v in th[6:9])
+            make, bound_fn, betas = cauchy_bivariate, max_rho_cauchy, (b11, b12, b22)
+        s11, s22, s12 = (math.exp(v) for v in th[6 + len(betas):9 + len(betas)])
+        probe = make(1.0, 1.0, 0.0, a11, a12, a22, *betas, s11, s12, s22)
+        report = bound_fn(probe, self.n_valid, grid_points=grid,
+                          refine_brackets=0 if coarse else 8)
         rho, excess = _clip_rho(want, report.rho_bound)
-        model = cauchy_bivariate(sig1, sig2, rho, a11, a12, a22,
-                                 b11, b12, b22, s11, s12, s22)
+        model = make(sig1, sig2, rho, a11, a12, a22, *betas, s11, s12, s22)
         return model, nug1, nug2, excess
 
     def exact_rho_clip(self, model):
         """Re-certify rho with the fine engine and clip into the exact bound."""
-        if self.kind == "stable":
-            probe = replace(model, rho=0.0)
-            bound = max_rho_stable(probe, self.n_valid).rho_bound
-        elif self.kind == "cauchy":
-            probe = replace(model, rho=0.0)
-            bound = max_rho_cauchy(probe, self.n_valid).rho_bound
-        else:
+        if self.kind not in ("stable", "cauchy"):
             return model
+        bound_fn = max_rho_stable if self.kind == "stable" else max_rho_cauchy
+        bound = bound_fn(replace(model, rho=0.0), self.n_valid).rho_bound
         if abs(model.rho) > bound:
             return replace(model, rho=math.copysign(bound, model.rho))
         return model
@@ -461,6 +414,7 @@ def fit_ml(data: FieldSample, model_kind: str, n_starts: int = 8, seed: int = 0,
     n_valid = 1 if data.locations.shape[1] == 1 else 3
     spec = _ParamSpec(kind, data, n_valid, fit_nugget, nugget1, nugget2)
     cache = _GramCache(data)
+    z = np.asarray(data.values, dtype=float)
     floor1 = 1e-8 * spec.emp_var[0]
     floor2 = 1e-8 * spec.emp_var[1]
     floor_used = {"hit": False}
@@ -471,13 +425,11 @@ def fit_ml(data: FieldSample, model_kind: str, n_starts: int = 8, seed: int = 0,
         except (ValueError, OverflowError):
             return 1e13
         try:
-            value, _, _ = _nll_core(cache.build(model, nug1, nug2),
-                                    cache.comp, cache.z)
+            value = _nll_core(cache.build(model, nug1, nug2), cache.comp, z)[0]
         except (LinAlgError, np.linalg.LinAlgError):
             try:
-                value, _, _ = _nll_core(
-                    cache.build(model, nug1 + floor1, nug2 + floor2),
-                    cache.comp, cache.z)
+                value = _nll_core(cache.build(model, nug1 + floor1, nug2 + floor2),
+                                  cache.comp, z)[0]
                 floor_used["hit"] = True
             except (LinAlgError, np.linalg.LinAlgError):
                 return 1e12
@@ -509,12 +461,10 @@ def fit_ml(data: FieldSample, model_kind: str, n_starts: int = 8, seed: int = 0,
     if floor_used["hit"]:
         nug1, nug2 = nug1 + floor1, nug2 + floor2
     try:
-        value, mu1, mu2 = _nll_core(cache.build(model, nug1, nug2),
-                                    cache.comp, cache.z)
+        value, mu1, mu2, _ = _nll_core(cache.build(model, nug1, nug2), cache.comp, z)
     except (LinAlgError, np.linalg.LinAlgError):
         nug1, nug2 = nug1 + floor1, nug2 + floor2
-        value, mu1, mu2 = _nll_core(cache.build(model, nug1, nug2),
-                                    cache.comp, cache.z)
+        value, mu1, mu2, _ = _nll_core(cache.build(model, nug1, nug2), cache.comp, z)
     n_params = spec.dim + 2
     return FitResult(model=model, kind=kind, nugget1=nug1, nugget2=nug2,
                      mean1=mu1, mean2=mu2, nll=value, n_params=n_params,
@@ -554,6 +504,13 @@ def cokrige(model_or_fit, data: FieldSample, targets, target_component: int,
     """
     model, nug1, nug2, mu1, mu2 = _unpack_fitted(
         model_or_fit, nugget1, nugget2, mean1, mean2)
+    return _cokrige(model, data, targets, target_component, nug1, nug2, (mu1, mu2))
+
+
+def _cokrige(model, data: FieldSample, targets, target_component: int,
+             nugget1: float, nugget2: float, means=None):
+    """:func:`cokrige` for a bare model; ``means=None`` takes the profiled
+    GLS means of the data from the same Gram factor as the weights."""
     if data.values is None:
         raise ValueError("data sample carries no values")
     if target_component not in (1, 2):
@@ -562,23 +519,26 @@ def cokrige(model_or_fit, data: FieldSample, targets, target_component: int,
     if pts.shape[1] != data.locations.shape[1]:
         raise ValueError("targets must match the data coordinate dimension")
 
-    m = gram(model, data, nug1, nug2)
-    factor = cho_factor(m, lower=True)
+    z = np.asarray(data.values, dtype=float)
     comp = data.components
+    m = gram(model, data, nugget1, nugget2)
+    if means is None:
+        _, mu1, mu2, factor = _nll_core(m, comp, z)
+    else:
+        (mu1, mu2), factor = means, cho_factor(m, lower=True)
     dist = np.linalg.norm(pts[:, None, :] - data.locations[None, :, :], axis=2)
     cross = np.empty_like(dist)
     for c in (1, 2):
         cols = comp == c
         if np.any(cols):
             pair = "".join(sorted(f"{target_component}{c}"))
-            cross[:, cols] = _pair_value(model, pair, dist[:, cols])
+            cross[:, cols] = _entry(model, pair, dist[:, cols])
     weights = cho_solve(factor, cross.T)
-    means = np.where(comp == 1, mu1, mu2)
+    means_z = np.where(comp == 1, mu1, mu2)
     target_mean = mu1 if target_component == 1 else mu2
-    z = np.asarray(data.values, dtype=float)
-    pred = target_mean + (z - means) @ weights
-    sill = float(_pair_value(model, f"{target_component}{target_component}",
-                             np.zeros(1))[0])
+    pred = target_mean + (z - means_z) @ weights
+    sill = float(_entry(model, f"{target_component}{target_component}",
+                        np.zeros(1))[0])
     var = sill - np.einsum("ij,ji->i", cross, weights)
     return pred, var
 
@@ -597,8 +557,7 @@ def loo_rmse(model_or_fit, data: FieldSample,
         raise ValueError("data sample carries no values")
     z = np.asarray(data.values, dtype=float)
     m = gram(model, data, nug1, nug2)
-    _, mu1, mu2 = _nll_core(m, data.components, z)
-    factor = cho_factor(m, lower=True)
+    _, mu1, mu2, factor = _nll_core(m, data.components, z)
     precision = cho_solve(factor, np.eye(m.shape[0]))
     centered = z - np.where(data.components == 1, mu1, mu2)
     resid = (precision @ centered) / np.diag(precision)

@@ -13,10 +13,17 @@ three-way decidability tag:
 * ``ZeroInfimumInconclusive`` -- the infimum is zero but nothing forces
                                  rho = 0; the bound is simply uninformative.
 
-The infimum engine works on the log of the integrand (the raw integrand
-overflows double precision near the endpoints), scanning a log-spaced grid,
-refining the best local minima by golden-section search, and evaluating the
-r -> 0+ and r -> infinity limits exactly from the exponent structure.
+One table-driven engine serves both families.  Each auxiliary function is
+a polynomial in t = (s r)^alpha over a power of (1 + t); one table gives its
+coefficients and that power, and ``q_fn``, ``p_fn``, the raw integrands, the
+log-domain integrand and the r -> 0+ limit all read it.  Beyond the table
+the families differ only in the exp(h) factor of the stable integrand, the
+r -> infinity limit and the case rules.
+
+The engine works on the log of the integrand (the raw integrand overflows
+double precision near the endpoints), scanning a log-spaced grid, refining
+the best local minima by golden-section search, and evaluating the r -> 0+
+and r -> infinity limits exactly from the exponent structure.
 
 ``generic_sufficient_check`` recomputes the same bound from raw derivatives
 of the correlation functions (a second, independent code path) for any model
@@ -89,18 +96,42 @@ class TrivialityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Auxiliary closed forms.
+# The per-family table: q and p as polynomials in t over a power of (1 + t).
+
+def _aux_table(n: int, alpha: float, beta: float | None):
+    """Coefficients of t^deg, ..., t^0 and the power of (1 + t) dividing them.
+
+    q (stable family, ``beta is None``) and p (Cauchy family) both read
+    sum_k c_k t^k / (1 + t)^d with t = (s r)^alpha, deg = 1 for n = 1 and
+    deg = 2 for n = 3.  The linear Cauchy coefficient for n = 3 is fixed by
+    the identity psi''(r) - r psi'''(r) = beta s^alpha r^(alpha-2) p(r); any
+    other value breaks it (cross-checked against raw derivatives in the test
+    suite).
+    """
+    c0 = 1.0 - alpha if n == 1 else (alpha - 1.0) * (alpha - 3.0)
+    if beta is None:
+        if n == 1:
+            return (alpha, c0), 0.0
+        return (alpha ** 2, alpha * (4.0 - 3.0 * alpha), c0), 0.0
+    if n == 1:
+        return (beta + 1.0, c0), beta / alpha + 2.0
+    k1 = 4.0 * beta + 6.0 - 4.0 * alpha - 3.0 * alpha * beta - alpha ** 2
+    return ((beta + 1.0) * (beta + 3.0), k1, c0), beta / alpha + 3.0
+
+
+def _aux(n: int, alpha: float, beta: float | None, s: float, rr: np.ndarray):
+    coefs, denom = _aux_table(n, alpha, beta)
+    t = (s * rr) ** alpha
+    deg = len(coefs) - 1
+    out = sum(c * t ** (deg - k) for k, c in enumerate(coefs))
+    return out / (1.0 + t) ** denom if denom else out
+
 
 def q_fn(alpha: float, s: float, n: int, r):
     """Powered-exponential auxiliary function for dimension n in {1, 3}."""
     _check_n13(n)
     rr, scalar = _as_positive(r)
-    t = (s * rr) ** alpha
-    if n == 1:
-        out = alpha * t - alpha + 1.0
-    else:
-        out = (alpha ** 2 * t ** 2 - 3.0 * alpha ** 2 * t + 4.0 * alpha * t
-               + alpha ** 2 - 4.0 * alpha + 3.0)
+    out = _aux(n, alpha, None, s, rr)
     return float(out[0]) if scalar else out
 
 
@@ -108,19 +139,11 @@ def p_fn(alpha: float, beta: float, s: float, n: int, r):
     """Generalized-Cauchy auxiliary function for dimension n in {1, 3}.
 
     The linear coefficient in the n = 3 numerator is fixed by the identity
-    psi''(r) - r psi'''(r) = beta s^alpha r^(alpha-2) p(r); any other value
-    breaks it (cross-checked against raw derivatives in the test suite).
+    psi''(r) - r psi'''(r) = beta s^alpha r^(alpha-2) p(r).
     """
     _check_n13(n)
     rr, scalar = _as_positive(r)
-    t = (s * rr) ** alpha
-    if n == 1:
-        out = ((beta + 1.0) * t - alpha + 1.0) / (1.0 + t) ** (beta / alpha + 2.0)
-    else:
-        k1 = 4.0 * beta + 6.0 - 4.0 * alpha - 3.0 * alpha * beta - alpha ** 2
-        num = ((beta + 1.0) * (beta + 3.0) * t ** 2 + k1 * t
-               + (alpha - 1.0) * (alpha - 3.0))
-        out = num / (1.0 + t) ** (beta / alpha + 3.0)
+    out = _aux(n, alpha, beta, s, rr)
     return float(out[0]) if scalar else out
 
 
@@ -141,27 +164,45 @@ def _as_positive(r) -> tuple[np.ndarray, bool]:
 # ---------------------------------------------------------------------------
 # Parameter extraction and the public integrands.
 
-def _stable_triple(model: BivariateModel):
-    for f in (model.psi11, model.psi12, model.psi22):
-        if f.kind != "Stable":
-            raise ValueError("model members must all be of the stable family")
-    a11, a22 = model.psi11.params.alpha, model.psi22.params.alpha
-    a12 = model.psi12.params.alpha
-    if a11 > 1.0 or a22 > 1.0:
+def _members(model: BivariateModel, kind: str):
+    """(alpha, beta, scale) of psi11, psi12, psi22; beta is None for stable."""
+    fams = (model.psi11, model.psi12, model.psi22)
+    for f in fams:
+        if f.kind != kind:
+            raise ValueError(f"model members must all be of the {kind} family")
+    if model.psi11.params.alpha > 1.0 or model.psi22.params.alpha > 1.0:
         raise ValueError("marginal smoothness must lie in (0, 1]")
-    return (a11, a12, a22,
-            model.psi11.params.scale, model.psi12.params.scale, model.psi22.params.scale)
+    return tuple((f.params.alpha, getattr(f.params, "beta", None), f.params.scale)
+                 for f in fams)
 
 
-def _cauchy_triple(model: BivariateModel):
-    for f in (model.psi11, model.psi12, model.psi22):
-        if f.kind != "Cauchy":
-            raise ValueError("model members must all be of the Cauchy family")
-    p11, p12, p22 = model.psi11.params, model.psi12.params, model.psi22.params
-    if p11.alpha > 1.0 or p22.alpha > 1.0:
-        raise ValueError("marginal smoothness must lie in (0, 1]")
-    return (p11.alpha, p12.alpha, p22.alpha, p11.beta, p12.beta, p22.beta,
-            p11.scale, p12.scale, p22.scale)
+def _log_prefactor(members) -> float:
+    """log of k11 k22 s11^a11 s22^a22 / (k12 s12^a12)^2, k = alpha or beta."""
+    (a11, k11, s11), (a12, k12, s12), (a22, k22, s22) = (
+        (a, a if b is None else b, s) for a, b, s in members)
+    return (math.log(k11) + math.log(k22) + a11 * math.log(s11) + a22 * math.log(s22)
+            - 2.0 * math.log(k12) - 2.0 * a12 * math.log(s12))
+
+
+def _bound_integrand(model: BivariateModel, kind: str, n: int, r):
+    _check_n13(n)
+    members = _members(model, kind)
+    (a11, b11, s11), (a12, b12, s12), (a22, b22, s22) = members
+    rr, scalar = _as_positive(r)
+    v11, v12, v22 = (_aux(n, a, b, s, rr) for a, b, s in members)
+    bad = np.abs(v12) < _QZERO_TOL
+    if np.any(bad):
+        name = "q12" if kind == "Stable" else "p12"
+        raise ExcludedPoint(f"{name} vanishes at r = {rr[bad][0]:.17g}")
+    k11, k12, k22 = (a11, a12, a22) if kind == "Stable" else (b11, b12, b22)
+    pref = (k11 * k22 * s11 ** a11 * s22 ** a22) / (k12 ** 2 * s12 ** (2.0 * a12))
+    with np.errstate(over="ignore", under="ignore"):
+        out = pref * rr ** (a11 + a22 - 2.0 * a12)
+        if kind == "Stable":
+            out = out * np.exp(2.0 * (s12 * rr) ** a12 - (s11 * rr) ** a11
+                               - (s22 * rr) ** a22)
+        out = out * v11 * v22 / v12 ** 2
+    return float(out[0]) if scalar else out
 
 
 def stable_bound_integrand(model: BivariateModel, n: int, r):
@@ -170,20 +211,7 @@ def stable_bound_integrand(model: BivariateModel, n: int, r):
     Includes the constant prefactor, so an all-equal model gives exactly 1
     for every r.  Raises :class:`ExcludedPoint` where |q12(r)| < 1e-12.
     """
-    _check_n13(n)
-    a11, a12, a22, s11, s12, s22 = _stable_triple(model)
-    rr, scalar = _as_positive(r)
-    q11 = q_fn(a11, s11, n, rr)
-    q22 = q_fn(a22, s22, n, rr)
-    q12 = q_fn(a12, s12, n, rr)
-    bad = np.abs(q12) < _QZERO_TOL
-    if np.any(bad):
-        raise ExcludedPoint(f"q12 vanishes at r = {rr[bad][0]:.17g}")
-    pref = (a11 * a22 * s11 ** a11 * s22 ** a22) / (a12 ** 2 * s12 ** (2.0 * a12))
-    expo = 2.0 * (s12 * rr) ** a12 - (s11 * rr) ** a11 - (s22 * rr) ** a22
-    with np.errstate(over="ignore", under="ignore"):
-        out = pref * rr ** (a11 + a22 - 2.0 * a12) * np.exp(expo) * q11 * q22 / q12 ** 2
-    return float(out[0]) if scalar else out
+    return _bound_integrand(model, "Stable", n, r)
 
 
 def cauchy_bound_integrand(model: BivariateModel, n: int, r):
@@ -192,39 +220,11 @@ def cauchy_bound_integrand(model: BivariateModel, n: int, r):
     Includes the constant prefactor; raises :class:`ExcludedPoint` where
     |p12(r)| < 1e-12.
     """
-    _check_n13(n)
-    a11, a12, a22, b11, b12, b22, s11, s12, s22 = _cauchy_triple(model)
-    rr, scalar = _as_positive(r)
-    p11v = p_fn(a11, b11, s11, n, rr)
-    p22v = p_fn(a22, b22, s22, n, rr)
-    p12v = p_fn(a12, b12, s12, n, rr)
-    bad = np.abs(p12v) < _QZERO_TOL
-    if np.any(bad):
-        raise ExcludedPoint(f"p12 vanishes at r = {rr[bad][0]:.17g}")
-    pref = (b11 * b22 / b12 ** 2) * (s11 ** a11 * s22 ** a22) / s12 ** (2.0 * a12)
-    with np.errstate(over="ignore", under="ignore"):
-        out = pref * rr ** (a11 + a22 - 2.0 * a12) * p11v * p22v / p12v ** 2
-    return float(out[0]) if scalar else out
+    return _bound_integrand(model, "Cauchy", n, r)
 
 
 # ---------------------------------------------------------------------------
 # Log-domain evaluation of the integrands (engine internals).
-
-def _log_q_terms(alpha: float, s: float, n: int, lr: np.ndarray):
-    """log|q| and sign(q) via signed log-sum-exp; lr = log(r)."""
-    lt = alpha * (math.log(s) + lr)       # log t, t = (s r)^alpha
-    if n == 1:
-        coefs = np.array([alpha, 1.0 - alpha])
-        powers = np.array([1.0, 0.0])
-    else:
-        coefs = np.array([alpha ** 2, alpha * (4.0 - 3.0 * alpha),
-                          (alpha - 1.0) * (alpha - 3.0)])
-        powers = np.array([2.0, 1.0, 0.0])
-    keep = coefs != 0.0
-    coefs, powers = coefs[keep], powers[keep]
-    terms = powers[:, None] * lt[None, :] + np.log(np.abs(coefs))[:, None]
-    return logsumexp(terms, axis=0, b=np.sign(coefs)[:, None], return_sign=True)
-
 
 def _log1p_exp(w: np.ndarray) -> np.ndarray:
     # log(1 + e^w), stable for both signs of w
@@ -235,59 +235,45 @@ def _log1p_exp(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_p_terms(alpha: float, beta: float, s: float, n: int, lr: np.ndarray):
-    """log|p| and sign(p) for the Cauchy auxiliary function."""
-    lt = alpha * (math.log(s) + lr)
-    if n == 1:
-        coefs = np.array([beta + 1.0, 1.0 - alpha])
-        powers = np.array([1.0, 0.0])
-        denom_pow = beta / alpha + 2.0
-    else:
-        k1 = 4.0 * beta + 6.0 - 4.0 * alpha - 3.0 * alpha * beta - alpha ** 2
-        coefs = np.array([(beta + 1.0) * (beta + 3.0), k1,
-                          (alpha - 1.0) * (alpha - 3.0)])
-        powers = np.array([2.0, 1.0, 0.0])
-        denom_pow = beta / alpha + 3.0
+def _log_aux_fn(n: int, alpha: float, beta: float | None):
+    """log t -> (log|q| or log|p|, sign) via a signed log-sum-exp."""
+    coefs, denom = _aux_table(n, alpha, beta)
+    coefs = np.array(coefs)
+    powers = np.arange(len(coefs) - 1, -1, -1.0)
     keep = coefs != 0.0
     coefs, powers = coefs[keep], powers[keep]
-    terms = powers[:, None] * lt[None, :] + np.log(np.abs(coefs))[:, None]
-    lnum, sign = logsumexp(terms, axis=0, b=np.sign(coefs)[:, None], return_sign=True)
-    return lnum - denom_pow * _log1p_exp(lt), sign
+    log_c, sign_c = np.log(np.abs(coefs))[:, None], np.sign(coefs)[:, None]
 
-
-def _stable_log_integrand(params, n):
-    a11, a12, a22, s11, s12, s22 = params
-    log_a = (math.log(a11) + math.log(a22) + a11 * math.log(s11) + a22 * math.log(s22)
-             - 2.0 * math.log(a12) - 2.0 * a12 * math.log(s12))
-    p_pow = a11 + a22 - 2.0 * a12
-
-    def fn(lr: np.ndarray):
-        lr = np.atleast_1d(np.asarray(lr, dtype=float))
-        h = (2.0 * np.exp(a12 * (math.log(s12) + lr))
-             - np.exp(a11 * (math.log(s11) + lr))
-             - np.exp(a22 * (math.log(s22) + lr)))
-        l11, g11 = _log_q_terms(a11, s11, n, lr)
-        l22, g22 = _log_q_terms(a22, s22, n, lr)
-        l12, g12 = _log_q_terms(a12, s12, n, lr)
-        li = log_a + p_pow * lr + h + l11 + l22 - 2.0 * l12
-        li = np.where((g11 > 0) & (g22 > 0) & (g12 != 0), li, np.nan)
-        return li, g12
+    def fn(lt: np.ndarray):
+        terms = powers[:, None] * lt[None, :] + log_c
+        lnum, sign = logsumexp(terms, axis=0, b=sign_c, return_sign=True)
+        if denom:
+            lnum = lnum - denom * _log1p_exp(lt)
+        return lnum, sign
 
     return fn
 
 
-def _cauchy_log_integrand(params, n):
-    a11, a12, a22, b11, b12, b22, s11, s12, s22 = params
-    log_a = (math.log(b11) + math.log(b22) - 2.0 * math.log(b12)
-             + a11 * math.log(s11) + a22 * math.log(s22) - 2.0 * a12 * math.log(s12))
+def _log_integrand(kind: str, members, n: int, log_a: float):
+    """log r -> (log of the bound integrand, sign of the cross factor).
+
+    The log is NaN wherever a marginal factor is not positive or the cross
+    factor vanishes.  Only the stable family carries the exp(h) factor.
+    """
+    a11, a12, a22 = (a for a, _, _ in members)
     p_pow = a11 + a22 - 2.0 * a12
+    log_s = [(a, math.log(s)) for a, _, s in members]
+    aux = [_log_aux_fn(n, a, b) for a, b, _ in members]
 
     def fn(lr: np.ndarray):
         lr = np.atleast_1d(np.asarray(lr, dtype=float))
-        l11, g11 = _log_p_terms(a11, b11, s11, n, lr)
-        l22, g22 = _log_p_terms(a22, b22, s22, n, lr)
-        l12, g12 = _log_p_terms(a12, b12, s12, n, lr)
-        li = log_a + p_pow * lr + l11 + l22 - 2.0 * l12
+        lt11, lt12, lt22 = (a * (ls + lr) for a, ls in log_s)    # log t
+        (l11, g11), (l12, g12), (l22, g22) = (
+            f(lt) for f, lt in zip(aux, (lt11, lt12, lt22)))
+        li = log_a + p_pow * lr
+        if kind == "Stable":
+            li = li + (2.0 * np.exp(lt12) - np.exp(lt11) - np.exp(lt22))
+        li = li + l11 + l22 - 2.0 * l12
         li = np.where((g11 > 0) & (g22 > 0) & (g12 != 0), li, np.nan)
         return li, g12
 
@@ -309,34 +295,16 @@ def _origin_exponent(a11: float, a12: float, a22: float) -> float:
     return a11 + a22 - 2.0 * a12 + adj
 
 
-def _log_c0_factor(alpha: float, s: float, n: int, beta: float | None) -> float:
+def _log_c0_factor(n: int, alpha: float, beta: float | None, s: float) -> float:
     """log| lim q(r)/r^o | as r -> 0+, o = 1 if alpha == 1 else 0."""
+    coefs, _ = _aux_table(n, alpha, beta)
     if alpha == 1.0:
-        return math.log(s) if beta is None else math.log((beta + 1.0) * s)
-    if n == 1:
-        return math.log(abs(1.0 - alpha))
-    return math.log(abs((alpha - 1.0) * (alpha - 3.0)))
+        return math.log(coefs[-2] * s)
+    return math.log(abs(coefs[-1]))
 
 
-def _stable_limits(params, n):
-    """(log-limit, tag) candidates at r -> 0+ and r -> infinity.
-
-    A limit of -inf means the integrand tends to 0 there; +inf limits are
-    dropped (they never constrain the infimum).
-    """
-    a11, a12, a22, s11, s12, s22 = params
-    log_a = (math.log(a11) + math.log(a22) + a11 * math.log(s11) + a22 * math.log(s22)
-             - 2.0 * math.log(a12) - 2.0 * a12 * math.log(s12))
-    out = []
-
-    e0 = _origin_exponent(a11, a12, a22)
-    if e0 > _EQ_TOL:
-        out.append((-math.inf, AT_ZERO))
-    elif abs(e0) <= _EQ_TOL:
-        c0 = (log_a + _log_c0_factor(a11, s11, n, None)
-              + _log_c0_factor(a22, s22, n, None) - 2.0 * _log_c0_factor(a12, s12, n, None))
-        out.append((c0, AT_ZERO))
-
+def _stable_tail(members, n: int, log_a: float):
+    (a11, _, s11), (a12, _, s12), (a22, _, s22) = members
     # growth comparison of h(r) = 2(s12 r)^a12 - (s11 r)^a11 - (s22 r)^a22:
     # group equal exponents, then the largest exponent with a nonzero net
     # coefficient decides; full cancellation leaves a finite limit
@@ -345,52 +313,48 @@ def _stable_limits(params, n):
         key = next((k for k in groups if _near(k, a)), a)
         groups[key] = groups.get(key, 0.0) + coef
     scale_mag = 2.0 * s12 ** a12 + s11 ** a11 + s22 ** a22
-    decided = False
     for a in sorted(groups, reverse=True):
         if abs(groups[a]) > _EQ_TOL * scale_mag:
-            if groups[a] < 0.0:
-                out.append((-math.inf, AT_INFINITY))
-            decided = True
-            break
-    if not decided:
-        # all exponents equal and scale terms cancel: h == 0, the power of r
-        # is zero, and the q-ratio tends to a positive constant
-        kappa = 1.0 if n == 1 else 2.0
-        out.append((log_a + kappa * a11 * (math.log(s11) + math.log(s22)
-                                           - 2.0 * math.log(s12)), AT_INFINITY))
-    return out
+            return [(-math.inf, AT_INFINITY)] if groups[a] < 0.0 else []
+    # all exponents equal and scale terms cancel: h == 0, the power of r is
+    # zero, and the q-ratio tends to a positive constant
+    deg = 1.0 if n == 1 else 2.0
+    return [(log_a + deg * a11 * (math.log(s11) + math.log(s22)
+                                  - 2.0 * math.log(s12)), AT_INFINITY)]
 
 
-def _cauchy_limits(params, n):
-    a11, a12, a22, b11, b12, b22, s11, s12, s22 = params
-    log_a = (math.log(b11) + math.log(b22) - 2.0 * math.log(b12)
-             + a11 * math.log(s11) + a22 * math.log(s22) - 2.0 * a12 * math.log(s12))
+def _cauchy_tail(members, n: int, log_a: float):
+    (a11, b11, s11), (a12, b12, s12), (a22, b22, s22) = members
+    e_inf = 2.0 * b12 - b11 - b22
+    tol = _EQ_TOL * max(1.0, b11, b22, b12)
+    if e_inf < -tol:
+        return [(-math.inf, AT_INFINITY)]
+    if abs(e_inf) > tol:
+        return []
+    top11, top12, top22 = (_aux_table(n, a, b)[0][0] for a, b, _ in members)
+    lead = math.log(top11 * top22) - 2.0 * math.log(top12)
+    # the alpha-dependent scale powers of log_a cancel against the tail
+    # powers of the p-ratio, leaving s11^-b11 s22^-b22 s12^(2 b12)
+    return [(log_a + lead - b11 * math.log(s11) - b22 * math.log(s22)
+             + 2.0 * b12 * math.log(s12) - a11 * math.log(s11)
+             - a22 * math.log(s22) + 2.0 * a12 * math.log(s12), AT_INFINITY)]
+
+
+def _limits(kind: str, members, n: int, log_a: float):
+    """(log-limit, tag) candidates at r -> 0+ and r -> infinity.
+
+    A limit of -inf means the integrand tends to 0 there; +inf limits are
+    dropped (they never constrain the infimum).
+    """
     out = []
-
-    e0 = _origin_exponent(a11, a12, a22)
+    e0 = _origin_exponent(members[0][0], members[1][0], members[2][0])
     if e0 > _EQ_TOL:
         out.append((-math.inf, AT_ZERO))
     elif abs(e0) <= _EQ_TOL:
-        c0 = (log_a + _log_c0_factor(a11, s11, n, b11)
-              + _log_c0_factor(a22, s22, n, b22) - 2.0 * _log_c0_factor(a12, s12, n, b12))
-        out.append((c0, AT_ZERO))
-
-    e_inf = 2.0 * b12 - b11 - b22
-    if e_inf < -_EQ_TOL * max(1.0, b11, b22, b12):
-        out.append((-math.inf, AT_INFINITY))
-    elif abs(e_inf) <= _EQ_TOL * max(1.0, b11, b22, b12):
-        if n == 1:
-            lead = (math.log((b11 + 1.0) * (b22 + 1.0)) - 2.0 * math.log(b12 + 1.0))
-        else:
-            lead = (math.log((b11 + 1.0) * (b11 + 3.0) * (b22 + 1.0) * (b22 + 3.0))
-                    - 2.0 * math.log((b12 + 1.0) * (b12 + 3.0)))
-        c_inf = (log_a + lead - b11 * math.log(s11) - b22 * math.log(s22)
-                 + 2.0 * b12 * math.log(s12) - a11 * math.log(s11)
-                 - a22 * math.log(s22) + 2.0 * a12 * math.log(s12))
-        # the alpha-dependent scale powers of log_a cancel against the tail
-        # powers of the p-ratio, leaving s11^-b11 s22^-b22 s12^(2 b12)
-        out.append((c_inf, AT_INFINITY))
-    return out
+        c11, c12, c22 = (_log_c0_factor(n, *m) for m in members)
+        out.append((log_a + c11 + c22 - 2.0 * c12, AT_ZERO))
+    tail = _stable_tail if kind == "Stable" else _cauchy_tail
+    return out + tail(members, n, log_a)
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +428,9 @@ def _scan_infimum(log_fn, limits, grid_points: int = 4096, n_brackets: int = 8,
 
 
 # ---------------------------------------------------------------------------
-# Case classification by smoothness ordering.
-
-def _eq(x, y):
-    return _near(x, y)
-
+# Case classification by smoothness ordering.  Each rule returns the case
+# and what it forces on its own: NECESSARILY_ZERO, INCONCLUSIVE (no positive
+# infimum is promised), or None (the case promises a positive infimum).
 
 def _lt(x, y):
     return x < y and not _near(x, y)
@@ -478,28 +440,27 @@ def _gt(x, y):
     return x > y and not _near(x, y)
 
 
-def _classify_stable(a11, a12, a22, s11, s12, s22) -> str:
-    mean = 0.5 * (a11 + a22)
-    if _lt(a12, mean):
-        return "alpha12-below-mean"
-    if _eq(a12, a11) and _eq(a12, a22):
+def _stable_case(members, n: int) -> tuple[str, str | None]:
+    (a11, _, s11), (a12, _, s12), (a22, _, s22) = members
+    if _lt(a12, 0.5 * (a11 + a22)):
+        return "alpha12-below-mean", NECESSARILY_ZERO
+    if _near(a12, a11) and _near(a12, a22):
         lhs, rhs = s12 ** a11, 0.5 * (s11 ** a11 + s22 ** a11)
-        return "i" if (lhs > rhs or _eq(lhs, rhs)) else "no-positive-case"
-    if _eq(a12, a11) and _gt(a11, a22):
-        return "ii" if _gt(s12, 2.0 ** (-1.0 / a11) * s11) else "no-positive-case"
-    if _eq(a12, a22) and _gt(a22, a11):
-        return "iii" if _gt(s12, 2.0 ** (-1.0 / a22) * s22) else "no-positive-case"
-    if _gt(a12, max(a11, a22)):
-        return "iv"
-    return "no-positive-case"
+        case = "i" if (lhs > rhs or _near(lhs, rhs)) else "no-positive-case"
+    elif _near(a12, a11) and _gt(a11, a22):
+        case = "ii" if _gt(s12, 2.0 ** (-1.0 / a11) * s11) else "no-positive-case"
+    elif _near(a12, a22) and _gt(a22, a11):
+        case = "iii" if _gt(s12, 2.0 ** (-1.0 / a22) * s22) else "no-positive-case"
+    else:
+        case = "iv" if _gt(a12, max(a11, a22)) else "no-positive-case"
+    return case, INCONCLUSIVE if case == "no-positive-case" else None
 
 
-def _classify_cauchy(a11, a12, a22, b11, b12, b22, n) -> tuple[str, str | None]:
-    mean_a = 0.5 * (a11 + a22)
-    mean_b = 0.5 * (b11 + b22)
-    if _lt(a12, mean_a):
+def _cauchy_case(members, n: int) -> tuple[str, str | None]:
+    (a11, b11, _), (a12, b12, _), (a22, b22, _) = members
+    if _lt(a12, 0.5 * (a11 + a22)):
         return "i", NECESSARILY_ZERO
-    if _lt(b12, mean_b):
+    if _lt(b12, 0.5 * (b11 + b22)):
         if _lt(b11, n) and _lt(b22, n) and _lt(b12, n):
             return "ii", NECESSARILY_ZERO
         for bii, bjj in ((b11, b22), (b22, b11)):
@@ -530,36 +491,14 @@ def _finish_report(log_inf, location, case, decidability, n, note) -> ValidityRe
                           decidability=decidability, n=n, note=note)
 
 
-def max_rho_stable(model: BivariateModel, n: int, grid_points: int = 4096,
-                   refine_brackets: int = 8) -> ValidityReport:
-    """Maximum certifiable |rho| for a bivariate powered exponential model."""
+def _max_rho(model: BivariateModel, kind: str, n: int, grid_points: int,
+             refine_brackets: int) -> ValidityReport:
     n_used, note = _resolve_dim(n)
-    params = _stable_triple(model)
-    case = _classify_stable(*params)
-    log_inf, location = _scan_infimum(_stable_log_integrand(params, n_used),
-                                      _stable_limits(params, n_used),
-                                      grid_points=grid_points,
-                                      n_brackets=refine_brackets)
-    if case == "alpha12-below-mean":
-        decidability = NECESSARILY_ZERO
-    elif log_inf > -math.inf:
-        decidability = SUFFICIENT
-    else:
-        decidability = INCONCLUSIVE
-        if case in ("i", "ii", "iii", "iv"):
-            note = (note + "; " if note else "") + _EDGE_NOTE
-    return _finish_report(log_inf, location, case, decidability, n_used, note)
-
-
-def max_rho_cauchy(model: BivariateModel, n: int, grid_points: int = 4096,
-                   refine_brackets: int = 8) -> ValidityReport:
-    """Maximum certifiable |rho| for a bivariate generalized Cauchy model."""
-    n_used, note = _resolve_dim(n)
-    params = _cauchy_triple(model)
-    case, forced = _classify_cauchy(params[0], params[1], params[2],
-                                    params[3], params[4], params[5], n_used)
-    log_inf, location = _scan_infimum(_cauchy_log_integrand(params, n_used),
-                                      _cauchy_limits(params, n_used),
+    members = _members(model, kind)
+    case, forced = (_stable_case if kind == "Stable" else _cauchy_case)(members, n_used)
+    log_a = _log_prefactor(members)
+    log_inf, location = _scan_infimum(_log_integrand(kind, members, n_used, log_a),
+                                      _limits(kind, members, n_used, log_a),
                                       grid_points=grid_points,
                                       n_brackets=refine_brackets)
     if forced == NECESSARILY_ZERO:
@@ -568,9 +507,21 @@ def max_rho_cauchy(model: BivariateModel, n: int, grid_points: int = 4096,
         decidability = SUFFICIENT
     else:
         decidability = INCONCLUSIVE
-        if case == "v":
+        if forced is None:
             note = (note + "; " if note else "") + _EDGE_NOTE
     return _finish_report(log_inf, location, case, decidability, n_used, note)
+
+
+def max_rho_stable(model: BivariateModel, n: int, grid_points: int = 4096,
+                   refine_brackets: int = 8) -> ValidityReport:
+    """Maximum certifiable |rho| for a bivariate powered exponential model."""
+    return _max_rho(model, "Stable", n, grid_points, refine_brackets)
+
+
+def max_rho_cauchy(model: BivariateModel, n: int, grid_points: int = 4096,
+                   refine_brackets: int = 8) -> ValidityReport:
+    """Maximum certifiable |rho| for a bivariate generalized Cauchy model."""
+    return _max_rho(model, "Cauchy", n, grid_points, refine_brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -651,10 +602,10 @@ def spherical_triviality(s11: float, s12: float, s22: float, rho: float,
         raise ValueError("|rho| must not exceed 1")
     if rho == 0.0:
         return TrivialityVerdict(True, None, "rho is zero")
-    if _eq(s11, s12) and _eq(s12, s22) and _eq(s11, s22):
+    if _near(s11, s12) and _near(s12, s22) and _near(s11, s22):
         return TrivialityVerdict(True, None, "all scales equal")
 
-    base = s11 if not _eq(s12, s11) else s22
+    base = s11 if not _near(s12, s11) else s22
     roots = tan_roots(k_max)
     us = 2.0 * base * roots
     f11 = spherical_density_closed_form(s11, us)

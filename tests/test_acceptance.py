@@ -321,6 +321,7 @@ FIT_TRUTH = dict(sigma1=1.0, sigma2=1.5, rho=0.4, a11=0.8, a12=0.9, a22=0.6,
 FIT_STARTS = {"stable": 2, "matern": 1, "lmc": 1}
 
 
+@pytest.mark.slow
 def test_criterion_09_end_to_end_fit(report):
     t0 = time.perf_counter()
     truth = bc.stable_bivariate(*FIT_TRUTH.values())

@@ -50,6 +50,15 @@ class TestValidate:
         assert code == 1
         assert "decidability=ZeroInfimumInconclusive" in out
 
+    def test_engine_overflow_is_a_compute_error(self, tmp_path, capsys):
+        # joint scales near 1e12 push the log infimum past double range
+        m = bc.stable_bivariate(1.0, 1.0, 0.9, 0.3, 0.9, 0.6, 1e12, 0.8e12, 1.2e12)
+        code = main(["validate", write_model(tmp_path, m)])
+        err = capsys.readouterr().err
+        assert code == 70
+        assert len(err.strip().splitlines()) == 1
+        assert "OverflowError" in err
+
     def test_valid_cauchy(self, tmp_path):
         m = bc.cauchy_bivariate(1.0, 1.0, 0.2, 0.5, 0.7, 0.9,
                                 2.0, 2.5, 2.1, 2.0, 2.25, 2.5)
