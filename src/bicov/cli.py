@@ -6,8 +6,9 @@ Exit codes follow a three-way verdict convention: 0 means success (for
 Operational failures use codes above 2: 64 usage, 65 missing file, 66
 malformed model or data file, 70 computation errors.
 
-All outputs are deterministic byte for byte given identical inputs and
-seeds; every float is written with repr-exact precision.
+All outputs are deterministic byte for byte given identical inputs, seeds
+and BLAS thread count (the Cholesky factors behind simulate, fit and krige
+change in their last bits with it); every float is written repr-exact.
 """
 
 from __future__ import annotations

@@ -23,7 +23,8 @@ r -> infinity limit and the case rules.
 The engine works on the log of the integrand (the raw integrand overflows
 double precision near the endpoints), scanning a log-spaced grid, refining
 the best local minima by golden-section search, and evaluating the r -> 0+
-and r -> infinity limits exactly from the exponent structure.
+and r -> infinity limits exactly from the exponent structure.  The search
+advances all brackets together, with one integrand call per step.
 
 ``generic_sufficient_check`` recomputes the same bound from raw derivatives
 of the correlation functions (a second, independent code path) for any model
@@ -36,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bimodels import BivariateModel
 from .corrfn import CorrelationFamily, derivative, evaluate
@@ -235,6 +235,26 @@ def _log1p_exp(w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _signed_logsumexp(a: np.ndarray, b: np.ndarray):
+    """(log|sum_k b_k e^a_k|, sign) over axis 0 for signs b_k = +-1, computed
+    step for step as scipy 1.17's ``logsumexp(a, axis=0, b=b, return_sign=True)``
+    (the shifted form of Blanchard, Higham & Higham, IMA J. Numer. Anal. 2021).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.add.reduce(b * np.exp(a))
+        a_max = np.maximum.reduce(a)
+        tie = a == a_max
+        m = np.add.reduce(b * tie)
+        s = np.add.reduce(b * np.exp(np.where(tie, -np.inf, a) - a_max))
+        s = np.where(s == 0, s, s / m)
+        sign = np.sign(s + 1) * np.sign(m)
+        s = np.where(s < -1, -s - 2, s)
+        out = np.log1p(s) + np.log(np.abs(m)) + a_max
+        ok = np.isfinite(out)
+        return (np.where(ok, out, np.log(np.abs(direct))),
+                np.where(ok, sign, np.sign(direct)))
+
+
 def _log_aux_fn(n: int, alpha: float, beta: float | None):
     """log t -> (log|q| or log|p|, sign) via a signed log-sum-exp."""
     coefs, denom = _aux_table(n, alpha, beta)
@@ -246,7 +266,7 @@ def _log_aux_fn(n: int, alpha: float, beta: float | None):
 
     def fn(lt: np.ndarray):
         terms = powers[:, None] * lt[None, :] + log_c
-        lnum, sign = logsumexp(terms, axis=0, b=sign_c, return_sign=True)
+        lnum, sign = _signed_logsumexp(terms, sign_c)
         if denom:
             lnum = lnum - denom * _log1p_exp(lt)
         return lnum, sign
@@ -364,22 +384,30 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_LO, _GRID_HI = math.log(1e-8), math.log(1e8)
 
 
-def _golden_min(f, a: float, b: float, tol: float = 1e-10):
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(200):
-        if b - a <= tol:
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
+def _golden_search(f, a: np.ndarray, b: np.ndarray, tol: float):
+    """Golden-section minima (x, f(x)) on brackets [a_i, b_i], one f call per
+    step; a bracket leaves the batch once b - a <= tol (or after 200 steps),
+    so each one takes exactly the steps a search of its own would.
+    """
+    w = b - a
+    c, d = b - _INV_PHI * w, a + _INV_PHI * w
+    fc, fd = np.split(f(np.concatenate([c, d])), 2)
+    pos, xm, fm = np.arange(a.size), np.empty(a.size), np.empty(a.size)
+    for step in range(201):
+        done = w <= (tol if step < 200 else math.inf)
+        if done.any():
+            pick = fc <= fd
+            xm[pos[done]] = np.where(pick, c, d)[done]
+            fm[pos[done]] = np.where(pick, fc, fd)[done]
+            if done.all():
+                return xm, fm
+            pos, a, b, c, d, fc, fd, w = (v[~done] for v in (pos, a, b, c, d, fc, fd, w))
+        left = fc <= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        w = b - a
+        c, d = np.where(left, b - _INV_PHI * w, d), np.where(left, c, a + _INV_PHI * w)
+        fx = f(np.where(left, c, d))
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
 
 
 def _scan_infimum(log_fn, limits, grid_points: int = 4096, n_brackets: int = 8,
@@ -410,12 +438,9 @@ def _scan_infimum(log_fn, limits, grid_points: int = 4096, n_brackets: int = 8,
             best = int(np.nanargmin(np.where(finite, li, np.nan)))
             idx = np.array([min(max(best, 1), grid_points - 2)])
         if idx.size:
-            order = np.argsort(li[idx])
-            scalar_f = lambda t: float(log_fn(np.array([t]))[0][0])
-            for i in idx[order[:n_brackets]]:
-                xm, fm = _golden_min(scalar_f, x[i - 1], x[i + 1], tol=tol)
-                if math.isfinite(fm):
-                    candidates.append((fm, math.exp(xm)))
+            idx = idx[np.argsort(li[idx])[:n_brackets]]
+            xm, fm = _golden_search(lambda t: log_fn(t)[0], x[idx - 1], x[idx + 1], tol)
+            candidates += [(float(v), math.exp(t)) for t, v in zip(xm, fm) if math.isfinite(v)]
 
     for value, tag in limits:
         if value < math.inf:
@@ -543,7 +568,7 @@ def generic_sufficient_check(model: BivariateModel, n: int,
     coincide with the closed-form routes.  Raises :class:`NotApplicable`
     when the preconditions fail on the probe grid (marginal second-order
     forms must be nonnegative, members must decay, spherical members are
-    rejected outright because of their kink).
+    rejected outright because of their kink) or the ratio has no finite minimum.
     """
     n_used, note = _resolve_dim(n)
     fams = (model.psi11, model.psi12, model.psi22)
@@ -578,7 +603,11 @@ def generic_sufficient_check(model: BivariateModel, n: int,
         li = np.where(np.isfinite(li), li, np.nan)
         return li, np.sign(c)
 
-    log_inf, location = _scan_infimum(log_fn, [], grid_points=grid_points)
+    try:
+        log_inf, location = _scan_infimum(log_fn, [], grid_points=grid_points)
+    except RuntimeError:
+        raise NotApplicable("the derivative ratio has no finite minimum on the grid: "
+                            "it falls until the raw derivatives underflow") from None
     return _finish_report(log_inf, location, "generic", SUFFICIENT, n_used, note)
 
 

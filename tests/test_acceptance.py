@@ -327,7 +327,11 @@ def test_criterion_09_end_to_end_fit(report):
     truth = bc.stable_bivariate(*FIT_TRUTH.values())
     loo_wins = 0
     recoveries = 0
+    seeds_run = 0
     for seed in range(10):
+        if time.perf_counter() - t0 >= 900.0:
+            break   # past its time limit: the verdict is FAIL, so skip the rest
+        seeds_run += 1
         pts = np.random.default_rng(seed).uniform(0.0, 10.0, size=(150, 2))
         locs = np.repeat(pts, 2, axis=0)
         comps = np.tile([1, 2], 150)
@@ -351,10 +355,10 @@ def test_criterion_09_end_to_end_fit(report):
     elapsed = time.perf_counter() - t0
     ok = loo_wins >= 6 and recoveries >= 7 and elapsed < 900.0
     report(9, ok, f"loo wins {loo_wins}/10 (need 6), recovery "
-                  f"{recoveries}/10 (need 7), {elapsed:.0f}s")
+                  f"{recoveries}/10 (need 7), {seeds_run}/10 seeds, {elapsed:.0f}s")
+    assert elapsed < 900.0
     assert loo_wins >= 6
     assert recoveries >= 7
-    assert elapsed < 900.0
 
 
 def test_criterion_10_cli_determinism(report, tmp_path):

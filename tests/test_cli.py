@@ -276,3 +276,14 @@ class TestModuleEntryPoint:
                 capture_output=True, text=True)
             assert res.returncode == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("module", ["bicov", "bicov.cli"])
+    def test_import_leaves_scipy_stats_unloaded(self, module):
+        # scipy.stats takes about 0.6 s to import and only the fit's start
+        # design needs it, so it must not load with the package or the CLI
+        res = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, {module}; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from bicov import validity
 from bicov.bimodels import (BivariateModel, cauchy_bivariate, stable_bivariate)
 from bicov.corrfn import cauchy, derivative, matern, spherical, stable
 from bicov.validity import (AT_INFINITY, AT_ZERO, INCONCLUSIVE, NECESSARILY_ZERO,
@@ -331,6 +332,52 @@ class TestGenericRoute:
                            matern(1.3, 1.0))
         with pytest.raises(NotApplicable):
             generic_sufficient_check(m, 3)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_underflowing_ratio_not_applicable(self, n):
+        # alpha12 below the marginal mean: the ratio keeps falling until the
+        # raw derivatives underflow, so no finite minimum exists on the grid
+        m = stable_bivariate(1.0, 1.0, 0.0, 0.8635, 0.7372, 0.8656,
+                             0.6516, 0.4098, 0.7919)
+        with pytest.raises(NotApplicable, match="underflow"):
+            generic_sufficient_check(m, n)
+        assert max_rho_stable(m, n).decidability == NECESSARILY_ZERO
+
+
+class TestEngineCost:
+    """The golden-section refinement runs its brackets in one batch."""
+
+    @staticmethod
+    def calls(monkeypatch, fn, model, **kw):
+        count = [0]
+        build = validity._log_integrand
+
+        def counting(*args):
+            log_fn = build(*args)
+
+            def wrapped(lr):
+                count[0] += 1
+                return log_fn(lr)
+            return wrapped
+
+        monkeypatch.setattr(validity, "_log_integrand", counting)
+        report = fn(model, 3, **kw)
+        monkeypatch.undo()
+        return count[0], report
+
+    @pytest.mark.parametrize("fn,model", [
+        (max_rho_stable, stable_bivariate(1.0, 1.0, 0.0, 0.6, 0.6, 0.6, 1.3, 1.3, 1.3)),
+        (max_rho_cauchy, cauchy_bivariate(1.0, 1.0, 0.0, 0.6, 0.6, 0.6, 2.5, 2.5, 2.5,
+                                          1.3, 1.3, 1.3)),
+    ], ids=["stable", "cauchy"])
+    def test_separable_model_costs_one_bracket(self, monkeypatch, fn, model):
+        # a constant integrand makes every grid point an interior minimum, so
+        # all eight brackets run to tolerance; in one batch they cost no more
+        # integrand calls than a single bracket
+        eight, report = self.calls(monkeypatch, fn, model)
+        one, _ = self.calls(monkeypatch, fn, model, refine_brackets=1)
+        assert report.rho_bound == pytest.approx(1.0, abs=1e-12)
+        assert eight <= one <= 50
 
 
 class TestSphericalTriviality:
