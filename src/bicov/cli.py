@@ -88,6 +88,10 @@ def _read_csv(path: str, tails):
                 cells = {name: _COLUMN_TYPES[name](v) for name, v in zip(tail, row[dim:])}
             except ValueError as exc:
                 raise SchemaError(f"row {i}: {exc}") from None
+            bad = [h for h, v in zip(header, [*loc, *cells.values()])
+                   if not math.isfinite(v)]
+            if bad:
+                raise SchemaError(f"row {i}: non-finite {', '.join(bad)}")
             if "component" in cells and cells["component"] not in (1, 2):
                 raise SchemaError(f"row {i}: component must be 1 or 2")
             locs.append(loc)

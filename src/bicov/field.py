@@ -61,6 +61,8 @@ class FieldSample:
             raise ValueError("components must be one index per location row")
         if not np.all((comp == 1) | (comp == 2)):
             raise ValueError("component indices must be 1 or 2")
+        if not np.all(np.isfinite(loc)):
+            raise ValueError("locations must be finite")
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "components", comp)
         if self.values is not None:
@@ -99,40 +101,64 @@ def gram(model, sample: FieldSample, nugget1: float = 0.0,
          nugget2: float = 0.0) -> np.ndarray:
     """Block covariance matrix in the sample's row order.
 
-    Each off-diagonal pair is evaluated once and mirrored, so the result is
-    bitwise symmetric.  Nuggets add to the matching diagonal entries only.
+    Every cell is gathered from one table of evaluated entries, and cells
+    (i, j) and (j, i) read the same slot, so the result is bitwise symmetric.
+    When both components are observed at the same sites in the same order,
+    the cross cells of sites (p, q) and (q, p) share a slot too: their
+    distances are equal bit for bit.  Nuggets add to the matching diagonal
+    entries only.
     """
     return _GramCache(sample).build(model, nugget1, nugget2)
 
 
+def _block_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances between the rows of a and b, bit-equal to
+    ``np.linalg.norm(a[i] - b[j])`` (squares summed in coordinate order)."""
+    sq = 0.0
+    for k in range(a.shape[1]):
+        diff = a[:, None, k] - b[None, :, k]
+        sq = sq + diff * diff
+    return np.sqrt(sq)
+
+
 class _GramCache:
-    """Pair distances of a sample, kept so repeated builds only re-evaluate families."""
+    """A sample's block distances and ``idx``, the slot of every Gram cell in
+    the table [11 entries, 12 entries, 22 entries, var1 + nugget1,
+    var2 + nugget2], so repeated builds only re-evaluate families.  A block
+    whose two location lists are equal keeps one slot per unordered pair."""
 
     def __init__(self, sample: FieldSample):
         self.comp = sample.components
-        n_obs = sample.locations.shape[0]
-        self.n_obs = n_obs
-        self.iu, self.ju = np.triu_indices(n_obs, k=1)
-        dist = np.linalg.norm(sample.locations[self.iu] - sample.locations[self.ju], axis=1)
-        key = self.comp[self.iu] + self.comp[self.ju]   # 2 -> 11, 3 -> 12, 4 -> 22
-        self.mask = {pair: key == code
-                     for code, pair in ((2, "11"), (3, "12"), (4, "22"))}
-        self.dist = {pair: dist[m] for pair, m in self.mask.items()}
-        self.diag1 = self.comp == 1
+        rows = {c: np.flatnonzero(self.comp == c) for c in (1, 2)}
+        pts = {c: sample.locations[r] for c, r in rows.items()}
+        self.idx = np.empty((self.comp.size,) * 2, dtype=np.intp)
+        self.dist, start = {}, 0
+        for pair in ("11", "12", "22"):
+            i, j = int(pair[0]), int(pair[1])
+            full = _block_distances(pts[i], pts[j])
+            if np.array_equal(pts[i], pts[j]):
+                # the self-pairs of 11 and 22 are the diagonal: variance slots
+                upper = np.triu(np.ones(full.shape, dtype=bool), k=int(i == j))
+                slots = np.zeros(full.shape, dtype=np.intp)
+                slots[upper] = slots.T[upper] = start + np.arange(np.count_nonzero(upper))
+                # symmetric: the mirrored block is written from slots itself, contiguously
+                self.dist[pair], mirror = full[upper], slots
+            else:
+                slots = start + np.arange(full.size).reshape(full.shape)
+                self.dist[pair], mirror = full.ravel(), slots.T
+            start += self.dist[pair].size
+            self.idx[np.ix_(rows[i], rows[j])] = slots
+            if i != j:
+                self.idx[np.ix_(rows[j], rows[i])] = mirror
+        for c in (1, 2):
+            self.idx[rows[c], rows[c]] = start + c - 1
 
     def build(self, model, nugget1: float, nugget2: float) -> np.ndarray:
-        vals = np.empty(self.iu.shape)
-        for pair in ("11", "12", "22"):
-            if self.dist[pair].size:
-                vals[self.mask[pair]] = _entry(model, pair, self.dist[pair])
-        out = np.zeros((self.n_obs, self.n_obs))
-        out[self.iu, self.ju] = vals
-        out[self.ju, self.iu] = vals
+        vals = [_entry(model, pair, d) for pair, d in self.dist.items() if d.size]
         var1 = float(_entry(model, "11", np.zeros(1))[0])
         var2 = float(_entry(model, "22", np.zeros(1))[0])
-        di = np.arange(self.n_obs)
-        out[di, di] = np.where(self.diag1, var1 + nugget1, var2 + nugget2)
-        return out
+        table = np.concatenate(vals + [np.array([var1 + nugget1, var2 + nugget2])])
+        return table[self.idx]
 
 
 def check_pd(matrix: np.ndarray, tol_rel: float = 1e-8) -> PdCheck:
@@ -526,7 +552,7 @@ def _cokrige(model, data: FieldSample, targets, target_component: int,
         _, mu1, mu2, factor = _nll_core(m, comp, z)
     else:
         (mu1, mu2), factor = means, cho_factor(m, lower=True)
-    dist = np.linalg.norm(pts[:, None, :] - data.locations[None, :, :], axis=2)
+    dist = _block_distances(pts, data.locations)
     cross = np.empty_like(dist)
     for c in (1, 2):
         cols = comp == c

@@ -411,15 +411,16 @@ def _golden_search(f, a: np.ndarray, b: np.ndarray, tol: float):
 
 
 def _scan_infimum(log_fn, limits, grid_points: int = 4096, n_brackets: int = 8,
-                  tol: float = 1e-10):
+                  tol: float = 1e-10, grid_values=None):
     """Minimize a log-integrand over log(r) in [log 1e-8, log 1e8].
 
     Returns (log_infimum, location) where location is a positive r or one of
     the endpoint tags.  ``n_brackets = 0`` skips the golden-section polish
     and reports the best grid point (cheap mode for inner fitting loops).
+    ``grid_values`` is ``log_fn`` on the grid, for a caller that has it already.
     """
     x = np.linspace(_GRID_LO, _GRID_HI, grid_points)
-    li, sgn = log_fn(x)
+    li, sgn = log_fn(x) if grid_values is None else grid_values
     finite = np.isfinite(li)
 
     candidates: list[tuple[float, object]] = []
@@ -575,12 +576,21 @@ def generic_sufficient_check(model: BivariateModel, n: int,
     if any(f.kind == "Spherical" for f in fams):
         raise NotApplicable("spherical members are not smooth enough at their kink")
 
+    def forms(r):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            return tuple(_second_form(f, r, n_used)
+                         for f in (model.psi11, model.psi22, model.psi12))
+
+    def log_ratio(a, b, c):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            li = np.log(a) + np.log(b) - 2.0 * np.log(np.abs(c))
+        return np.where(np.isfinite(li), li, np.nan), np.sign(c)
+
+    def log_fn(lx):
+        return log_ratio(*forms(np.exp(np.atleast_1d(np.asarray(lx, dtype=float)))))
+
     x = np.linspace(_GRID_LO, _GRID_HI, grid_points)
-    rr = np.exp(x)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        d11 = _second_form(model.psi11, rr, n_used)
-        d22 = _second_form(model.psi22, rr, n_used)
-        d12 = _second_form(model.psi12, rr, n_used)
+    d11, d22, d12 = forms(np.exp(x))
 
     for name, fam, vals in (("psi11", model.psi11, d11), ("psi22", model.psi22, d22)):
         good = np.isfinite(vals)
@@ -593,18 +603,9 @@ def generic_sufficient_check(model: BivariateModel, n: int,
     if not (tail12[2] < 0.999 and tail12[2] <= tail12[1] <= tail12[0]):
         raise NotApplicable("psi12 does not decay over the probe grid")
 
-    def log_fn(lx):
-        r_loc = np.exp(np.atleast_1d(np.asarray(lx, dtype=float)))
-        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            a = _second_form(model.psi11, r_loc, n_used)
-            b = _second_form(model.psi22, r_loc, n_used)
-            c = _second_form(model.psi12, r_loc, n_used)
-            li = np.log(a) + np.log(b) - 2.0 * np.log(np.abs(c))
-        li = np.where(np.isfinite(li), li, np.nan)
-        return li, np.sign(c)
-
     try:
-        log_inf, location = _scan_infimum(log_fn, [], grid_points=grid_points)
+        log_inf, location = _scan_infimum(log_fn, [], grid_points=grid_points,
+                                          grid_values=log_ratio(d11, d22, d12))
     except RuntimeError:
         raise NotApplicable("the derivative ratio has no finite minimum on the grid: "
                             "it falls until the raw derivatives underflow") from None

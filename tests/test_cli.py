@@ -129,6 +129,31 @@ class TestUsageAndFileErrors:
         assert code == 66
         assert "row 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["data x", "data value", "targets x"])
+    def test_non_finite_cell_reports_row(self, tmp_path, capsys, cell, where):
+        model = write_model(tmp_path, VALID_STABLE)
+        rows = ["0,0,1,1.0", "1,0,2,0.5", "0,1,1,0.25", "1,1,2,0.75"]
+        targets = ["0.5,0.5", "0.25,0.75"]
+        if where == "data x":
+            rows[2] = f"{cell},1,1,0.25"
+        elif where == "data value":
+            rows[2] = f"0,1,1,{cell}"
+        else:
+            targets[1] = f"{cell},0.75"
+        data = tmp_path / "data.csv"
+        data.write_text("x,y,component,value\n" + "\n".join(rows) + "\n")
+        target_path = tmp_path / "targets.csv"
+        target_path.write_text("x,y\n" + "\n".join(targets) + "\n")
+        out = tmp_path / "k.csv"
+        code = main(["krige", model, str(data), str(target_path),
+                     "--component", "1", "--out", str(out)])
+        assert code == 66
+        column = where.split()[1]
+        row = 3 if where == "targets x" else 4
+        assert f"row {row}: non-finite {column}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wrong_data_header(self, tmp_path, capsys):
         model = write_model(tmp_path, VALID_STABLE)
         data = tmp_path / "data.csv"

@@ -6,7 +6,8 @@ from scipy.stats import multivariate_normal
 
 import bicov as bc
 from bicov import BivariateModel, FieldSample, matern, stable
-from bicov.field import _parsimonious_matern_rho_bound, check_pd, gram
+from bicov.bimodels import _entry
+from bicov.field import _GramCache, _parsimonious_matern_rho_bound, check_pd, gram
 from bicov.spectral import cross_spectral_profile
 
 
@@ -30,6 +31,13 @@ class TestFieldSample:
         with pytest.raises(ValueError):
             FieldSample(np.zeros((4, 2)), np.ones(4, dtype=int),
                         values=np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_locations(self, bad):
+        locs = np.zeros((4, 2))
+        locs[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FieldSample(locs, np.array([1, 2, 1, 2]))
 
     def test_multidraw_values_align(self):
         s = FieldSample(np.zeros((4, 2)), np.array([1, 2, 1, 2]),
@@ -61,6 +69,93 @@ class TestGram:
         m = gram(MODEL, FieldSample(locs, comps), nugget1=0.5, nugget2=0.125)
         assert m[0, 0] == MODEL.sigma1 ** 2 + 0.5
         assert m[1, 1] == MODEL.sigma2 ** 2 + 0.125
+
+
+def scatter_gram(model, sample, nugget1=0.0, nugget2=0.0):
+    """Reference Gram: every upper-triangle pair of rows evaluated in sample
+    order, scattered into a zero matrix and mirrored."""
+    comp = sample.components
+    n_obs = comp.size
+    iu, ju = np.triu_indices(n_obs, k=1)
+    dist = np.linalg.norm(sample.locations[iu] - sample.locations[ju], axis=1)
+    key = comp[iu] + comp[ju]   # 2 -> 11, 3 -> 12, 4 -> 22
+    vals = np.empty(iu.shape)
+    for code, pair in ((2, "11"), (3, "12"), (4, "22")):
+        mask = key == code
+        if np.any(mask):
+            vals[mask] = _entry(model, pair, dist[mask])
+    out = np.zeros((n_obs, n_obs))
+    out[iu, ju] = vals
+    out[ju, iu] = vals
+    var1 = float(_entry(model, "11", np.zeros(1))[0])
+    var2 = float(_entry(model, "22", np.zeros(1))[0])
+    di = np.arange(n_obs)
+    out[di, di] = np.where(comp == 1, var1 + nugget1, var2 + nugget2)
+    return out
+
+
+def sample_layouts(d):
+    rng = np.random.default_rng(10 + d)
+    pts = rng.uniform(0.0, 10.0, size=(12, d))
+    perm = rng.permutation(12)
+    return {
+        "colocated-interleaved": (np.repeat(pts, 2, axis=0), np.tile([1, 2], 12)),
+        "colocated-sorted": (np.vstack([pts, pts]), np.repeat([1, 2], 12)),
+        "colocated-reordered": (np.vstack([pts, pts[perm]]), np.repeat([1, 2], 12)),
+        "heterotopic": (rng.uniform(0.0, 10.0, size=(20, d)),
+                        rng.permutation(np.tile([1, 2], 10))),
+        "partly-colocated": (np.vstack([pts[:8], pts[4:]]), np.repeat([1, 2], 8)),
+        "one-component": (pts, np.full(12, 2)),
+        "repeated-locations": (np.vstack([pts[:6], pts[:3], pts[:6]]),
+                               np.repeat([1, 2], [9, 6])),
+        "colocated-repeated": (np.repeat(np.vstack([pts[:5], pts[:2]]), 2, axis=0),
+                               np.tile([1, 2], 7)),
+    }
+
+
+GRAM_MODELS = [
+    bc.stable_bivariate(1.0, 1.5, 0.4, 0.8, 0.9, 0.6, 0.9, 1.1, 0.8),
+    bc.cauchy_bivariate(1.0, 1.2, 0.3, 0.8, 0.9, 0.6, 1.5, 2.0, 2.5, 0.9, 1.1, 0.8),
+    bc.matern_bivariate(1.0, 1.3, 0.2, 0.5, 1.0, 1.5, 0.7, 0.7, 0.7),
+    bc.spherical_bivariate(1.0, 0.8, 0.0, 0.3, 0.2, 0.25),
+    bc.LmcBivariate(b1=(1.0, 0.3, 0.5), b2=(0.4, 0.1, 0.9),
+                    psi1=stable(1.0, 0.7), psi2=stable(1.5, 1.3)),
+]
+
+
+class TestGramAgainstScatter:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("layout", list(sample_layouts(1)))
+    def test_bit_identical_and_symmetric(self, d, layout):
+        locs, comps = sample_layouts(d)[layout]
+        sample = FieldSample(locs, comps)
+        cache = _GramCache(sample)   # one cache serving every model in turn
+        for model in GRAM_MODELS:
+            for nuggets in ((0.0, 0.0), (0.3, 0.05)):
+                want = scatter_gram(model, sample, *nuggets)
+                got = gram(model, sample, *nuggets)
+                assert np.array_equal(got, want)
+                assert np.array_equal(cache.build(model, *nuggets), want)
+                assert np.array_equal(got, got.T)
+
+    def test_colocated_build_evaluates_each_site_pair_once(self, monkeypatch):
+        n_sites = 9
+        locs, comps = colocated_design(4, n_sites)
+        cache = _GramCache(FieldSample(locs, comps))
+        sizes = []
+        evaluate = bc.bimodels.evaluate
+
+        def counting(family, r):
+            sizes.append(np.size(r))
+            return evaluate(family, r)
+
+        monkeypatch.setattr(bc.bimodels, "evaluate", counting)
+        cache.build(MODEL, 0.0, 0.0)
+        pairs = n_sites * (n_sites - 1) // 2
+        # 11 and 22: pairs of distinct sites (a self-pair is the diagonal, which
+        # reads the variance slot); 12: every site pair, self-pairs included;
+        # then the two variances
+        assert sizes == [pairs, pairs + n_sites, pairs, 1, 1]
 
 
 class TestCheckPd:

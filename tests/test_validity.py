@@ -16,7 +16,7 @@ from bicov import validity
 from bicov.bimodels import (BivariateModel, cauchy_bivariate, stable_bivariate)
 from bicov.corrfn import cauchy, derivative, matern, spherical, stable
 from bicov.validity import (AT_INFINITY, AT_ZERO, INCONCLUSIVE, NECESSARILY_ZERO,
-                            SUFFICIENT, ExcludedPoint, NotApplicable,
+                            SUFFICIENT, ExcludedPoint, NotApplicable, ValidityReport,
                             cauchy_bound_integrand, generic_sufficient_check,
                             max_rho_cauchy, max_rho_stable, p_fn, q_fn,
                             spherical_triviality, stable_bound_integrand)
@@ -378,6 +378,28 @@ class TestEngineCost:
         one, _ = self.calls(monkeypatch, fn, model, refine_brackets=1)
         assert report.rho_bound == pytest.approx(1.0, abs=1e-12)
         assert eight <= one <= 50
+
+    # FIG_STABLE's generic reports and derivative calls as first recorded,
+    # when the grid's second-order forms were evaluated twice per call
+    @pytest.mark.parametrize("n,infimum,raw,location,twice_calls", [
+        (1, 0.13944620942559402, 0.3734249716149069, 5.666927054300786, 129),
+        (3, 0.13011572922601997, 0.3607155794057417, 7.788994034532395, 258),
+    ])
+    def test_generic_route_evaluates_its_grid_once(self, monkeypatch, n, infimum,
+                                                    raw, location, twice_calls):
+        count = [0]
+
+        def counting(*args, **kw):
+            count[0] += 1
+            return derivative(*args, **kw)
+
+        monkeypatch.setattr(validity, "derivative", counting)
+        report = generic_sufficient_check(FIG_STABLE, n)
+        assert report == ValidityReport(
+            rho_bound_raw=raw, rho_bound=raw, infimum=infimum, case="generic",
+            infimum_location=location, decidability=SUFFICIENT, n=n, note="")
+        # one derivative call per member (two for n = 3) leaves with the repeat
+        assert count[0] == twice_calls - 3 * (1 if n == 1 else 2)
 
 
 class TestSphericalTriviality:
