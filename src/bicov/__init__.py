@@ -14,8 +14,8 @@ from .bimodels import (BivariateModel, LmcBivariate, ModelParseError,
 from .corrfn import (ALPHA_MIN, CauchyParams, CorrelationFamily, KinkError,
                      MaternParams, SphericalParams, StableParams, cauchy,
                      derivative, evaluate, matern, spherical, stable)
-from .field import (FieldSample, FitResult, PdCheck, aic, check_pd, cokrige,
-                    fit_ml, gram, loo_rmse, nll, simulate)
+from .field import (FieldSample, FitResult, PdCheck, check_pd, cokrige, fit_ml,
+                    gram, loo_rmse, nll, simulate)
 from .spectral import (NonIntegrable, QuadratureError, SpectralCheck,
                        SpectralProfile, cross_spectral_profile,
                        forward_transform, member_spectral_density,
@@ -51,7 +51,6 @@ __all__ = [
     "StableParams",
     "TrivialityVerdict",
     "ValidityReport",
-    "aic",
     "cauchy",
     "cauchy_bivariate",
     "cauchy_bound_integrand",

@@ -361,7 +361,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("stable", "cauchy", "matern", "lmc"))
     p.add_argument("--starts", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-evals", type=int, default=None)
+    p.add_argument("--max-evals", type=int, default=None,
+                   help="cap on likelihood-and-gradient evaluations per start "
+                        "(default 400 per fitted parameter)")
     p.add_argument("--fit-nugget", action="store_true")
     p.add_argument("--nugget1", type=float, default=0.0)
     p.add_argument("--nugget2", type=float, default=0.0)

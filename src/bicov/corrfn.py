@@ -10,6 +10,11 @@ The stable and Cauchy derivatives are hand-derived via the chain rule on
 t = (s*r)**alpha and cross-validated against finite differences in the test
 suite.  They are deliberately independent from the closed-form auxiliary
 ratios used by the validity module, so the two code paths check each other.
+
+Maximum likelihood fitting also needs derivatives in the parameters:
+closed forms in alpha, log scale and beta for stable and Cauchy members, and
+for Matern a closed form in log scale with central differences in nu (the
+family has no closed form in nu).
 """
 
 from __future__ import annotations
@@ -265,3 +270,42 @@ def derivative(family: CorrelationFamily, r, order: int, kink_half_width: float 
     else:
         out = _matern_deriv(family, rr, order)
     return _maybe_scalar(out, scalar)
+
+
+def _param_derivatives(family: CorrelationFamily, r: np.ndarray):
+    """psi(r) and its derivatives in the family's parameters at r >= 0.
+
+    The parameters are (alpha, log scale) for stable members, (alpha, log
+    scale, beta) for Cauchy members and (nu, log scale) for Matern members.
+    psi(0) = 1 for every parameter value, so every derivative is 0 at r = 0.
+    """
+    p = family.params
+    x = p.scale * np.asarray(r, dtype=float)
+    pos = x > 0.0
+    if family.kind == "Matern":
+        h = 1e-5 * p.nu
+        d_nu = (evaluate(matern(p.nu + h, p.scale), r)
+                - evaluate(matern(p.nu - h, p.scale), r)) / (2.0 * h)
+        # x d/dx [x^nu K_nu(x)] = -x^(nu+1) K_(nu-1)(x); same cut-offs as evaluate
+        safe = pos & (x > 1e-150)
+        xs = x[safe]
+        val = (-(2.0 ** (1.0 - p.nu) / _gamma_fn(p.nu)) * xs ** (p.nu + 1.0)
+               * _bessel_kv(p.nu - 1.0, xs))
+        d_ls = np.zeros_like(x)
+        d_ls[safe] = np.where(np.isfinite(val), val, 0.0)
+        return np.asarray(evaluate(family, r)), [d_nu, d_ls]
+    if family.kind not in ("Stable", "Cauchy"):
+        raise ValueError(f"no parameter derivatives for the {family.kind} family")
+    a = p.alpha
+    t = x ** a
+    log_x = np.log(np.where(pos, x, 1.0))
+    if family.kind == "Stable":
+        psi = np.exp(-t)
+        return psi, [-psi * t * log_x, -a * psi * t]
+    c = p.beta / a
+    base = 1.0 + t
+    psi = base ** -c
+    log_base = np.log1p(t)
+    frac = t / base
+    return psi, [psi * (c / a * log_base - c * frac * log_x),
+                 -p.beta * psi * frac, -psi * log_base / a]

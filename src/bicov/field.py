@@ -4,13 +4,17 @@ The block Gram matrix over an observation set is the brute-force positive
 definiteness oracle for everything upstream: a model certified by the
 validity module must produce a numerically nonnegative spectrum here.
 Simulation is plain Cholesky with an escalating jitter ladder and a
-counter-based generator so runs are reproducible bit for bit.  Fitting is
-exact Gaussian maximum likelihood with per-component constant means profiled
-out in closed form and the remaining parameters optimized by multi-start
-Nelder-Mead in a transformed space where every iterate is a valid model:
-the colocated correlation is parameterized as tanh(u) times the certified
-bound for the current structural parameters, so the optimizer simply cannot
-leave the valid region.
+counter-based generator so runs are reproducible bit for bit.
+
+Fitting is exact Gaussian maximum likelihood with per-component constant
+means profiled out in closed form.  The remaining parameters are searched by
+multi-start L-BFGS-B in a transformed space where every iterate is a valid
+model: the colocated correlation is tanh(u) times the certified bound for
+the current structural parameters.  The gradient is exact,
+1/2 tr(K^-1 dK) - 1/2 a^T dK a with a = K^-1 (z - means): K^-1 - a a^T is
+summed once onto the slots of the Gram's value table, and each parameter's
+derivative is that sum against the derivative of the table.  The bound's
+own derivative is taken at the bound engine's winning candidate, held fixed.
 """
 
 from __future__ import annotations
@@ -19,14 +23,15 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import (LinAlgError, cho_factor, cho_solve, get_blas_funcs,
+                          get_lapack_funcs)
 from scipy.optimize import minimize
-from scipy.special import gammaln
+from scipy.special import digamma, expit, gammaln
 
-from .bimodels import (LmcBivariate, _entry, cauchy_bivariate, matern_bivariate,
-                       stable_bivariate)
-from .corrfn import stable
-from .validity import max_rho_cauchy, max_rho_stable
+from .bimodels import (_PAIRS, LmcBivariate, _entry, cauchy_bivariate,
+                       matern_bivariate, stable_bivariate)
+from .corrfn import _param_derivatives, stable
+from .validity import _log_infimum_gradient, max_rho_cauchy, max_rho_stable
 
 __all__ = [
     "FieldSample",
@@ -39,7 +44,6 @@ __all__ = [
     "fit_ml",
     "cokrige",
     "loo_rmse",
-    "aic",
 ]
 
 
@@ -132,7 +136,7 @@ class _GramCache:
         rows = {c: np.flatnonzero(self.comp == c) for c in (1, 2)}
         pts = {c: sample.locations[r] for c, r in rows.items()}
         self.idx = np.empty((self.comp.size,) * 2, dtype=np.intp)
-        self.dist, start = {}, 0
+        self.dist, self.slots, start = {}, {}, 0
         for pair in ("11", "12", "22"):
             i, j = int(pair[0]), int(pair[1])
             full = _block_distances(pts[i], pts[j])
@@ -146,6 +150,7 @@ class _GramCache:
             else:
                 slots = start + np.arange(full.size).reshape(full.shape)
                 self.dist[pair], mirror = full.ravel(), slots.T
+            self.slots[pair] = slice(start, start + self.dist[pair].size)
             start += self.dist[pair].size
             self.idx[np.ix_(rows[i], rows[j])] = slots
             if i != j:
@@ -214,7 +219,8 @@ def simulate(model, locations, components, seed: int, n_draws: int = 1,
 # Exact Gaussian likelihood with profiled per-component means.
 
 def _nll_core(m: np.ndarray, comp: np.ndarray, z: np.ndarray):
-    """NLL, profiled means (mean1, mean2) and the Cholesky factor of m."""
+    """NLL, profiled means (mean1, mean2), the Cholesky factor of m and
+    m^-1 (z - profiled means)."""
     factor = cho_factor(m, lower=True)
     cols = [c for c in (1, 2) if np.any(comp == c)]
     design = np.column_stack([(comp == c).astype(float) for c in cols])
@@ -223,10 +229,21 @@ def _nll_core(m: np.ndarray, comp: np.ndarray, z: np.ndarray):
     means = {c: float(v) for c, v in zip(cols, mu_fit)}
     mu1, mu2 = means.get(1, 0.0), means.get(2, 0.0)
     resid = z - design @ mu_fit
-    quad_form = float(resid @ cho_solve(factor, resid))
+    solved = cho_solve(factor, resid)
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    value = 0.5 * (len(z) * math.log(2.0 * math.pi) + logdet + quad_form)
-    return value, mu1, mu2, factor
+    value = 0.5 * (len(z) * math.log(2.0 * math.pi) + logdet + float(resid @ solved))
+    return value, mu1, mu2, factor, solved
+
+
+def _precision(factor) -> np.ndarray:
+    """m^-1 from the Cholesky factor by LAPACK potri, in the factor's triangle
+    only (the other holds stale values).  The factor is overwritten."""
+    c, lower = factor
+    potri, = get_lapack_funcs(("potri",), (c,))
+    p, info = potri(c, lower=lower, overwrite_c=1)
+    if info:
+        raise LinAlgError(f"potri failed with info {info}")
+    return p
 
 
 def nll(model, data: FieldSample, nugget1: float = 0.0,
@@ -241,15 +258,52 @@ def nll(model, data: FieldSample, nugget1: float = 0.0,
 # ---------------------------------------------------------------------------
 # Maximum likelihood fitting.
 
-def _clip_rho(want: float, bound: float) -> tuple[float, float]:
-    cap = bound * (1.0 - 1e-12)
-    if abs(want) <= cap:
-        return want, 0.0
-    return math.copysign(cap, want), abs(want) - cap
+class _D:
+    """A value x with its gradient g over theta (forward-mode differentiation)."""
+    __slots__ = ("x", "g")
+
+    def __init__(self, x: float, g: np.ndarray):
+        self.x, self.g = x, g
+
+    def __add__(self, o):
+        return _D(self.x + o.x, self.g + o.g) if isinstance(o, _D) else _D(self.x + o, self.g)
+
+    def __mul__(self, o):
+        if isinstance(o, _D):
+            return _D(self.x * o.x, o.x * self.g + self.x * o.g)
+        return _D(self.x * o, o * self.g)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __rsub__(self, o):
+        return _D(o - self.x, -self.g)
+
+    def chain(self, fx: float, dfx: float) -> "_D":
+        """f(self) from f(x) and f'(x)."""
+        return _D(fx, dfx * self.g)
 
 
-def _box(theta: float, lo: float, hi: float) -> float:
-    return lo + (hi - lo) / (1.0 + math.exp(-theta))
+# Transforms from a theta coordinate t to a parameter; v holds the parameters
+# decoded before it.
+def _exp(t: _D, v=None) -> _D:
+    return t.chain(math.exp(t.x), math.exp(t.x))
+
+
+def _tanh(t: _D, v=None) -> _D:
+    return t.chain(math.tanh(t.x), 1.0 - math.tanh(t.x) ** 2)
+
+
+def _box(lo: float, hi: float, lower=None):
+    """lo + (hi - lo) logistic(t), with lo = lower(v) when given."""
+    def tf(t: _D, v) -> _D:
+        y, low = expit(t.x), lower(v) if lower else lo
+        return low + (hi - low) * t.chain(y, y * (1.0 - y))
+    return tf
+
+
+def _log_box(lo: float, hi: float):
+    box = _box(math.log(lo), math.log(hi))
+    return lambda t, v: _exp(box(t, v))
 
 
 def _box_inv(x: float, lo: float, hi: float) -> float:
@@ -274,17 +328,18 @@ def _parsimonious_matern_rho_bound(nu1: float, nu2: float, d: int) -> float:
 class _ParamSpec:
     """Per-kind transformed parameter space with latin hypercube start boxes.
 
-    theta is unconstrained; decode() maps it to a model whose every iterate
-    is valid (structural boxes via logistic transforms, |rho| inside the
-    certified bound via tanh scaling).
+    ``table`` lists (name, transform, start box) per theta coordinate.  theta
+    is unconstrained and every decoded model is valid: structural parameters
+    stay in their boxes, and |rho| = |tanh(u)| times the certified bound for
+    the current structural parameters.  Below the cross-smoothness edges
+    (stable alpha12 < max(alpha11, alpha22); Cauchy alpha12 or beta12 below
+    the marginal mean) the bound, and so rho, is zero, so the search starts
+    at them.
     """
 
     def __init__(self, kind: str, data: FieldSample, n_valid: int,
                  fit_nugget: bool, nugget1: float, nugget2: float):
-        self.kind = kind
-        self.n_valid = n_valid
-        self.fit_nugget = fit_nugget
-        self.nugget1, self.nugget2 = nugget1, nugget2
+        self.kind, self.n_valid, self.nuggets = kind, n_valid, (nugget1, nugget2)
         self.d_space = data.locations.shape[1]
 
         z = np.asarray(data.values, dtype=float)
@@ -300,101 +355,122 @@ class _ParamSpec:
             data.locations[ii[keep]] - data.locations[jj[keep]], axis=1)
         # center the inverse-range starts on a near-neighbor quantile: the
         # median pairwise distance sits far outside the correlated zone
-        d_near = float(np.quantile(pair_dists, 0.2))
-        s_mid = 1.0 / max(d_near, 1e-12)
-
-        # (start-box lo, start-box hi) per theta coordinate, in theta space
+        ls = -math.log(max(float(np.quantile(pair_dists, 0.2)), 1e-12))
         lv1, lv2 = math.log(v1), math.log(v2)
-        ls = math.log(s_mid)
-        box = [(lv1 - 1.2, lv1 + 1.2), (lv2 - 1.2, lv2 + 1.2), (-0.7, 0.7)]
-        if kind in ("stable", "cauchy"):
-            box += [(_box_inv(0.35, 1e-3, 1.0), _box_inv(0.95, 1e-3, 1.0)),
-                    (_box_inv(0.35, 1e-3, 1.0), _box_inv(0.95, 1e-3, 1.0)),
-                    (_box_inv(0.5, 1e-3, 2.0), _box_inv(1.2, 1e-3, 2.0))]
-            if kind == "cauchy":
-                lb = (_box_inv(math.log(0.3), math.log(0.01), math.log(50.0)),
-                      _box_inv(math.log(5.0), math.log(0.01), math.log(50.0)))
-                box += [lb, lb, lb]
-            box += [(ls - 2.0, ls + 2.0)] * 3
+
+        smooth = (_box_inv(0.35, 1e-3, 1.0), _box_inv(0.95, 1e-3, 1.0))
+        table = [("sigma1", lambda t, v: _exp(0.5 * t), (lv1 - 1.2, lv1 + 1.2)),
+                 ("sigma2", lambda t, v: _exp(0.5 * t), (lv2 - 1.2, lv2 + 1.2)),
+                 ("tanh_u", _tanh, (-0.7, 0.7))]
+        if kind == "stable":
+            table += [("a11", _box(1e-3, 1.0), smooth), ("a22", _box(1e-3, 1.0), smooth),
+                      ("a12", _box(None, 2.0, lambda v: max(v["a11"], v["a22"],
+                                                            key=lambda a: a.x)), (-4.0, 0.0))]
+        elif kind == "cauchy":
+            lb = math.log(0.01), math.log(50.0)
+            beta = (_box_inv(math.log(0.3), *lb), _box_inv(math.log(5.0), *lb))
+            table += [("a11", _box(1e-3, 1.0), smooth), ("a22", _box(1e-3, 1.0), smooth),
+                      ("a12", _box(None, 2.0, lambda v: 0.5 * (v["a11"] + v["a22"])),
+                       (-4.0, 0.0)),
+                      ("b11", _log_box(0.01, 50.0), beta), ("b22", _log_box(0.01, 50.0), beta),
+                      ("b12", _box(None, 50.0, lambda v: 0.5 * (v["b11"] + v["b22"])),
+                       (-6.0, -1.0))]
         elif kind == "matern":
-            lo = _box_inv(math.log(0.3), math.log(0.05), math.log(10.0))
-            hi = _box_inv(math.log(2.5), math.log(0.05), math.log(10.0))
-            box += [(lo, hi), (lo, hi), (ls - 2.0, ls + 2.0)]
+            nu = (_box_inv(math.log(0.3), math.log(0.05), math.log(10.0)),
+                  _box_inv(math.log(2.5), math.log(0.05), math.log(10.0)))
+            table += [("nu1", _log_box(0.05, 10.0), nu), ("nu2", _log_box(0.05, 10.0), nu),
+                      ("ls", lambda t, v: t, (ls - 2.0, ls + 2.0))]
         elif kind == "lmc":
-            a1 = 0.5 * math.log(0.5 * v1)
-            a2 = 0.5 * math.log(0.5 * v2)
+            # B_j = L_j L_j^T with L_j lower triangular, positive diagonal
+            a1, a2 = 0.5 * math.log(0.5 * v1), 0.5 * math.log(0.5 * v2)
             sd12 = 0.6 * math.sqrt(v2)
-            box = [(a1 - 1.0, a1 + 1.0), (-sd12, sd12), (a2 - 1.0, a2 + 1.0),
-                   (a1 - 1.0, a1 + 1.0), (-sd12, sd12), (a2 - 1.0, a2 + 1.0),
-                   (ls - 2.2, ls + 0.6), (ls - 0.6, ls + 2.2)]
+            table = [(f"l{j}_{k}", tf, box) for j in (1, 2)
+                     for k, tf, box in (("11", _exp, (a1 - 1.0, a1 + 1.0)),
+                                        ("21", lambda t, v: t, (-sd12, sd12)),
+                                        ("22", _exp, (a2 - 1.0, a2 + 1.0)))]
+            table += [("ls1", lambda t, v: t, (ls - 2.2, ls + 0.6)),
+                      ("ls2", lambda t, v: t, (ls - 0.6, ls + 2.2))]
         else:
             raise ValueError(f"unknown model kind {kind!r}")
+        if kind in ("stable", "cauchy"):
+            table += [(f"ls{p}", lambda t, v: t, (ls - 2.0, ls + 2.0))
+                      for p in ("11", "22", "12")]
         if fit_nugget:
-            box += [(math.log(v1) - 9.0, math.log(v1) - 1.6),
-                    (math.log(v2) - 9.0, math.log(v2) - 1.6)]
-        self.start_box = np.array(box)
-        self.dim = len(box)
+            table += [("nugget1", _exp, (lv1 - 9.0, lv1 - 1.6)),
+                      ("nugget2", _exp, (lv2 - 9.0, lv2 - 1.6))]
+        self.table, self.dim = table, len(table)
 
     def starts(self, n_starts: int, seed: int) -> np.ndarray:
         from scipy.stats import qmc   # imported here: scipy.stats takes ~0.6 s to load
         unit = qmc.LatinHypercube(d=self.dim, seed=seed).random(n_starts)
-        lo, hi = self.start_box[:, 0], self.start_box[:, 1]
-        return lo + unit * (hi - lo)
+        box = np.array([entry[2] for entry in self.table])
+        return box[:, 0] + unit * (box[:, 1] - box[:, 0])
 
-    def decode(self, theta: np.ndarray, coarse: bool = True):
-        """theta -> (model, nugget1, nugget2, rho_excess).
+    def decode(self, theta: np.ndarray):
+        """theta -> (model, (nugget1, nugget2), terms).
 
-        Every output model is valid by construction: tanh(theta) proposes a
-        correlation, and any part beyond the certified bound for the current
-        structural parameters is clipped off.  The clipped excess is returned
-        so the objective can penalize it, keeping that direction informative
-        even where the bound is zero.
+        Every (pair, amplitude, family, parameters) in ``terms`` adds amplitude
+        times the family's correlation to the ``pair`` entries.  The nuggets,
+        amplitudes and parameters (in :func:`corrfn._param_derivatives` order,
+        None where fixed) are :class:`_D` values.
         """
-        th = np.asarray(theta, dtype=float)
-        if self.fit_nugget:
-            nug1, nug2 = math.exp(th[-2]), math.exp(th[-1])
-            th = th[:-2]
-        else:
-            nug1, nug2 = self.nugget1, self.nugget2
-        grid = 512 if coarse else 4096
+        v = {}
+        for (name, tf, _), t, row in zip(self.table, theta, np.eye(self.dim)):
+            v[name] = tf(_D(float(t), row), v)
+        nuggets = tuple(v.get(f"nugget{c}", _D(self.nuggets[c - 1], np.zeros(self.dim)))
+                        for c in (1, 2))
         if self.kind == "lmc":
-            l1 = (math.exp(th[0]), th[1], math.exp(th[2]))
-            l2 = (math.exp(th[3]), th[4], math.exp(th[5]))
-            b1 = (l1[0] ** 2, l1[0] * l1[1], l1[1] ** 2 + l1[2] ** 2)
-            b2 = (l2[0] ** 2, l2[0] * l2[1], l2[1] ** 2 + l2[2] ** 2)
-            model = LmcBivariate(b1=b1, b2=b2,
-                                 psi1=stable(1.0, math.exp(th[6])),
-                                 psi2=stable(1.0, math.exp(th[7])))
-            return model, nug1, nug2, 0.0
+            coefs, psis, terms = [], [], []
+            for j in (1, 2):
+                l11, l21, l22 = (v[f"l{j}_{k}"] for k in ("11", "21", "22"))
+                coefs.append((l11 * l11, l11 * l21, l21 * l21 + l22 * l22))
+                psis.append(stable(1.0, math.exp(v[f"ls{j}"].x)))
+                terms += [(p, b, psis[-1], [None, v[f"ls{j}"]])
+                          for p, b in zip(_PAIRS, coefs[-1])]
+            model = LmcBivariate(tuple(b.x for b in coefs[0]), tuple(b.x for b in coefs[1]),
+                                 psis[0], psis[1])
+            return model, nuggets, terms
 
-        sig1, sig2 = math.exp(0.5 * th[0]), math.exp(0.5 * th[1])
-        want = math.tanh(th[2])
         if self.kind == "matern":
-            nu1 = math.exp(_box(th[3], math.log(0.05), math.log(10.0)))
-            nu2 = math.exp(_box(th[4], math.log(0.05), math.log(10.0)))
-            s = math.exp(th[5])
-            bound = _parsimonious_matern_rho_bound(nu1, nu2, self.d_space)
-            rho, excess = _clip_rho(want, bound)
-            model = matern_bivariate(sig1, sig2, rho, nu1,
-                                     0.5 * (nu1 + nu2), nu2, s, s, s)
-            return model, nug1, nug2, excess
-
-        a11 = _box(th[3], 1e-3, 1.0)
-        a22 = _box(th[4], 1e-3, 1.0)
-        a12 = _box(th[5], 1e-3, 2.0)
-        if self.kind == "stable":
-            make, bound_fn, betas = stable_bivariate, max_rho_stable, ()
+            ls = v["ls"]
+            nus = (v["nu1"], 0.5 * (v["nu1"] + v["nu2"]), v["nu2"])
+            params = {p: [nu, ls] for p, nu in zip(_PAIRS, nus)}
+            rho = v["tanh_u"] * self._matern_bound(v["nu1"], v["nu2"])
+            model = matern_bivariate(v["sigma1"].x, v["sigma2"].x, rho.x,
+                                     *(nu.x for nu in nus), *[math.exp(ls.x)] * 3)
         else:
-            lb_lo, lb_hi = math.log(0.01), math.log(50.0)
-            b11, b22, b12 = (math.exp(_box(v, lb_lo, lb_hi)) for v in th[6:9])
-            make, bound_fn, betas = cauchy_bivariate, max_rho_cauchy, (b11, b12, b22)
-        s11, s22, s12 = (math.exp(v) for v in th[6 + len(betas):9 + len(betas)])
-        probe = make(1.0, 1.0, 0.0, a11, a12, a22, *betas, s11, s12, s22)
-        report = bound_fn(probe, self.n_valid, grid_points=grid,
-                          refine_brackets=0 if coarse else 8)
-        rho, excess = _clip_rho(want, report.rho_bound)
-        model = make(sig1, sig2, rho, a11, a12, a22, *betas, s11, s12, s22)
-        return model, nug1, nug2, excess
+            params = {p: [v["a" + p], v["ls" + p]] + ([v["b" + p]] if "b" + p in v else [])
+                      for p in _PAIRS}
+            make = stable_bivariate if self.kind == "stable" else cauchy_bivariate
+            shape = [v[k].x for k in ("a11", "a12", "a22", "b11", "b12", "b22") if k in v]
+            scales = [math.exp(v["ls" + p].x) for p in _PAIRS]
+            probe = make(1.0, 1.0, 0.0, *shape, *scales)
+            rho = v["tanh_u"] * self._member_bound(probe, params)
+            model = make(v["sigma1"].x, v["sigma2"].x, rho.x, *shape, *scales)
+        s1, s2 = v["sigma1"], v["sigma2"]
+        amps = (s1 * s1, rho * s1 * s2, s2 * s2)
+        return model, nuggets, [(p, amp, getattr(model, "psi" + p), params[p])
+                                for p, amp in zip(_PAIRS, amps)]
+
+    def _member_bound(self, probe, params) -> _D:
+        """Coarse certified bound of a stable or Cauchy probe; its gradient holds
+        the bound engine's winning candidate fixed."""
+        bound_fn = max_rho_stable if self.kind == "stable" else max_rho_cauchy
+        report = bound_fn(probe, self.n_valid, grid_points=512, refine_brackets=0)
+        grad = np.zeros(self.dim)
+        if 0.0 < report.rho_bound_raw < 1.0:
+            sens = _log_infimum_gradient(probe, probe.psi11.kind, report)
+            for p, ds in zip(_PAIRS, sens):
+                for d, q in zip(ds, params[p]):
+                    grad += (0.5 * report.rho_bound * d) * q.g
+        return _D(report.rho_bound, grad)
+
+    def _matern_bound(self, nu1: _D, nu2: _D) -> _D:
+        half, mean_nu = 0.5 * self.d_space, 0.5 * (nu1.x + nu2.x)
+        b = _parsimonious_matern_rho_bound(nu1.x, nu2.x, self.d_space)
+        common = 0.5 * (digamma(mean_nu) - digamma(mean_nu + half))
+        d1, d2 = (0.5 * (digamma(nu + half) - digamma(nu)) + common for nu in (nu1.x, nu2.x))
+        return _D(b, b * (d1 * nu1.g + d2 * nu2.g))
 
     def exact_rho_clip(self, model):
         """Re-certify rho with the fine engine and clip into the exact bound."""
@@ -405,6 +481,83 @@ class _ParamSpec:
         if abs(model.rho) > bound:
             return replace(model, rho=math.copysign(bound, model.rho))
         return model
+
+
+class _ProfiledNll:
+    """theta -> (NLL with the component means profiled out, its exact gradient).
+
+    The gradient is 1/2 <dK, W> with W = K^-1 - a a^T: W is summed once onto
+    the Gram's value-table slots, w = bincount(idx, W), and each parameter's
+    derivative is 1/2 <d table, w>.  A Gram matrix that is not positive
+    definite is retried with a nugget floor of 1e-8 times the empirical
+    component variance.  Calls count towards ``cap`` and the best point is
+    kept; the call that reaches the cap raises :class:`_BudgetSpent`.
+    """
+
+    def __init__(self, spec: _ParamSpec, data: FieldSample):
+        self.spec, self.cache = spec, _GramCache(data)
+        self.idx = self.cache.idx.ravel()
+        self.z = np.asarray(data.values, dtype=float)
+        self.floor = (1e-8 * spec.emp_var[0], 1e-8 * spec.emp_var[1])
+        self.floor_hit = False
+        self.restart(math.inf)
+
+    def restart(self, cap: float) -> None:
+        self.cap, self.evals = cap, 0
+        self.best = (math.inf, None)   # (NLL, decoded model and nuggets)
+
+    def core(self, model, nug1: float, nug2: float):
+        """:func:`_nll_core` with the floor fallback, and the nuggets used."""
+        try:
+            out = _nll_core(self.cache.build(model, nug1, nug2), self.cache.comp, self.z)
+        except (LinAlgError, np.linalg.LinAlgError):
+            nug1, nug2 = nug1 + self.floor[0], nug2 + self.floor[1]
+            out = _nll_core(self.cache.build(model, nug1, nug2), self.cache.comp, self.z)
+            self.floor_hit = True
+        return out, nug1, nug2
+
+    def __call__(self, theta: np.ndarray):
+        value, grad, decoded = self._evaluate(theta)
+        self.evals += 1
+        if value < self.best[0]:
+            self.best = (value, decoded)
+        if self.evals >= self.cap:
+            raise _BudgetSpent
+        return value, grad
+
+    def _evaluate(self, theta: np.ndarray):
+        failed = np.zeros(self.spec.dim)
+        try:
+            model, nuggets, terms = self.spec.decode(theta)
+            (value, _, _, (c, lower), a), _, _ = self.core(model, nuggets[0].x, nuggets[1].x)
+        except (ValueError, OverflowError):
+            return 1e13, failed, None
+        except (LinAlgError, np.linalg.LinAlgError):
+            return 1e12, failed, None
+        if not math.isfinite(value):
+            return 1e12, failed, None
+        syr, = get_blas_funcs(("syr",), (c,))
+        p = syr(-1.0, a, a=_precision((c, lower)), lower=lower, overwrite_a=1)
+        # potri and syr fill one triangle: mirror it, reading rows contiguously
+        t = p.T if lower else p
+        for k in range(t.shape[0] - 1):
+            t[k + 1:, k] = t[k, k + 1:]
+        # W and idx are symmetric, so p.T lists W's cells in idx's order
+        w = np.bincount(self.idx, p.T.ravel())
+        w_var = {"11": w[-2], "12": 0.0, "22": w[-1]}
+        grad = 0.5 * (w[-2] * nuggets[0].g + w[-1] * nuggets[1].g)
+        for pair, amp, fam, params in terms:
+            wp = w[self.cache.slots[pair]]
+            psi, derivs = _param_derivatives(fam, self.cache.dist[pair])
+            grad = grad + (0.5 * (float(psi @ wp) + w_var[pair])) * amp.g
+            for d, q in zip(derivs, params):
+                if q is not None:
+                    grad = grad + (0.5 * amp.x * float(d @ wp)) * q.g
+        return value, grad, (model, nuggets)
+
+
+class _BudgetSpent(Exception):
+    """The objective reached its evaluation cap; the start ends there."""
 
 
 _KIND_ALIASES = {
@@ -418,18 +571,31 @@ _KIND_ALIASES = {
 def fit_ml(data: FieldSample, model_kind: str, n_starts: int = 8, seed: int = 0,
            max_evals: int | None = None, fit_nugget: bool = False,
            nugget1: float = 0.0, nugget2: float = 0.0) -> FitResult:
-    """Multi-start Nelder-Mead maximum likelihood over a valid-by-design space.
+    """Multi-start maximum likelihood over a valid-by-design parameter space.
 
-    Means are profiled out exactly at every objective evaluation.  A singular
-    Gram matrix is retried with a nugget floor of 1e-8 times the empirical
-    component variance; persistent failure is penalized, and non-convergence
-    returns the best iterate with the flag down.
+    Each start runs L-BFGS-B on the exact gradient of the NLL with the two
+    component means profiled out.  ``max_evals`` caps the NLL-and-gradient
+    evaluations of each start (default 400 per parameter); a start ends on
+    the cap with its best point.  ``n_iter`` is the total over all starts, at
+    most ``n_starts * max_evals``; ``converged`` is L-BFGS-B's verdict on the
+    winning start (false when it ended on the cap).
+
+    Every iterate is valid: rho is tanh(u) times the coarse certified bound
+    of the current structure, and the cross smoothness is searched only
+    where that bound can be positive: stable alpha12 in
+    [max(alpha11, alpha22), 2], Cauchy alpha12 in [(alpha11 + alpha22)/2, 2]
+    and beta12 in [(beta11 + beta22)/2, 50].  The returned rho is clipped
+    into the fine bound.  A singular Gram matrix is retried with a nugget
+    floor of 1e-8 times the empirical component variance, which is then
+    added to the returned nuggets.
     """
     if data.values is None:
         raise ValueError("data sample carries no values")
     kind = _KIND_ALIASES.get(model_kind.lower().replace("_", ""))
     if kind is None:
         raise ValueError(f"unknown model kind {model_kind!r}")
+    if max_evals is not None and max_evals < 1:
+        raise ValueError("max_evals must be at least 1")
     for c in (1, 2):
         mask = data.components == c
         if int(np.sum(mask)) < 10:
@@ -439,68 +605,35 @@ def fit_ml(data: FieldSample, model_kind: str, n_starts: int = 8, seed: int = 0,
 
     n_valid = 1 if data.locations.shape[1] == 1 else 3
     spec = _ParamSpec(kind, data, n_valid, fit_nugget, nugget1, nugget2)
-    cache = _GramCache(data)
-    z = np.asarray(data.values, dtype=float)
-    floor1 = 1e-8 * spec.emp_var[0]
-    floor2 = 1e-8 * spec.emp_var[1]
-    floor_used = {"hit": False}
-
-    def objective(theta: np.ndarray) -> float:
-        try:
-            model, nug1, nug2, excess = spec.decode(theta)
-        except (ValueError, OverflowError):
-            return 1e13
-        try:
-            value = _nll_core(cache.build(model, nug1, nug2), cache.comp, z)[0]
-        except (LinAlgError, np.linalg.LinAlgError):
-            try:
-                value = _nll_core(cache.build(model, nug1 + floor1, nug2 + floor2),
-                                  cache.comp, z)[0]
-                floor_used["hit"] = True
-            except (LinAlgError, np.linalg.LinAlgError):
-                return 1e12
-        if not math.isfinite(value):
-            return 1e12
-        # correlation clipped at the validity bound: steer back inside
-        return value + 1e3 * excess ** 2
-
-    budget = max_evals if max_evals is not None else 400 * spec.dim
-    best = None
-    total_evals = 0
+    objective = _ProfiledNll(spec, data)
+    best, total_evals = None, 0
     for theta0 in spec.starts(n_starts, seed):
-        res = minimize(objective, theta0, method="Nelder-Mead",
-                       options=dict(adaptive=True, maxfev=budget,
-                                    xatol=1e-4, fatol=1e-7))
-        total_evals += res.nfev
-        if best is None or res.fun < best.fun:
-            best = res
-    # polish: restart from the winner with a fresh simplex and tighter stop
-    res = minimize(objective, best.x, method="Nelder-Mead",
-                   options=dict(adaptive=True, maxfev=max(budget // 2, 150 * spec.dim),
-                                xatol=1e-6, fatol=1e-9))
-    total_evals += res.nfev
-    if res.fun < best.fun:
-        best = res
+        objective.restart(max_evals if max_evals is not None else 400 * spec.dim)
+        try:
+            # ftol = 1e-12 is about 4e-10 nats at N = 300: the likelihood is flat
+            # along sigma^2 s^alpha, and the default 2.2e-9 stops up to 2e-3
+            # nats short on that ridge
+            converged = bool(minimize(objective, theta0, jac=True, method="L-BFGS-B",
+                                      options=dict(ftol=1e-12)).success)
+        except _BudgetSpent:
+            converged = False
+        total_evals += objective.evals
+        if best is None or objective.best[0] < best[0]:
+            best = (*objective.best, converged)
 
-    model, nug1, nug2, _ = spec.decode(best.x, coarse=False)
+    if best[1] is None:
+        raise ValueError("no start reached a finite likelihood")
+    model, nuggets = best[1]
     model = spec.exact_rho_clip(model)
-    if floor_used["hit"]:
-        nug1, nug2 = nug1 + floor1, nug2 + floor2
-    try:
-        value, mu1, mu2, _ = _nll_core(cache.build(model, nug1, nug2), cache.comp, z)
-    except (LinAlgError, np.linalg.LinAlgError):
-        nug1, nug2 = nug1 + floor1, nug2 + floor2
-        value, mu1, mu2, _ = _nll_core(cache.build(model, nug1, nug2), cache.comp, z)
+    nug1, nug2 = nuggets[0].x, nuggets[1].x
+    if objective.floor_hit:
+        nug1, nug2 = nug1 + objective.floor[0], nug2 + objective.floor[1]
+    (value, mu1, mu2, _, _), nug1, nug2 = objective.core(model, nug1, nug2)
     n_params = spec.dim + 2
     return FitResult(model=model, kind=kind, nugget1=nug1, nugget2=nug2,
                      mean1=mu1, mean2=mu2, nll=value, n_params=n_params,
                      aic=2.0 * n_params + 2.0 * value,
-                     converged=bool(best.success), n_iter=total_evals)
-
-
-def aic(result: FitResult) -> float:
-    """Akaike information criterion of a fit (2k + 2 NLL, means included)."""
-    return 2.0 * result.n_params + 2.0 * result.nll
+                     converged=best[2], n_iter=total_evals)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +682,7 @@ def _cokrige(model, data: FieldSample, targets, target_component: int,
     comp = data.components
     m = gram(model, data, nugget1, nugget2)
     if means is None:
-        _, mu1, mu2, factor = _nll_core(m, comp, z)
+        _, mu1, mu2, factor, _ = _nll_core(m, comp, z)
     else:
         (mu1, mu2), factor = means, cho_factor(m, lower=True)
     dist = _block_distances(pts, data.locations)
@@ -583,8 +716,6 @@ def loo_rmse(model_or_fit, data: FieldSample,
         raise ValueError("data sample carries no values")
     z = np.asarray(data.values, dtype=float)
     m = gram(model, data, nug1, nug2)
-    _, mu1, mu2, factor = _nll_core(m, data.components, z)
-    precision = cho_solve(factor, np.eye(m.shape[0]))
-    centered = z - np.where(data.components == 1, mu1, mu2)
-    resid = (precision @ centered) / np.diag(precision)
+    factor, solved = _nll_core(m, data.components, z)[3:]
+    resid = solved / np.diag(_precision(factor))
     return float(np.sqrt(np.mean(resid ** 2)))

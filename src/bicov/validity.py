@@ -338,9 +338,13 @@ def _stable_tail(members, n: int, log_a: float):
             return [(-math.inf, AT_INFINITY)] if groups[a] < 0.0 else []
     # all exponents equal and scale terms cancel: h == 0, the power of r is
     # zero, and the q-ratio tends to a positive constant
+    return [(_stable_tail_value(members, n, log_a), AT_INFINITY)]
+
+
+def _stable_tail_value(members, n: int, log_a: float) -> float:
+    (a11, _, s11), (_, _, s12), (_, _, s22) = members
     deg = 1.0 if n == 1 else 2.0
-    return [(log_a + deg * a11 * (math.log(s11) + math.log(s22)
-                                  - 2.0 * math.log(s12)), AT_INFINITY)]
+    return log_a + deg * a11 * (math.log(s11) + math.log(s22) - 2.0 * math.log(s12))
 
 
 def _cauchy_tail(members, n: int, log_a: float):
@@ -351,13 +355,23 @@ def _cauchy_tail(members, n: int, log_a: float):
         return [(-math.inf, AT_INFINITY)]
     if abs(e_inf) > tol:
         return []
+    return [(_cauchy_tail_value(members, n, log_a), AT_INFINITY)]
+
+
+def _cauchy_tail_value(members, n: int, log_a: float) -> float:
+    (a11, b11, s11), (a12, b12, s12), (a22, b22, s22) = members
     top11, top12, top22 = (_aux_table(n, a, b)[0][0] for a, b, _ in members)
     lead = math.log(top11 * top22) - 2.0 * math.log(top12)
     # the alpha-dependent scale powers of log_a cancel against the tail
     # powers of the p-ratio, leaving s11^-b11 s22^-b22 s12^(2 b12)
-    return [(log_a + lead - b11 * math.log(s11) - b22 * math.log(s22)
-             + 2.0 * b12 * math.log(s12) - a11 * math.log(s11)
-             - a22 * math.log(s22) + 2.0 * a12 * math.log(s12), AT_INFINITY)]
+    return (log_a + lead - b11 * math.log(s11) - b22 * math.log(s22)
+            + 2.0 * b12 * math.log(s12) - a11 * math.log(s11)
+            - a22 * math.log(s22) + 2.0 * a12 * math.log(s12))
+
+
+def _zero_limit_value(members, n: int, log_a: float) -> float:
+    c11, c12, c22 = (_log_c0_factor(n, *m) for m in members)
+    return log_a + c11 + c22 - 2.0 * c12
 
 
 def _limits(kind: str, members, n: int, log_a: float):
@@ -371,8 +385,7 @@ def _limits(kind: str, members, n: int, log_a: float):
     if e0 > _EQ_TOL:
         out.append((-math.inf, AT_ZERO))
     elif abs(e0) <= _EQ_TOL:
-        c11, c12, c22 = (_log_c0_factor(n, *m) for m in members)
-        out.append((log_a + c11 + c22 - 2.0 * c12, AT_ZERO))
+        out.append((_zero_limit_value(members, n, log_a), AT_ZERO))
     tail = _stable_tail if kind == "Stable" else _cauchy_tail
     return out + tail(members, n, log_a)
 
@@ -536,6 +549,49 @@ def _max_rho(model: BivariateModel, kind: str, n: int, grid_points: int,
         if forced is None:
             note = (note + "; " if note else "") + _EDGE_NOTE
     return _finish_report(log_inf, location, case, decidability, n_used, note)
+
+
+def _log_infimum_gradient(model: BivariateModel, kind: str,
+                          report: ValidityReport) -> list[list[float]]:
+    """Derivatives of the log infimum in each member's (alpha, log scale[, beta]).
+
+    The candidate that won in ``report`` is held fixed (envelope theorem) and
+    differenced centrally in one parameter at a time: the closed form of a
+    winning limit, or the log-integrand at the winning r.  The latter is a sum
+    over members, weighted 1, -2, 1 for psi11, psi12, psi22, of
+    log k + log t + log|q or p| (- t for the stable family), k = alpha or beta
+    and t = (s r)^alpha, so only the moved member's share is evaluated.
+    """
+    members, n, loc = _members(model, kind), report.n, report.infimum_location
+    if isinstance(loc, str):
+        limit = (_zero_limit_value if loc == AT_ZERO else
+                 _stable_tail_value if kind == "Stable" else _cauchy_tail_value)
+
+        def value(q, m):
+            moved = members[:q] + (m,) + members[q + 1:]
+            return limit(moved, n, _log_prefactor(moved))
+    else:
+        lr = math.log(loc)
+
+        def value(q, m):
+            a, b, s = m
+            lt = a * (math.log(s) + lr)
+            share = math.log(a if b is None else b) + lt + float(
+                _log_aux_fn(n, a, b)(np.array([lt]))[0][0])
+            return (1.0, -2.0, 1.0)[q] * (share - math.exp(lt) if b is None else share)
+    out = []
+    for q, (a, b, s) in enumerate(members):
+        params = [a, math.log(s)] + ([] if b is None else [b])
+        grads = []
+        for k, v in enumerate(params):
+            h = 1e-6 * max(1.0, abs(v))
+            ends = []
+            for moved in (v + h, v - h):
+                p = params[:k] + [moved] + params[k + 1:]
+                ends.append(value(q, (p[0], None if b is None else p[2], math.exp(p[1]))))
+            grads.append((ends[0] - ends[1]) / (2.0 * h))
+        out.append(grads)
+    return out
 
 
 def max_rho_stable(model: BivariateModel, n: int, grid_points: int = 4096,

@@ -259,6 +259,8 @@ class TestFitAndKrige:
         assert code == 0
         assert "kind=stable" in out
         assert "loo_rmse=" in out
+        # max_evals caps the evaluations of all starts
+        assert int(out.split("n_iter=")[1].split()[0]) <= 80
         refit = model_from_text(fitted.read_text())
         assert refit.kind == "stable"
 

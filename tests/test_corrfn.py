@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from bicov.corrfn import (ALPHA_MIN, CorrelationFamily, KinkError, StableParams,
-                          cauchy, derivative, evaluate, matern, spherical, stable)
+                          _param_derivatives, cauchy, derivative, evaluate, matern,
+                          spherical, stable)
 
 # (alpha, scale, r) -> psi, 50-digit oracle
 STABLE_VALUES = [
@@ -148,6 +149,25 @@ class TestDerivative:
         for r in (0.4, 1.1, 3.7):
             num = richardson(lambda x: evaluate(fam, x), r, order, h0=r * h_rel)
             assert derivative(fam, r, order) == pytest.approx(num, rel=tol)
+
+    @pytest.mark.parametrize("make,params", [
+        (lambda a, ls: stable(a, math.exp(ls)), [0.7, 0.3]),
+        (lambda a, ls, b: cauchy(a, b, math.exp(ls)), [0.6, -0.4, 2.2]),
+        (lambda nu, ls: matern(nu, math.exp(ls)), [0.7, 0.2]),
+        (lambda nu, ls: matern(nu, math.exp(ls)), [2.6, 0.2]),
+    ])
+    def test_parameter_derivatives_vs_central_differences(self, make, params):
+        r = np.array([0.0, 0.01, 0.4, 1.1, 3.7])
+        psi, derivs = _param_derivatives(make(*params), r)
+        assert np.array_equal(psi, evaluate(make(*params), r))
+        assert len(derivs) == len(params)
+        for k, d in enumerate(derivs):
+            h = 1e-6
+            up = params[:k] + [params[k] + h] + params[k + 1:]
+            down = params[:k] + [params[k] - h] + params[k + 1:]
+            num = (evaluate(make(*up), r) - evaluate(make(*down), r)) / (2.0 * h)
+            assert d[0] == 0.0
+            assert d == pytest.approx(num, rel=1e-6, abs=1e-8)
 
     def test_spherical_piecewise(self):
         s = 0.5

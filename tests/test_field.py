@@ -1,13 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 import bicov as bc
 from bicov import BivariateModel, FieldSample, matern, stable
 from bicov.bimodels import _entry
-from bicov.field import _GramCache, _parsimonious_matern_rho_bound, check_pd, gram
+from bicov.field import (_GramCache, _ParamSpec, _parsimonious_matern_rho_bound,
+                         _ProfiledNll, check_pd, gram)
 from bicov.spectral import cross_spectral_profile
 
 
@@ -278,12 +282,105 @@ class TestFitMl:
         rep = bc.max_rho_stable(fit.model, 2)
         assert abs(fit.model.rho) <= rep.rho_bound + 1e-12
 
+    @pytest.mark.parametrize("cap", [5, 20])
+    def test_max_evals_caps_every_start(self, cap, monkeypatch):
+        locs, comps = colocated_design(3, 40)
+        data = bc.simulate(MODEL, locs, comps, seed=5)
+        calls = []
+        original = _ProfiledNll.__call__
+        monkeypatch.setattr(_ProfiledNll, "__call__",
+                            lambda self, theta: calls.append(1) or original(self, theta))
+        fit = bc.fit_ml(data, "stable", n_starts=2, seed=0, max_evals=cap)
+        assert fit.n_iter == len(calls) <= 2 * cap
+        assert not fit.converged
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_start_reaches_the_truth_likelihood(self, seed):
+        # criterion 9's truth and data generation: a fit that stops above the
+        # generating model's NLL has stopped early
+        truth = bc.stable_bivariate(1.0, 1.5, 0.4, 0.8, 0.9, 0.6, 0.5, 0.7, 0.7)
+        pts = np.random.default_rng(seed).uniform(0.0, 10.0, size=(150, 2))
+        data = bc.simulate(truth, np.repeat(pts, 2, axis=0), np.tile([1, 2], 150),
+                           seed=seed, mean1=1.0, mean2=2.0)
+        fit = bc.fit_ml(data, "stable", n_starts=1, seed=0)
+        assert fit.nll <= bc.nll(truth, data)[0]
+
     def test_kind_aliases(self):
         locs, comps = colocated_design(5, 12)
         data = bc.simulate(MODEL, locs, comps, seed=2)
         fit = bc.fit_ml(data, "StableBivariate", n_starts=1, seed=0,
                         max_evals=30)
         assert fit.kind == "stable"
+
+
+GRAD_LOCS, GRAD_COMPS = colocated_design(0, 40)
+GRAD_DATA = bc.simulate(MODEL, GRAD_LOCS, GRAD_COMPS, seed=0, mean1=1.0, mean2=2.0)
+
+
+def _gradient_error(kind, fit_nugget, theta=None, seed=1):
+    """Largest gap between the analytic gradient and central differences of
+    the same objective, relative to the largest difference quotient."""
+    spec = _ParamSpec(kind, GRAD_DATA, 3, fit_nugget, 0.0, 0.0)
+    objective = _ProfiledNll(spec, GRAD_DATA)
+    theta = spec.starts(1, seed)[0] if theta is None else theta
+    _, grad = objective(theta)
+    num = np.empty_like(grad)
+    for i in range(theta.size):
+        h = 1e-5 * max(1.0, abs(theta[i]))
+        up, down = theta.copy(), theta.copy()
+        up[i] += h
+        down[i] -= h
+        num[i] = (objective(up)[0] - objective(down)[0]) / (2.0 * h)
+    return float(np.max(np.abs(grad - num)) / np.max(np.abs(num)))
+
+
+def _cauchy_theta(seed, **moved):
+    spec = _ParamSpec("cauchy", GRAD_DATA, 3, False, 0.0, 0.0)
+    theta = spec.starts(1, seed)[0]
+    names = [entry[0] for entry in spec.table]
+    for name, value in moved.items():
+        theta[names.index(name)] = value
+    model = spec.decode(theta)[0]
+    report = bc.max_rho_cauchy(replace(model, rho=0.0), 3, grid_points=512,
+                               refine_brackets=0)
+    return theta, report
+
+
+class TestNllGradient:
+    @pytest.mark.parametrize("kind", ["stable", "cauchy", "matern", "lmc"])
+    @pytest.mark.parametrize("fit_nugget", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_central_differences(self, kind, fit_nugget, seed):
+        assert _gradient_error(kind, fit_nugget, seed=seed) < 1e-5
+
+    @pytest.mark.parametrize("seed,moved,where", [
+        (60, dict(a12=-40.0), "AtZero"),                 # alpha12 on its edge
+        (41, dict(a12=-40.0, b12=-40.0), "AtInfinity"),  # both on their edges
+    ])
+    def test_limit_sets_the_bound(self, seed, moved, where):
+        theta, report = _cauchy_theta(seed, **moved)
+        assert report.infimum_location == where and 0.0 < report.rho_bound < 1.0
+        assert _gradient_error("cauchy", False, theta) < 1e-5
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_cauchy_beta12_near_its_edge(self, seed):
+        theta, report = _cauchy_theta(seed, b12=-9.0)
+        assert 0.0 < report.rho_bound < 1.0
+        assert _gradient_error("cauchy", False, theta) < 1e-5
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["stable", "cauchy"]),
+       theta=st.lists(st.floats(-30.0, 30.0), min_size=12, max_size=12))
+def test_decoded_cross_smoothness_is_at_or_above_its_edge(kind, theta):
+    spec = _ParamSpec(kind, GRAD_DATA, 3, False, 0.0, 0.0)
+    model = spec.decode(np.array(theta[:spec.dim]))[0]
+    a11, a12, a22 = (f.params.alpha for f in (model.psi11, model.psi12, model.psi22))
+    if kind == "stable":
+        assert a12 >= max(a11, a22)
+    else:
+        b11, b12, b22 = (f.params.beta for f in (model.psi11, model.psi12, model.psi22))
+        assert a12 >= 0.5 * (a11 + a22) and b12 >= 0.5 * (b11 + b22)
 
 
 class TestCokrige:

@@ -5,7 +5,9 @@ README commands, recorded from the code before the stable and Cauchy bound
 engines were merged into one.  Every byte must match, except the floats of
 the Cauchy ``validate`` run: the merged engine sums the log prefactor in a
 different order, which moves ``rho_bound`` by a few ulps and the location of
-a flat minimum in its eighth digit.
+a flat minimum in its eighth digit.  ``fit.out`` and ``fit.txt`` were
+recorded again when ``fit_ml`` moved from the Nelder-Mead simplex to
+L-BFGS-B on the exact gradient.
 
 The commands run in one child interpreter with BLAS pinned to one thread,
 because the Cholesky factor of the 512-site simulation differs in its last
