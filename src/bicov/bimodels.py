@@ -17,7 +17,7 @@ invalid model must stay possible so it can be reported as invalid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "spherical_bivariate",
     "matern_bivariate",
     "eval_matrix",
-    "eval_lmc",
     "model_to_text",
     "model_from_text",
 ]
@@ -131,17 +130,33 @@ def matern_bivariate(sigma1, sigma2, rho, nu1, nu12, nu2, s11, s12, s22) -> Biva
 _PAIRS = ("11", "12", "22")
 
 
+def _terms(model) -> list:
+    """C(r) as (pair, amplitude, family) terms: entry ``pair`` of C(r) sums
+    amplitude times the family's correlation over its terms, in list order.
+
+    A :class:`BivariateModel` has one term per pair; an :class:`LmcBivariate`
+    has B1 psi1 then B2 psi2, three terms each.
+    """
+    if isinstance(model, LmcBivariate):
+        return [(pair, b[k], psi) for b, psi in ((model.b1, model.psi1), (model.b2, model.psi2))
+                for k, pair in enumerate(_PAIRS)]
+    s1, s2 = model.sigma1, model.sigma2
+    return [("11", s1 ** 2, model.psi11), ("12", model.rho * s1 * s2, model.psi12),
+            ("22", s2 ** 2, model.psi22)]
+
+
+def _sum_into(sums: dict, key, value) -> None:
+    """sums[key] += value, where the first value is stored as it is."""
+    sums[key] = value if key not in sums else sums[key] + value
+
+
 def _entry(model, pair: str, r) -> np.ndarray:
     """Entry ``pair`` ("11", "12" or "22") of C(r) for either model class."""
-    if isinstance(model, LmcBivariate):
-        k = _PAIRS.index(pair)
-        return (model.b1[k] * np.asarray(evaluate(model.psi1, r))
-                + model.b2[k] * np.asarray(evaluate(model.psi2, r)))
-    amp = {"11": model.sigma1 ** 2,
-           "12": model.rho * model.sigma1 * model.sigma2,
-           "22": model.sigma2 ** 2}[pair]
-    fam = {"11": model.psi11, "12": model.psi12, "22": model.psi22}[pair]
-    return amp * np.asarray(evaluate(fam, r))
+    sums: dict = {}
+    for p, amp, fam in _terms(model):
+        if p == pair:
+            _sum_into(sums, p, amp * np.asarray(evaluate(fam, r)))
+    return sums[pair]
 
 
 def eval_matrix(model, r):
@@ -152,11 +167,6 @@ def eval_matrix(model, r):
     c11, c12, c22 = (_entry(model, pair, r) for pair in _PAIRS)
     return np.stack([np.stack([c11, c12], axis=-1),
                      np.stack([c12, c22], axis=-1)], axis=-2)
-
-
-def eval_lmc(model: LmcBivariate, r):
-    """Evaluate B1*psi1(r) + B2*psi2(r) as a 2x2 array (shape (..., 2, 2) for arrays)."""
-    return eval_matrix(model, r)
 
 
 # ---------------------------------------------------------------------------
@@ -174,57 +184,42 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _lmc_stable(b1_11, b1_12, b1_22, b2_11, b2_12, b2_22, alpha1, s1, alpha2, s2):
+    return LmcBivariate((b1_11, b1_12, b1_22), (b2_11, b2_12, b2_22),
+                        stable(alpha1, s1), stable(alpha2, s2))
+
+
+# kind -> (keys in file order, constructor taking them in that order)
+_FORMATS = {
+    "stable": (["sigma1", "sigma2", "rho", "alpha11", "alpha12", "alpha22",
+                "s11", "s12", "s22"], stable_bivariate),
+    "cauchy": (["sigma1", "sigma2", "rho", "alpha11", "alpha12", "alpha22",
+                "beta11", "beta12", "beta22", "s11", "s12", "s22"], cauchy_bivariate),
+    "spherical": (["sigma1", "sigma2", "rho", "s11", "s12", "s22"], spherical_bivariate),
+    "matern": (["sigma1", "sigma2", "rho", "nu1", "nu12", "nu2", "s11", "s12", "s22"],
+               matern_bivariate),
+    "lmc": (["b1_11", "b1_12", "b1_22", "b2_11", "b2_12", "b2_22",
+             "alpha1", "s1", "alpha2", "s2"], _lmc_stable),
+}
+
+
 def model_to_text(model) -> str:
     """Serialize a model to the flat key-value format."""
-    lines = []
-    if isinstance(model, LmcBivariate):
-        lines.append("kind = lmc")
-        for name, b in (("b1", model.b1), ("b2", model.b2)):
-            for suffix, v in zip(("11", "12", "22"), b):
-                lines.append(f"{name}_{suffix} = {_fmt(v)}")
-        for idx, fam in ((1, model.psi1), (2, model.psi2)):
-            if fam.kind != "Stable":
-                raise ValueError("only stable structures are serializable in lmc models")
-            lines.append(f"alpha{idx} = {_fmt(fam.params.alpha)}")
-            lines.append(f"s{idx} = {_fmt(fam.params.scale)}")
-        return "\n".join(lines) + "\n"
-
     kind = model.kind
-    if kind not in ("stable", "cauchy", "spherical", "matern"):
+    if kind == "lmc":
+        fams = (model.psi1, model.psi2)
+        if any(fam.kind != "Stable" for fam in fams):
+            raise ValueError("only stable structures are serializable in lmc models")
+        values = [*model.b1, *model.b2] + [getattr(fam.params, f.name)
+                                            for fam in fams for f in fields(fam.params)]
+    elif kind in _FORMATS:
+        fams = (model.psi11, model.psi12, model.psi22)
+        values = [model.sigma1, model.sigma2, model.rho] + [
+            getattr(fam.params, f.name) for f in fields(fams[0].params) for fam in fams]
+    else:
         raise ValueError(f"model kind {kind!r} is not serializable")
-    lines.append(f"kind = {kind}")
-    lines.append(f"sigma1 = {_fmt(model.sigma1)}")
-    lines.append(f"sigma2 = {_fmt(model.sigma2)}")
-    lines.append(f"rho = {_fmt(model.rho)}")
-    p11, p12, p22 = model.psi11.params, model.psi12.params, model.psi22.params
-    if kind in ("stable", "cauchy"):
-        lines.append(f"alpha11 = {_fmt(p11.alpha)}")
-        lines.append(f"alpha12 = {_fmt(p12.alpha)}")
-        lines.append(f"alpha22 = {_fmt(p22.alpha)}")
-    if kind == "cauchy":
-        lines.append(f"beta11 = {_fmt(p11.beta)}")
-        lines.append(f"beta12 = {_fmt(p12.beta)}")
-        lines.append(f"beta22 = {_fmt(p22.beta)}")
-    if kind == "matern":
-        lines.append(f"nu1 = {_fmt(p11.nu)}")
-        lines.append(f"nu12 = {_fmt(p12.nu)}")
-        lines.append(f"nu2 = {_fmt(p22.nu)}")
-    lines.append(f"s11 = {_fmt(p11.scale)}")
-    lines.append(f"s12 = {_fmt(p12.scale)}")
-    lines.append(f"s22 = {_fmt(p22.scale)}")
-    return "\n".join(lines) + "\n"
-
-
-_REQUIRED_KEYS = {
-    "stable": ["sigma1", "sigma2", "rho", "alpha11", "alpha12", "alpha22",
-               "s11", "s12", "s22"],
-    "cauchy": ["sigma1", "sigma2", "rho", "alpha11", "alpha12", "alpha22",
-               "beta11", "beta12", "beta22", "s11", "s12", "s22"],
-    "spherical": ["sigma1", "sigma2", "rho", "s11", "s12", "s22"],
-    "matern": ["sigma1", "sigma2", "rho", "nu1", "nu12", "nu2", "s11", "s12", "s22"],
-    "lmc": ["b1_11", "b1_12", "b1_22", "b2_11", "b2_12", "b2_22",
-            "alpha1", "s1", "alpha2", "s2"],
-}
+    return f"kind = {kind}\n" + "".join(
+        f"{key} = {_fmt(v)}\n" for key, v in zip(_FORMATS[kind][0], values))
 
 
 def model_from_text(text: str):
@@ -252,7 +247,7 @@ def model_from_text(text: str):
     if "kind" not in pairs:
         raise ModelParseError(1, "missing required key 'kind'")
     kind = pairs.pop("kind")
-    if kind not in _REQUIRED_KEYS:
+    if kind not in _FORMATS:
         raise ModelParseError(line_of["kind"], f"unknown kind {kind!r}")
 
     values: dict[str, float] = {}
@@ -262,37 +257,17 @@ def model_from_text(text: str):
         except ValueError:
             raise ModelParseError(line_of[key], f"value of {key!r} is not a number: {sval!r}")
 
-    missing = [k for k in _REQUIRED_KEYS[kind] if k not in values]
+    keys, make = _FORMATS[kind]
+    missing = [k for k in keys if k not in values]
     if missing:
         raise ModelParseError(max(line_of.values(), default=1),
                               f"kind {kind!r} is missing keys: {', '.join(missing)}")
-    extra = [k for k in values if k not in _REQUIRED_KEYS[kind]]
+    extra = [k for k in values if k not in keys]
     if extra:
         raise ModelParseError(line_of[extra[0]],
                               f"key {extra[0]!r} does not belong to kind {kind!r}")
 
-    v = values
     try:
-        if kind == "stable":
-            return stable_bivariate(v["sigma1"], v["sigma2"], v["rho"],
-                                    v["alpha11"], v["alpha12"], v["alpha22"],
-                                    v["s11"], v["s12"], v["s22"])
-        if kind == "cauchy":
-            return cauchy_bivariate(v["sigma1"], v["sigma2"], v["rho"],
-                                    v["alpha11"], v["alpha12"], v["alpha22"],
-                                    v["beta11"], v["beta12"], v["beta22"],
-                                    v["s11"], v["s12"], v["s22"])
-        if kind == "spherical":
-            return spherical_bivariate(v["sigma1"], v["sigma2"], v["rho"],
-                                       v["s11"], v["s12"], v["s22"])
-        if kind == "matern":
-            return matern_bivariate(v["sigma1"], v["sigma2"], v["rho"],
-                                    v["nu1"], v["nu12"], v["nu2"],
-                                    v["s11"], v["s12"], v["s22"])
-        return LmcBivariate((v["b1_11"], v["b1_12"], v["b1_22"]),
-                            (v["b2_11"], v["b2_12"], v["b2_22"]),
-                            stable(v["alpha1"], v["s1"]), stable(v["alpha2"], v["s2"]))
+        return make(*(values[k] for k in keys))
     except ValueError as exc:
-        if isinstance(exc, ModelParseError):
-            raise
-        raise ModelParseError(line_of.get("kind", 1), str(exc))
+        raise ModelParseError(line_of["kind"], str(exc))

@@ -219,12 +219,11 @@ def _cauchy_deriv(p: CauchyParams, rr: np.ndarray, order: int) -> np.ndarray:
     return g3 * t1 ** 3 + 3.0 * g2 * t1 * t2 + g1 * t3
 
 
-def _spherical_deriv(p: SphericalParams, rr: np.ndarray, order: int,
-                     half_width: float) -> np.ndarray:
+def _spherical_deriv(p: SphericalParams, rr: np.ndarray, order: int) -> np.ndarray:
     s = p.scale
-    if np.any(np.abs(rr - 1.0 / s) < half_width):
+    if np.any(np.abs(rr - 1.0 / s) < 1e-9 / s):
         raise KinkError(
-            f"spherical derivative requested within {half_width:g} of the kink at r = {1.0 / s:g}")
+            f"spherical derivative requested within {1e-9 / s:g} of the kink at r = {1.0 / s:g}")
     x = s * rr
     inside = x < 1.0
     if order == 1:
@@ -249,12 +248,12 @@ def _matern_deriv(family: CorrelationFamily, rr: np.ndarray, order: int) -> np.n
             + 2.0 * evaluate(family, rr - h) - evaluate(family, rr - 2.0 * h)) / (2.0 * h ** 3)
 
 
-def derivative(family: CorrelationFamily, r, order: int, kink_half_width: float | None = None):
+def derivative(family: CorrelationFamily, r, order: int):
     """Radial derivative of psi of the given order (1, 2, or 3) at r > 0.
 
     Stable and Cauchy use closed forms; spherical is piecewise polynomial and
-    rejects points within ``kink_half_width`` (default ``1e-9/scale``) of its
-    kink at r = 1/scale; Matern falls back to central finite differences.
+    rejects points within 1e-9/scale of its kink at r = 1/scale; Matern falls
+    back to central finite differences.
     """
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
@@ -265,8 +264,7 @@ def derivative(family: CorrelationFamily, r, order: int, kink_half_width: float 
     elif family.kind == "Cauchy":
         out = _cauchy_deriv(p, rr, order)
     elif family.kind == "Spherical":
-        hw = 1e-9 / p.scale if kink_half_width is None else float(kink_half_width)
-        out = _spherical_deriv(p, rr, order, hw)
+        out = _spherical_deriv(p, rr, order)
     else:
         out = _matern_deriv(family, rr, order)
     return _maybe_scalar(out, scalar)

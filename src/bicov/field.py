@@ -28,9 +28,9 @@ from scipy.linalg import (LinAlgError, cho_factor, cho_solve, get_blas_funcs,
 from scipy.optimize import minimize
 from scipy.special import digamma, expit, gammaln
 
-from .bimodels import (_PAIRS, LmcBivariate, _entry, cauchy_bivariate,
-                       matern_bivariate, stable_bivariate)
-from .corrfn import _param_derivatives, stable
+from .bimodels import (_PAIRS, LmcBivariate, _entry, _sum_into, _terms,
+                       cauchy_bivariate, matern_bivariate, stable_bivariate)
+from .corrfn import _param_derivatives, evaluate, stable
 from .validity import _log_infimum_gradient, max_rho_cauchy, max_rho_stable
 
 __all__ = [
@@ -137,7 +137,7 @@ class _GramCache:
         pts = {c: sample.locations[r] for c, r in rows.items()}
         self.idx = np.empty((self.comp.size,) * 2, dtype=np.intp)
         self.dist, self.slots, start = {}, {}, 0
-        for pair in ("11", "12", "22"):
+        for pair in _PAIRS:
             i, j = int(pair[0]), int(pair[1])
             full = _block_distances(pts[i], pts[j])
             if np.array_equal(pts[i], pts[j]):
@@ -158,21 +158,33 @@ class _GramCache:
         for c in (1, 2):
             self.idx[rows[c], rows[c]] = start + c - 1
 
+    def table(self, model, psis=None) -> np.ndarray:
+        """The nugget-free value table of ``model``: each term of
+        :func:`bimodels._terms` adds amplitude times its correlation at the
+        pair's distances to the pair's slots, and its amplitude to the pair's
+        variance.  ``psis`` holds the terms' correlations when already evaluated."""
+        entries, var = {}, {}
+        for k, (pair, amp, fam) in enumerate(_terms(model)):
+            _sum_into(var, pair, amp)
+            if self.dist[pair].size:
+                psi = evaluate(fam, self.dist[pair]) if psis is None else psis[k]
+                _sum_into(entries, pair, amp * psi)
+        return np.concatenate([entries[p] for p in _PAIRS if p in entries]
+                              + [np.array([var["11"], var["22"]])])
+
     def build(self, model, nugget1: float, nugget2: float) -> np.ndarray:
-        vals = [_entry(model, pair, d) for pair, d in self.dist.items() if d.size]
-        var1 = float(_entry(model, "11", np.zeros(1))[0])
-        var2 = float(_entry(model, "22", np.zeros(1))[0])
-        table = np.concatenate(vals + [np.array([var1 + nugget1, var2 + nugget2])])
+        table = self.table(model)
+        table[-2:] += nugget1, nugget2
         return table[self.idx]
 
 
-def check_pd(matrix: np.ndarray, tol_rel: float = 1e-8) -> PdCheck:
-    """Eigenvalue test: pass when min eig >= -tol_rel * largest diagonal."""
+def check_pd(matrix: np.ndarray) -> PdCheck:
+    """Eigenvalue test: pass when min eig >= -1e-8 * largest diagonal."""
     m = np.asarray(matrix, dtype=float)
     if not np.array_equal(m, m.T):
         raise ValueError("matrix must be exactly symmetric")
     w = np.linalg.eigvalsh(m)
-    threshold = -tol_rel * float(np.max(np.diag(m)))
+    threshold = -1e-8 * float(np.max(np.diag(m)))
     return PdCheck(bool(w[0] >= threshold), float(w[0]), threshold)
 
 
@@ -407,12 +419,12 @@ class _ParamSpec:
         return box[:, 0] + unit * (box[:, 1] - box[:, 0])
 
     def decode(self, theta: np.ndarray):
-        """theta -> (model, (nugget1, nugget2), terms).
+        """theta -> (model, (nugget1, nugget2), sensitivities).
 
-        Every (pair, amplitude, family, parameters) in ``terms`` adds amplitude
-        times the family's correlation to the ``pair`` entries.  The nuggets,
-        amplitudes and parameters (in :func:`corrfn._param_derivatives` order,
-        None where fixed) are :class:`_D` values.
+        The nuggets are :class:`_D` values, and the sensitivities are one
+        (amplitude, parameters) pair of :class:`_D` values per term of
+        :func:`bimodels._terms` (model), the parameters in
+        :func:`corrfn._param_derivatives` order, None where fixed.
         """
         v = {}
         for (name, tf, _), t, row in zip(self.table, theta, np.eye(self.dim)):
@@ -420,16 +432,14 @@ class _ParamSpec:
         nuggets = tuple(v.get(f"nugget{c}", _D(self.nuggets[c - 1], np.zeros(self.dim)))
                         for c in (1, 2))
         if self.kind == "lmc":
-            coefs, psis, terms = [], [], []
+            coefs, psis = [], []
             for j in (1, 2):
                 l11, l21, l22 = (v[f"l{j}_{k}"] for k in ("11", "21", "22"))
                 coefs.append((l11 * l11, l11 * l21, l21 * l21 + l22 * l22))
                 psis.append(stable(1.0, math.exp(v[f"ls{j}"].x)))
-                terms += [(p, b, psis[-1], [None, v[f"ls{j}"]])
-                          for p, b in zip(_PAIRS, coefs[-1])]
-            model = LmcBivariate(tuple(b.x for b in coefs[0]), tuple(b.x for b in coefs[1]),
-                                 psis[0], psis[1])
-            return model, nuggets, terms
+            model = LmcBivariate(*(tuple(b.x for b in bs) for bs in coefs), *psis)
+            return model, nuggets, [(b, [None, v[f"ls{j}"]])
+                                    for j, bs in zip((1, 2), coefs) for b in bs]
 
         if self.kind == "matern":
             ls = v["ls"]
@@ -449,8 +459,7 @@ class _ParamSpec:
             model = make(v["sigma1"].x, v["sigma2"].x, rho.x, *shape, *scales)
         s1, s2 = v["sigma1"], v["sigma2"]
         amps = (s1 * s1, rho * s1 * s2, s2 * s2)
-        return model, nuggets, [(p, amp, getattr(model, "psi" + p), params[p])
-                                for p, amp in zip(_PAIRS, amps)]
+        return model, nuggets, [(amp, params[p]) for p, amp in zip(_PAIRS, amps)]
 
     def _member_bound(self, probe, params) -> _D:
         """Coarse certified bound of a stable or Cauchy probe; its gradient holds
@@ -486,12 +495,14 @@ class _ParamSpec:
 class _ProfiledNll:
     """theta -> (NLL with the component means profiled out, its exact gradient).
 
-    The gradient is 1/2 <dK, W> with W = K^-1 - a a^T: W is summed once onto
-    the Gram's value-table slots, w = bincount(idx, W), and each parameter's
-    derivative is 1/2 <d table, w>.  A Gram matrix that is not positive
-    definite is retried with a nugget floor of 1e-8 times the empirical
-    component variance.  Calls count towards ``cap`` and the best point is
-    kept; the call that reaches the cap raises :class:`_BudgetSpent`.
+    One evaluation of each term's family gives both the Gram's value table
+    and the table's derivatives.  The gradient is 1/2 <dK, W> with
+    W = K^-1 - a a^T: W is summed once onto the table's slots,
+    w = bincount(idx, W), and each parameter's derivative is
+    1/2 <d table, w>.  A Gram matrix that is not positive definite is retried
+    with a nugget floor of 1e-8 times the empirical component variance.
+    Calls count towards ``cap`` and the best point is kept; the call that
+    reaches the cap raises :class:`_BudgetSpent`.
     """
 
     def __init__(self, spec: _ParamSpec, data: FieldSample):
@@ -499,28 +510,31 @@ class _ProfiledNll:
         self.idx = self.cache.idx.ravel()
         self.z = np.asarray(data.values, dtype=float)
         self.floor = (1e-8 * spec.emp_var[0], 1e-8 * spec.emp_var[1])
-        self.floor_hit = False
         self.restart(math.inf)
 
     def restart(self, cap: float) -> None:
         self.cap, self.evals = cap, 0
-        self.best = (math.inf, None)   # (NLL, decoded model and nuggets)
+        self.best = (math.inf, None)   # (NLL, (model, nuggets used))
 
-    def core(self, model, nug1: float, nug2: float):
+    def core(self, model, nug1: float, nug2: float, psis=None):
         """:func:`_nll_core` with the floor fallback, and the nuggets used."""
+        table = self.cache.table(model, psis)
+        var = table[-2:].copy()
+        table[-2:] = var + (nug1, nug2)
         try:
-            out = _nll_core(self.cache.build(model, nug1, nug2), self.cache.comp, self.z)
+            out = _nll_core(table[self.cache.idx], self.cache.comp, self.z)
         except (LinAlgError, np.linalg.LinAlgError):
+            # only the two diagonal slots change
             nug1, nug2 = nug1 + self.floor[0], nug2 + self.floor[1]
-            out = _nll_core(self.cache.build(model, nug1, nug2), self.cache.comp, self.z)
-            self.floor_hit = True
+            table[-2:] = var + (nug1, nug2)
+            out = _nll_core(table[self.cache.idx], self.cache.comp, self.z)
         return out, nug1, nug2
 
     def __call__(self, theta: np.ndarray):
-        value, grad, decoded = self._evaluate(theta)
+        value, grad, fitted = self._evaluate(theta)
         self.evals += 1
         if value < self.best[0]:
-            self.best = (value, decoded)
+            self.best = (value, fitted)
         if self.evals >= self.cap:
             raise _BudgetSpent
         return value, grad
@@ -528,8 +542,11 @@ class _ProfiledNll:
     def _evaluate(self, theta: np.ndarray):
         failed = np.zeros(self.spec.dim)
         try:
-            model, nuggets, terms = self.spec.decode(theta)
-            (value, _, _, (c, lower), a), _, _ = self.core(model, nuggets[0].x, nuggets[1].x)
+            model, nuggets, sens = self.spec.decode(theta)
+            terms = _terms(model)
+            derivs = [_param_derivatives(fam, self.cache.dist[pair]) for pair, _, fam in terms]
+            (value, _, _, (c, lower), a), nug1, nug2 = self.core(
+                model, nuggets[0].x, nuggets[1].x, [psi for psi, _ in derivs])
         except (ValueError, OverflowError):
             return 1e13, failed, None
         except (LinAlgError, np.linalg.LinAlgError):
@@ -546,14 +563,13 @@ class _ProfiledNll:
         w = np.bincount(self.idx, p.T.ravel())
         w_var = {"11": w[-2], "12": 0.0, "22": w[-1]}
         grad = 0.5 * (w[-2] * nuggets[0].g + w[-1] * nuggets[1].g)
-        for pair, amp, fam, params in terms:
+        for (pair, _, _), (psi, ds), (amp, params) in zip(terms, derivs, sens):
             wp = w[self.cache.slots[pair]]
-            psi, derivs = _param_derivatives(fam, self.cache.dist[pair])
             grad = grad + (0.5 * (float(psi @ wp) + w_var[pair])) * amp.g
-            for d, q in zip(derivs, params):
+            for d, q in zip(ds, params):
                 if q is not None:
                     grad = grad + (0.5 * amp.x * float(d @ wp)) * q.g
-        return value, grad, (model, nuggets)
+        return value, grad, (model, (nug1, nug2))
 
 
 class _BudgetSpent(Exception):
@@ -586,8 +602,8 @@ def fit_ml(data: FieldSample, model_kind: str, n_starts: int = 8, seed: int = 0,
     [max(alpha11, alpha22), 2], Cauchy alpha12 in [(alpha11 + alpha22)/2, 2]
     and beta12 in [(beta11 + beta22)/2, 50].  The returned rho is clipped
     into the fine bound.  A singular Gram matrix is retried with a nugget
-    floor of 1e-8 times the empirical component variance, which is then
-    added to the returned nuggets.
+    floor of 1e-8 times the empirical component variance; the floor is added
+    to the returned nuggets only when the returned model's Gram needs it.
     """
     if data.values is None:
         raise ValueError("data sample carries no values")
@@ -623,11 +639,8 @@ def fit_ml(data: FieldSample, model_kind: str, n_starts: int = 8, seed: int = 0,
 
     if best[1] is None:
         raise ValueError("no start reached a finite likelihood")
-    model, nuggets = best[1]
+    model, (nug1, nug2) = best[1]
     model = spec.exact_rho_clip(model)
-    nug1, nug2 = nuggets[0].x, nuggets[1].x
-    if objective.floor_hit:
-        nug1, nug2 = nug1 + objective.floor[0], nug2 + objective.floor[1]
     (value, mu1, mu2, _, _), nug1, nug2 = objective.core(model, nug1, nug2)
     n_params = spec.dim + 2
     return FitResult(model=model, kind=kind, nugget1=nug1, nugget2=nug2,
@@ -696,8 +709,7 @@ def _cokrige(model, data: FieldSample, targets, target_component: int,
     means_z = np.where(comp == 1, mu1, mu2)
     target_mean = mu1 if target_component == 1 else mu2
     pred = target_mean + (z - means_z) @ weights
-    sill = float(_entry(model, f"{target_component}{target_component}",
-                        np.zeros(1))[0])
+    sill = float(_entry(model, f"{target_component}{target_component}", 0.0))
     var = sill - np.einsum("ij,ji->i", cross, weights)
     return pred, var
 

@@ -41,7 +41,6 @@ __all__ = [
     "cross_spectral_profile",
     "spectral_pd_inequality",
     "tauberian_slope",
-    "forward_transform",
 ]
 
 
@@ -235,8 +234,9 @@ def spectral_pd_inequality(profile: SpectralProfile, rho: float) -> SpectralChec
 
 
 def tauberian_slope(family: CorrelationFamily, n: int,
-                    window: tuple[float, float], points: int = 9) -> float:
-    """Least-squares log-log slope of the density over a frequency window.
+                    window: tuple[float, float]) -> float:
+    """Least-squares log-log slope of the density at 9 log-spaced frequencies
+    spanning a window.
 
     Matches the tail decay exponent -(n + alpha) of the powered exponential
     family when the window sits far enough out, and the origin exponent
@@ -247,33 +247,9 @@ def tauberian_slope(family: CorrelationFamily, n: int,
     lo, hi = window
     if not (0.0 < lo < hi):
         raise ValueError("window must satisfy 0 < lo < hi")
-    uu = np.geomspace(lo, hi, points)
+    uu = np.geomspace(lo, hi, 9)
     f = np.array([_density_point(family, n, float(ui), check=False) for ui in uu])
     if np.any(f <= 0.0):
         raise QuadratureError("density is not positive over the window")
     return float(np.polyfit(np.log(uu), np.log(f), 1)[0])
 
-
-def forward_transform(u: np.ndarray, f: np.ndarray, n: int, r) -> np.ndarray:
-    """Reconstruct the correlation from a tabulated density by quadrature.
-
-    n = 1: C(r) = 2 integral f(u) cos(r u) du
-    n = 3: C(r) = (4 pi / r) integral u f(u) sin(r u) du, with the r -> 0
-    limit 4 pi integral u^2 f(u) du.  Uses the trapezoid rule on the given
-    grid, so accuracy is set by the grid extent and spacing.
-    """
-    if n not in (1, 3):
-        raise ValueError(f"dimension n must be 1 or 3, got {n}")
-    uu = np.asarray(u, dtype=float)
-    ff = np.asarray(f, dtype=float)
-    rr = np.atleast_1d(np.asarray(r, dtype=float))
-    trapz = getattr(np, "trapezoid", None) or np.trapz
-    out = np.empty_like(rr)
-    for i, ri in enumerate(rr):
-        if n == 1:
-            out[i] = 2.0 * trapz(ff * np.cos(ri * uu), uu)
-        elif ri == 0.0:
-            out[i] = 4.0 * math.pi * trapz(uu ** 2 * ff, uu)
-        else:
-            out[i] = 4.0 * math.pi / ri * trapz(uu * ff * np.sin(ri * uu), uu)
-    return float(out[0]) if np.ndim(r) == 0 else out

@@ -395,6 +395,7 @@ def _limits(kind: str, members, n: int, log_a: float):
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_LO, _GRID_HI = math.log(1e-8), math.log(1e8)
+_GRID_POINTS = 4096   # fine scan of log r over [_GRID_LO, _GRID_HI]
 
 
 def _golden_search(f, a: np.ndarray, b: np.ndarray, tol: float):
@@ -423,7 +424,7 @@ def _golden_search(f, a: np.ndarray, b: np.ndarray, tol: float):
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
 
 
-def _scan_infimum(log_fn, limits, grid_points: int = 4096, n_brackets: int = 8,
+def _scan_infimum(log_fn, limits, grid_points: int = _GRID_POINTS, n_brackets: int = 8,
                   tol: float = 1e-10, grid_values=None):
     """Minimize a log-integrand over log(r) in [log 1e-8, log 1e8].
 
@@ -594,13 +595,13 @@ def _log_infimum_gradient(model: BivariateModel, kind: str,
     return out
 
 
-def max_rho_stable(model: BivariateModel, n: int, grid_points: int = 4096,
+def max_rho_stable(model: BivariateModel, n: int, grid_points: int = _GRID_POINTS,
                    refine_brackets: int = 8) -> ValidityReport:
     """Maximum certifiable |rho| for a bivariate powered exponential model."""
     return _max_rho(model, "Stable", n, grid_points, refine_brackets)
 
 
-def max_rho_cauchy(model: BivariateModel, n: int, grid_points: int = 4096,
+def max_rho_cauchy(model: BivariateModel, n: int, grid_points: int = _GRID_POINTS,
                    refine_brackets: int = 8) -> ValidityReport:
     """Maximum certifiable |rho| for a bivariate generalized Cauchy model."""
     return _max_rho(model, "Cauchy", n, grid_points, refine_brackets)
@@ -616,8 +617,7 @@ def _second_form(fam: CorrelationFamily, rr: np.ndarray, n: int) -> np.ndarray:
     return np.asarray(d2) - rr * np.asarray(derivative(fam, rr, 3))
 
 
-def generic_sufficient_check(model: BivariateModel, n: int,
-                             grid_points: int = 4096) -> ValidityReport:
+def generic_sufficient_check(model: BivariateModel, n: int) -> ValidityReport:
     """Bound |rho| from derivative ratios of any sufficiently smooth members.
 
     Works directly on psi'' (n = 1) or psi'' - r psi''' (n = 3), with no
@@ -645,7 +645,7 @@ def generic_sufficient_check(model: BivariateModel, n: int,
     def log_fn(lx):
         return log_ratio(*forms(np.exp(np.atleast_1d(np.asarray(lx, dtype=float)))))
 
-    x = np.linspace(_GRID_LO, _GRID_HI, grid_points)
+    x = np.linspace(_GRID_LO, _GRID_HI, _GRID_POINTS)
     d11, d22, d12 = forms(np.exp(x))
 
     for name, fam, vals in (("psi11", model.psi11, d11), ("psi22", model.psi22, d22)):
@@ -660,8 +660,7 @@ def generic_sufficient_check(model: BivariateModel, n: int,
         raise NotApplicable("psi12 does not decay over the probe grid")
 
     try:
-        log_inf, location = _scan_infimum(log_fn, [], grid_points=grid_points,
-                                          grid_values=log_ratio(d11, d22, d12))
+        log_inf, location = _scan_infimum(log_fn, [], grid_values=log_ratio(d11, d22, d12))
     except RuntimeError:
         raise NotApplicable("the derivative ratio has no finite minimum on the grid: "
                             "it falls until the raw derivatives underflow") from None
@@ -671,8 +670,10 @@ def generic_sufficient_check(model: BivariateModel, n: int,
 # ---------------------------------------------------------------------------
 # Bivariate spherical impossibility.
 
-def spherical_triviality(s11: float, s12: float, s22: float, rho: float,
-                         k_max: int = 200) -> TrivialityVerdict:
+_WITNESS_ROOTS = 200   # marginal density zeros searched for a witness frequency
+
+
+def spherical_triviality(s11: float, s12: float, s22: float, rho: float) -> TrivialityVerdict:
     """Decide validity of the bivariate spherical model.
 
     The model is valid exactly when rho = 0 or all three scales coincide.
@@ -692,7 +693,7 @@ def spherical_triviality(s11: float, s12: float, s22: float, rho: float,
         return TrivialityVerdict(True, None, "all scales equal")
 
     base = s11 if not _near(s12, s11) else s22
-    roots = tan_roots(k_max)
+    roots = tan_roots(_WITNESS_ROOTS)
     us = 2.0 * base * roots
     f11 = spherical_density_closed_form(s11, us)
     f22 = spherical_density_closed_form(s22, us)
@@ -706,4 +707,4 @@ def spherical_triviality(s11: float, s12: float, s22: float, rho: float,
                                  "spectral determinant negative at the witness frequency")
     return TrivialityVerdict(False, None,
                              f"distinct scales make the model invalid, but no witness "
-                             f"frequency surfaced within the first {k_max} density zeros")
+                             f"frequency surfaced within the first {_WITNESS_ROOTS} density zeros")

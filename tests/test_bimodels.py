@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bicov.bimodels import (BivariateModel, LmcBivariate, ModelParseError,
-                            cauchy_bivariate, eval_lmc, eval_matrix,
+                            cauchy_bivariate, eval_matrix,
                             matern_bivariate, model_from_text, model_to_text,
                             spherical_bivariate, stable_bivariate)
 from bicov.corrfn import cauchy, evaluate, spherical, stable
@@ -49,7 +49,7 @@ class TestEvalMatrix:
         m = LmcBivariate(b1=(1.0, 0.3, 0.5), b2=(0.4, -0.1, 0.8),
                          psi1=stable(1.0, 0.5), psi2=stable(1.0, 2.0))
         r = 0.9
-        c = eval_lmc(m, r)
+        c = eval_matrix(m, r)
         p1, p2 = evaluate(m.psi1, r), evaluate(m.psi2, r)
         assert c[0, 0] == pytest.approx(1.0 * p1 + 0.4 * p2, rel=1e-15)
         assert c[0, 1] == pytest.approx(0.3 * p1 - 0.1 * p2, rel=1e-15)

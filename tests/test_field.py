@@ -9,7 +9,7 @@ from scipy.stats import multivariate_normal
 
 import bicov as bc
 from bicov import BivariateModel, FieldSample, matern, stable
-from bicov.bimodels import _entry
+from bicov.bimodels import _entry, _terms
 from bicov.field import (_GramCache, _ParamSpec, _parsimonious_matern_rho_bound,
                          _ProfiledNll, check_pd, gram)
 from bicov.spectral import cross_spectral_profile
@@ -147,19 +147,19 @@ class TestGramAgainstScatter:
         locs, comps = colocated_design(4, n_sites)
         cache = _GramCache(FieldSample(locs, comps))
         sizes = []
-        evaluate = bc.bimodels.evaluate
+        evaluate = bc.field.evaluate
 
         def counting(family, r):
             sizes.append(np.size(r))
             return evaluate(family, r)
 
-        monkeypatch.setattr(bc.bimodels, "evaluate", counting)
+        monkeypatch.setattr(bc.field, "evaluate", counting)
         cache.build(MODEL, 0.0, 0.0)
         pairs = n_sites * (n_sites - 1) // 2
         # 11 and 22: pairs of distinct sites (a self-pair is the diagonal, which
-        # reads the variance slot); 12: every site pair, self-pairs included;
-        # then the two variances
-        assert sizes == [pairs, pairs + n_sites, pairs, 1, 1]
+        # reads the variance slot, the amplitude itself); 12: every site pair,
+        # self-pairs included
+        assert sizes == [pairs, pairs + n_sites, pairs]
 
 
 class TestCheckPd:
@@ -270,6 +270,19 @@ class TestFitMl:
         assert fit.nugget1 >= 1e-8 * emp1 * (1.0 - 1e-12)
         assert math.isfinite(fit.nll)
 
+    def test_nugget_floor_only_when_the_returned_model_needs_it(self):
+        # five sites repeated 1e-9 away: some LMC iterates need the floor, the
+        # winning model factors without it
+        truth = bc.stable_bivariate(1.0, 1.5, 0.4, 0.8, 0.9, 0.6, 0.5, 0.7, 0.7)
+        pts = np.random.default_rng(2).uniform(0.0, 10.0, size=(40, 2))
+        pts = np.vstack([pts, pts[:5] + 1e-9])
+        data = bc.simulate(truth, np.repeat(pts, 2, axis=0), np.tile([1, 2], 45), seed=2,
+                           mean1=1.0, mean2=2.0, nugget1=0.01, nugget2=0.01)
+        fit = bc.fit_ml(data, "lmc", n_starts=4, seed=0)
+        value = bc.nll(fit.model, data)[0]
+        assert (fit.nugget1, fit.nugget2) == (0.0, 0.0)
+        assert fit.nll == value
+
     def test_separable_truth_recovers_rho(self):
         truth = bc.stable_bivariate(1.0, 1.5, 0.5, 0.8, 0.8, 0.8, 1.2, 1.2, 1.2)
         locs, comps = colocated_design(0, 60)
@@ -352,6 +365,32 @@ class TestNllGradient:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_matches_central_differences(self, kind, fit_nugget, seed):
         assert _gradient_error(kind, fit_nugget, seed=seed) < 1e-5
+
+    @pytest.mark.parametrize("kind", ["stable", "cauchy", "matern", "lmc"])
+    def test_one_evaluation_per_term(self, kind, monkeypatch):
+        # the Gram's value table and its derivatives come from the same pass
+        spec = _ParamSpec(kind, GRAD_DATA, 3, False, 0.0, 0.0)
+        objective = _ProfiledNll(spec, GRAD_DATA)
+        theta = spec.starts(1, 1)[0]
+        calls, kv_calls = [], []
+
+        def counted(fn):
+            return lambda family, r: calls.append((family, np.size(r))) or fn(family, r)
+
+        monkeypatch.setattr(bc.field, "_param_derivatives",
+                            counted(bc.field._param_derivatives))
+        monkeypatch.setattr(bc.field, "evaluate", counted(bc.corrfn.evaluate))
+        monkeypatch.setattr(bc.bimodels, "evaluate", counted(bc.corrfn.evaluate))
+        kv = bc.corrfn._bessel_kv
+        monkeypatch.setattr(bc.corrfn, "_bessel_kv",
+                            lambda nu, x: kv_calls.append(nu) or kv(nu, x))
+        value, _ = objective(theta)
+        assert value < 1e12
+        model = spec.decode(theta)[0]
+        assert calls == [(fam, objective.cache.dist[pair].size)
+                         for pair, _, fam in _terms(model)]
+        # Matern: psi, psi at nu +- h and K_(nu-1) for d/d log s
+        assert len(kv_calls) == (12 if kind == "matern" else 0)
 
     @pytest.mark.parametrize("seed,moved,where", [
         (60, dict(a12=-40.0), "AtZero"),                 # alpha12 on its edge

@@ -7,7 +7,6 @@ from bicov import BivariateModel, cauchy, matern, spherical, stable
 from bicov.spectral import (
     NonIntegrable,
     cross_spectral_profile,
-    forward_transform,
     member_spectral_density,
     spectral_pd_inequality,
     spherical_density_closed_form,
@@ -202,30 +201,3 @@ class TestTauberianSlope:
             tauberian_slope(fam, 1, (1.0, 1.0))
         with pytest.raises(ValueError):
             tauberian_slope(fam, 1, (0.0, 1.0))
-
-
-class TestForwardTransform:
-    def test_line_round_trip(self):
-        u = np.arange(0.0, 400.0 + 1e-12, 0.005)
-        f = 1.0 / (math.pi * (1.0 + u * u))
-        r = np.array([0.01, 0.1, 0.5, 1.0, 2.0, 5.0])
-        got = forward_transform(u, f, 1, r)
-        assert np.max(np.abs(got - np.exp(-r))) < 5e-4
-
-    def test_space_round_trip(self):
-        u = np.arange(0.0, 400.0 + 1e-12, 0.005)
-        f = 1.0 / (math.pi ** 2 * (1.0 + u * u) ** 2)
-        r = np.array([0.5, 1.0, 2.0, 5.0])
-        got = forward_transform(u, f, 3, r)
-        assert np.max(np.abs(got - np.exp(-r))) < 1e-6
-        # the r = 0 limit integrates u^2 f whose tail dies off only like
-        # 1/u^2, so grid truncation dominates there
-        assert forward_transform(u, f, 3, 0.0) == pytest.approx(1.0, abs=1e-2)
-
-    def test_scalar_and_validation(self):
-        u = np.linspace(0.0, 50.0, 5001)
-        f = 1.0 / (math.pi * (1.0 + u * u))
-        val = forward_transform(u, f, 1, 1.0)
-        assert isinstance(val, float)
-        with pytest.raises(ValueError):
-            forward_transform(u, f, 2, 1.0)

@@ -1,0 +1,90 @@
+"""Digest of the numerical outputs a refactor of the Gram or the fit must keep.
+
+Prints one SHA-256 prefix per case and a total over all of them:
+
+* ``gram`` for a stable, Cauchy, Matern, spherical and LMC model on a
+  colocated, a heterotopic and a partly colocated sample, without and with
+  nuggets;
+* ``krige``: a simulated sample, ``cokrige`` for both target components and
+  ``loo_rmse`` on the same models and samples;
+* ``nll``: value and gradient of the fit objective at four Latin-hypercube
+  points for every fitted kind, without and with ``fit_nugget``, on plain data
+  and on data with ten repeated rows (which needs the nugget floor).
+
+Run it on two checkouts and compare the output; equal totals mean
+bit-identical results.  Byte equality holds at a fixed BLAS thread count:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/hash_outputs.py
+"""
+
+import hashlib
+
+import numpy as np
+
+import bicov as bc
+from bicov.field import _ParamSpec, _ProfiledNll
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(np.asarray(a, dtype=float)).tobytes())
+    return h.hexdigest()[:16]
+
+
+MODELS = {
+    "stable": bc.stable_bivariate(1.0, 1.5, 0.4, 0.8, 0.9, 0.6, 0.9, 1.1, 0.8),
+    "cauchy": bc.cauchy_bivariate(1.0, 1.2, 0.3, 0.8, 0.9, 0.6, 1.5, 2.0, 2.5, 0.9, 1.1, 0.8),
+    "matern": bc.matern_bivariate(1.0, 1.3, 0.2, 0.5, 1.0, 1.5, 0.7, 0.7, 0.7),
+    "spherical": bc.spherical_bivariate(1.0, 0.8, 0.0, 0.3, 0.2, 0.25),
+    "lmc": bc.LmcBivariate(b1=(1.0, 0.3, 0.5), b2=(0.4, 0.1, 0.9),
+                           psi1=bc.stable(1.0, 0.7), psi2=bc.stable(1.5, 1.3)),
+}
+
+
+def main() -> None:
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(0, 10, size=(60, 2))
+    samples = {
+        "colocated": (np.repeat(pts, 2, axis=0), np.tile([1, 2], 60)),
+        "heterotopic": (rng.uniform(0, 10, size=(90, 2)),
+                        rng.permutation(np.tile([1, 2], 45))),
+        "partly": (np.vstack([pts[:40], pts[20:]]), np.repeat([1, 2], 40)),
+    }
+    lines = []
+    for sname, (locs, comps) in samples.items():
+        sample = bc.FieldSample(locs, comps)
+        for mname, model in MODELS.items():
+            for nuggets in ((0.0, 0.0), (0.3, 0.05)):
+                lines.append(f"gram {sname} {mname} {nuggets} "
+                             f"{digest(bc.gram(model, sample, *nuggets))}")
+            data = bc.simulate(model, locs, comps, seed=5, mean1=1.0, mean2=2.0,
+                               nugget1=0.01, nugget2=0.02)
+            targets = pts[:7] + 0.3
+            out = [data.values, *bc.cokrige(model, data, targets, 1, nugget1=0.01, nugget2=0.02),
+                   *bc.cokrige(model, data, targets, 2), bc.loo_rmse(model, data)]
+            lines.append(f"krige {sname} {mname} {digest(*out)}")
+
+    locs, comps = samples["colocated"]
+    plain = bc.simulate(MODELS["stable"], locs[:80], comps[:80], seed=0, mean1=1.0, mean2=2.0)
+    repeated = bc.FieldSample(np.vstack([locs[:80], locs[:10]]),
+                              np.concatenate([comps[:80], comps[:10]]),
+                              values=np.concatenate([plain.values, plain.values[:10]]))
+    for kind in ("stable", "cauchy", "matern", "lmc"):
+        for dname, data in (("plain", plain), ("repeated", repeated)):
+            for fit_nugget in (False, True):
+                spec = _ParamSpec(kind, data, 3, fit_nugget, 0.0, 0.0)
+                objective = _ProfiledNll(spec, data)
+                values = []
+                for theta in spec.starts(4, 7):
+                    value, grad = objective(theta)
+                    values += [value, *grad]
+                lines.append(f"nll {kind} {dname} {fit_nugget} {digest(values)}")
+
+    for line in lines:
+        print(line)
+    print("TOTAL", hashlib.sha256("\n".join(lines).encode()).hexdigest())
+
+
+if __name__ == "__main__":
+    main()
