@@ -3,8 +3,9 @@
 Four families are supported: powered exponential ("stable"), generalized
 Cauchy, spherical, and Matern.  Each is a correlation function psi(r) with
 psi(0) = 1, evaluated for distances r >= 0, together with closed-form radial
-derivatives of orders 1..3 (finite differences for Matern, which is only a
-comparison model and never enters the derivative-based validity criteria).
+derivatives of orders 1..3 (central finite differences for Matern, a
+comparison model; the generic derivative route of the validity module
+differentiates Matern members this way).
 
 The stable and Cauchy derivatives are hand-derived via the chain rule on
 t = (s*r)**alpha and cross-validated against finite differences in the test
@@ -270,40 +271,45 @@ def derivative(family: CorrelationFamily, r, order: int):
     return _maybe_scalar(out, scalar)
 
 
-def _param_derivatives(family: CorrelationFamily, r: np.ndarray):
+def _param_derivatives(family: CorrelationFamily, r: np.ndarray, free=(True, True, True)):
     """psi(r) and its derivatives in the family's parameters at r >= 0.
 
     The parameters are (alpha, log scale) for stable members, (alpha, log
-    scale, beta) for Cauchy members and (nu, log scale) for Matern members.
+    scale, beta) for Cauchy members and (nu, log scale) for Matern members;
+    one whose ``free`` flag is false is not computed and comes back as None.
     psi(0) = 1 for every parameter value, so every derivative is 0 at r = 0.
     """
     p = family.params
     x = p.scale * np.asarray(r, dtype=float)
     pos = x > 0.0
     if family.kind == "Matern":
-        h = 1e-5 * p.nu
-        d_nu = (evaluate(matern(p.nu + h, p.scale), r)
-                - evaluate(matern(p.nu - h, p.scale), r)) / (2.0 * h)
-        # x d/dx [x^nu K_nu(x)] = -x^(nu+1) K_(nu-1)(x); same cut-offs as evaluate
-        safe = pos & (x > 1e-150)
-        xs = x[safe]
-        val = (-(2.0 ** (1.0 - p.nu) / _gamma_fn(p.nu)) * xs ** (p.nu + 1.0)
-               * _bessel_kv(p.nu - 1.0, xs))
-        d_ls = np.zeros_like(x)
-        d_ls[safe] = np.where(np.isfinite(val), val, 0.0)
-        return np.asarray(evaluate(family, r)), [d_nu, d_ls]
-    if family.kind not in ("Stable", "Cauchy"):
+        h, safe = 1e-5 * p.nu, pos & (x > 1e-150)
+
+        def d_ls():
+            # x d/dx [x^nu K_nu(x)] = -x^(nu+1) K_(nu-1)(x); same cut-offs as evaluate
+            val = (-(2.0 ** (1.0 - p.nu) / _gamma_fn(p.nu)) * x[safe] ** (p.nu + 1.0)
+                   * _bessel_kv(p.nu - 1.0, x[safe]))
+            out = np.zeros_like(x)
+            out[safe] = np.where(np.isfinite(val), val, 0.0)
+            return out
+        psi = np.asarray(evaluate(family, r))
+        parts = (lambda: (evaluate(matern(p.nu + h, p.scale), r)
+                          - evaluate(matern(p.nu - h, p.scale), r)) / (2.0 * h), d_ls)
+    elif family.kind in ("Stable", "Cauchy"):
+        a = p.alpha
+        t = x ** a
+        if family.kind == "Stable":
+            psi = np.exp(-t)
+            parts = (lambda: -psi * t * np.log(np.where(pos, x, 1.0)), lambda: -a * psi * t)
+        else:
+            c = p.beta / a
+            base = 1.0 + t
+            psi = base ** -c
+            log_base = np.log1p(t)
+            frac = t / base
+            parts = (lambda: psi * (c / a * log_base
+                                    - c * frac * np.log(np.where(pos, x, 1.0))),
+                     lambda: -p.beta * psi * frac, lambda: -psi * log_base / a)
+    else:
         raise ValueError(f"no parameter derivatives for the {family.kind} family")
-    a = p.alpha
-    t = x ** a
-    log_x = np.log(np.where(pos, x, 1.0))
-    if family.kind == "Stable":
-        psi = np.exp(-t)
-        return psi, [-psi * t * log_x, -a * psi * t]
-    c = p.beta / a
-    base = 1.0 + t
-    psi = base ** -c
-    log_base = np.log1p(t)
-    frac = t / base
-    return psi, [psi * (c / a * log_base - c * frac * log_x),
-                 -p.beta * psi * frac, -psi * log_base / a]
+    return psi, [d() if f else None for d, f in zip(parts, free)]

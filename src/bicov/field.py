@@ -544,7 +544,8 @@ class _ProfiledNll:
         try:
             model, nuggets, sens = self.spec.decode(theta)
             terms = _terms(model)
-            derivs = [_param_derivatives(fam, self.cache.dist[pair]) for pair, _, fam in terms]
+            derivs = [_param_derivatives(fam, self.cache.dist[pair], [q is not None for q in qs])
+                      for (pair, _, fam), (_, qs) in zip(terms, sens)]
             (value, _, _, (c, lower), a), nug1, nug2 = self.core(
                 model, nuggets[0].x, nuggets[1].x, [psi for psi, _ in derivs])
         except (ValueError, OverflowError):

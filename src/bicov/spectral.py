@@ -14,7 +14,9 @@ closed form cancels catastrophically.
 
 A valid bivariate model must satisfy f11(u) f22(u) >= rho^2 f12(u)^2 for
 almost every frequency; ``spectral_pd_inequality`` checks this margin on a
-grid and is the engine behind the bivariate spherical impossibility result.
+grid.  The bivariate spherical impossibility result
+(``validity.spherical_triviality``) tests the same inequality on its own, at
+the zeros of a marginal closed-form density.
 """
 
 from __future__ import annotations

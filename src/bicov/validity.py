@@ -16,15 +16,17 @@ three-way decidability tag:
 One table-driven engine serves both families.  Each auxiliary function is
 a polynomial in t = (s r)^alpha over a power of (1 + t); one table gives its
 coefficients and that power, and ``q_fn``, ``p_fn``, the raw integrands, the
-log-domain integrand and the r -> 0+ limit all read it.  Beyond the table
-the families differ only in the exp(h) factor of the stable integrand, the
-r -> infinity limit and the case rules.
+log-domain integrand and both endpoint limits all read it.  Beyond the table
+the families differ only in the exp(h) factor of the stable integrand and
+the case rules.
 
 The engine works on the log of the integrand (the raw integrand overflows
 double precision near the endpoints), scanning a log-spaced grid, refining
 the best local minima by golden-section search, and evaluating the r -> 0+
 and r -> infinity limits exactly from the exponent structure.  The search
-advances all brackets together, with one integrand call per step.
+advances all brackets together, with one integrand call per step.  A grid
+minimum on the edge of the window (or of its finite values) certifies
+nothing: the report is ``ZeroInfimumInconclusive`` at ``AtWindowEdge``.
 
 ``generic_sufficient_check`` recomputes the same bound from raw derivatives
 of the correlation functions (a second, independent code path) for any model
@@ -59,6 +61,7 @@ __all__ = [
 
 AT_ZERO = "AtZero"
 AT_INFINITY = "AtInfinity"
+AT_WINDOW_EDGE = "AtWindowEdge"
 
 SUFFICIENT = "SufficientBound"
 NECESSARILY_ZERO = "NecessarilyZero"
@@ -82,7 +85,7 @@ class ValidityReport:
     rho_bound: float
     infimum: float
     case: str
-    infimum_location: object   # positive float, or AT_ZERO / AT_INFINITY
+    infimum_location: object   # positive float, or AT_ZERO / AT_INFINITY / AT_WINDOW_EDGE
     decidability: str
     n: int
     note: str = ""
@@ -307,87 +310,54 @@ def _near(x: float, y: float) -> bool:
     return abs(x - y) <= _EQ_TOL * max(1.0, abs(x), abs(y))
 
 
-def _origin_exponent(a11: float, a12: float, a22: float) -> float:
-    # each auxiliary factor contributes r^0 at the origin except exactly at
-    # alpha = 1, where its constant term vanishes and it behaves like r^1
-    adj = (1.0 if a11 == 1.0 else 0.0) + (1.0 if a22 == 1.0 else 0.0) \
-        - 2.0 * (1.0 if a12 == 1.0 else 0.0)
-    return a11 + a22 - 2.0 * a12 + adj
+_WEIGHTS = (1.0, -2.0, 1.0)   # of psi11, psi12, psi22 in the log-integrand
 
 
-def _log_c0_factor(n: int, alpha: float, beta: float | None, s: float) -> float:
-    """log| lim q(r)/r^o | as r -> 0+, o = 1 if alpha == 1 else 0."""
-    coefs, _ = _aux_table(n, alpha, beta)
-    if alpha == 1.0:
-        return math.log(coefs[-2] * s)
-    return math.log(abs(coefs[-1]))
+def _endpoint(members, n: int, tag: str) -> tuple[float, float]:
+    """(log-limit, constant) of the log-integrand at r -> 0+ or r -> infinity.
 
-
-def _stable_tail(members, n: int, log_a: float):
-    (a11, _, s11), (a12, _, s12), (a22, _, s22) = members
-    # growth comparison of h(r) = 2(s12 r)^a12 - (s11 r)^a11 - (s22 r)^a22:
-    # group equal exponents, then the largest exponent with a nonzero net
-    # coefficient decides; full cancellation leaves a finite limit
-    groups: dict[float, float] = {}
-    for a, coef in ((a12, 2.0 * s12 ** a12), (a11, -(s11 ** a11)), (a22, -(s22 ** a22))):
-        key = next((k for k in groups if _near(k, a)), a)
-        groups[key] = groups.get(key, 0.0) + coef
-    scale_mag = 2.0 * s12 ** a12 + s11 ** a11 + s22 ** a22
-    for a in sorted(groups, reverse=True):
-        if abs(groups[a]) > _EQ_TOL * scale_mag:
-            return [(-math.inf, AT_INFINITY)] if groups[a] < 0.0 else []
-    # all exponents equal and scale terms cancel: h == 0, the power of r is
-    # zero, and the q-ratio tends to a positive constant
-    return [(_stable_tail_value(members, n, log_a), AT_INFINITY)]
-
-
-def _stable_tail_value(members, n: int, log_a: float) -> float:
-    (a11, _, s11), (_, _, s12), (_, _, s22) = members
-    deg = 1.0 if n == 1 else 2.0
-    return log_a + deg * a11 * (math.log(s11) + math.log(s22) - 2.0 * math.log(s12))
-
-
-def _cauchy_tail(members, n: int, log_a: float):
-    (a11, b11, s11), (a12, b12, s12), (a22, b22, s22) = members
-    e_inf = 2.0 * b12 - b11 - b22
-    tol = _EQ_TOL * max(1.0, b11, b22, b12)
-    if e_inf < -tol:
-        return [(-math.inf, AT_INFINITY)]
-    if abs(e_inf) > tol:
-        return []
-    return [(_cauchy_tail_value(members, n, log_a), AT_INFINITY)]
-
-
-def _cauchy_tail_value(members, n: int, log_a: float) -> float:
-    (a11, b11, s11), (a12, b12, s12), (a22, b22, s22) = members
-    top11, top12, top22 = (_aux_table(n, a, b)[0][0] for a, b, _ in members)
-    lead = math.log(top11 * top22) - 2.0 * math.log(top12)
-    # the alpha-dependent scale powers of log_a cancel against the tail
-    # powers of the p-ratio, leaving s11^-b11 s22^-b22 s12^(2 b12)
-    return (log_a + lead - b11 * math.log(s11) - b22 * math.log(s22)
-            + 2.0 * b12 * math.log(s12) - a11 * math.log(s11)
-            - a22 * math.log(s22) + 2.0 * a12 * math.log(s12))
-
-
-def _zero_limit_value(members, n: int, log_a: float) -> float:
-    c11, c12, c22 = (_log_c0_factor(n, *m) for m in members)
-    return log_a + c11 + c22 - 2.0 * c12
-
-
-def _limits(kind: str, members, n: int, log_a: float):
-    """(log-limit, tag) candidates at r -> 0+ and r -> infinity.
-
-    A limit of -inf means the integrand tends to 0 there; +inf limits are
-    dropped (they never constrain the infimum).
+    The log-integrand sums, weighted 1, -2, 1 over psi11, psi12, psi22,
+    log k + log t + log|q or p| (- t if stable), k = alpha or beta and
+    t = (s r)^alpha.  Beside -t each term behaves like kappa log r + c: q or
+    p tends to its constant coefficient at r -> 0+ (its linear one times t
+    when alpha == 1 exactly) and to its top one over t^d at infinity.  The
+    stable -(s r)^alpha terms decide first, then the net kappa; a cancelled
+    kappa leaves the constant as the limit.  The constant is returned either
+    way, for a fit to difference.
     """
-    out = []
-    e0 = _origin_exponent(members[0][0], members[1][0], members[2][0])
-    if e0 > _EQ_TOL:
-        out.append((-math.inf, AT_ZERO))
-    elif abs(e0) <= _EQ_TOL:
-        out.append((_zero_limit_value(members, n, log_a), AT_ZERO))
-    tail = _stable_tail if kind == "Stable" else _cauchy_tail
-    return out + tail(members, n, log_a)
+    kappas, const = [], 0.0
+    for w, (a, b, s) in zip(_WEIGHTS, members):
+        coefs, denom = _aux_table(n, a, b)
+        if tag == AT_ZERO:
+            j = 2 if coefs[-1] == 0.0 else 1   # alpha == 1: the constant vanishes
+            kappa, c = j * a, coefs[-j]
+        else:
+            kappa, c = (len(coefs) - denom) * a, coefs[0]
+        kappas.append(kappa)
+        const += w * (math.log(a if b is None else b) + kappa * math.log(s) + math.log(abs(c)))
+    if tag == AT_INFINITY and members[0][1] is None:
+        # -sum w (s r)^alpha: group equal exponents, then the largest
+        # exponent with a nonzero net coefficient decides
+        groups: dict[float, float] = {}
+        for w, (a, _, s) in zip(_WEIGHTS, members):
+            key = next((e for e in groups if _near(e, a)), a)
+            groups[key] = groups.get(key, 0.0) - w * s ** a
+        mag = sum(abs(w) * s ** a for w, (a, _, s) in zip(_WEIGHTS, members))
+        for a in sorted(groups, reverse=True):
+            if abs(groups[a]) > _EQ_TOL * mag:
+                return math.copysign(math.inf, groups[a]), const
+    # net kappa times the sign of log r at this end
+    net = (-1.0 if tag == AT_ZERO else 1.0) * sum(w * k for w, k in zip(_WEIGHTS, kappas))
+    if abs(net) <= _EQ_TOL * max(1.0, *map(abs, kappas)):
+        return const, const
+    return math.copysign(math.inf, net), const
+
+
+def _limits(members, n: int):
+    """(log-limit, tag) candidates at r -> 0+ and r -> infinity; a -inf limit
+    means the integrand tends to 0 there, +inf limits never constrain it."""
+    return [(value, tag) for tag in (AT_ZERO, AT_INFINITY)
+            for value in (_endpoint(members, n, tag)[0],) if value < math.inf]
 
 
 # ---------------------------------------------------------------------------
@@ -428,43 +398,39 @@ def _scan_infimum(log_fn, limits, grid_points: int = _GRID_POINTS, n_brackets: i
                   tol: float = 1e-10, grid_values=None):
     """Minimize a log-integrand over log(r) in [log 1e-8, log 1e8].
 
-    Returns (log_infimum, location) where location is a positive r or one of
-    the endpoint tags.  ``n_brackets = 0`` skips the golden-section polish
-    and reports the best grid point (cheap mode for inner fitting loops).
+    Returns (log_infimum, location), location a positive r or a tag.  The
+    candidates are the ``n_brackets`` lowest interior local minima of the
+    grid refined by golden section, the best grid point unless refined, and
+    the limits; ties go to the earlier one.  A winning grid point off the
+    interior minima (on the window edge or next to a non-finite value), or no
+    candidate at all, bounds nothing, as the integrand may fall further where
+    the grid does not see it: (-inf, AT_WINDOW_EDGE).
     ``grid_values`` is ``log_fn`` on the grid, for a caller that has it already.
     """
     x = np.linspace(_GRID_LO, _GRID_HI, grid_points)
     li, sgn = log_fn(x) if grid_values is None else grid_values
     finite = np.isfinite(li)
+    interior = np.zeros(li.shape, dtype=bool)
+    interior[1:-1] = (finite[1:-1] & finite[:-2] & finite[2:]
+                      & (li[1:-1] <= li[:-2]) & (li[1:-1] <= li[2:])
+                      & (sgn[1:-1] == sgn[:-2]) & (sgn[1:-1] == sgn[2:]))
+    idx = np.flatnonzero(interior)
+    idx = idx[np.argsort(li[idx])[:n_brackets]]
 
     candidates: list[tuple[float, object]] = []
-    if n_brackets == 0:
-        if np.any(finite):
-            best = int(np.nanargmin(np.where(finite, li, np.nan)))
-            candidates.append((float(li[best]), math.exp(float(x[best]))))
-    else:
-        interior = np.zeros(li.shape, dtype=bool)
-        interior[1:-1] = (finite[1:-1] & finite[:-2] & finite[2:]
-                          & (li[1:-1] <= li[:-2]) & (li[1:-1] <= li[2:])
-                          & (sgn[1:-1] == sgn[:-2]) & (sgn[1:-1] == sgn[2:]))
-        idx = np.flatnonzero(interior)
-        if idx.size == 0 and np.any(finite):
-            # monotone over the grid: refine around the best grid point anyway
-            best = int(np.nanargmin(np.where(finite, li, np.nan)))
-            idx = np.array([min(max(best, 1), grid_points - 2)])
-        if idx.size:
-            idx = idx[np.argsort(li[idx])[:n_brackets]]
-            xm, fm = _golden_search(lambda t: log_fn(t)[0], x[idx - 1], x[idx + 1], tol)
-            candidates += [(float(v), math.exp(t)) for t, v in zip(xm, fm) if math.isfinite(v)]
-
-    for value, tag in limits:
-        if value < math.inf:
-            candidates.append((value, tag))
-
-    if not candidates:
-        raise RuntimeError("infimum engine found no admissible points")
-    candidates.sort(key=lambda c: (c[0], isinstance(c[1], str)))
-    return candidates[0]
+    if idx.size:
+        xm, fm = _golden_search(lambda t: log_fn(t)[0], x[idx - 1], x[idx + 1], tol)
+        candidates += [(float(v), math.exp(t)) for t, v in zip(xm, fm) if math.isfinite(v)]
+    vals, inner = np.where(finite, li, np.inf), np.where(interior, li, np.inf)
+    best = int(np.argmin(inner))
+    if vals.min() < inner[best]:   # no interior minimum reaches the grid's lowest value
+        candidates.append((float(vals.min()), AT_WINDOW_EDGE))
+    elif inner[best] < math.inf and best not in idx:
+        candidates.append((float(inner[best]), math.exp(float(x[best]))))
+    candidates += limits
+    value, where = min(candidates, key=lambda c: (c[0], isinstance(c[1], str)),
+                       default=(-math.inf, AT_WINDOW_EDGE))
+    return (-math.inf, where) if where == AT_WINDOW_EDGE else (value, where)
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +478,8 @@ def _cauchy_case(members, n: int) -> tuple[str, str | None]:
 
 _EDGE_NOTE = ("infimum vanishes at the origin because a smoothness parameter sits "
               "exactly at 1, where the sufficiency case analysis does not apply")
+_WINDOW_NOTE = ("the scanned integrand is lowest on the edge of the r window or of its "
+                "finite values, so the scan bounds nothing: it may fall further beyond")
 
 
 def _resolve_dim(n: int) -> tuple[int, str]:
@@ -538,8 +506,7 @@ def _max_rho(model: BivariateModel, kind: str, n: int, grid_points: int,
     case, forced = (_stable_case if kind == "Stable" else _cauchy_case)(members, n_used)
     log_a = _log_prefactor(members)
     log_inf, location = _scan_infimum(_log_integrand(kind, members, n_used, log_a),
-                                      _limits(kind, members, n_used, log_a),
-                                      grid_points=grid_points,
+                                      _limits(members, n_used), grid_points=grid_points,
                                       n_brackets=refine_brackets)
     if forced == NECESSARILY_ZERO:
         decidability = NECESSARILY_ZERO
@@ -547,8 +514,8 @@ def _max_rho(model: BivariateModel, kind: str, n: int, grid_points: int,
         decidability = SUFFICIENT
     else:
         decidability = INCONCLUSIVE
-        if forced is None:
-            note = (note + "; " if note else "") + _EDGE_NOTE
+        why = _WINDOW_NOTE if location == AT_WINDOW_EDGE else _EDGE_NOTE if forced is None else ""
+        note = "; ".join(filter(None, (note, why)))
     return _finish_report(log_inf, location, case, decidability, n_used, note)
 
 
@@ -557,20 +524,14 @@ def _log_infimum_gradient(model: BivariateModel, kind: str,
     """Derivatives of the log infimum in each member's (alpha, log scale[, beta]).
 
     The candidate that won in ``report`` is held fixed (envelope theorem) and
-    differenced centrally in one parameter at a time: the closed form of a
-    winning limit, or the log-integrand at the winning r.  The latter is a sum
-    over members, weighted 1, -2, 1 for psi11, psi12, psi22, of
-    log k + log t + log|q or p| (- t for the stable family), k = alpha or beta
-    and t = (s r)^alpha, so only the moved member's share is evaluated.
+    differenced centrally in one parameter at a time: the constant of a
+    winning limit (see :func:`_endpoint`), or the log-integrand at the winning
+    r, of which only the moved member's share is evaluated.
     """
     members, n, loc = _members(model, kind), report.n, report.infimum_location
     if isinstance(loc, str):
-        limit = (_zero_limit_value if loc == AT_ZERO else
-                 _stable_tail_value if kind == "Stable" else _cauchy_tail_value)
-
         def value(q, m):
-            moved = members[:q] + (m,) + members[q + 1:]
-            return limit(moved, n, _log_prefactor(moved))
+            return _endpoint(members[:q] + (m,) + members[q + 1:], n, loc)[1]
     else:
         lr = math.log(loc)
 
@@ -579,7 +540,7 @@ def _log_infimum_gradient(model: BivariateModel, kind: str,
             lt = a * (math.log(s) + lr)
             share = math.log(a if b is None else b) + lt + float(
                 _log_aux_fn(n, a, b)(np.array([lt]))[0][0])
-            return (1.0, -2.0, 1.0)[q] * (share - math.exp(lt) if b is None else share)
+            return _WEIGHTS[q] * (share - math.exp(lt) if b is None else share)
     out = []
     for q, (a, b, s) in enumerate(members):
         params = [a, math.log(s)] + ([] if b is None else [b])
@@ -659,11 +620,10 @@ def generic_sufficient_check(model: BivariateModel, n: int) -> ValidityReport:
     if not (tail12[2] < 0.999 and tail12[2] <= tail12[1] <= tail12[0]):
         raise NotApplicable("psi12 does not decay over the probe grid")
 
-    try:
-        log_inf, location = _scan_infimum(log_fn, [], grid_values=log_ratio(d11, d22, d12))
-    except RuntimeError:
-        raise NotApplicable("the derivative ratio has no finite minimum on the grid: "
-                            "it falls until the raw derivatives underflow") from None
+    log_inf, location = _scan_infimum(log_fn, [], grid_values=log_ratio(d11, d22, d12))
+    if location == AT_WINDOW_EDGE:
+        raise NotApplicable("the derivative ratio has no interior minimum on the grid: it "
+                            "falls to the window edge or until the raw derivatives underflow")
     return _finish_report(log_inf, location, "generic", SUFFICIENT, n_used, note)
 
 

@@ -50,14 +50,32 @@ class TestValidate:
         assert code == 1
         assert "decidability=ZeroInfimumInconclusive" in out
 
-    def test_engine_overflow_is_a_compute_error(self, tmp_path, capsys):
-        # joint scales near 1e12 push the log infimum past double range
-        m = bc.stable_bivariate(1.0, 1.0, 0.9, 0.3, 0.9, 0.6, 1e12, 0.8e12, 1.2e12)
-        code = main(["validate", write_model(tmp_path, m)])
+    def test_engine_overflow_is_a_compute_error(self, tmp_path, capsys, monkeypatch):
+        def overflow(*args, **kw):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(bc.cli, "max_rho_stable", overflow)
+        code = main(["validate", write_model(tmp_path, VALID_STABLE)])
         err = capsys.readouterr().err
         assert code == 70
         assert len(err.strip().splitlines()) == 1
         assert "OverflowError" in err
+
+    @pytest.mark.parametrize("model,dim", [
+        # joint scales near 1e12 put the integrand's minimum below r = 1e-8
+        # (this model once overflowed the engine)
+        (bc.stable_bivariate(1.0, 1.0, 0.9, 0.3, 0.9, 0.6, 1e12, 0.8e12, 1.2e12), "3"),
+        # invalid at its rho: the integrand falls past r = 1e8
+        (bc.stable_bivariate(1.0, 1.0, 0.9, 0.44106384241154395, 1.00037917225745,
+                             0.9266215973600441, 0.524792291980781,
+                             1.1969038928944962, 63.643313475110595), "1"),
+    ], ids=["joint-scale-1e12", "falling-past-1e8"])
+    def test_window_edge_minimum_is_inconclusive(self, tmp_path, capsys, model, dim):
+        code = main(["validate", write_model(tmp_path, model), "--dim", dim])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "infimum_location=AtWindowEdge" in out
+        assert "decidability=ZeroInfimumInconclusive" in out
 
     def test_valid_cauchy(self, tmp_path):
         m = bc.cauchy_bivariate(1.0, 1.0, 0.2, 0.5, 0.7, 0.9,

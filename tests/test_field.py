@@ -375,7 +375,8 @@ class TestNllGradient:
         calls, kv_calls = [], []
 
         def counted(fn):
-            return lambda family, r: calls.append((family, np.size(r))) or fn(family, r)
+            return lambda family, r, *free: (calls.append((family, np.size(r)))
+                                             or fn(family, r, *free))
 
         monkeypatch.setattr(bc.field, "_param_derivatives",
                             counted(bc.field._param_derivatives))
@@ -391,6 +392,25 @@ class TestNllGradient:
                          for pair, _, fam in _terms(model)]
         # Matern: psi, psi at nu +- h and K_(nu-1) for d/d log s
         assert len(kv_calls) == (12 if kind == "matern" else 0)
+
+    @pytest.mark.parametrize("kind", ["stable", "cauchy", "lmc"])
+    def test_fixed_parameters_get_no_derivative(self, kind, monkeypatch):
+        # LMC structures fix alpha at 1: no term may carry a d/d alpha array
+        spec = _ParamSpec(kind, GRAD_DATA, 3, False, 0.0, 0.0)
+        objective = _ProfiledNll(spec, GRAD_DATA)
+        built, make = [], bc.field._param_derivatives
+
+        def recorded(*args):
+            out = make(*args)
+            built.append(out[1])
+            return out
+
+        monkeypatch.setattr(bc.field, "_param_derivatives", recorded)
+        objective(spec.starts(1, 1)[0])
+        assert len(built) == (6 if kind == "lmc" else 3)
+        for derivs in built:
+            assert (derivs[0] is None) == (kind == "lmc")
+            assert all(d is not None for d in derivs[1:])
 
     @pytest.mark.parametrize("seed,moved,where", [
         (60, dict(a12=-40.0), "AtZero"),                 # alpha12 on its edge

@@ -15,11 +15,12 @@ import pytest
 from bicov import validity
 from bicov.bimodels import (BivariateModel, cauchy_bivariate, stable_bivariate)
 from bicov.corrfn import cauchy, derivative, matern, spherical, stable
-from bicov.validity import (AT_INFINITY, AT_ZERO, INCONCLUSIVE, NECESSARILY_ZERO,
-                            SUFFICIENT, ExcludedPoint, NotApplicable, ValidityReport,
-                            cauchy_bound_integrand, generic_sufficient_check,
-                            max_rho_cauchy, max_rho_stable, p_fn, q_fn,
-                            spherical_triviality, stable_bound_integrand)
+from bicov.field import FieldSample, check_pd, gram
+from bicov.validity import (AT_INFINITY, AT_WINDOW_EDGE, AT_ZERO, INCONCLUSIVE,
+                            NECESSARILY_ZERO, SUFFICIENT, ExcludedPoint, NotApplicable,
+                            ValidityReport, cauchy_bound_integrand,
+                            generic_sufficient_check, max_rho_cauchy, max_rho_stable,
+                            p_fn, q_fn, spherical_triviality, stable_bound_integrand)
 
 FIG_STABLE = stable_bivariate(1.0, 1.0, 0.0, 0.2, 0.6, 0.5, 2.0, 1.0, 3.0)
 FIG_CAUCHY = cauchy_bivariate(1.0, 1.0, 0.0, 0.5, 0.7, 0.9, 2.0, 2.5, 2.1,
@@ -211,6 +212,78 @@ class TestFrozenReports:
         r = max_rho_stable(FIG_STABLE, 1)
         assert r.rho_bound_raw == pytest.approx(math.sqrt(r.infimum), rel=1e-12)
         assert r.rho_bound == min(r.rho_bound_raw, 1.0)
+
+
+class TestEndpoints:
+    """Each finite limit is the log-integrand far beyond the scanned window."""
+
+    @staticmethod
+    def draw(rng, family, tie):
+        a11, a12, a22 = rng.uniform(0.4, 1.0, 3)
+        b11, b12, b22 = rng.uniform(0.5, 5.0, 3)
+        if tie == "equal":
+            a11 = a22 = a12
+        elif tie == "mean-alpha12":
+            a12 = 0.5 * (a11 + a22)
+        elif tie == "mean-beta12":
+            a12, b12 = rng.uniform(0.5 * (a11 + a22), 2.0), 0.5 * (b11 + b22)
+        scales = rng.uniform(0.1, 10.0, 3)
+        if family == "Stable":
+            return stable_bivariate(1, 1, 0, a11, a12, a22, *scales)
+        return cauchy_bivariate(1, 1, 0, a11, a12, a22, b11, b12, b22, *scales)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("family,tie,tag", [
+        ("Stable", "equal", AT_ZERO),
+        ("Stable", "mean-alpha12", AT_ZERO),
+        ("Cauchy", "mean-alpha12", AT_ZERO),
+        ("Cauchy", "mean-beta12", AT_INFINITY),
+    ])
+    def test_finite_limit_is_the_far_integrand(self, family, tie, tag, n):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            members = validity._members(self.draw(rng, family, tie), family)
+            limits = dict((t, v) for v, t in validity._limits(members, n))
+            assert math.isfinite(limits[tag])
+            log_fn = validity._log_integrand(family, members, n,
+                                             validity._log_prefactor(members))
+            far, _ = log_fn(np.array([-200.0, 200.0]))
+            for t, value in limits.items():
+                if math.isfinite(value):
+                    want = far[0] if t == AT_ZERO else far[1]
+                    assert value == pytest.approx(want, rel=1e-9)
+
+
+class TestWindowEdge:
+    """A grid minimum on the edge of the scanned window certifies nothing."""
+
+    # the integrand falls all the way to r = 1e8: it is 0.0 already at r = 100
+    FALLING = stable_bivariate(1.0, 1.0, 0.9, 0.44106384241154395, 1.00037917225745,
+                               0.9266215973600441, 0.524792291980781,
+                               1.1969038928944962, 63.643313475110595)
+
+    def test_falling_integrand_is_inconclusive(self):
+        assert stable_bound_integrand(self.FALLING, 1, 100.0) == 0.0
+        r = max_rho_stable(self.FALLING, 1)
+        assert r.decidability == INCONCLUSIVE and r.rho_bound == 0.0
+        assert r.infimum_location == AT_WINDOW_EDGE and "window" in r.note
+        # and the model is indeed invalid at its rho
+        x = np.repeat(np.linspace(0.0, 40.0, 200), 2)[:, None]
+        pd = check_pd(gram(self.FALLING, FieldSample(x, np.tile([1, 2], 200))))
+        assert not pd.passed and pd.min_eigenvalue < -3.0
+
+    def test_smoothness_just_below_one_matches_one(self):
+        # the integrand is 1.8e-6 at r = 1e-8 and falls towards the origin
+        near = max_rho_stable(stable_bivariate(1, 1, 0, 1 - 1e-9, 1.2, 1 - 1e-9, 1, 1, 1), 1)
+        at = max_rho_stable(stable_bivariate(1, 1, 0, 1.0, 1.2, 1.0, 1, 1, 1), 1)
+        for r in (near, at):
+            assert r.decidability == INCONCLUSIVE and r.rho_bound == 0.0
+        assert near.infimum_location == AT_WINDOW_EDGE
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_coarse_mode_takes_the_same_rule(self, n):
+        r = max_rho_stable(self.FALLING, n, grid_points=512, refine_brackets=0)
+        assert r.decidability == INCONCLUSIVE and r.infimum_location == AT_WINDOW_EDGE
 
 
 class TestStableClassification:
