@@ -21,8 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .corrfn import (CauchyParams, CorrelationFamily, MaternParams, SphericalParams,
-                     StableParams, cauchy, evaluate, matern, spherical, stable)
+from .corrfn import CorrelationFamily, _require, cauchy, evaluate, matern, spherical, stable
 
 __all__ = [
     "BivariateModel",
@@ -36,11 +35,6 @@ __all__ = [
     "model_to_text",
     "model_from_text",
 ]
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
 
 
 @dataclass(frozen=True)
@@ -170,7 +164,8 @@ def eval_matrix(model, r):
 
 
 # ---------------------------------------------------------------------------
-# Flat key-value serialization (one "name = value" per line), used by the CLI.
+# Text formats: floats written repr-exact, the flat key-value model file (one
+# "name = value" per line) and the CSV tables of the CLI.
 
 class ModelParseError(ValueError):
     """Model file did not parse; carries the offending line number."""
@@ -182,6 +177,14 @@ class ModelParseError(ValueError):
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _write_csv(path: str, header, rows) -> None:
+    """A header line, then one line per row: str cells as they are, others repr-exact."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(c if isinstance(c, str) else _fmt(c) for c in row) + "\n")
 
 
 def _lmc_stable(b1_11, b1_12, b1_22, b2_11, b2_12, b2_22, alpha1, s1, alpha2, s2):

@@ -21,13 +21,12 @@ import sys
 
 import numpy as np
 
-from .bimodels import (BivariateModel, LmcBivariate, ModelParseError,
-                       model_from_text, model_to_text)
+from .bimodels import (LmcBivariate, ModelParseError, _fmt, _write_csv, model_from_text,
+                       model_to_text)
 from .field import FieldSample, _cokrige, fit_ml, loo_rmse, simulate
 from .spectral import NonIntegrable, QuadratureError, cross_spectral_profile
-from .validity import (INCONCLUSIVE, NECESSARILY_ZERO, SUFFICIENT,
-                       NotApplicable, generic_sufficient_check, max_rho_cauchy,
-                       max_rho_stable, spherical_triviality)
+from .validity import (NECESSARILY_ZERO, SUFFICIENT, NotApplicable, _bound_report,
+                       _resolve_dim, generic_sufficient_check, spherical_triviality)
 
 __all__ = ["main"]
 
@@ -42,10 +41,6 @@ EXIT_COMPUTE = 70
 
 class SchemaError(ValueError):
     """A CSV file does not match the expected schema."""
-
-
-def _g(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _load_model(path: str):
@@ -108,17 +103,6 @@ def _read_sample(path: str) -> FieldSample:
                        values=cols["value"])
 
 
-def _write_sample_csv(path: str, sample: FieldSample) -> None:
-    dim = sample.locations.shape[1]
-    names = ["x", "y", "z"][:dim]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(names + ["component", "value"]) + "\n")
-        for loc, comp, val in zip(sample.locations, sample.components,
-                                  sample.values):
-            cells = [_g(c) for c in loc] + [str(int(comp)), _g(val)]
-            fh.write(",".join(cells) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers.
 
@@ -141,13 +125,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"valid={str(verdict.valid).lower()}")
         print(f"reason={verdict.reason}")
         if verdict.witness_u is not None:
-            print(f"witness_frequency={_g(verdict.witness_u)}")
+            print(f"witness_frequency={_fmt(verdict.witness_u)}")
         return EXIT_VALID if verdict.valid else EXIT_INVALID
 
-    if kind == "stable":
-        report = max_rho_stable(model, args.dim)
-    elif kind == "cauchy":
-        report = max_rho_cauchy(model, args.dim)
+    if kind in ("stable", "cauchy"):
+        report = _bound_report(model, args.dim)
     else:
         if model.rho == 0.0:
             print(f"kind={kind}")
@@ -165,11 +147,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             return EXIT_INCONCLUSIVE
 
     loc = report.infimum_location
-    loc_str = loc if isinstance(loc, str) else _g(loc)
+    loc_str = loc if isinstance(loc, str) else _fmt(loc)
     print(f"kind={kind}")
-    print(f"rho={_g(model.rho)}")
-    print(f"rho_bound_raw={_g(report.rho_bound_raw)}")
-    print(f"rho_bound={_g(report.rho_bound)}")
+    print(f"rho={_fmt(model.rho)}")
+    print(f"rho_bound_raw={_fmt(report.rho_bound_raw)}")
+    print(f"rho_bound={_fmt(report.rho_bound)}")
     print(f"case={report.case}")
     print(f"infimum_location={loc_str}")
     print(f"decidability={report.decidability}")
@@ -211,19 +193,15 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     if param not in keys or param == "kind":
         raise SchemaError(f"unknown sweep parameter {param!r}")
 
-    bound_fn = max_rho_stable if model.kind == "stable" else max_rho_cauchy
     rows = []
     for value in np.linspace(lo, hi, steps):
-        lines = [f"{param} = {_g(value)}" if ln.split("=", 1)[0].strip() == param
+        lines = [f"{param} = {_fmt(value)}" if ln.split("=", 1)[0].strip() == param
                  else ln for ln in base_lines]
         swept = model_from_text("\n".join(lines))
-        report = bound_fn(swept, args.dim)
+        report = _bound_report(swept, args.dim)
         rows.append((value, report.rho_bound, report.decidability))
 
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"{param},rho_bound,decidability\n")
-        for value, bound, tag in rows:
-            fh.write(f"{_g(value)},{_g(bound)},{tag}\n")
+    _write_csv(args.out, (param, "rho_bound", "decidability"), rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_VALID
 
@@ -232,7 +210,7 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     if isinstance(model, LmcBivariate):
         raise SchemaError("spectral profiles expect a bivariate member model")
-    n = 3 if args.dim == 2 else args.dim
+    n, _ = _resolve_dim(args.dim)
     u = np.linspace(0.0, args.umax, args.points)
     profile = cross_spectral_profile(model, n, u)
     profile.to_csv(args.out)
@@ -271,9 +249,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     sample = simulate(model, locations, components, seed=args.seed,
                       mean1=args.mean1, mean2=args.mean2,
                       nugget1=args.nugget1, nugget2=args.nugget2)
-    _write_sample_csv(args.out, sample)
+    _write_csv(args.out, ["x", "y", "z"][:locations.shape[1]] + ["component", "value"],
+               np.column_stack([sample.locations, sample.components, sample.values]))
     print(f"wrote {locations.shape[0]} rows to {args.out} "
-          f"(seed {args.seed}, jitter {_g(sample.info['jitter'])})")
+          f"(seed {args.seed}, jitter {_fmt(sample.info['jitter'])})")
     return EXIT_VALID
 
 
@@ -286,13 +265,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(model_to_text(result.model))
     print(f"kind={result.kind}")
-    print(f"nll={_g(result.nll)}")
-    print(f"aic={_g(result.aic)}")
-    print(f"loo_rmse={_g(rmse)}")
-    print(f"mean1={_g(result.mean1)}")
-    print(f"mean2={_g(result.mean2)}")
-    print(f"nugget1={_g(result.nugget1)}")
-    print(f"nugget2={_g(result.nugget2)}")
+    print(f"nll={_fmt(result.nll)}")
+    print(f"aic={_fmt(result.aic)}")
+    print(f"loo_rmse={_fmt(rmse)}")
+    print(f"mean1={_fmt(result.mean1)}")
+    print(f"mean2={_fmt(result.mean2)}")
+    print(f"nugget1={_fmt(result.nugget1)}")
+    print(f"nugget2={_fmt(result.nugget2)}")
     print(f"converged={str(result.converged).lower()}")
     print(f"n_iter={result.n_iter}")
     print(f"model written to {args.out}")
@@ -306,12 +285,8 @@ def _cmd_krige(args: argparse.Namespace) -> int:
     # one Gram factor serves both the profiled means and the weights
     pred, var = _cokrige(model, data, targets, args.component,
                          args.nugget1, args.nugget2)
-    dim = targets.shape[1]
-    names = ["x", "y", "z"][:dim]
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(names + ["prediction", "variance"]) + "\n")
-        for loc, p, v in zip(targets, pred, var):
-            fh.write(",".join([_g(c) for c in loc] + [_g(p), _g(v)]) + "\n")
+    _write_csv(args.out, ["x", "y", "z"][:targets.shape[1]] + ["prediction", "variance"],
+               np.column_stack([targets, pred, var]))
     print(f"wrote {targets.shape[0]} rows to {args.out}")
     return EXIT_VALID
 
@@ -359,7 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("data")
     p.add_argument("--kind", required=True,
                    choices=("stable", "cauchy", "matern", "lmc"))
-    p.add_argument("--starts", type=int, default=8)
+    p.add_argument("--starts", type=int, default=8,
+                   help="number of optimizer starts, at least 1 (default 8)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-evals", type=int, default=None,
                    help="cap on likelihood-and-gradient evaluations per start "

@@ -123,10 +123,6 @@ class CorrelationFamily:
         _require(isinstance(self.params, _KINDS[self.kind]),
                  f"params of type {type(self.params).__name__} do not match kind {self.kind!r}")
 
-    @property
-    def scale(self) -> float:
-        return self.params.scale
-
 
 def stable(alpha: float, scale: float = 1.0) -> CorrelationFamily:
     return CorrelationFamily("Stable", StableParams(float(alpha), float(scale)))
@@ -144,19 +140,24 @@ def matern(nu: float, scale: float = 1.0) -> CorrelationFamily:
     return CorrelationFamily("Matern", MaternParams(float(nu), float(scale)))
 
 
-def _as_r(r, allow_zero: bool) -> tuple[np.ndarray, bool]:
+def _as_r(r, allow_zero: bool, name: str = "distance r") -> tuple[np.ndarray, bool]:
+    """``r`` as a 1-d float array and whether it was a scalar; NaN fails both checks."""
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     if allow_zero:
-        _require(bool(np.all(arr >= 0.0)), "distance r must be nonnegative")
+        _require(bool(np.all(arr >= 0.0)), f"{name} must be nonnegative")
     else:
-        _require(bool(np.all(arr > 0.0)), "distance r must be positive")
+        _require(bool(np.all(arr > 0.0)), f"{name} must be positive")
     return arr, scalar
 
 
 def _maybe_scalar(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
+
+
+def _check_n13(n: int) -> None:
+    _require(n in (1, 3), f"dimension n must be 1 or 3, got {n}")
 
 
 def evaluate(family: CorrelationFamily, r):

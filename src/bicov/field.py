@@ -31,7 +31,7 @@ from scipy.special import digamma, expit, gammaln
 from .bimodels import (_PAIRS, LmcBivariate, _entry, _sum_into, _terms,
                        cauchy_bivariate, matern_bivariate, stable_bivariate)
 from .corrfn import _param_derivatives, evaluate, stable
-from .validity import _log_infimum_gradient, max_rho_cauchy, max_rho_stable
+from .validity import _bound_report, _log_infimum_gradient
 
 __all__ = [
     "FieldSample",
@@ -158,22 +158,20 @@ class _GramCache:
         for c in (1, 2):
             self.idx[rows[c], rows[c]] = start + c - 1
 
-    def table(self, model, psis=None) -> np.ndarray:
-        """The nugget-free value table of ``model``: each term of
+    def build(self, model, nugget1: float, nugget2: float, psis=None) -> np.ndarray:
+        """The Gram of ``model`` gathered from its value table: each term of
         :func:`bimodels._terms` adds amplitude times its correlation at the
         pair's distances to the pair's slots, and its amplitude to the pair's
-        variance.  ``psis`` holds the terms' correlations when already evaluated."""
+        variance, to which the nuggets then add.  ``psis`` holds the terms'
+        correlations when already evaluated."""
         entries, var = {}, {}
         for k, (pair, amp, fam) in enumerate(_terms(model)):
             _sum_into(var, pair, amp)
             if self.dist[pair].size:
                 psi = evaluate(fam, self.dist[pair]) if psis is None else psis[k]
                 _sum_into(entries, pair, amp * psi)
-        return np.concatenate([entries[p] for p in _PAIRS if p in entries]
-                              + [np.array([var["11"], var["22"]])])
-
-    def build(self, model, nugget1: float, nugget2: float) -> np.ndarray:
-        table = self.table(model)
+        table = np.concatenate([entries[p] for p in _PAIRS if p in entries]
+                               + [np.array([var["11"], var["22"]])])
         table[-2:] += nugget1, nugget2
         return table[self.idx]
 
@@ -198,7 +196,9 @@ def _chol_with_jitter(m: np.ndarray) -> tuple[np.ndarray, float]:
     scale = float(np.max(np.diag(m)))
     for j in _JITTER_LADDER:
         try:
-            return np.linalg.cholesky(m + j * scale * np.eye(m.shape[0])), j * scale
+            # the zero rung factors m itself rather than a copy plus 0 * I
+            jittered = m + j * scale * np.eye(m.shape[0]) if j else m
+            return np.linalg.cholesky(jittered), j * scale
         except np.linalg.LinAlgError:
             continue
     raise np.linalg.LinAlgError(
@@ -258,13 +258,18 @@ def _precision(factor) -> np.ndarray:
     return p
 
 
+def _values(data: FieldSample) -> np.ndarray:
+    if data.values is None:
+        raise ValueError("data sample carries no values")
+    return np.asarray(data.values, dtype=float)
+
+
 def nll(model, data: FieldSample, nugget1: float = 0.0,
         nugget2: float = 0.0) -> tuple[float, float, float]:
     """Negative log-likelihood and the profiled means (mean1, mean2)."""
-    if data.values is None:
-        raise ValueError("data sample carries no values")
+    z = _values(data)
     m = gram(model, data, nugget1, nugget2)
-    return _nll_core(m, data.components, np.asarray(data.values, dtype=float))[:3]
+    return _nll_core(m, data.components, z)[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +351,7 @@ class _ParamSpec:
     the current structural parameters.  Below the cross-smoothness edges
     (stable alpha12 < max(alpha11, alpha22); Cauchy alpha12 or beta12 below
     the marginal mean) the bound, and so rho, is zero, so the search starts
-    at them.
+    at them.  ``n_valid`` is the dimension handed to the bound engine.
     """
 
     def __init__(self, kind: str, data: FieldSample, n_valid: int,
@@ -354,7 +359,7 @@ class _ParamSpec:
         self.kind, self.n_valid, self.nuggets = kind, n_valid, (nugget1, nugget2)
         self.d_space = data.locations.shape[1]
 
-        z = np.asarray(data.values, dtype=float)
+        z = _values(data)
         v1 = float(np.var(z[data.components == 1])) or 1.0
         v2 = float(np.var(z[data.components == 2])) or 1.0
         self.emp_var = (v1, v2)
@@ -464,11 +469,10 @@ class _ParamSpec:
     def _member_bound(self, probe, params) -> _D:
         """Coarse certified bound of a stable or Cauchy probe; its gradient holds
         the bound engine's winning candidate fixed."""
-        bound_fn = max_rho_stable if self.kind == "stable" else max_rho_cauchy
-        report = bound_fn(probe, self.n_valid, grid_points=512, refine_brackets=0)
+        report = _bound_report(probe, self.n_valid, grid_points=512, refine_brackets=0)
         grad = np.zeros(self.dim)
         if 0.0 < report.rho_bound_raw < 1.0:
-            sens = _log_infimum_gradient(probe, probe.psi11.kind, report)
+            sens = _log_infimum_gradient(probe, report)
             for p, ds in zip(_PAIRS, sens):
                 for d, q in zip(ds, params[p]):
                     grad += (0.5 * report.rho_bound * d) * q.g
@@ -485,8 +489,7 @@ class _ParamSpec:
         """Re-certify rho with the fine engine and clip into the exact bound."""
         if self.kind not in ("stable", "cauchy"):
             return model
-        bound_fn = max_rho_stable if self.kind == "stable" else max_rho_cauchy
-        bound = bound_fn(replace(model, rho=0.0), self.n_valid).rho_bound
+        bound = _bound_report(replace(model, rho=0.0), self.n_valid).rho_bound
         if abs(model.rho) > bound:
             return replace(model, rho=math.copysign(bound, model.rho))
         return model
@@ -508,7 +511,7 @@ class _ProfiledNll:
     def __init__(self, spec: _ParamSpec, data: FieldSample):
         self.spec, self.cache = spec, _GramCache(data)
         self.idx = self.cache.idx.ravel()
-        self.z = np.asarray(data.values, dtype=float)
+        self.z = _values(data)
         self.floor = (1e-8 * spec.emp_var[0], 1e-8 * spec.emp_var[1])
         self.restart(math.inf)
 
@@ -518,16 +521,11 @@ class _ProfiledNll:
 
     def core(self, model, nug1: float, nug2: float, psis=None):
         """:func:`_nll_core` with the floor fallback, and the nuggets used."""
-        table = self.cache.table(model, psis)
-        var = table[-2:].copy()
-        table[-2:] = var + (nug1, nug2)
         try:
-            out = _nll_core(table[self.cache.idx], self.cache.comp, self.z)
+            out = _nll_core(self.cache.build(model, nug1, nug2, psis), self.cache.comp, self.z)
         except (LinAlgError, np.linalg.LinAlgError):
-            # only the two diagonal slots change
             nug1, nug2 = nug1 + self.floor[0], nug2 + self.floor[1]
-            table[-2:] = var + (nug1, nug2)
-            out = _nll_core(table[self.cache.idx], self.cache.comp, self.z)
+            out = _nll_core(self.cache.build(model, nug1, nug2, psis), self.cache.comp, self.z)
         return out, nug1, nug2
 
     def __call__(self, theta: np.ndarray):
@@ -590,12 +588,13 @@ def fit_ml(data: FieldSample, model_kind: str, n_starts: int = 8, seed: int = 0,
            nugget1: float = 0.0, nugget2: float = 0.0) -> FitResult:
     """Multi-start maximum likelihood over a valid-by-design parameter space.
 
-    Each start runs L-BFGS-B on the exact gradient of the NLL with the two
-    component means profiled out.  ``max_evals`` caps the NLL-and-gradient
-    evaluations of each start (default 400 per parameter); a start ends on
-    the cap with its best point.  ``n_iter`` is the total over all starts, at
-    most ``n_starts * max_evals``; ``converged`` is L-BFGS-B's verdict on the
-    winning start (false when it ended on the cap).
+    Each of the ``n_starts`` starts (at least 1) runs L-BFGS-B on the exact
+    gradient of the NLL with the two component means profiled out.
+    ``max_evals`` caps the NLL-and-gradient evaluations of each start
+    (default 400 per parameter); a start ends on the cap with its best point.
+    ``n_iter`` is the total over all starts, at most ``n_starts * max_evals``;
+    ``converged`` is L-BFGS-B's verdict on the winning start (false when it
+    ended on the cap).
 
     Every iterate is valid: rho is tanh(u) times the coarse certified bound
     of the current structure, and the cross smoothness is searched only
@@ -606,22 +605,22 @@ def fit_ml(data: FieldSample, model_kind: str, n_starts: int = 8, seed: int = 0,
     floor of 1e-8 times the empirical component variance; the floor is added
     to the returned nuggets only when the returned model's Gram needs it.
     """
-    if data.values is None:
-        raise ValueError("data sample carries no values")
+    z = _values(data)
     kind = _KIND_ALIASES.get(model_kind.lower().replace("_", ""))
     if kind is None:
         raise ValueError(f"unknown model kind {model_kind!r}")
+    if n_starts < 1:
+        raise ValueError("n_starts must be at least 1")
     if max_evals is not None and max_evals < 1:
         raise ValueError("max_evals must be at least 1")
     for c in (1, 2):
         mask = data.components == c
         if int(np.sum(mask)) < 10:
             raise ValueError(f"need at least 10 observations of component {c}")
-        if float(np.var(np.asarray(data.values, dtype=float)[mask])) == 0.0:
+        if float(np.var(z[mask])) == 0.0:
             raise ValueError(f"degenerate input: component {c} values are constant")
 
-    n_valid = 1 if data.locations.shape[1] == 1 else 3
-    spec = _ParamSpec(kind, data, n_valid, fit_nugget, nugget1, nugget2)
+    spec = _ParamSpec(kind, data, data.locations.shape[1], fit_nugget, nugget1, nugget2)
     objective = _ProfiledNll(spec, data)
     best, total_evals = None, 0
     for theta0 in spec.starts(n_starts, seed):
@@ -684,15 +683,13 @@ def _cokrige(model, data: FieldSample, targets, target_component: int,
              nugget1: float, nugget2: float, means=None):
     """:func:`cokrige` for a bare model; ``means=None`` takes the profiled
     GLS means of the data from the same Gram factor as the weights."""
-    if data.values is None:
-        raise ValueError("data sample carries no values")
+    z = _values(data)
     if target_component not in (1, 2):
         raise ValueError("target component must be 1 or 2")
     pts = np.atleast_2d(np.asarray(targets, dtype=float))
     if pts.shape[1] != data.locations.shape[1]:
         raise ValueError("targets must match the data coordinate dimension")
 
-    z = np.asarray(data.values, dtype=float)
     comp = data.components
     m = gram(model, data, nugget1, nugget2)
     if means is None:
@@ -725,9 +722,7 @@ def loo_rmse(model_or_fit, data: FieldSample,
     """
     model, nug1, nug2, _, _ = _unpack_fitted(model_or_fit, nugget1, nugget2,
                                              None, None)
-    if data.values is None:
-        raise ValueError("data sample carries no values")
-    z = np.asarray(data.values, dtype=float)
+    z = _values(data)
     m = gram(model, data, nug1, nug2)
     factor, solved = _nll_core(m, data.components, z)[3:]
     resid = solved / np.diag(_precision(factor))

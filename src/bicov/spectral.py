@@ -29,8 +29,8 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
-from .bimodels import BivariateModel
-from .corrfn import CorrelationFamily, evaluate
+from .bimodels import BivariateModel, _write_csv
+from .corrfn import CorrelationFamily, _as_r, _check_n13, _maybe_scalar, evaluate
 
 __all__ = [
     "NonIntegrable",
@@ -63,9 +63,8 @@ class SpectralProfile:
     f22: np.ndarray
 
     def to_csv(self, path: str) -> None:
-        data = np.column_stack([self.u, self.f11, self.f12, self.f22])
-        np.savetxt(path, data, delimiter=",", header="u,f11,f12,f22",
-                   comments="", fmt="%.17g")
+        _write_csv(path, ("u", "f11", "f12", "f22"),
+                   zip(self.u, self.f11, self.f12, self.f22))
 
 
 @dataclass(frozen=True)
@@ -108,12 +107,7 @@ def spherical_density_closed_form(s: float, u):
     """
     if s <= 0.0:
         raise ValueError("scale must be positive")
-    uu = np.asarray(u, dtype=float)
-    scalar = uu.ndim == 0
-    uu = np.atleast_1d(uu)
-    if np.any(uu < 0.0):
-        raise ValueError("frequency must be nonnegative")
-
+    uu, scalar = _as_r(u, True, "frequency")
     x = uu / (2.0 * s)
     out = np.empty_like(uu)
     small = x < 1e-3
@@ -124,7 +118,7 @@ def spherical_density_closed_form(s: float, u):
     xb = x[~small]
     out[~small] = (3.0 * s / (math.pi ** 2 * ub ** 6)
                    * (ub * np.cos(xb) - 2.0 * s * np.sin(xb)) ** 2)
-    return float(out[0]) if scalar else out
+    return _maybe_scalar(out, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +152,7 @@ def _check_abserr(value: float, abserr: float, what: str) -> float:
 
 def _density_point(family: CorrelationFamily, n: int, u: float,
                    check: bool = True) -> float:
-    if n not in (1, 3):
-        raise ValueError(f"dimension n must be 1 or 3, got {n}")
-    if u < 0.0:
-        raise ValueError("frequency must be nonnegative")
+    _check_n13(n)
     if check and family.kind == "Cauchy" and family.params.beta <= n:
         raise NonIntegrable(
             "generalized Cauchy member with beta <= n has a diverging density "
@@ -204,9 +195,9 @@ def _density_point(family: CorrelationFamily, n: int, u: float,
 
 def member_spectral_density(family: CorrelationFamily, n: int, u) -> np.ndarray:
     """Spectral density of a single member correlation on a frequency grid."""
-    uu = np.atleast_1d(np.asarray(u, dtype=float))
+    uu, scalar = _as_r(u, True, "frequency")
     out = np.array([_density_point(family, n, float(ui)) for ui in uu])
-    return float(out[0]) if np.ndim(u) == 0 else out
+    return _maybe_scalar(out, scalar)
 
 
 def cross_spectral_profile(model: BivariateModel, n: int, u) -> SpectralProfile:

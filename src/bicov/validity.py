@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bimodels import BivariateModel
-from .corrfn import CorrelationFamily, derivative, evaluate
+from .corrfn import (CorrelationFamily, _as_r, _check_n13, _maybe_scalar, derivative,
+                     evaluate)
 from .spectral import spherical_density_closed_form, tan_roots
 
 __all__ = [
@@ -133,9 +134,9 @@ def _aux(n: int, alpha: float, beta: float | None, s: float, rr: np.ndarray):
 def q_fn(alpha: float, s: float, n: int, r):
     """Powered-exponential auxiliary function for dimension n in {1, 3}."""
     _check_n13(n)
-    rr, scalar = _as_positive(r)
+    rr, scalar = _as_r(r, False, "r")
     out = _aux(n, alpha, None, s, rr)
-    return float(out[0]) if scalar else out
+    return _maybe_scalar(out, scalar)
 
 
 def p_fn(alpha: float, beta: float, s: float, n: int, r):
@@ -145,23 +146,9 @@ def p_fn(alpha: float, beta: float, s: float, n: int, r):
     psi''(r) - r psi'''(r) = beta s^alpha r^(alpha-2) p(r).
     """
     _check_n13(n)
-    rr, scalar = _as_positive(r)
+    rr, scalar = _as_r(r, False, "r")
     out = _aux(n, alpha, beta, s, rr)
-    return float(out[0]) if scalar else out
-
-
-def _check_n13(n: int) -> None:
-    if n not in (1, 3):
-        raise ValueError(f"dimension n must be 1 or 3, got {n}")
-
-
-def _as_positive(r) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(r, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(arr <= 0.0):
-        raise ValueError("r must be positive")
-    return arr, scalar
+    return _maybe_scalar(out, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +178,7 @@ def _bound_integrand(model: BivariateModel, kind: str, n: int, r):
     _check_n13(n)
     members = _members(model, kind)
     (a11, b11, s11), (a12, b12, s12), (a22, b22, s22) = members
-    rr, scalar = _as_positive(r)
+    rr, scalar = _as_r(r, False, "r")
     v11, v12, v22 = (_aux(n, a, b, s, rr) for a, b, s in members)
     bad = np.abs(v12) < _QZERO_TOL
     if np.any(bad):
@@ -205,7 +192,7 @@ def _bound_integrand(model: BivariateModel, kind: str, n: int, r):
             out = out * np.exp(2.0 * (s12 * rr) ** a12 - (s11 * rr) ** a11
                                - (s22 * rr) ** a22)
         out = out * v11 * v22 / v12 ** 2
-    return float(out[0]) if scalar else out
+    return _maybe_scalar(out, scalar)
 
 
 def stable_bound_integrand(model: BivariateModel, n: int, r):
@@ -366,6 +353,7 @@ def _limits(members, n: int):
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_LO, _GRID_HI = math.log(1e-8), math.log(1e8)
 _GRID_POINTS = 4096   # fine scan of log r over [_GRID_LO, _GRID_HI]
+_GOLDEN_TOL = 1e-10   # bracket width in log r at which the golden search stops
 
 
 def _golden_search(f, a: np.ndarray, b: np.ndarray, tol: float):
@@ -395,7 +383,7 @@ def _golden_search(f, a: np.ndarray, b: np.ndarray, tol: float):
 
 
 def _scan_infimum(log_fn, limits, grid_points: int = _GRID_POINTS, n_brackets: int = 8,
-                  tol: float = 1e-10, grid_values=None):
+                  grid_values=None):
     """Minimize a log-integrand over log(r) in [log 1e-8, log 1e8].
 
     Returns (log_infimum, location), location a positive r or a tag.  The
@@ -419,7 +407,8 @@ def _scan_infimum(log_fn, limits, grid_points: int = _GRID_POINTS, n_brackets: i
 
     candidates: list[tuple[float, object]] = []
     if idx.size:
-        xm, fm = _golden_search(lambda t: log_fn(t)[0], x[idx - 1], x[idx + 1], tol)
+        xm, fm = _golden_search(lambda t: log_fn(t)[0], x[idx - 1], x[idx + 1],
+                                _GOLDEN_TOL)
         candidates += [(float(v), math.exp(t)) for t, v in zip(xm, fm) if math.isfinite(v)]
     vals, inner = np.where(finite, li, np.inf), np.where(interior, li, np.inf)
     best = int(np.argmin(inner))
@@ -483,6 +472,7 @@ _WINDOW_NOTE = ("the scanned integrand is lowest on the edge of the r window or 
 
 
 def _resolve_dim(n: int) -> tuple[int, str]:
+    """The dimension whose criterion answers n, and a note when it is not n."""
     if n == 2:
         return 3, "n = 2 answered by the n = 3 criterion (validity in R^3 implies R^2)"
     _check_n13(n)
@@ -519,8 +509,7 @@ def _max_rho(model: BivariateModel, kind: str, n: int, grid_points: int,
     return _finish_report(log_inf, location, case, decidability, n_used, note)
 
 
-def _log_infimum_gradient(model: BivariateModel, kind: str,
-                          report: ValidityReport) -> list[list[float]]:
+def _log_infimum_gradient(model: BivariateModel, report: ValidityReport) -> list[list[float]]:
     """Derivatives of the log infimum in each member's (alpha, log scale[, beta]).
 
     The candidate that won in ``report`` is held fixed (envelope theorem) and
@@ -528,7 +517,7 @@ def _log_infimum_gradient(model: BivariateModel, kind: str,
     winning limit (see :func:`_endpoint`), or the log-integrand at the winning
     r, of which only the moved member's share is evaluated.
     """
-    members, n, loc = _members(model, kind), report.n, report.infimum_location
+    members, n, loc = _members(model, model.psi11.kind), report.n, report.infimum_location
     if isinstance(loc, str):
         def value(q, m):
             return _endpoint(members[:q] + (m,) + members[q + 1:], n, loc)[1]
@@ -566,6 +555,13 @@ def max_rho_cauchy(model: BivariateModel, n: int, grid_points: int = _GRID_POINT
                    refine_brackets: int = 8) -> ValidityReport:
     """Maximum certifiable |rho| for a bivariate generalized Cauchy model."""
     return _max_rho(model, "Cauchy", n, grid_points, refine_brackets)
+
+
+def _bound_report(model: BivariateModel, n: int, **engine) -> ValidityReport:
+    """:func:`max_rho_stable` or :func:`max_rho_cauchy` by ``model.kind``, looked up
+    as module globals at call time so that a wrapper set on this module sees every call."""
+    fn = max_rho_stable if model.kind == "stable" else max_rho_cauchy
+    return fn(model, n, **engine)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import bicov as bc
 from bicov.bimodels import LmcBivariate, model_from_text, model_to_text
 from bicov.cli import main
+from bicov.field import _ParamSpec, _ProfiledNll
 from bicov import BivariateModel, matern, spherical, stable
 
 
@@ -54,12 +56,22 @@ class TestValidate:
         def overflow(*args, **kw):
             raise OverflowError("math range error")
 
-        monkeypatch.setattr(bc.cli, "max_rho_stable", overflow)
+        monkeypatch.setattr(bc.validity, "max_rho_stable", overflow)
         code = main(["validate", write_model(tmp_path, VALID_STABLE)])
         err = capsys.readouterr().err
         assert code == 70
         assert len(err.strip().splitlines()) == 1
         assert "OverflowError" in err
+
+    def test_dim_2_is_answered_by_dim_3(self, tmp_path, capsys):
+        path = write_model(tmp_path, VALID_STABLE)
+        codes, outs = [], []
+        for dim in ("3", "2"):
+            codes.append(main(["validate", path, "--dim", dim]))
+            outs.append(capsys.readouterr().out)
+        assert codes == [0, 0]
+        assert outs[1] == outs[0] + ("note=n = 2 answered by the n = 3 criterion "
+                                     "(validity in R^3 implies R^2)\n")
 
     @pytest.mark.parametrize("model,dim", [
         # joint scales near 1e12 put the integrand's minimum below r = 1e-8
@@ -212,6 +224,13 @@ class TestCurve:
         assert float(first[1]) == 0.0
         assert first[2] == "NecessarilyZero"
 
+    def test_dim_2_writes_the_dim_3_table(self, tmp_path):
+        path = write_model(tmp_path, VALID_STABLE)
+        for dim in ("2", "3"):
+            assert main(["curve", path, "--sweep", "alpha12=0.3:1.1:4", "--dim", dim,
+                         "--out", str(tmp_path / f"curve{dim}.csv")]) == 0
+        assert (tmp_path / "curve2.csv").read_bytes() == (tmp_path / "curve3.csv").read_bytes()
+
     def test_unknown_parameter(self, tmp_path):
         path = write_model(tmp_path, VALID_STABLE)
         assert main(["curve", path, "--sweep", "zeta=0:1:4",
@@ -228,6 +247,14 @@ class TestSpectral:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "u,f11,f12,f22"
         assert len(lines) == 12
+
+    def test_dim_2_writes_the_dim_3_profile(self, tmp_path):
+        path = write_model(tmp_path, bc.stable_bivariate(1.0, 1.5, 0.4, 0.8, 0.9, 0.6,
+                                                         0.9, 1.1, 0.8))
+        for dim in ("2", "3"):
+            assert main(["spectral", path, "--dim", dim, "--umax", "4", "--points", "5",
+                         "--out", str(tmp_path / f"spec{dim}.csv")]) == 0
+        assert (tmp_path / "spec2.csv").read_bytes() == (tmp_path / "spec3.csv").read_bytes()
 
     def test_heavy_cauchy_is_a_compute_error(self, tmp_path, capsys):
         m = bc.cauchy_bivariate(1.0, 1.0, 0.2, 1.0, 1.0, 1.0,
@@ -297,6 +324,18 @@ class TestFitAndKrige:
         assert pred == pytest.approx(first_obs, abs=1e-6)
         assert var <= 1e-8
 
+    @pytest.mark.parametrize("starts", ["0", "-1"])
+    def test_fit_rejects_fewer_than_one_start(self, tmp_path, capsys, starts):
+        data = tmp_path / "data.csv"
+        assert main(["simulate", write_model(tmp_path, VALID_STABLE), "--grid", "5x5:8.0",
+                     "--seed", "1", "--out", str(data)]) == 0
+        capsys.readouterr()
+        code = main(["fit", str(data), "--kind", "stable", "--starts", starts,
+                     "--out", str(tmp_path / "f.txt")])
+        err = capsys.readouterr().err
+        assert code == 70
+        assert err == "n_starts must be at least 1\n"
+
     def test_fit_rejects_constant_data(self, tmp_path, capsys):
         data = tmp_path / "flat.csv"
         rows = ["x,y,component,value"]
@@ -308,6 +347,34 @@ class TestFitAndKrige:
                      "--out", str(tmp_path / "m.txt")])
         assert code == 70
         assert "degenerate" in capsys.readouterr().err
+
+
+class TestEngineLookup:
+    def test_callers_reach_the_engines_through_validity(self, tmp_path, capsys, monkeypatch):
+        # the fit's coarse calls and validate's fine calls look the engines up
+        # on bicov.validity, where a wrapper (the benchmark's tracer) sees them
+        calls = []
+        for name in ("max_rho_stable", "max_rho_cauchy"):
+            original = getattr(bc.validity, name)
+
+            def counting(*args, _original=original, _name=name, **kw):
+                calls.append((_name, kw.get("refine_brackets", 8)))
+                return _original(*args, **kw)
+            monkeypatch.setattr(bc.validity, name, counting)
+
+        pts = np.random.default_rng(0).uniform(0.0, 10.0, size=(12, 2))
+        data = bc.simulate(VALID_STABLE, np.repeat(pts, 2, axis=0), np.tile([1, 2], 12), seed=2)
+        spec = _ParamSpec("stable", data, 2, False, 0.0, 0.0)
+        objective = _ProfiledNll(spec, data)
+        for theta in spec.starts(3, 0):
+            objective(theta)
+        assert calls == [("max_rho_stable", 0)] * 3
+
+        calls.clear()
+        cauchy = bc.cauchy_bivariate(1.0, 1.0, 0.1, 0.5, 0.8, 0.6, 4.0, 4.5, 5.0, 1.0, 1.0, 1.0)
+        for model in (VALID_STABLE, cauchy):
+            main(["validate", write_model(tmp_path, model)])
+        assert calls == [("max_rho_stable", 8), ("max_rho_cauchy", 8)]
 
 
 class TestModuleEntryPoint:

@@ -318,6 +318,30 @@ class TestFitMl:
         fit = bc.fit_ml(data, "stable", n_starts=1, seed=0)
         assert fit.nll <= bc.nll(truth, data)[0]
 
+    @pytest.mark.parametrize("n_starts", [0, -1])
+    def test_rejects_fewer_than_one_start(self, n_starts):
+        locs, comps = colocated_design(5, 12)
+        data = bc.simulate(MODEL, locs, comps, seed=2)
+        with pytest.raises(ValueError, match="n_starts must be at least 1"):
+            bc.fit_ml(data, "stable", n_starts=n_starts)
+
+    @pytest.mark.parametrize("d,n", [(1, 1), (2, 3), (3, 3)])
+    def test_bound_dimension_follows_the_coordinates(self, d, n, monkeypatch):
+        # every engine call of the fit, coarse and fine, answers in R^n, and
+        # the returned rho lies within the fine R^n bound
+        reports = []
+        original = bc.validity.max_rho_stable
+
+        def recording(*args, **kw):
+            reports.append(original(*args, **kw))
+            return reports[-1]
+        monkeypatch.setattr(bc.validity, "max_rho_stable", recording)
+        locs, comps = colocated_design(5, 12, d=d)
+        data = bc.simulate(MODEL, locs, comps, seed=2)
+        fit = bc.fit_ml(data, "stable", n_starts=1, seed=0, max_evals=10)
+        assert reports and {r.n for r in reports} == {n}
+        assert abs(fit.model.rho) <= original(replace(fit.model, rho=0.0), n).rho_bound
+
     def test_kind_aliases(self):
         locs, comps = colocated_design(5, 12)
         data = bc.simulate(MODEL, locs, comps, seed=2)
@@ -476,6 +500,42 @@ class TestCokrige:
             bc.cokrige(MODEL, data, np.zeros((2, 3)), 1)
         with pytest.raises(ValueError):
             bc.cokrige(MODEL, FieldSample(locs, comps), np.zeros((2, 2)), 1)
+
+
+class TestFitResultArguments:
+    """cokrige and loo_rmse take a FitResult's nuggets and means; an explicit
+    argument overrides the fit's."""
+
+    LOCS, COMPS = colocated_design(6, 20)
+    DATA = bc.simulate(MODEL, LOCS, COMPS, seed=3, mean1=1.0, mean2=2.0,
+                       nugget1=0.05, nugget2=0.02)
+    FIT = bc.FitResult(model=MODEL, kind="stable", nugget1=0.05, nugget2=0.02,
+                       mean1=0.9, mean2=2.1, nll=0.0, n_params=11, aic=22.0,
+                       converged=True, n_iter=1)
+    TARGETS = np.array([[2.0, 3.0], [7.5, 1.0], [0.3, 9.1]])
+
+    @pytest.mark.parametrize("component", [1, 2])
+    def test_cokrige_uses_the_fit(self, component):
+        got = bc.cokrige(self.FIT, self.DATA, self.TARGETS, component)
+        want = bc.cokrige(MODEL, self.DATA, self.TARGETS, component, nugget1=0.05,
+                          nugget2=0.02, mean1=0.9, mean2=2.1)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        bare = bc.cokrige(MODEL, self.DATA, self.TARGETS, component)
+        assert not np.array_equal(got[0], bare[0])
+
+    def test_cokrige_override_wins(self):
+        got = bc.cokrige(self.FIT, self.DATA, self.TARGETS, 1, nugget1=0.0, mean1=0.5)
+        want = bc.cokrige(MODEL, self.DATA, self.TARGETS, 1, nugget1=0.0,
+                          nugget2=0.02, mean1=0.5, mean2=2.1)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert not np.array_equal(got[0], bc.cokrige(self.FIT, self.DATA, self.TARGETS, 1)[0])
+
+    def test_loo_rmse_uses_the_fit(self):
+        assert bc.loo_rmse(self.FIT, self.DATA) == bc.loo_rmse(
+            MODEL, self.DATA, nugget1=0.05, nugget2=0.02)
+        assert bc.loo_rmse(self.FIT, self.DATA, nugget2=0.3) == bc.loo_rmse(
+            MODEL, self.DATA, nugget1=0.05, nugget2=0.3)
+        assert bc.loo_rmse(self.FIT, self.DATA) != bc.loo_rmse(MODEL, self.DATA)
 
 
 class TestLooRmse:
