@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn, kv as _bessel_kv
 
 __all__ = [
     "ALPHA_MIN",
@@ -53,6 +52,12 @@ class KinkError(ValueError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValueError(msg)
+
+
+# kv is reached through this module attribute, so its calls can be counted
+def _bessel_kv(nu, x):
+    from scipy.special import kv
+    return kv(nu, x)
 
 
 @dataclass(frozen=True)
@@ -176,13 +181,14 @@ def evaluate(family: CorrelationFamily, r):
         x = p.scale * rr
         out = np.where(x < 1.0, 1.0 - 1.5 * x + 0.5 * x ** 3, 0.0)
     else:  # Matern
+        from scipy.special import gamma
         x = p.scale * rr
         out = np.ones_like(x)
         pos = x > 0.0
         # kv overflows for extremely small arguments; psi is 1 to double precision there
         safe = pos & (x > 1e-150)
         xs = x[safe]
-        val = (2.0 ** (1.0 - p.nu) / _gamma_fn(p.nu)) * xs ** p.nu * _bessel_kv(p.nu, xs)
+        val = (2.0 ** (1.0 - p.nu) / gamma(p.nu)) * xs ** p.nu * _bessel_kv(p.nu, xs)
         out[safe] = np.where(np.isfinite(val), val, 0.0)  # kv underflows to 0 for huge x
     # r = 0 must give exactly 1
     out = np.where(rr == 0.0, 1.0, out)
@@ -284,11 +290,12 @@ def _param_derivatives(family: CorrelationFamily, r: np.ndarray, free=(True, Tru
     x = p.scale * np.asarray(r, dtype=float)
     pos = x > 0.0
     if family.kind == "Matern":
+        from scipy.special import gamma
         h, safe = 1e-5 * p.nu, pos & (x > 1e-150)
 
         def d_ls():
             # x d/dx [x^nu K_nu(x)] = -x^(nu+1) K_(nu-1)(x); same cut-offs as evaluate
-            val = (-(2.0 ** (1.0 - p.nu) / _gamma_fn(p.nu)) * x[safe] ** (p.nu + 1.0)
+            val = (-(2.0 ** (1.0 - p.nu) / gamma(p.nu)) * x[safe] ** (p.nu + 1.0)
                    * _bessel_kv(p.nu - 1.0, x[safe]))
             out = np.zeros_like(x)
             out[safe] = np.where(np.isfinite(val), val, 0.0)

@@ -23,14 +23,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import (LinAlgError, cho_factor, cho_solve, get_blas_funcs,
-                          get_lapack_funcs)
-from scipy.optimize import minimize
-from scipy.special import digamma, expit, gammaln
 
 from .bimodels import (_PAIRS, LmcBivariate, _entry, _sum_into, _terms,
                        cauchy_bivariate, matern_bivariate, stable_bivariate)
-from .corrfn import _param_derivatives, evaluate, stable
+from .corrfn import _param_derivatives, _require, evaluate, stable
 from .validity import _bound_report, _log_infimum_gradient
 
 __all__ = [
@@ -164,6 +160,8 @@ class _GramCache:
         pair's distances to the pair's slots, and its amplitude to the pair's
         variance, to which the nuggets then add.  ``psis`` holds the terms'
         correlations when already evaluated."""
+        _require(0.0 <= nugget1 < math.inf and 0.0 <= nugget2 < math.inf,
+                 f"nuggets must be finite and nonnegative, got {nugget1} and {nugget2}")
         entries, var = {}, {}
         for k, (pair, amp, fam) in enumerate(_terms(model)):
             _sum_into(var, pair, amp)
@@ -214,6 +212,8 @@ def simulate(model, locations, components, seed: int, n_draws: int = 1,
     actually applied is recorded under ``info["jitter"]``.  With
     ``n_draws > 1`` the values array has one row per draw.
     """
+    _require(math.isfinite(mean1) and math.isfinite(mean2),
+             f"means must be finite, got {mean1} and {mean2}")
     base = FieldSample(locations=locations, components=components)
     m = gram(model, base, nugget1, nugget2)
     chol, jitter = _chol_with_jitter(m)
@@ -229,6 +229,18 @@ def simulate(model, locations, components, seed: int, n_draws: int = 1,
 
 # ---------------------------------------------------------------------------
 # Exact Gaussian likelihood with profiled per-component means.
+
+# scipy's Cholesky pair is reached through these module attributes, so a
+# wrapper set on them from outside sees every call
+def cho_factor(*args, **kwargs):
+    from scipy import linalg
+    return linalg.cho_factor(*args, **kwargs)
+
+
+def cho_solve(*args, **kwargs):
+    from scipy import linalg
+    return linalg.cho_solve(*args, **kwargs)
+
 
 def _nll_core(m: np.ndarray, comp: np.ndarray, z: np.ndarray):
     """NLL, profiled means (mean1, mean2), the Cholesky factor of m and
@@ -250,11 +262,12 @@ def _nll_core(m: np.ndarray, comp: np.ndarray, z: np.ndarray):
 def _precision(factor) -> np.ndarray:
     """m^-1 from the Cholesky factor by LAPACK potri, in the factor's triangle
     only (the other holds stale values).  The factor is overwritten."""
+    from scipy.linalg import get_lapack_funcs
     c, lower = factor
     potri, = get_lapack_funcs(("potri",), (c,))
     p, info = potri(c, lower=lower, overwrite_c=1)
     if info:
-        raise LinAlgError(f"potri failed with info {info}")
+        raise np.linalg.LinAlgError(f"potri failed with info {info}")
     return p
 
 
@@ -312,6 +325,8 @@ def _tanh(t: _D, v=None) -> _D:
 
 def _box(lo: float, hi: float, lower=None):
     """lo + (hi - lo) logistic(t), with lo = lower(v) when given."""
+    from scipy.special import expit
+
     def tf(t: _D, v) -> _D:
         y, low = expit(t.x), lower(v) if lower else lo
         return low + (hi - low) * t.chain(y, y * (1.0 - y))
@@ -334,6 +349,7 @@ def _parsimonious_matern_rho_bound(nu1: float, nu2: float, d: int) -> float:
     With a shared scale the spectral ratio f12^2 / (f11 f22) is frequency
     free, so the bound is sharp: a gamma-function expression in nu1, nu2, d.
     """
+    from scipy.special import gammaln
     half = 0.5 * d
     mean_nu = 0.5 * (nu1 + nu2)
     log_b = (0.5 * (gammaln(nu1 + half) + gammaln(nu2 + half)
@@ -418,7 +434,7 @@ class _ParamSpec:
         self.table, self.dim = table, len(table)
 
     def starts(self, n_starts: int, seed: int) -> np.ndarray:
-        from scipy.stats import qmc   # imported here: scipy.stats takes ~0.6 s to load
+        from scipy.stats import qmc
         unit = qmc.LatinHypercube(d=self.dim, seed=seed).random(n_starts)
         box = np.array([entry[2] for entry in self.table])
         return box[:, 0] + unit * (box[:, 1] - box[:, 0])
@@ -479,6 +495,7 @@ class _ParamSpec:
         return _D(report.rho_bound, grad)
 
     def _matern_bound(self, nu1: _D, nu2: _D) -> _D:
+        from scipy.special import digamma
         half, mean_nu = 0.5 * self.d_space, 0.5 * (nu1.x + nu2.x)
         b = _parsimonious_matern_rho_bound(nu1.x, nu2.x, self.d_space)
         common = 0.5 * (digamma(mean_nu) - digamma(mean_nu + half))
@@ -523,7 +540,7 @@ class _ProfiledNll:
         """:func:`_nll_core` with the floor fallback, and the nuggets used."""
         try:
             out = _nll_core(self.cache.build(model, nug1, nug2, psis), self.cache.comp, self.z)
-        except (LinAlgError, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             nug1, nug2 = nug1 + self.floor[0], nug2 + self.floor[1]
             out = _nll_core(self.cache.build(model, nug1, nug2, psis), self.cache.comp, self.z)
         return out, nug1, nug2
@@ -548,10 +565,11 @@ class _ProfiledNll:
                 model, nuggets[0].x, nuggets[1].x, [psi for psi, _ in derivs])
         except (ValueError, OverflowError):
             return 1e13, failed, None
-        except (LinAlgError, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             return 1e12, failed, None
         if not math.isfinite(value):
             return 1e12, failed, None
+        from scipy.linalg import get_blas_funcs
         syr, = get_blas_funcs(("syr",), (c,))
         p = syr(-1.0, a, a=_precision((c, lower)), lower=lower, overwrite_a=1)
         # potri and syr fill one triangle: mirror it, reading rows contiguously
@@ -620,6 +638,7 @@ def fit_ml(data: FieldSample, model_kind: str, n_starts: int = 8, seed: int = 0,
         if float(np.var(z[mask])) == 0.0:
             raise ValueError(f"degenerate input: component {c} values are constant")
 
+    from scipy.optimize import minimize
     spec = _ParamSpec(kind, data, data.locations.shape[1], fit_nugget, nugget1, nugget2)
     objective = _ProfiledNll(spec, data)
     best, total_evals = None, 0
@@ -676,6 +695,8 @@ def cokrige(model_or_fit, data: FieldSample, targets, target_component: int,
     """
     model, nug1, nug2, mu1, mu2 = _unpack_fitted(
         model_or_fit, nugget1, nugget2, mean1, mean2)
+    _require(math.isfinite(mu1) and math.isfinite(mu2),
+             f"means must be finite, got {mu1} and {mu2}")
     return _cokrige(model, data, targets, target_component, nug1, nug2, (mu1, mu2))
 
 

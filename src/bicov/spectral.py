@@ -26,8 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
 
 from .bimodels import BivariateModel, _write_csv
 from .corrfn import CorrelationFamily, _as_r, _check_n13, _maybe_scalar, evaluate
@@ -84,6 +82,7 @@ def tan_roots(k_max: int) -> np.ndarray:
     Root k lies in (pi k, pi k + pi/2), where cot(x) - 1/x falls strictly
     from +inf to below zero.
     """
+    from scipy.optimize import brentq
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
 
@@ -160,6 +159,7 @@ def _density_point(family: CorrelationFamily, n: int, u: float,
     if family.kind == "Spherical" and n == 3:
         return float(spherical_density_closed_form(family.params.scale, u))
 
+    from scipy.integrate import IntegrationWarning, quad
     psi = _integrand(family)
     # accuracy is judged via the returned error estimate; the library's
     # convergence warnings are redundant chatter on these integrals

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from bicov.bimodels import LmcBivariate, model_from_text, model_to_text
 from bicov.cli import main
 from bicov.field import _ParamSpec, _ProfiledNll
 from bicov import BivariateModel, matern, spherical, stable
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def write_model(tmp_path, model, name="model.txt"):
@@ -289,6 +293,24 @@ class TestSimulate:
                      "--seed", "3", "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 4
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--nugget1", "nan", "nuggets must be finite and nonnegative"),
+        ("--nugget2", "inf", "nuggets must be finite and nonnegative"),
+        ("--nugget1", "-1", "nuggets must be finite and nonnegative"),
+        ("--mean1", "nan", "means must be finite"),
+        ("--mean2", "-inf", "means must be finite"),
+    ])
+    def test_bad_nugget_or_mean_is_a_compute_error(self, tmp_path, capsys, flag, value,
+                                                   message):
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", write_model(tmp_path, VALID_STABLE), "--grid", "3x3:1",
+                     f"{flag}={value}", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 70
+        assert len(captured.err.strip().splitlines()) == 1
+        assert message in captured.err
+        assert captured.out == "" and not out.exists()
+
 
 class TestFitAndKrige:
     def test_fit_smoke_and_krige_exactness(self, tmp_path, capsys):
@@ -389,13 +411,29 @@ class TestModuleEntryPoint:
             assert res.returncode == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
-    @pytest.mark.parametrize("module", ["bicov", "bicov.cli"])
-    def test_import_leaves_scipy_stats_unloaded(self, module):
-        # scipy.stats takes about 0.6 s to import and only the fit's start
-        # design needs it, so it must not load with the package or the CLI
+    @staticmethod
+    def scipy_modules_after(code: str) -> str:
+        """The scipy modules a fresh interpreter holds after running code."""
         res = subprocess.run(
-            [sys.executable, "-c",
-             f"import sys, {module}; print('scipy.stats' in sys.modules)"],
+            [sys.executable, "-c", code + "\nimport sys\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
             capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "False"
+        return res.stdout.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("module", ["bicov", "bicov.cli"])
+    def test_import_leaves_scipy_unloaded(self, module):
+        # scipy is imported inside the functions that use it: the package and
+        # the CLI load numpy only
+        assert self.scipy_modules_after(f"import {module}") == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "{model}"],
+        ["curve", "{model}", "--sweep", "alpha12=0.3:1.1:3", "--out", "{out}"],
+        ["simulate", "{model}", "--grid", "5x5:8.0", "--seed", "1", "--out", "{out}"],
+    ], ids=lambda argv: argv[0])
+    def test_numpy_only_commands_leave_scipy_unloaded(self, tmp_path, argv):
+        # the bound engine and the simulation's Cholesky factor are numpy only
+        argv = [a.format(model=GOLDEN / "stable.txt", out=tmp_path / "out.csv") for a in argv]
+        code = f"from bicov.cli import main\nassert main({argv!r}) == 0"
+        assert self.scipy_modules_after(code) == "[]"

@@ -74,6 +74,13 @@ class TestGram:
         assert m[0, 0] == MODEL.sigma1 ** 2 + 0.5
         assert m[1, 1] == MODEL.sigma2 ** 2 + 0.125
 
+    @pytest.mark.parametrize("nuggets", [(math.nan, 0.0), (0.0, math.inf), (-1.0, 0.0),
+                                         (0.0, -1e-300)])
+    def test_rejects_bad_nuggets(self, nuggets):
+        sample = FieldSample(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([1, 2]))
+        with pytest.raises(ValueError, match="nuggets must be finite and nonnegative"):
+            gram(MODEL, sample, *nuggets)
+
 
 def scatter_gram(model, sample, nugget1=0.0, nugget2=0.0):
     """Reference Gram: every upper-triangle pair of rows evaluated in sample
@@ -199,6 +206,12 @@ class TestSimulate:
         assert out.values.shape == (3, 40)
         assert abs(np.mean(out.values[:, comps == 1]) - 10.0) < 2.0
         assert abs(np.mean(out.values[:, comps == 2]) + 10.0) < 2.0
+
+    @pytest.mark.parametrize("means", [dict(mean1=math.nan), dict(mean2=-math.inf)])
+    def test_rejects_non_finite_means(self, means):
+        locs, comps = colocated_design(1, 5)
+        with pytest.raises(ValueError, match="means must be finite"):
+            bc.simulate(MODEL, locs, comps, seed=5, **means)
 
     def test_colocated_correlation_matches_rho(self):
         # one site observed in both components: correlation over draws is rho
@@ -500,6 +513,8 @@ class TestCokrige:
             bc.cokrige(MODEL, data, np.zeros((2, 3)), 1)
         with pytest.raises(ValueError):
             bc.cokrige(MODEL, FieldSample(locs, comps), np.zeros((2, 2)), 1)
+        with pytest.raises(ValueError, match="means must be finite"):
+            bc.cokrige(MODEL, data, np.zeros((2, 2)), 1, mean1=math.nan)
 
 
 class TestFitResultArguments:
