@@ -121,6 +121,11 @@ def _block_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(sq)
 
 
+def _check_nuggets(nugget1: float, nugget2: float) -> None:
+    _require(0.0 <= nugget1 < math.inf and 0.0 <= nugget2 < math.inf,
+             f"nuggets must be finite and nonnegative, got {nugget1} and {nugget2}")
+
+
 class _GramCache:
     """A sample's block distances and ``idx``, the slot of every Gram cell in
     the table [11 entries, 12 entries, 22 entries, var1 + nugget1,
@@ -160,8 +165,7 @@ class _GramCache:
         pair's distances to the pair's slots, and its amplitude to the pair's
         variance, to which the nuggets then add.  ``psis`` holds the terms'
         correlations when already evaluated."""
-        _require(0.0 <= nugget1 < math.inf and 0.0 <= nugget2 < math.inf,
-                 f"nuggets must be finite and nonnegative, got {nugget1} and {nugget2}")
+        _check_nuggets(nugget1, nugget2)
         entries, var = {}, {}
         for k, (pair, amp, fam) in enumerate(_terms(model)):
             _sum_into(var, pair, amp)
@@ -631,6 +635,7 @@ def fit_ml(data: FieldSample, model_kind: str, n_starts: int = 8, seed: int = 0,
         raise ValueError("n_starts must be at least 1")
     if max_evals is not None and max_evals < 1:
         raise ValueError("max_evals must be at least 1")
+    _check_nuggets(nugget1, nugget2)
     for c in (1, 2):
         mask = data.components == c
         if int(np.sum(mask)) < 10:

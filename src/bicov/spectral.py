@@ -6,11 +6,13 @@ transform; in the two dimensions handled here it reduces to
 * n = 1:  f(u) = (1 / pi)        * integral_0^inf psi(r) cos(u r) dr
 * n = 3:  f(u) = (1 / (2 pi^2 u)) * integral_0^inf r psi(r) sin(u r) dr
 
-evaluated with the oscillatory-weight quadrature from QUADPACK, which also
-sums conditionally convergent tails (heavy-tailed members whose integrand is
-not absolutely integrable).  The spherical member in R^3 has an elementary
-closed form used directly, with a series fallback near u = 0 where the
-closed form cancels catastrophically.
+evaluated at u > 0 with the oscillatory-weight quadrature from QUADPACK,
+which also sums conditionally convergent tails (heavy-tailed members whose
+integrand is not absolutely integrable).  At u = 0 both are c_n times the
+integral of r^(n-1) psi(r), c_1 = 1/pi, c_3 = 1/(2 pi^2): a gamma or beta
+function, or 3 / (8 s) for the spherical member in R^1, used in closed form.
+The spherical member in R^3 has an elementary closed form used directly,
+with a series fallback near u = 0 where it cancels catastrophically.
 
 A valid bivariate model must satisfy f11(u) f22(u) >= rho^2 f12(u)^2 for
 almost every frequency; ``spectral_pd_inequality`` checks this margin on a
@@ -113,15 +115,14 @@ def spherical_density_closed_form(s: float, u):
     xs = x[small]
     poly = (1.0 / 3.0 - xs ** 2 / 30.0 + xs ** 4 / 840.0 - xs ** 6 / 45360.0)
     out[small] = 3.0 / (16.0 * math.pi ** 2 * s ** 3) * poly ** 2
-    ub = uu[~small]
-    xb = x[~small]
+    ub, xb = uu[~small], x[~small]
     out[~small] = (3.0 * s / (math.pi ** 2 * ub ** 6)
                    * (ub * np.cos(xb) - 2.0 * s * np.sin(xb)) ** 2)
     return _maybe_scalar(out, scalar)
 
 
 # ---------------------------------------------------------------------------
-# Pointwise densities by oscillatory quadrature.
+# Pointwise densities: closed forms at u = 0, oscillatory quadrature beyond.
 
 # Oscillatory-weight tolerance: 1e-10 absolute is reachable even for the
 # conditionally convergent heavy-tail transforms, where a tighter demand
@@ -149,6 +150,21 @@ def _check_abserr(value: float, abserr: float, what: str) -> float:
     return value
 
 
+def _zero_density(family: CorrelationFamily, n: int) -> float:
+    """The density at u = 0 in closed form (see the module docstring)."""
+    p, c = family.params, (1.0 / math.pi if n == 1 else 0.5 / math.pi ** 2)
+    if family.kind == "Spherical":
+        return c * 3.0 / (8.0 * p.scale)
+    if family.kind == "Matern":
+        return (math.exp(math.lgamma(p.nu + 0.5 * n) - math.lgamma(p.nu))
+                / (math.pi ** (0.5 * n) * p.scale ** n))
+    if family.kind == "Stable":
+        return c * math.gamma(n / p.alpha) / (p.alpha * p.scale ** n)
+    log_b = (math.lgamma(n / p.alpha) + math.lgamma((p.beta - n) / p.alpha)
+             - math.lgamma(p.beta / p.alpha))
+    return c * math.exp(log_b) / (p.alpha * p.scale ** n)
+
+
 def _density_point(family: CorrelationFamily, n: int, u: float,
                    check: bool = True) -> float:
     _check_n13(n)
@@ -158,6 +174,8 @@ def _density_point(family: CorrelationFamily, n: int, u: float,
             "at the origin; no pointwise profile is produced")
     if family.kind == "Spherical" and n == 3:
         return float(spherical_density_closed_form(family.params.scale, u))
+    if u == 0.0:
+        return _zero_density(family, n)
 
     from scipy.integrate import IntegrationWarning, quad
     psi = _integrand(family)
@@ -166,24 +184,9 @@ def _density_point(family: CorrelationFamily, n: int, u: float,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         if family.kind == "Spherical":
-            upper = 1.0 / family.params.scale
-            if u == 0.0:
-                val, err = quad(psi, 0.0, upper, limit=400,
-                                epsabs=1e-13, epsrel=1e-11)
-            else:
-                val, err = quad(psi, 0.0, upper, weight="cos", wvar=u,
-                                limit=400, epsabs=1e-13)
+            val, err = quad(psi, 0.0, 1.0 / family.params.scale, weight="cos", wvar=u,
+                            limit=400, epsabs=1e-13)
             return _check_abserr(val, err, "compact-support transform") / math.pi
-
-        if u == 0.0:
-            if n == 1:
-                val, err = quad(psi, 0.0, np.inf, limit=400,
-                                epsabs=1e-13, epsrel=1e-11)
-                return _check_abserr(val, err, "zero-frequency transform") / math.pi
-            val, err = quad(lambda r: r * r * psi(r), 0.0, np.inf,
-                            limit=400, epsabs=1e-13, epsrel=1e-11)
-            return _check_abserr(val, err,
-                                 "zero-frequency transform") / (2.0 * math.pi ** 2)
 
         if n == 1:
             val, err = quad(psi, 0.0, np.inf, weight="cos", wvar=u, **_QUAD_OPTS)

@@ -22,11 +22,12 @@ the case rules.
 
 The engine works on the log of the integrand (the raw integrand overflows
 double precision near the endpoints), scanning a log-spaced grid, refining
-the best local minima by golden-section search, and evaluating the r -> 0+
-and r -> infinity limits exactly from the exponent structure.  The search
-advances all brackets together, with one integrand call per step.  A grid
-minimum on the edge of the window (or of its finite values) certifies
-nothing: the report is ``ZeroInfimumInconclusive`` at ``AtWindowEdge``.
+the best local minima by a zoom, and evaluating the r -> 0+ and r -> infinity
+limits exactly from the exponent structure.  Each zoom pass samples every
+bracket evenly in one integrand call and keeps the cells around its lowest
+point, so a few calls take the brackets to tolerance.  A grid minimum on the
+edge of the window (or of its finite values) certifies nothing: the report
+is ``ZeroInfimumInconclusive`` at ``AtWindowEdge``.
 
 ``generic_sufficient_check`` recomputes the same bound from raw derivatives
 of the correlation functions (a second, independent code path) for any model
@@ -348,38 +349,29 @@ def _limits(members, n: int):
 
 
 # ---------------------------------------------------------------------------
-# The infimum engine: grid scan + golden-section refinement + exact limits.
+# The infimum engine: grid scan + zoom refinement + exact limits.
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_LO, _GRID_HI = math.log(1e-8), math.log(1e8)
 _GRID_POINTS = 4096   # fine scan of log r over [_GRID_LO, _GRID_HI]
-_GOLDEN_TOL = 1e-10   # bracket width in log r at which the golden search stops
+_ZOOM_POINTS = 129    # odd: each zoom pass re-samples the previous best point at its centre
+_ZOOM_TOL = 1e-10     # bracket width in log r at which the zoom stops
 
 
-def _golden_search(f, a: np.ndarray, b: np.ndarray, tol: float):
-    """Golden-section minima (x, f(x)) on brackets [a_i, b_i], one f call per
-    step; a bracket leaves the batch once b - a <= tol (or after 200 steps),
-    so each one takes exactly the steps a search of its own would.
-    """
-    w = b - a
-    c, d = b - _INV_PHI * w, a + _INV_PHI * w
-    fc, fd = np.split(f(np.concatenate([c, d])), 2)
-    pos, xm, fm = np.arange(a.size), np.empty(a.size), np.empty(a.size)
-    for step in range(201):
-        done = w <= (tol if step < 200 else math.inf)
-        if done.any():
-            pick = fc <= fd
-            xm[pos[done]] = np.where(pick, c, d)[done]
-            fm[pos[done]] = np.where(pick, fc, fd)[done]
-            if done.all():
-                return xm, fm
-            pos, a, b, c, d, fc, fd, w = (v[~done] for v in (pos, a, b, c, d, fc, fd, w))
-        left = fc <= fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        w = b - a
-        c, d = np.where(left, b - _INV_PHI * w, d), np.where(left, c, a + _INV_PHI * w)
-        fx = f(np.where(left, c, d))
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+def _zoom(f, a: np.ndarray, b: np.ndarray, tol: float):
+    """Minima (x, f(x)) on brackets [a_i, b_i], NaN counting as +inf.  Each
+    pass samples every bracket at ``_ZOOM_POINTS`` even steps in one f call
+    and keeps the two cells around its lowest point, shrinking the widths by
+    (P - 1) / 2, until all are at most ``tol``."""
+    half = (_ZOOM_POINTS - 1) // 2
+    steps = np.arange(-half, half + 1) / half
+    c, h, rows = 0.5 * (a + b), 0.5 * (b - a), np.arange(a.size)
+    while True:
+        x = c[:, None] + h[:, None] * steps
+        fx = f(x.ravel()).reshape(x.shape)
+        j = np.argmin(np.where(np.isnan(fx), np.inf, fx), axis=1)
+        c, h = x[rows, np.clip(j, 1, 2 * half - 1)], h / half
+        if 2.0 * h.max() <= tol:
+            return x[rows, j], fx[rows, j]
 
 
 def _scan_infimum(log_fn, limits, grid_points: int = _GRID_POINTS, n_brackets: int = 8,
@@ -388,11 +380,12 @@ def _scan_infimum(log_fn, limits, grid_points: int = _GRID_POINTS, n_brackets: i
 
     Returns (log_infimum, location), location a positive r or a tag.  The
     candidates are the ``n_brackets`` lowest interior local minima of the
-    grid refined by golden section, the best grid point unless refined, and
-    the limits; ties go to the earlier one.  A winning grid point off the
-    interior minima (on the window edge or next to a non-finite value), or no
-    candidate at all, bounds nothing, as the integrand may fall further where
-    the grid does not see it: (-inf, AT_WINDOW_EDGE).
+    grid, each refined by :func:`_zoom` over its two grid cells (all in the
+    same passes), the best grid point unless refined, and the limits; ties
+    go to the earlier one.  A winning grid point off the interior minima (on
+    the window edge or next to a non-finite value), or no candidate at all,
+    bounds nothing, as the integrand may fall further where the grid does
+    not see it: (-inf, AT_WINDOW_EDGE).
     ``grid_values`` is ``log_fn`` on the grid, for a caller that has it already.
     """
     x = np.linspace(_GRID_LO, _GRID_HI, grid_points)
@@ -407,8 +400,7 @@ def _scan_infimum(log_fn, limits, grid_points: int = _GRID_POINTS, n_brackets: i
 
     candidates: list[tuple[float, object]] = []
     if idx.size:
-        xm, fm = _golden_search(lambda t: log_fn(t)[0], x[idx - 1], x[idx + 1],
-                                _GOLDEN_TOL)
+        xm, fm = _zoom(lambda t: log_fn(t)[0], x[idx - 1], x[idx + 1], _ZOOM_TOL)
         candidates += [(float(v), math.exp(t)) for t, v in zip(xm, fm) if math.isfinite(v)]
     vals, inner = np.where(finite, li, np.inf), np.where(interior, li, np.inf)
     best = int(np.argmin(inner))
@@ -480,10 +472,9 @@ def _resolve_dim(n: int) -> tuple[int, str]:
 
 
 def _finish_report(log_inf, location, case, decidability, n, note) -> ValidityReport:
-    infimum = math.exp(log_inf) if log_inf > -math.inf else 0.0
-    raw = math.exp(0.5 * log_inf) if log_inf > -math.inf else 0.0
     if decidability == NECESSARILY_ZERO:
-        infimum, raw = 0.0, 0.0
+        log_inf = -math.inf
+    infimum, raw = math.exp(log_inf), math.exp(0.5 * log_inf)
     return ValidityReport(rho_bound_raw=raw, rho_bound=min(raw, 1.0), infimum=infimum,
                           case=case, infimum_location=location,
                           decidability=decidability, n=n, note=note)

@@ -260,6 +260,13 @@ class TestSpectral:
                          "--out", str(tmp_path / f"spec{dim}.csv")]) == 0
         assert (tmp_path / "spec2.csv").read_bytes() == (tmp_path / "spec3.csv").read_bytes()
 
+    def test_readme_model_at_default_dim(self, tmp_path):
+        # alpha11 = 0.2 defeats quadrature of the zero-frequency transform in
+        # R^3, so u = 0 comes from the closed form
+        out = tmp_path / "spec.csv"
+        assert main(["spectral", str(GOLDEN / "stable.txt"), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].startswith("0,2760314891.")
+
     def test_heavy_cauchy_is_a_compute_error(self, tmp_path, capsys):
         m = bc.cauchy_bivariate(1.0, 1.0, 0.2, 1.0, 1.0, 1.0,
                                 0.5, 0.5, 0.5, 1.0, 1.0, 1.0)
@@ -357,6 +364,14 @@ class TestFitAndKrige:
         err = capsys.readouterr().err
         assert code == 70
         assert err == "n_starts must be at least 1\n"
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_fit_reports_a_bad_nugget(self, tmp_path, capsys, value):
+        code = main(["fit", str(GOLDEN / "sim5x5.csv"), "--kind", "stable",
+                     f"--nugget1={value}", "--out", str(tmp_path / "f.txt")])
+        assert code == 70
+        assert capsys.readouterr().err == (
+            f"nuggets must be finite and nonnegative, got {float(value)} and 0.0\n")
 
     def test_fit_rejects_constant_data(self, tmp_path, capsys):
         data = tmp_path / "flat.csv"

@@ -338,6 +338,16 @@ class TestFitMl:
         with pytest.raises(ValueError, match="n_starts must be at least 1"):
             bc.fit_ml(data, "stable", n_starts=n_starts)
 
+    def test_rejects_bad_nuggets_before_the_first_start(self, monkeypatch):
+        # inside the objective the check would read as a failed start; with
+        # no objective to build, only a check before the first start answers
+        locs, comps = colocated_design(5, 12)
+        data = bc.simulate(MODEL, locs, comps, seed=2)
+        monkeypatch.setattr(bc.field, "_ProfiledNll", None)
+        for bad in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="nuggets must be finite and nonnegative"):
+                bc.fit_ml(data, "stable", n_starts=1, nugget1=bad)
+
     @pytest.mark.parametrize("d,n", [(1, 1), (2, 3), (3, 3)])
     def test_bound_dimension_follows_the_coordinates(self, d, n, monkeypatch):
         # every engine call of the fit, coarse and fine, answers in R^n, and

@@ -7,7 +7,10 @@ the Cauchy ``validate`` run: the merged engine sums the log prefactor in a
 different order, which moves ``rho_bound`` by a few ulps and the location of
 a flat minimum in its eighth digit.  ``fit.out`` and ``fit.txt`` were
 recorded again when ``fit_ml`` moved from the Nelder-Mead simplex to
-L-BFGS-B on the exact gradient.
+L-BFGS-B on the exact gradient.  ``validate_stable.out`` and ``curve.csv``
+were recorded again when a zoom replaced the golden-section search that
+refines the engine's minima, and the u = 0 row of ``spectral.csv`` when
+zero-frequency densities moved from quadrature to closed forms.
 
 The commands run in one child interpreter with BLAS pinned to one thread,
 because the Cholesky factor of the 512-site simulation differs in its last

@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import bicov as bc
-from bicov.validity import (_INV_PHI, ExcludedPoint, _aux_table, _golden_search,
-                            _log_integrand, _log_prefactor, _members,
-                            _signed_logsumexp)
+from bicov.validity import (_ZOOM_POINTS, ExcludedPoint, _aux_table, _log_integrand,
+                            _log_prefactor, _members, _signed_logsumexp, _zoom)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -118,44 +117,35 @@ def test_signed_logsumexp_matches_scipy(case):
         assert np.array_equal(np.signbit(x), np.signbit(y))
 
 
-def _golden_min(f, a, b, tol):
-    """Scalar golden-section search: the reference for the batched one."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(200):
-        if b - a <= tol:
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
 @SETTINGS
-@example(1.0, 1.0, 0.0, 5.0, 15, [(0.0, 1e-2), (1.0, 1.0)], 1e-2)
-@given(st.floats(0.1, 5.0), st.floats(0.5, 20.0), st.floats(-3.0, 3.0), st.floats(-5.0, 5.0),
+@example(1.0, 0.0, 5.0, 15, [(0.0, 1e-2), (1.0, 1.0), (6.0, 1.0)], 1e-2)
+@given(st.floats(0.1, 5.0), st.floats(-3.0, 3.0), st.floats(-5.0, 5.0),
        st.sampled_from([0, 1, 15]),
        st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(0.0, 2.0)), min_size=1, max_size=8),
-       st.sampled_from([0.0, 1e-10, 1e-6, 1e-2]))
-def test_batched_golden_search_matches_scalar(amp, freq, centre, nan_above, decimals,
-                                              brackets, tol):
-    # a wavy bowl that turns NaN above a cut, so some brackets reach NaN;
-    # rounding makes flat steps, where the two probes tie
+       st.sampled_from([1e-10, 1e-6, 1e-2]))
+def test_zoom_finds_each_bracket_minimum(amp, centre, nan_above, decimals, brackets, tol):
+    # a bowl that turns NaN above a cut, so some brackets are partly or all
+    # NaN; rounding makes flat steps, where samples tie
+    calls = [0]
+
     def f(x):
-        x = np.asarray(x, dtype=float)
-        bowl = np.round(amp * np.cos(freq * x) + (x - centre) ** 2, decimals)
+        calls[0] += 1
+        bowl = np.round(amp * (x - centre) ** 2 + np.cosh(x - centre) - 1.0, decimals)
         return np.where(x > nan_above, np.nan, bowl)
 
     a = np.array([lo for lo, _ in brackets])
     b = a + np.array([w for _, w in brackets])
-    xm, fm = _golden_search(f, a, b, tol)
-    for i, (lo, hi) in enumerate(zip(a, b)):
-        want_x, want_f = _golden_min(lambda t: f(np.array([t]))[0], lo, hi, tol)
-        assert xm[i] == want_x
-        assert fm[i] == want_f or (math.isnan(fm[i]) and math.isnan(want_f))
+    xm, fm = _zoom(f, a, b, tol)
+    passes = math.log(max((b - a).max(), tol) / tol) / math.log((_ZOOM_POINTS - 1) / 2)
+    assert calls[0] <= 1 + math.ceil(passes)
+    for x, v, lo, hi in zip(xm, fm, a, b):
+        slack = 4.0 * np.spacing(max(abs(lo), abs(hi)))   # rounding of the sample points
+        if lo - slack > nan_above:
+            assert math.isnan(v)
+            continue
+        assert lo - slack <= x <= hi + slack
+        # the convex bowl's minimiser over the bracket's finite part; where a
+        # flat step ties samples on one side of it, the zoom may keep the
+        # step's first sample and end on it, but never more than a step high
+        x0 = min(max(centre, lo), min(hi, nan_above))
+        assert abs(x - x0) <= tol or v <= f(np.array([x0]))[0] + 10.0 ** -decimals

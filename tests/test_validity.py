@@ -418,7 +418,7 @@ class TestGenericRoute:
 
 
 class TestEngineCost:
-    """The golden-section refinement runs its brackets in one batch."""
+    """The zoom refines every bracket in the same few integrand calls."""
 
     @staticmethod
     def calls(monkeypatch, fn, model, **kw):
@@ -445,21 +445,26 @@ class TestEngineCost:
     ], ids=["stable", "cauchy"])
     def test_separable_model_costs_one_bracket(self, monkeypatch, fn, model):
         # a constant integrand makes every grid point an interior minimum, so
-        # all eight brackets run to tolerance; in one batch they cost no more
-        # integrand calls than a single bracket
+        # all eight brackets run to tolerance; they share each zoom pass, so
+        # the grid call and the pass bound of a single bracket cover them
         eight, report = self.calls(monkeypatch, fn, model)
         one, _ = self.calls(monkeypatch, fn, model, refine_brackets=1)
+        width = 2.0 * (validity._GRID_HI - validity._GRID_LO) / (validity._GRID_POINTS - 1)
+        passes = math.ceil(math.log(width / validity._ZOOM_TOL)
+                           / math.log((validity._ZOOM_POINTS - 1) / 2))
         assert report.rho_bound == pytest.approx(1.0, abs=1e-12)
-        assert eight <= one <= 50
+        assert eight == one <= 1 + passes
 
-    # FIG_STABLE's generic reports and derivative calls as first recorded,
-    # when the grid's second-order forms were evaluated twice per call
-    @pytest.mark.parametrize("n,infimum,raw,location,twice_calls", [
-        (1, 0.13944620942559402, 0.3734249716149069, 5.666927054300786, 129),
-        (3, 0.13011572922601997, 0.3607155794057417, 7.788994034532395, 258),
+    # FIG_STABLE's generic reports and derivative calls since the zoom
+    # refines the minima (the golden-section search read 0.3734249716149069
+    # at 5.666927054300786 and 0.3607155794057417 at 7.788994034532395, with
+    # 126 and 252 derivative calls)
+    @pytest.mark.parametrize("n,infimum,raw,location,calls", [
+        (1, 0.13944620942559402, 0.3734249716149069, 5.66692719310287, 18),
+        (3, 0.13011572922601974, 0.3607155794057414, 7.788994555031706, 36),
     ])
-    def test_generic_route_evaluates_its_grid_once(self, monkeypatch, n, infimum,
-                                                    raw, location, twice_calls):
+    def test_generic_route_evaluates_its_grid_once(self, monkeypatch, n, infimum, raw,
+                                                    location, calls):
         count = [0]
 
         def counting(*args, **kw):
@@ -471,8 +476,9 @@ class TestEngineCost:
         assert report == ValidityReport(
             rho_bound_raw=raw, rho_bound=raw, infimum=infimum, case="generic",
             infimum_location=location, decidability=SUFFICIENT, n=n, note="")
-        # one derivative call per member (two for n = 3) leaves with the repeat
-        assert count[0] == twice_calls - 3 * (1 if n == 1 else 2)
+        # one derivative call per member (two for n = 3) on the grid and
+        # again on each of the five zoom passes
+        assert count[0] == calls
 
 
 class TestSphericalTriviality:

@@ -9,7 +9,11 @@ Prints one SHA-256 prefix per case and a total over all of them:
   ``loo_rmse`` on the same models and samples;
 * ``nll``: value and gradient of the fit objective at four Latin-hypercube
   points for every fitted kind, without and with ``fit_nugget``, on plain data
-  and on data with ten repeated rows (which needs the nugget floor).
+  and on data with ten repeated rows (which needs the nugget floor);
+* ``bound``: the bound engine's reports on a seeded set of stable and Cauchy
+  models in R^1 and R^3, fine (the defaults), coarse (``grid_points=512,
+  refine_brackets=0``, as in the fit) and by the generic route, each report
+  written as text with its location as a float or a tag.
 
 Run it on two checkouts and compare the output; equal totals mean
 bit-identical results.  Byte equality holds at a fixed BLAS thread count:
@@ -23,6 +27,7 @@ import numpy as np
 
 import bicov as bc
 from bicov.field import _ParamSpec, _ProfiledNll
+from bicov.validity import NotApplicable, generic_sufficient_check
 
 
 def digest(*arrays) -> str:
@@ -40,6 +45,36 @@ MODELS = {
     "lmc": bc.LmcBivariate(b1=(1.0, 0.3, 0.5), b2=(0.4, 0.1, 0.9),
                            psi1=bc.stable(1.0, 0.7), psi2=bc.stable(1.5, 1.3)),
 }
+
+
+def bound_models(kind: str):
+    """30 seeded models of one family.  The cross smoothness is in turn a free
+    draw, the larger marginal one and the marginal mean, so reports below,
+    at and above the case edges all occur."""
+    rng = np.random.default_rng(11 if kind == "stable" else 12)
+    for i in range(30):
+        a11, a22 = rng.uniform(0.05, 1.0, 2)
+        a12 = (rng.uniform(0.05, 2.0), max(a11, a22), 0.5 * (a11 + a22))[i % 3]
+        scales = rng.uniform(0.1, 10.0, 3)
+        if kind == "stable":
+            yield bc.stable_bivariate(1.0, 1.0, 0.0, a11, a12, a22, *scales)
+        else:
+            betas = rng.uniform(0.1, 5.0, 3)
+            yield bc.cauchy_bivariate(1.0, 1.0, 0.0, a11, a12, a22, *betas, *scales)
+
+
+def report_text(report) -> str:
+    loc = report.infimum_location
+    return " ".join([repr(report.rho_bound_raw), repr(report.infimum), report.case,
+                     loc if isinstance(loc, str) else repr(loc), report.decidability,
+                     str(report.n), report.note])
+
+
+def generic_text(model, n: int) -> str:
+    try:
+        return report_text(generic_sufficient_check(model, n))
+    except NotApplicable:
+        return "NotApplicable"
 
 
 def main() -> None:
@@ -80,6 +115,19 @@ def main() -> None:
                     value, grad = objective(theta)
                     values += [value, *grad]
                 lines.append(f"nll {kind} {dname} {fit_nugget} {digest(values)}")
+
+    for kind in ("stable", "cauchy"):
+        engine = bc.max_rho_stable if kind == "stable" else bc.max_rho_cauchy
+        for n in (1, 3):
+            routes = {
+                "fine": lambda m: report_text(engine(m, n)),
+                "coarse": lambda m: report_text(engine(m, n, grid_points=512,
+                                                       refine_brackets=0)),
+                "generic": lambda m: generic_text(m, n),
+            }
+            for route, text in routes.items():
+                h = hashlib.sha256("\n".join(map(text, bound_models(kind))).encode())
+                lines.append(f"bound {kind} {n} {route} {h.hexdigest()[:16]}")
 
     for line in lines:
         print(line)
