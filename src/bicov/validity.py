@@ -15,10 +15,13 @@ three-way decidability tag:
 
 One table-driven engine serves both families.  Each auxiliary function is
 a polynomial in t = (s r)^alpha over a power of (1 + t); one table gives its
-coefficients and that power, and ``q_fn``, ``p_fn``, the raw integrands, the
-log-domain integrand and both endpoint limits all read it.  Beyond the table
-the families differ only in the exp(h) factor of the stable integrand and
-the case rules.
+coefficients and that power, and ``q_fn``, ``p_fn``, the raw integrands, both
+endpoint limits and the per-member log term all read it.  That term,
+log k + log t + log|q or p| (- t for a stable member), k = alpha or beta, is
+the one function of log r behind the log-domain integrand (the sum of the
+terms of psi11, psi12 and psi22, weighted 1, -2, 1) and behind the gradient
+of the fit's rho cap.  Beyond the table the families differ only in the
+stable -t and the case rules.
 
 The engine works on the log of the integrand (the raw integrand overflows
 double precision near the endpoints), scanning a log-spaced grid, refining
@@ -167,14 +170,6 @@ def _members(model: BivariateModel, kind: str):
                  for f in fams)
 
 
-def _log_prefactor(members) -> float:
-    """log of k11 k22 s11^a11 s22^a22 / (k12 s12^a12)^2, k = alpha or beta."""
-    (a11, k11, s11), (a12, k12, s12), (a22, k22, s22) = (
-        (a, a if b is None else b, s) for a, b, s in members)
-    return (math.log(k11) + math.log(k22) + a11 * math.log(s11) + a22 * math.log(s22)
-            - 2.0 * math.log(k12) - 2.0 * a12 * math.log(s12))
-
-
 def _bound_integrand(model: BivariateModel, kind: str, n: int, r):
     _check_n13(n)
     members = _members(model, kind)
@@ -217,76 +212,41 @@ def cauchy_bound_integrand(model: BivariateModel, n: int, r):
 # ---------------------------------------------------------------------------
 # Log-domain evaluation of the integrands (engine internals).
 
-def _log1p_exp(w: np.ndarray) -> np.ndarray:
-    # log(1 + e^w), stable for both signs of w
-    out = np.empty_like(w)
-    big = w > 30.0
-    out[big] = w[big]
-    out[~big] = np.log1p(np.exp(w[~big]))
-    return out
+def _log_term(n: int, member):
+    """log r -> (log k + log t + log|q or p| (- t if stable), sign of q or p):
+    one member's term of the log-integrand, k = alpha or beta, t = (s r)^alpha.
+    The polynomial is evaluated in u = min(t, 1/t), as t^deg times the reversed
+    polynomial for t > 1, and log(1 + t) as max(log t, 0) + log1p(u), so
+    neither overflows."""
+    a, b, s = member
+    coefs, denom = _aux_table(n, a, b)
+    deg, log_k, log_s = len(coefs) - 1, math.log(a if b is None else b), math.log(s)
 
-
-def _signed_logsumexp(a: np.ndarray, b: np.ndarray):
-    """(log|sum_k b_k e^a_k|, sign) over axis 0 for signs b_k = +-1, computed
-    step for step as scipy 1.17's ``logsumexp(a, axis=0, b=b, return_sign=True)``
-    (the shifted form of Blanchard, Higham & Higham, IMA J. Numer. Anal. 2021).
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = np.add.reduce(b * np.exp(a))
-        a_max = np.maximum.reduce(a)
-        tie = a == a_max
-        m = np.add.reduce(b * tie)
-        s = np.add.reduce(b * np.exp(np.where(tie, -np.inf, a) - a_max))
-        s = np.where(s == 0, s, s / m)
-        sign = np.sign(s + 1) * np.sign(m)
-        s = np.where(s < -1, -s - 2, s)
-        out = np.log1p(s) + np.log(np.abs(m)) + a_max
-        ok = np.isfinite(out)
-        return (np.where(ok, out, np.log(np.abs(direct))),
-                np.where(ok, sign, np.sign(direct)))
-
-
-def _log_aux_fn(n: int, alpha: float, beta: float | None):
-    """log t -> (log|q| or log|p|, sign) via a signed log-sum-exp."""
-    coefs, denom = _aux_table(n, alpha, beta)
-    coefs = np.array(coefs)
-    powers = np.arange(len(coefs) - 1, -1, -1.0)
-    keep = coefs != 0.0
-    coefs, powers = coefs[keep], powers[keep]
-    log_c, sign_c = np.log(np.abs(coefs))[:, None], np.sign(coefs)[:, None]
-
-    def fn(lt: np.ndarray):
-        terms = powers[:, None] * lt[None, :] + log_c
-        lnum, sign = _signed_logsumexp(terms, sign_c)
-        if denom:
-            lnum = lnum - denom * _log1p_exp(lt)
-        return lnum, sign
+    def fn(lr: np.ndarray):
+        lt = a * (log_s + lr)
+        u, big = np.exp(-np.abs(lt)), np.maximum(lt, 0.0)
+        poly = np.where(lt <= 0.0, np.polyval(coefs, u), np.polyval(coefs[::-1], u))
+        with np.errstate(divide="ignore", over="ignore"):
+            term = log_k + lt + np.log(np.abs(poly)) + deg * big
+            if denom:
+                term = term - denom * (big + np.log1p(u))
+            return (term - np.exp(lt) if b is None else term), np.sign(poly)
 
     return fn
 
 
-def _log_integrand(kind: str, members, n: int, log_a: float):
-    """log r -> (log of the bound integrand, sign of the cross factor).
-
-    The log is NaN wherever a marginal factor is not positive or the cross
-    factor vanishes.  Only the stable family carries the exp(h) factor.
-    """
-    a11, a12, a22 = (a for a, _, _ in members)
-    p_pow = a11 + a22 - 2.0 * a12
-    log_s = [(a, math.log(s)) for a, _, s in members]
-    aux = [_log_aux_fn(n, a, b) for a, b, _ in members]
+def _log_integrand(members, n: int):
+    """log r -> (log of the bound integrand, sign of the cross factor): the
+    :func:`_log_term` sum term11 + term22 - 2 term12, NaN wherever a marginal
+    factor is not positive or the cross factor vanishes."""
+    terms = [_log_term(n, m) for m in members]
 
     def fn(lr: np.ndarray):
         lr = np.atleast_1d(np.asarray(lr, dtype=float))
-        lt11, lt12, lt22 = (a * (ls + lr) for a, ls in log_s)    # log t
-        (l11, g11), (l12, g12), (l22, g22) = (
-            f(lt) for f, lt in zip(aux, (lt11, lt12, lt22)))
-        li = log_a + p_pow * lr
-        if kind == "Stable":
-            li = li + (2.0 * np.exp(lt12) - np.exp(lt11) - np.exp(lt22))
-        li = li + l11 + l22 - 2.0 * l12
-        li = np.where((g11 > 0) & (g22 > 0) & (g12 != 0), li, np.nan)
-        return li, g12
+        (l11, g11), (l12, g12), (l22, g22) = (f(lr) for f in terms)
+        with np.errstate(invalid="ignore"):
+            li = l11 + l22 - 2.0 * l12
+        return np.where((g11 > 0) & (g22 > 0) & (g12 != 0), li, np.nan), g12
 
     return fn
 
@@ -304,14 +264,14 @@ _WEIGHTS = (1.0, -2.0, 1.0)   # of psi11, psi12, psi22 in the log-integrand
 def _endpoint(members, n: int, tag: str) -> tuple[float, float]:
     """(log-limit, constant) of the log-integrand at r -> 0+ or r -> infinity.
 
-    The log-integrand sums, weighted 1, -2, 1 over psi11, psi12, psi22,
-    log k + log t + log|q or p| (- t if stable), k = alpha or beta and
-    t = (s r)^alpha.  Beside -t each term behaves like kappa log r + c: q or
-    p tends to its constant coefficient at r -> 0+ (its linear one times t
-    when alpha == 1 exactly) and to its top one over t^d at infinity.  The
-    stable -(s r)^alpha terms decide first, then the net kappa; a cancelled
-    kappa leaves the constant as the limit.  The constant is returned either
-    way, for a fit to difference.
+    The log-integrand sums, weighted 1, -2, 1 over psi11, psi12, psi22, the
+    terms of :func:`_log_term`, log k + log t + log|q or p| (- t if stable),
+    and this returns the limits of that sum.  Beside -t each term behaves
+    like kappa log r + c: q or p tends to its constant coefficient at r -> 0+
+    (its linear one times t when alpha == 1 exactly) and to its top one over
+    t^d at infinity.  The stable -(s r)^alpha terms decide first, then the
+    net kappa; a cancelled kappa leaves the constant as the limit.  The
+    constant is returned either way, for a fit to difference.
     """
     kappas, const = [], 0.0
     for w, (a, b, s) in zip(_WEIGHTS, members):
@@ -485,8 +445,7 @@ def _max_rho(model: BivariateModel, kind: str, n: int, grid_points: int,
     n_used, note = _resolve_dim(n)
     members = _members(model, kind)
     case, forced = (_stable_case if kind == "Stable" else _cauchy_case)(members, n_used)
-    log_a = _log_prefactor(members)
-    log_inf, location = _scan_infimum(_log_integrand(kind, members, n_used, log_a),
+    log_inf, location = _scan_infimum(_log_integrand(members, n_used),
                                       _limits(members, n_used), grid_points=grid_points,
                                       n_brackets=refine_brackets)
     if forced == NECESSARILY_ZERO:
@@ -505,8 +464,8 @@ def _log_infimum_gradient(model: BivariateModel, report: ValidityReport) -> list
 
     The candidate that won in ``report`` is held fixed (envelope theorem) and
     differenced centrally in one parameter at a time: the constant of a
-    winning limit (see :func:`_endpoint`), or the log-integrand at the winning
-    r, of which only the moved member's share is evaluated.
+    winning limit (see :func:`_endpoint`), or the moved member's
+    :func:`_log_term` at the winning r.
     """
     members, n, loc = _members(model, model.psi11.kind), report.n, report.infimum_location
     if isinstance(loc, str):
@@ -516,11 +475,7 @@ def _log_infimum_gradient(model: BivariateModel, report: ValidityReport) -> list
         lr = math.log(loc)
 
         def value(q, m):
-            a, b, s = m
-            lt = a * (math.log(s) + lr)
-            share = math.log(a if b is None else b) + lt + float(
-                _log_aux_fn(n, a, b)(np.array([lt]))[0][0])
-            return _WEIGHTS[q] * (share - math.exp(lt) if b is None else share)
+            return _WEIGHTS[q] * float(_log_term(n, m)(np.array([lr]))[0][0])
     out = []
     for q, (a, b, s) in enumerate(members):
         params = [a, math.log(s)] + ([] if b is None else [b])

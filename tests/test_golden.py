@@ -12,6 +12,33 @@ were recorded again when a zoom replaced the golden-section search that
 refines the engine's minima, and the u = 0 row of ``spectral.csv`` when
 zero-frequency densities moved from quadrature to closed forms.
 
+When one per-member log term replaced the signed log-sum-exp and the log
+prefactor in the log-integrand, the last bits of the engine's values moved,
+and these were recorded again:
+
+* ``validate_stable.out``: ``rho_bound_raw`` and ``rho_bound``
+  0.36071557940574134 -> 0.36071557940574139, ``infimum_location``
+  7.7889947227561729 -> 7.7889946095258411;
+* ``curve.csv``: alpha12 = 0.78, 0.27895243261239117 -> 0.27895243261239122,
+  and alpha12 = 1.1, 0.16685330534977652 -> 0.16685330534977658;
+* ``fit.out`` and ``fit.txt``: the fit stops at its 80-evaluation cap, so the
+  coarse cap's last bits move where it stops.  ``nll`` 63.020814095024825 ->
+  63.020597758993844, ``aic`` 148.04162819004966 -> 148.04119551798769,
+  ``loo_rmse`` 0.80840366101137007 -> 0.8084476569513922, ``mean1``
+  0.64771894829202925 -> 0.6477903872258769, ``mean2`` 0.030210326907338089
+  -> 0.030212304699268788; ``sigma1`` 0.81841441227398315 ->
+  0.81863439426935902, ``sigma2`` 1.0071943082096222 -> 1.007573861694103,
+  ``rho`` 0.45456337189381735 -> 0.45399093609189484, ``alpha11``
+  0.73754518035080907 -> 0.73979312057904667, ``alpha12``
+  0.77907774140851427 -> 0.78055680846563047, ``alpha22``
+  0.75640828666928994 -> 0.75791931542345392, ``s11`` 1.2433161765267327 ->
+  1.2397979088833029, ``s12`` 4.6524652184576878 -> 4.6406842186687651,
+  ``s22`` 9.8165919095478014 -> 9.7793987077105751.
+
+The Cauchy ``validate`` run is not recorded again: its ``rho_bound`` moved
+from 0.59040784708340566 to 0.59040784708340532, within the 1e-14 it is held
+to.
+
 The commands run in one child interpreter with BLAS pinned to one thread,
 because the Cholesky factor of the 512-site simulation differs in its last
 bits between thread counts.

@@ -5,17 +5,18 @@ property runs on both.  Examples are drawn deterministically (derandomized)
 so a failure reproduces from the test alone.
 """
 
+import decimal
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
 
 import bicov as bc
-from bicov.validity import (_ZOOM_POINTS, ExcludedPoint, _aux_table, _log_integrand,
-                            _log_prefactor, _members, _signed_logsumexp, _zoom)
+from bicov.validity import (_GRID_HI, _GRID_LO, _GRID_POINTS, _ZOOM_POINTS, ExcludedPoint,
+                            _aux_table, _log_integrand, _log_term, _members, _zoom)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -54,6 +55,16 @@ def test_component_swap_symmetry(case):
     swapped = bound_fn(build(family, alphas, betas, scales, swap=True), n)
     assert swapped.decidability == rep.decidability
     assert swapped.rho_bound == pytest.approx(rep.rho_bound, rel=1e-11, abs=0.0)
+    # term11 + term22 - 2 term12 is symmetric in floating point, so the scan
+    # sees the same numbers, and an interior minimum is the same to the bit
+    kind = "Stable" if family == "stable" else "Cauchy"
+    x = np.linspace(_GRID_LO, _GRID_HI, _GRID_POINTS)
+    li, _ = _log_integrand(_members(build(family, alphas, betas, scales), kind), n)(x)
+    li_swapped, _ = _log_integrand(
+        _members(build(family, alphas, betas, scales, swap=True), kind), n)(x)
+    assert np.array_equal(li, li_swapped, equal_nan=True)
+    if not isinstance(rep.infimum_location, str):
+        assert swapped.rho_bound_raw == rep.rho_bound_raw
 
 
 def _cancellation(n, alpha, beta_, s, r):
@@ -66,6 +77,7 @@ def _cancellation(n, alpha, beta_, s, r):
 
 
 @SETTINGS
+@example(("stable", (0.80859375, 0.25, 0.75), None, (9.0, 1.0, 2.0), 1))
 @given(models())
 def test_log_integrand_matches_raw_integrand(case):
     family, alphas, betas, scales, n = case
@@ -73,16 +85,16 @@ def test_log_integrand_matches_raw_integrand(case):
     kind = "Stable" if family == "stable" else "Cauchy"
     raw_fn = bc.stable_bound_integrand if family == "stable" else bc.cauchy_bound_integrand
     members = _members(model, kind)
-    log_fn = _log_integrand(kind, members, n, _log_prefactor(members))
     rs = np.geomspace(1e-3, 1e3, 13)
-    logs, _ = log_fn(np.log(rs))
+    logs, _ = _log_integrand(members, n)(np.log(rs))
     for r, li in zip(rs, logs):
         try:
             with np.errstate(all="ignore"):
                 raw = raw_fn(model, n, r)
         except ExcludedPoint:
             continue
-        if not (math.isfinite(li) and math.isfinite(raw) and raw > 0.0):
+        # a subnormal raw value has lost digits to underflow, not to the engine
+        if not (math.isfinite(li) and math.isfinite(raw) and raw >= sys.float_info.min):
             continue
         cond = max(_cancellation(n, a, b, s, r) for a, b, s in members)
         assert li == pytest.approx(math.log(raw), rel=0.0,
@@ -92,29 +104,55 @@ def test_log_integrand_matches_raw_integrand(case):
 # ---------------------------------------------------------------------------
 # The engine's numerical kernels against their references.
 
-# a small pool makes ties with the column maximum common, and near-ties of
-# opposite sign (s < -1 in the shifted form)
-term = st.one_of(st.sampled_from([0.0, -0.25, -0.5, 1.0, 700.0, -745.0, math.inf,
-                                  -math.inf, math.nan]),
-                 st.floats(-800.0, 800.0))
+def _decimal_term(n, member, lt):
+    """(log k + log t + ln|sum c_k t^k| - d ln(1 + t) (- t), sign of the sum,
+    sum |c_k t^k| / |sum c_k t^k|) in 50 digits at the float log t ``lt``."""
+    a, b, _ = member
+    coefs, denom = _aux_table(n, a, b)
+    with decimal.localcontext(decimal.Context(prec=50)):
+        t = decimal.Decimal(lt).exp()
+        terms = [decimal.Decimal(c) * t ** (len(coefs) - 1 - k) for k, c in enumerate(coefs)]
+        total = sum(terms)
+        if total == 0:
+            return math.nan, 0.0, math.inf
+        value = (decimal.Decimal(a if b is None else b).ln() + decimal.Decimal(lt)
+                 + abs(total).ln() - decimal.Decimal(denom) * (1 + t).ln())
+        if b is None:
+            value -= t
+        return float(value), math.copysign(1.0, total), float(sum(map(abs, terms)) / abs(total))
+
+
+# log t on both branches, just either side of t = 1 and out to t = e^700
+log_t = st.one_of(st.floats(-700.0, 700.0), st.floats(-1e-6, 1e-6),
+                  st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-16, -1e-16,
+                                   700.0, -700.0]))
 
 
 @SETTINGS
-@example(([(0.0, 1.0), (-0.25, 0.0), (-0.25, 0.0)], [1.0, -1.0, -1.0]))
-@given(st.integers(2, 3).flatmap(lambda k: st.tuples(
-    st.lists(st.lists(term, min_size=1, max_size=6).map(tuple), min_size=k, max_size=k),
-    st.lists(st.sampled_from([-1.0, 1.0]), min_size=k, max_size=k))))
-def test_signed_logsumexp_matches_scipy(case):
-    rows, signs = case
-    width = min(len(r) for r in rows)
-    a = np.array([r[:width] for r in rows])
-    b = np.array(signs)[:, None]
-    with np.errstate(all="ignore"):
-        want, want_sign = logsumexp(a, axis=0, b=b, return_sign=True)
-    got, got_sign = _signed_logsumexp(a, b)
-    for x, y in ((got, want), (got_sign, want_sign)):
-        assert np.array_equal(x, y, equal_nan=True)
-        assert np.array_equal(np.signbit(x), np.signbit(y))
+@example(3, (1.0, None, 1.0), -1e-16)
+@example(3, (1.4, 2.5, 1.0), 700.0)
+@given(st.sampled_from([1, 3]),
+       st.tuples(cross_alpha, st.one_of(st.none(), beta), st.one_of(st.just(1.0), scale)),
+       log_t)
+def test_log_term_matches_decimal_reference(n, member, lt_target):
+    a, b, s = member
+    lr = lt_target / a - math.log(s)
+    lt = a * (math.log(s) + lr)   # the log t the term is evaluated at
+    got, sign = (float(v[0]) for v in _log_term(n, member)(np.array([lr])))
+    want, want_sign, cond = _decimal_term(n, member, lt)
+    assume(cond < 1e12)
+    # rounding scales with each summand and with the polynomial's cancellation
+    coefs, denom = _aux_table(n, a, b)
+    size = (1.0 + abs(math.log(a if b is None else b)) + (len(coefs) + denom) * abs(lt) + cond
+            + (math.exp(lt) if b is None else 0.0))
+    assert got == pytest.approx(want, rel=0.0, abs=1e-14 * size)
+    assert sign == want_sign
+    if abs(lr) < 700.0 and cond < 1e6:
+        r = math.exp(lr)
+        with np.errstate(all="ignore"):
+            aux = bc.q_fn(a, s, n, r) if b is None else bc.p_fn(a, b, s, n, r)
+        if math.isfinite(aux) and aux != 0.0:
+            assert math.copysign(1.0, aux) == sign
 
 
 @SETTINGS

@@ -245,8 +245,7 @@ class TestEndpoints:
             members = validity._members(self.draw(rng, family, tie), family)
             limits = dict((t, v) for v, t in validity._limits(members, n))
             assert math.isfinite(limits[tag])
-            log_fn = validity._log_integrand(family, members, n,
-                                             validity._log_prefactor(members))
+            log_fn = validity._log_integrand(members, n)
             far, _ = log_fn(np.array([-200.0, 200.0]))
             for t, value in limits.items():
                 if math.isfinite(value):
