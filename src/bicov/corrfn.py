@@ -7,15 +7,15 @@ derivatives of orders 1..3 (central finite differences for Matern, a
 comparison model; the generic derivative route of the validity module
 differentiates Matern members this way).
 
-The stable and Cauchy derivatives are hand-derived via the chain rule on
-t = (s*r)**alpha and cross-validated against finite differences in the test
-suite.  They are deliberately independent from the closed-form auxiliary
-ratios used by the validity module, so the two code paths check each other.
-
-Maximum likelihood fitting also needs derivatives in the parameters:
-closed forms in alpha, log scale and beta for stable and Cauchy members, and
-for Matern a closed form in log scale with central differences in nu (the
-family has no closed form in nu).
+A stable or Cauchy member is psi = G(t) at t = (s*r)**alpha, with outer
+function G(t) = exp(-t) or (1 + t)**(-beta/alpha).  One function per family
+returns G and its derivatives in t.  The radial derivatives chain them with
+t's derivatives in r (Faa di Bruno), and the derivatives in alpha, log scale
+and beta that maximum likelihood fitting needs chain them with t's
+derivatives in the parameters; Matern has a closed form in log scale and
+central differences in nu.  The closed forms are cross-validated against
+finite differences in the test suite and independent of the auxiliary ratios
+of the validity module, so the two code paths check each other.
 """
 
 from __future__ import annotations
@@ -165,6 +165,33 @@ def _check_n13(n: int) -> None:
     _require(n in (1, 3), f"dimension n must be 1 or 3, got {n}")
 
 
+def _outer(p: Union[StableParams, CauchyParams], t, order: int) -> list:
+    """[G(t), G'(t), ..., G^(order)(t)] of the outer function G, psi = G((s*r)**alpha):
+    exp(-t), or (1 + t)**(-c) with c = beta/alpha.  G is formed in place, in the array
+    of -t or (order 0) of 1 + t: at Gram sizes every fresh array costs page faults."""
+    if isinstance(p, StableParams):
+        e = -t
+        np.exp(e, out=e)
+        ne = -e if order else None
+        return [e, ne, e, ne][:order + 1]
+    c, base = p.beta / p.alpha, 1.0 + t
+    g = [np.power(base, -c, out=None if order else base)]
+    for j in range(order):
+        g.append(g[-1] * (-c - j) / base)
+    return g
+
+
+def _matern_kx(nu: float, x: np.ndarray, power: float, order: float, fill: float) -> np.ndarray:
+    """2**(1-nu)/Gamma(nu) * x**power * K_order(x) at x >= 0: ``fill`` where
+    x <= 1e-150 (kv overflows there) and 0 where the product is not finite
+    (kv underflows to 0 for huge x)."""
+    from scipy.special import gamma
+    out, safe = np.full_like(x, fill), x > 1e-150
+    val = (2.0 ** (1.0 - nu) / gamma(nu)) * x[safe] ** power * _bessel_kv(order, x[safe])
+    out[safe] = np.where(np.isfinite(val), val, 0.0)
+    return out
+
+
 def evaluate(family: CorrelationFamily, r):
     """Evaluate psi(r) for scalar or array distances r >= 0.
 
@@ -173,58 +200,31 @@ def evaluate(family: CorrelationFamily, r):
     """
     rr, scalar = _as_r(r, allow_zero=True)
     p = family.params
-    if family.kind == "Stable":
-        out = np.exp(-((p.scale * rr) ** p.alpha))
-    elif family.kind == "Cauchy":
-        out = (1.0 + (p.scale * rr) ** p.alpha) ** (-p.beta / p.alpha)
+    if family.kind in ("Stable", "Cauchy"):
+        out = _outer(p, (p.scale * rr) ** p.alpha, 0)[0]
     elif family.kind == "Spherical":
         x = p.scale * rr
         out = np.where(x < 1.0, 1.0 - 1.5 * x + 0.5 * x ** 3, 0.0)
-    else:  # Matern
-        from scipy.special import gamma
-        x = p.scale * rr
-        out = np.ones_like(x)
-        pos = x > 0.0
-        # kv overflows for extremely small arguments; psi is 1 to double precision there
-        safe = pos & (x > 1e-150)
-        xs = x[safe]
-        val = (2.0 ** (1.0 - p.nu) / gamma(p.nu)) * xs ** p.nu * _bessel_kv(p.nu, xs)
-        out[safe] = np.where(np.isfinite(val), val, 0.0)  # kv underflows to 0 for huge x
+    else:  # Matern; psi is 1 to double precision below the cut-off
+        out = _matern_kx(p.nu, p.scale * rr, p.nu, p.nu, fill=1.0)
     # r = 0 must give exactly 1
     out = np.where(rr == 0.0, 1.0, out)
     return _maybe_scalar(out, scalar)
 
 
-def _stable_deriv(p: StableParams, rr: np.ndarray, order: int) -> np.ndarray:
-    a, s = p.alpha, p.scale
-    t = (s * rr) ** a
-    e = np.exp(-t)
+def _chain_deriv(p: Union[StableParams, CauchyParams], rr: np.ndarray, order: int) -> np.ndarray:
+    """d^order/dr^order G(t(r)) by Faa di Bruno; t_k = d^k t/dr^k = t_(k-1) (alpha-k+1)/r."""
+    a = p.alpha
+    t = (p.scale * rr) ** a
+    g = _outer(p, t, order)
     t1 = a * t / rr
     if order == 1:
-        return -e * t1
-    t2 = a * (a - 1.0) * t / rr ** 2
+        return g[1] * t1
+    t2 = t1 * (a - 1.0) / rr
     if order == 2:
-        return e * (t1 * t1 - t2)
-    t3 = a * (a - 1.0) * (a - 2.0) * t / rr ** 3
-    return e * (-t1 ** 3 + 3.0 * t1 * t2 - t3)
-
-
-def _cauchy_deriv(p: CauchyParams, rr: np.ndarray, order: int) -> np.ndarray:
-    a, s = p.alpha, p.scale
-    c = p.beta / a
-    t = (s * rr) ** a
-    base = 1.0 + t
-    t1 = a * t / rr
-    g1 = -c * base ** (-c - 1.0)
-    if order == 1:
-        return g1 * t1
-    t2 = a * (a - 1.0) * t / rr ** 2
-    g2 = c * (c + 1.0) * base ** (-c - 2.0)
-    if order == 2:
-        return g2 * t1 * t1 + g1 * t2
-    t3 = a * (a - 1.0) * (a - 2.0) * t / rr ** 3
-    g3 = -c * (c + 1.0) * (c + 2.0) * base ** (-c - 3.0)
-    return g3 * t1 ** 3 + 3.0 * g2 * t1 * t2 + g1 * t3
+        return g[2] * t1 * t1 + g[1] * t2
+    t3 = t2 * (a - 2.0) / rr
+    return g[3] * t1 * t1 * t1 + 3.0 * g[2] * t1 * t2 + g[1] * t3
 
 
 def _spherical_deriv(p: SphericalParams, rr: np.ndarray, order: int) -> np.ndarray:
@@ -267,10 +267,8 @@ def derivative(family: CorrelationFamily, r, order: int):
         raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
     rr, scalar = _as_r(r, allow_zero=False)
     p = family.params
-    if family.kind == "Stable":
-        out = _stable_deriv(p, rr, order)
-    elif family.kind == "Cauchy":
-        out = _cauchy_deriv(p, rr, order)
+    if family.kind in ("Stable", "Cauchy"):
+        out = _chain_deriv(p, rr, order)
     elif family.kind == "Spherical":
         out = _spherical_deriv(p, rr, order)
     else:
@@ -288,36 +286,23 @@ def _param_derivatives(family: CorrelationFamily, r: np.ndarray, free=(True, Tru
     """
     p = family.params
     x = p.scale * np.asarray(r, dtype=float)
-    pos = x > 0.0
     if family.kind == "Matern":
-        from scipy.special import gamma
-        h, safe = 1e-5 * p.nu, pos & (x > 1e-150)
-
-        def d_ls():
-            # x d/dx [x^nu K_nu(x)] = -x^(nu+1) K_(nu-1)(x); same cut-offs as evaluate
-            val = (-(2.0 ** (1.0 - p.nu) / gamma(p.nu)) * x[safe] ** (p.nu + 1.0)
-                   * _bessel_kv(p.nu - 1.0, x[safe]))
-            out = np.zeros_like(x)
-            out[safe] = np.where(np.isfinite(val), val, 0.0)
-            return out
-        psi = np.asarray(evaluate(family, r))
+        h, psi = 1e-5 * p.nu, np.asarray(evaluate(family, r))
+        # x d/dx [x^nu K_nu(x)] = -x^(nu+1) K_(nu-1)(x)
         parts = (lambda: (evaluate(matern(p.nu + h, p.scale), r)
-                          - evaluate(matern(p.nu - h, p.scale), r)) / (2.0 * h), d_ls)
+                          - evaluate(matern(p.nu - h, p.scale), r)) / (2.0 * h),
+                 lambda: -_matern_kx(p.nu, x, p.nu + 1.0, p.nu - 1.0, fill=0.0))
     elif family.kind in ("Stable", "Cauchy"):
-        a = p.alpha
-        t = x ** a
-        if family.kind == "Stable":
-            psi = np.exp(-t)
-            parts = (lambda: -psi * t * np.log(np.where(pos, x, 1.0)), lambda: -a * psi * t)
-        else:
-            c = p.beta / a
-            base = 1.0 + t
-            psi = base ** -c
-            log_base = np.log1p(t)
-            frac = t / base
-            parts = (lambda: psi * (c / a * log_base
-                                    - c * frac * np.log(np.where(pos, x, 1.0))),
-                     lambda: -p.beta * psi * frac, lambda: -psi * log_base / a)
+        # dt/dalpha = t log x, dt/dlog s = alpha t; a Cauchy member's exponent c = beta/alpha
+        # adds dpsi/dc = -psi log(1 + t) times dc/dalpha = -c/alpha or dc/dbeta = 1/alpha
+        a, t = p.alpha, x ** p.alpha
+        psi, g1 = _outer(p, t, 1)
+        parts = [lambda: g1 * t * np.log(x, out=np.zeros_like(x), where=x > 0.0),
+                 lambda: a * g1 * t]
+        if family.kind == "Cauchy":
+            c, log_base, d_t = p.beta / a, np.log1p(t), parts[0]
+            parts = [lambda: d_t() + c / a * psi * log_base, parts[1],
+                     lambda: -psi * log_base / a]
     else:
         raise ValueError(f"no parameter derivatives for the {family.kind} family")
     return psi, [d() if f else None for d, f in zip(parts, free)]

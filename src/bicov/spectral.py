@@ -11,8 +11,11 @@ which also sums conditionally convergent tails (heavy-tailed members whose
 integrand is not absolutely integrable).  At u = 0 both are c_n times the
 integral of r^(n-1) psi(r), c_1 = 1/pi, c_3 = 1/(2 pi^2): a gamma or beta
 function, or 3 / (8 s) for the spherical member in R^1, used in closed form.
-The spherical member in R^3 has an elementary closed form used directly,
-with a series fallback near u = 0 where it cancels catastrophically.
+Two members have closed forms at every frequency, used directly: the Matern
+member, Gamma(nu + n/2) / (Gamma(nu) pi^(n/2) s^n) (1 + (u/s)^2)^-(nu + n/2),
+and the spherical member in R^3, an elementary form with a series fallback
+near u = 0 where it cancels catastrophically.  So the quadrature serves
+stable, Cauchy and R^1 spherical members at u > 0 only.
 
 A valid bivariate model must satisfy f11(u) f22(u) >= rho^2 f12(u)^2 for
 almost every frequency; ``spectral_pd_inequality`` checks this margin on a
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bimodels import BivariateModel, _write_csv
-from .corrfn import CorrelationFamily, _as_r, _check_n13, _maybe_scalar, evaluate
+from .corrfn import CorrelationFamily, _as_r, _check_n13, _maybe_scalar
 
 __all__ = [
     "NonIntegrable",
@@ -122,7 +125,7 @@ def spherical_density_closed_form(s: float, u):
 
 
 # ---------------------------------------------------------------------------
-# Pointwise densities: closed forms at u = 0, oscillatory quadrature beyond.
+# Pointwise densities: closed forms where known, oscillatory quadrature beyond.
 
 # Oscillatory-weight tolerance: 1e-10 absolute is reachable even for the
 # conditionally convergent heavy-tail transforms, where a tighter demand
@@ -138,10 +141,8 @@ def _integrand(family: CorrelationFamily):
     if kind == "Cauchy":
         a, b, s = family.params.alpha, family.params.beta, family.params.scale
         return lambda r: (1.0 + (s * r) ** a) ** (-b / a)
-    if kind == "Spherical":
-        s = family.params.scale
-        return lambda r: 1.0 - 1.5 * s * r + 0.5 * (s * r) ** 3 if s * r < 1.0 else 0.0
-    return lambda r: float(evaluate(family, r))
+    s = family.params.scale   # spherical
+    return lambda r: 1.0 - 1.5 * s * r + 0.5 * (s * r) ** 3 if s * r < 1.0 else 0.0
 
 
 def _check_abserr(value: float, abserr: float, what: str) -> float:
@@ -155,9 +156,6 @@ def _zero_density(family: CorrelationFamily, n: int) -> float:
     p, c = family.params, (1.0 / math.pi if n == 1 else 0.5 / math.pi ** 2)
     if family.kind == "Spherical":
         return c * 3.0 / (8.0 * p.scale)
-    if family.kind == "Matern":
-        return (math.exp(math.lgamma(p.nu + 0.5 * n) - math.lgamma(p.nu))
-                / (math.pi ** (0.5 * n) * p.scale ** n))
     if family.kind == "Stable":
         return c * math.gamma(n / p.alpha) / (p.alpha * p.scale ** n)
     log_b = (math.lgamma(n / p.alpha) + math.lgamma((p.beta - n) / p.alpha)
@@ -174,6 +172,11 @@ def _density_point(family: CorrelationFamily, n: int, u: float,
             "at the origin; no pointwise profile is produced")
     if family.kind == "Spherical" and n == 3:
         return float(spherical_density_closed_form(family.params.scale, u))
+    if family.kind == "Matern":
+        # (1 + (u/s)^2)^-k as hypot(1, u/s)^-2k, which does not overflow
+        p, k = family.params, family.params.nu + 0.5 * n
+        head = math.exp(math.lgamma(k) - math.lgamma(p.nu)) / (math.pi ** (0.5 * n) * p.scale ** n)
+        return head * math.hypot(1.0, u / p.scale) ** (-2.0 * k)
     if u == 0.0:
         return _zero_density(family, n)
 

@@ -268,21 +268,24 @@ def _endpoint(members, n: int, tag: str) -> tuple[float, float]:
     terms of :func:`_log_term`, log k + log t + log|q or p| (- t if stable),
     and this returns the limits of that sum.  Beside -t each term behaves
     like kappa log r + c: q or p tends to its constant coefficient at r -> 0+
-    (its linear one times t when alpha == 1 exactly) and to its top one over
-    t^d at infinity.  The stable -(s r)^alpha terms decide first, then the
-    net kappa; a cancelled kappa leaves the constant as the limit.  The
-    constant is returned either way, for a fit to difference.
+    (its linear one times t when alpha is 1 within the case tolerance) and to
+    its top one over t^d at infinity.  The stable -(s r)^alpha terms decide
+    first, then the net kappa; a cancelled kappa leaves the constant as the
+    limit.  The constant is returned either way, for a fit to difference; it
+    sums c11 + c22 - 2 c12 as the log-integrand sums its terms, so a component
+    swap gives the same bits.
     """
-    kappas, const = [], 0.0
-    for w, (a, b, s) in zip(_WEIGHTS, members):
+    kappas, consts = [], []
+    for a, b, s in members:
         coefs, denom = _aux_table(n, a, b)
         if tag == AT_ZERO:
-            j = 2 if coefs[-1] == 0.0 else 1   # alpha == 1: the constant vanishes
+            j = 2 if _near(a, 1.0) else 1   # alpha == 1: the constant vanishes
             kappa, c = j * a, coefs[-j]
         else:
             kappa, c = (len(coefs) - denom) * a, coefs[0]
         kappas.append(kappa)
-        const += w * (math.log(a if b is None else b) + kappa * math.log(s) + math.log(abs(c)))
+        consts.append(math.log(a if b is None else b) + kappa * math.log(s) + math.log(abs(c)))
+    const = consts[0] + consts[2] - 2.0 * consts[1]
     if tag == AT_INFINITY and members[0][1] is None:
         # -sum w (s r)^alpha: group equal exponents, then the largest
         # exponent with a nonzero net coefficient decides

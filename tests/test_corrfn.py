@@ -1,5 +1,7 @@
-"""Correlation families: values against high-precision oracles, derivatives
-against Richardson-extrapolated finite differences, and the parameter boxes.
+"""Correlation families: values and derivatives against high-precision
+oracles, radial derivatives against Richardson-extrapolated finite
+differences, parameter derivatives against central differences, and the
+parameter boxes.
 
 All frozen constants were produced with 50-digit arithmetic and pasted at
 full double precision.
@@ -55,6 +57,22 @@ CAUCHY_DERIVS = [
     (0.7, 3.5, 0.4, 2.5, 1, -0.021874999999999993),
     (0.7, 3.5, 0.4, 2.5, 2, 0.020999999999999994),
     (0.7, 3.5, 0.4, 2.5, 3, -0.025987499999999994),
+]
+
+# (alpha, scale, r) -> d psi / d alpha, d psi / d log scale, 50-digit mpmath.diff
+STABLE_PARAM_DERIVS = [
+    (0.5, 2.0, 1.0, -0.23831715874261863, -0.17190949153836188),
+    (0.8, 0.5, 3.0, -0.1406458519540296, -0.277500281314485),
+    (1.7, 1.3, 0.4, 0.15482764054990794, -0.40250242504890127),
+    (0.2, 3.0, 0.7, -0.26980244576284956, -0.07272917253174806),
+]
+
+# (alpha, beta, scale, r) -> d psi / d alpha, d psi / d log scale, d psi / d beta
+CAUCHY_PARAM_DERIVS = [
+    (0.5, 2.0, 1.0, 1.0, 0.34657359027997264, -0.0625, -0.08664339756999316),
+    (0.7, 3.5, 0.4, 2.5, 0.1547203528035592, -0.054687499999999986, -0.03094407056071184),
+    (1.4, 0.8, 2.0, 0.3, 0.20581562489674554, -0.20929409058418286, -0.22653636310280345),
+    (1.5, 0.5, 2.0, 100.0, 4.9685758782460024e-05, -0.03533867926461039, -0.37462013339345984),
 ]
 
 
@@ -168,6 +186,24 @@ class TestDerivative:
             num = (evaluate(make(*up), r) - evaluate(make(*down), r)) / (2.0 * h)
             assert d[0] == 0.0
             assert d == pytest.approx(num, rel=1e-6, abs=1e-8)
+
+    @pytest.mark.parametrize("a,s,r,d_alpha,d_log_s", STABLE_PARAM_DERIVS)
+    def test_stable_parameter_derivatives_frozen(self, a, s, r, d_alpha, d_log_s):
+        _, (got_alpha, got_log_s) = _param_derivatives(stable(a, s), np.array([r]))
+        assert got_alpha[0] == pytest.approx(d_alpha, rel=1e-12)
+        assert got_log_s[0] == pytest.approx(d_log_s, rel=1e-12)
+
+    @pytest.mark.parametrize("a,b,s,r,d_alpha,d_log_s,d_beta", CAUCHY_PARAM_DERIVS)
+    def test_cauchy_parameter_derivatives_frozen(self, a, b, s, r, d_alpha, d_log_s, d_beta):
+        _, (got_alpha, got_log_s, got_beta) = _param_derivatives(cauchy(a, b, s), np.array([r]))
+        # d/dalpha = psi c / alpha (log(1 + t) - t log t / (1 + t)), c = beta/alpha,
+        # never changes sign but falls to zero as t = (s r)^alpha grows: its
+        # two terms, each about log t, cancel to (1 + log t) / t.  At the last
+        # point t = 2828 and the cancellation magnifies rounding about 2,500-fold
+        tol = 1e-12 if (s * r) ** a < 100.0 else 2e-12
+        assert got_alpha[0] == pytest.approx(d_alpha, rel=tol)
+        assert got_log_s[0] == pytest.approx(d_log_s, rel=1e-12)
+        assert got_beta[0] == pytest.approx(d_beta, rel=1e-12)
 
     def test_spherical_piecewise(self):
         s = 0.5

@@ -47,6 +47,11 @@ def build(family, alphas, betas, scales, swap=False):
 
 
 @SETTINGS
+# won by the limit at infinity: its constant once read 0.004440970744913089
+# and 0.004440970744913094 for the swapped model
+@example(("cauchy", (0.5502967408583751, 0.5940079988804554, 0.6377192569025356),
+          (4.255190824084309, 4.430164004722415, 4.605137185360521),
+          (1.5056704715358977, 0.15380311340941494, 0.19630820608109767), 1))
 @given(models())
 def test_component_swap_symmetry(case):
     family, alphas, betas, scales, n = case
@@ -56,15 +61,15 @@ def test_component_swap_symmetry(case):
     assert swapped.decidability == rep.decidability
     assert swapped.rho_bound == pytest.approx(rep.rho_bound, rel=1e-11, abs=0.0)
     # term11 + term22 - 2 term12 is symmetric in floating point, so the scan
-    # sees the same numbers, and an interior minimum is the same to the bit
+    # sees the same numbers, and so are the endpoint constants c11 + c22 -
+    # 2 c12: an interior minimum and a limit are the same to the bit
     kind = "Stable" if family == "stable" else "Cauchy"
     x = np.linspace(_GRID_LO, _GRID_HI, _GRID_POINTS)
     li, _ = _log_integrand(_members(build(family, alphas, betas, scales), kind), n)(x)
     li_swapped, _ = _log_integrand(
         _members(build(family, alphas, betas, scales, swap=True), kind), n)(x)
     assert np.array_equal(li, li_swapped, equal_nan=True)
-    if not isinstance(rep.infimum_location, str):
-        assert swapped.rho_bound_raw == rep.rho_bound_raw
+    assert swapped.rho_bound_raw == rep.rho_bound_raw
 
 
 def _cancellation(n, alpha, beta_, s, r):

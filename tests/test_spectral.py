@@ -109,6 +109,18 @@ class TestMemberDensity:
         got = member_spectral_density(matern(0.5, s), 1, u)
         assert got == pytest.approx(exact, rel=1e-9)
 
+    @pytest.mark.parametrize("s", [0.4, 1.3, 3.0])
+    def test_matern_closed_form_at_every_frequency(self, s):
+        # elementary forms of Gamma(nu + n/2) / (Gamma(nu) pi^(n/2)) s^(2 nu)
+        # / (s^2 + u^2)^(nu + n/2), from u far below s to far above it
+        u = np.array([0.0, 1e-6, 1e-3, 0.5, 2.0, 10.0, 1e3, 1e60])
+        nu_three_halves = 2.0 * s ** 3 / (math.pi * (s * s + u * u) ** 2)
+        nu_half_in_3d = s / (math.pi ** 2 * (s * s + u * u) ** 2)
+        assert member_spectral_density(matern(1.5, s), 1, u) == pytest.approx(
+            nu_three_halves, rel=1e-13)
+        assert member_spectral_density(matern(0.5, s), 3, u) == pytest.approx(
+            nu_half_in_3d, rel=1e-13)
+
     def test_heavy_cauchy_is_rejected(self):
         with pytest.raises(NonIntegrable):
             member_spectral_density(cauchy(1.0, 0.5, 1.0), 1, 1.0)

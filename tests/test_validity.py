@@ -333,6 +333,22 @@ class TestStableClassification:
         assert r.rho_bound == 0.0 and r.infimum_location == AT_ZERO
         assert "exactly at 1" in r.note
 
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("family", ["stable", "cauchy"])
+    def test_smoothness_one_within_tolerance_is_the_same_edge(self, family, n):
+        # the endpoint rule reads alpha == 1 with the case classifier's
+        # tolerance; 1e-11 off lies outside it and keeps the window-edge answer
+        def report(a11):
+            if family == "stable":
+                return max_rho_stable(stable_bivariate(1, 1, 0, a11, 1.2, 0.7, 1, 0.9, 1.1), n)
+            return max_rho_cauchy(cauchy_bivariate(1, 1, 0, a11, 1.2, 0.7, 2, 3, 2.5,
+                                                   1, 0.9, 1.1), n)
+        at_one, near_one, off_one = report(1.0), report(1.0 - 1e-13), report(1.0 - 1e-11)
+        assert at_one.infimum_location == near_one.infimum_location == AT_ZERO
+        assert near_one.decidability == INCONCLUSIVE and near_one.note == at_one.note
+        assert "exactly at 1" in near_one.note
+        assert off_one.infimum_location == AT_WINDOW_EDGE
+
     def test_dim_two_resolves_to_three(self):
         m = stable_bivariate(1, 1, 0, 0.8, 0.9, 0.6, 0.5, 0.7, 0.7)
         r = max_rho_stable(m, 2)
@@ -454,13 +470,17 @@ class TestEngineCost:
         assert report.rho_bound == pytest.approx(1.0, abs=1e-12)
         assert eight == one <= 1 + passes
 
-    # FIG_STABLE's generic reports and derivative calls since the zoom
-    # refines the minima (the golden-section search read 0.3734249716149069
-    # at 5.666927054300786 and 0.3607155794057417 at 7.788994034532395, with
-    # 126 and 252 derivative calls)
+    # FIG_STABLE's generic reports and derivative calls since one outer
+    # function per family drives the radial derivatives.  Before it, n = 1
+    # read infimum 0.13944620942559402 and bound 0.3734249716149069 at
+    # 5.66692719310287, and n = 3 the same infimum and bound at
+    # 7.788994555031706; the closed-form engine reads 0.3734249716149066 in n = 1.
+    # The golden-section search before the zoom read 0.3734249716149069 at
+    # 5.666927054300786 and 0.3607155794057417 at 7.788994034532395, with 126
+    # and 252 derivative calls
     @pytest.mark.parametrize("n,infimum,raw,location,calls", [
-        (1, 0.13944620942559402, 0.3734249716149069, 5.66692719310287, 18),
-        (3, 0.13011572922601974, 0.3607155794057414, 7.788994555031706, 36),
+        (1, 0.13944620942559377, 0.37342497161490656, 5.666927193767619, 18),
+        (3, 0.13011572922601974, 0.3607155794057414, 7.78899455509697, 36),
     ])
     def test_generic_route_evaluates_its_grid_once(self, monkeypatch, n, infimum, raw,
                                                     location, calls):
