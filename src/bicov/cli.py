@@ -158,12 +158,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if report.note:
         print(f"note={report.note}")
 
+    if model.rho == 0.0:
+        return EXIT_VALID
     if report.decidability == NECESSARILY_ZERO:
-        return EXIT_VALID if model.rho == 0.0 else EXIT_INVALID
-    if abs(model.rho) <= report.rho_bound or model.rho == 0.0:
-        if report.decidability == SUFFICIENT or model.rho == 0.0:
-            return EXIT_VALID
-    return EXIT_INCONCLUSIVE
+        return EXIT_INVALID
+    return (EXIT_VALID if report.decidability == SUFFICIENT
+            and abs(model.rho) <= report.rho_bound else EXIT_INCONCLUSIVE)
 
 
 _SWEEPABLE_MISSING = ("rho is the certified output of the bound, "

@@ -3,19 +3,18 @@
 Four families are supported: powered exponential ("stable"), generalized
 Cauchy, spherical, and Matern.  Each is a correlation function psi(r) with
 psi(0) = 1, evaluated for distances r >= 0, together with closed-form radial
-derivatives of orders 1..3 (central finite differences for Matern, a
-comparison model; the generic derivative route of the validity module
-differentiates Matern members this way).
+derivatives of orders 1..3 (Bessel K recurrences for Matern, which the
+generic derivative route of the validity module reads).
 
 A stable or Cauchy member is psi = G(t) at t = (s*r)**alpha, with outer
 function G(t) = exp(-t) or (1 + t)**(-beta/alpha).  One function per family
 returns G and its derivatives in t.  The radial derivatives chain them with
 t's derivatives in r (Faa di Bruno), and the derivatives in alpha, log scale
 and beta that maximum likelihood fitting needs chain them with t's
-derivatives in the parameters; Matern has a closed form in log scale and
-central differences in nu.  The closed forms are cross-validated against
-finite differences in the test suite and independent of the auxiliary ratios
-of the validity module, so the two code paths check each other.
+derivatives in the parameters; Matern has a closed form in log scale and a
+central difference in nu, the module's one finite difference.  The forms are
+checked against 50-digit oracles in the test suite and are independent of the
+validity module's auxiliary ratios, so the two code paths check each other.
 """
 
 from __future__ import annotations
@@ -182,9 +181,8 @@ def _outer(p: Union[StableParams, CauchyParams], t, order: int) -> list:
 
 
 def _matern_kx(nu: float, x: np.ndarray, power: float, order: float, fill: float) -> np.ndarray:
-    """2**(1-nu)/Gamma(nu) * x**power * K_order(x) at x >= 0: ``fill`` where
-    x <= 1e-150 (kv overflows there) and 0 where the product is not finite
-    (kv underflows to 0 for huge x)."""
+    """2**(1-nu)/Gamma(nu) * x**power * K_order(x) at x >= 0: ``fill`` where x <= 1e-150
+    (kv overflows there) and 0 where the product is not finite (kv underflows for huge x)."""
     from scipy.special import gamma
     out, safe = np.full_like(x, fill), x > 1e-150
     val = (2.0 ** (1.0 - nu) / gamma(nu)) * x[safe] ** power * _bessel_kv(order, x[safe])
@@ -241,27 +239,27 @@ def _spherical_deriv(p: SphericalParams, rr: np.ndarray, order: int) -> np.ndarr
     return np.where(inside, 3.0 * s ** 3, 0.0)
 
 
-# central finite-difference stencils; steps balance truncation against cancellation
-_FD_STEP = {1: 6.0e-6, 2: 1.2e-4, 3: 7.4e-4}
-
-
-def _matern_deriv(family: CorrelationFamily, rr: np.ndarray, order: int) -> np.ndarray:
-    h = _FD_STEP[order] * rr
+def _matern_deriv(p: MaternParams, rr: np.ndarray, order: int) -> np.ndarray:
+    """s**order phi^(order)(s*r), phi = c x**nu K_nu(x) (DLMF 10.29.4), NaN at s*r <= 1e-150;
+    below nu = 1, K_(nu-2) = K_nu - 2(nu-1)/x K_(nu-1) keeps order 3 from cancelling."""
+    s, nu, x = p.scale, p.nu, p.scale * rr
+    def k(power, q): return _matern_kx(nu, x, power, q, fill=np.nan)
     if order == 1:
-        return (evaluate(family, rr + h) - evaluate(family, rr - h)) / (2.0 * h)
+        return -s * k(nu, nu - 1.0)
     if order == 2:
-        return (evaluate(family, rr + h) - 2.0 * evaluate(family, rr)
-                + evaluate(family, rr - h)) / h ** 2
-    return (evaluate(family, rr + 2.0 * h) - 2.0 * evaluate(family, rr + h)
-            + 2.0 * evaluate(family, rr - h) - evaluate(family, rr - 2.0 * h)) / (2.0 * h ** 3)
+        return s ** 2 * (k(nu, nu) - (2.0 * nu - 1.0) * k(nu - 1.0, nu - 1.0))
+    if nu >= 1.0:
+        return s ** 3 * (3.0 * k(nu - 1.0, nu - 2.0) - k(nu, nu - 3.0))
+    return s ** 3 * ((2.0 * nu - 1.0) * (k(nu, nu) - 2.0 * (nu - 1.0) * k(nu - 1.0, nu - 1.0))
+                     / x - k(nu, nu - 1.0))
 
 
 def derivative(family: CorrelationFamily, r, order: int):
     """Radial derivative of psi of the given order (1, 2, or 3) at r > 0.
 
-    Stable and Cauchy use closed forms; spherical is piecewise polynomial and
-    rejects points within 1e-9/scale of its kink at r = 1/scale; Matern falls
-    back to central finite differences.
+    Every family has a closed form: stable and Cauchy chain their outer function,
+    Matern reads Bessel K terms (NaN where scale*r <= 1e-150), and spherical is
+    piecewise polynomial and rejects points within 1e-9/scale of its kink at 1/scale.
     """
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
@@ -272,7 +270,7 @@ def derivative(family: CorrelationFamily, r, order: int):
     elif family.kind == "Spherical":
         out = _spherical_deriv(p, rr, order)
     else:
-        out = _matern_deriv(family, rr, order)
+        out = _matern_deriv(p, rr, order)
     return _maybe_scalar(out, scalar)
 
 
@@ -300,9 +298,11 @@ def _param_derivatives(family: CorrelationFamily, r: np.ndarray, free=(True, Tru
         parts = [lambda: g1 * t * np.log(x, out=np.zeros_like(x), where=x > 0.0),
                  lambda: a * g1 * t]
         if family.kind == "Cauchy":
-            c, log_base, d_t = p.beta / a, np.log1p(t), parts[0]
-            parts = [lambda: d_t() + c / a * psi * log_base, parts[1],
-                     lambda: -psi * log_base / a]
+            # the alpha terms sum to psi c/alpha (log1p(u) - u log u/(1 + u)), u = min(t, 1/t)
+            c, u = p.beta / a, np.divide(1.0, t, out=t.copy(), where=t > 1.0)
+            u_log_u = u * np.log(u, out=np.zeros_like(u), where=u > 0.0)
+            parts = [lambda: c / a * psi * (np.log1p(u) - u_log_u / (1.0 + u)), parts[1],
+                     lambda: -psi * np.log1p(t) / a]
     else:
         raise ValueError(f"no parameter derivatives for the {family.kind} family")
     return psi, [d() if f else None for d, f in zip(parts, free)]

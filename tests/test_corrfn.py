@@ -1,6 +1,6 @@
 """Correlation families: values and derivatives against high-precision
-oracles, radial derivatives against Richardson-extrapolated finite
-differences, parameter derivatives against central differences, and the
+oracles, stable and Cauchy radial derivatives against Richardson-extrapolated
+finite differences, parameter derivatives against central differences, and the
 parameter boxes.
 
 All frozen constants were produced with 50-digit arithmetic and pasted at
@@ -73,6 +73,52 @@ CAUCHY_PARAM_DERIVS = [
     (0.7, 3.5, 0.4, 2.5, 0.1547203528035592, -0.054687499999999986, -0.03094407056071184),
     (1.4, 0.8, 2.0, 0.3, 0.20581562489674554, -0.20929409058418286, -0.22653636310280345),
     (1.5, 0.5, 2.0, 100.0, 4.9685758782460024e-05, -0.03533867926461039, -0.37462013339345984),
+    (0.8, 3.0, 5.0, 1e6, 2.187765658978056e-24, -2.399950143316311e-20, -1.2339760771144004e-19),
+]
+
+# (nu, x) -> phi', phi'', phi''' of phi(x) = 2**(1-nu)/Gamma(nu) x**nu K_nu(x), 50-digit
+# mpmath closed forms, agreeing with mpmath.diff to 40 digits
+MATERN_DERIVS = [
+    (0.1, 1e-06, -12339.857860282906, 9871886289.164625, -1.7769395319570366e+16),
+    (0.1, 0.001, -49.12542623901725, 39301.095362140855, -70741266.40635271),
+    (0.1, 0.5, -0.272426341754258, 0.6061006145887539, -2.1139516187098897),
+    (0.1, 3.0, -0.008553520522791465, 0.009897422683717865, -0.011953146173808804),
+    (0.1, 50.0, -9.9710827830537e-24, 1.0051946458027714e-23, -1.013510467287272e-23),
+    (0.45, 1e-06, -3.503663954286396, 350367.39542474656, -385403134974.61786),
+    (0.45, 0.001, -1.7550839849277036, 176.5064478446456, -193160.79836121981),
+    (0.45, 0.5, -0.6040015352594704, 0.6898430765282662, -0.9835707646689117),
+    (0.45, 3.0, -0.04427341519506691, 0.045110711101495164, -0.04626903240061749),
+    (0.45, 50.0, -1.4795321799457752e-22, 1.4810269454021997e-22, -1.4825534151237773e-22),
+    (0.5, 1e-06, -0.9999990000005, 0.9999990000005, -0.9999990000005),
+    (0.5, 0.001, -0.999000499833375, 0.999000499833375, -0.999000499833375),
+    (0.5, 0.5, -0.6065306597126334, 0.6065306597126334, -0.6065306597126334),
+    (0.5, 3.0, -0.049787068367863944, 0.049787068367863944, -0.049787068367863944),
+    (0.5, 50.0, -1.9287498479639178e-22, 1.9287498479639178e-22, -1.9287498479639178e-22),
+    (0.7, 1e-06, -0.006951678980715916, -2779.6715922913318, 1668802955.362882),
+    (0.7, 0.001, -0.10853647418469231, -42.414667557056376, 26448.614114580185),
+    (0.7, 0.5, -0.5701058999062214, 0.2669781379433166, 0.5556460502983859),
+    (0.7, 3.0, -0.07203011715407312, 0.0667337721348896, -0.05993094232924016),
+    (0.7, 50.0, -5.005616532118859e-22, 4.985436995039684e-22, -4.964932137513403e-22),
+    (1.0, 1e-06, -1.393144207362642e-05, -12.931442073633635, 999999.9999788529),
+    (1.0, 0.001, -0.007023688800562381, -6.023692562406295, 999.989214467285),
+    (1.0, 0.5, -0.46220953561383293, -0.09619851122601542, 1.194231584389468),
+    (1.0, 3.0, -0.10421851315883775, 0.0857297889983033, -0.06406208203064356),
+    (1.0, 50.0, -1.705083874894748e-21, 1.6879494358608829e-21, -1.6706428526275721e-21),
+    (1.5, 1e-06, -9.999990000004999e-07, -0.9999980000015, 1.999997000002),
+    (1.5, 0.001, -0.000999000499833375, -0.9980014993335417, 1.9970019991669166),
+    (1.5, 0.5, -0.3032653298563167, -0.3032653298563167, 0.9097959895689501),
+    (1.5, 3.0, -0.14936120510359183, 0.09957413673572789, -0.049787068367863944),
+    (1.5, 50.0, -9.643749239819589e-21, 9.450874255023197e-21, -9.257999270226805e-21),
+    (2.6, 1e-06, -3.1249999999986974e-07, -0.31249999999960937, 7.812499254293214e-07),
+    (2.6, 0.001, -0.00031249986981371486, -0.3124996094675698, 0.0007809539392758582),
+    (2.6, 0.5, -0.14358398614531376, -0.24349442715572706, 0.22327379298785022),
+    (2.6, 3.0, -0.20153517332899498, 0.07978090493611735, 0.0042078411351003184),
+    (2.6, 50.0, -2.1097741165445467e-19, 2.0221191792857479e-19, -1.936371684968749e-19),
+    (3.5, 1e-06, -1.9999999999996667e-07, -0.1999999999999, 1.9999999999983334e-07),
+    (3.5, 0.001, -0.000199999966666675, -0.19999990000004164, 0.00019999983346660836),
+    (3.5, 0.5, -0.09603402112116696, -0.17690477574951807, 0.08592517679262307),
+    (3.5, 3.0, -0.20910568714502856, 0.049787068367863944, 0.029872241020718365),
+    (3.5, 50.0, -1.7056577822160913e-18, 1.6053242151250082e-18, -1.5089252977237716e-18),
 ]
 
 
@@ -197,11 +243,9 @@ class TestDerivative:
     def test_cauchy_parameter_derivatives_frozen(self, a, b, s, r, d_alpha, d_log_s, d_beta):
         _, (got_alpha, got_log_s, got_beta) = _param_derivatives(cauchy(a, b, s), np.array([r]))
         # d/dalpha = psi c / alpha (log(1 + t) - t log t / (1 + t)), c = beta/alpha,
-        # never changes sign but falls to zero as t = (s r)^alpha grows: its
-        # two terms, each about log t, cancel to (1 + log t) / t.  At the last
-        # point t = 2828 and the cancellation magnifies rounding about 2,500-fold
-        tol = 1e-12 if (s * r) ** a < 100.0 else 2e-12
-        assert got_alpha[0] == pytest.approx(d_alpha, rel=tol)
+        # falls to zero as t = (s r)^alpha grows (t = 2828 and 2.2e5 at the last
+        # two points), where the bracket's two terms would cancel
+        assert got_alpha[0] == pytest.approx(d_alpha, rel=1e-12)
         assert got_log_s[0] == pytest.approx(d_log_s, rel=1e-12)
         assert got_beta[0] == pytest.approx(d_beta, rel=1e-12)
 
@@ -221,11 +265,23 @@ class TestDerivative:
         with pytest.raises(KinkError):
             derivative(fam, np.array([0.3, 0.5 + 1e-12]), 1)
 
-    def test_matern_finite_differences(self):
+    def test_matern_three_halves_elementary(self):
         # nu = 1.5: psi = (1+x) e^{-x}, psi'(r) = -s^2 r e^{-s r}
         s, r = 0.8, 1.3
         want = -s * s * r * math.exp(-s * r)
-        assert derivative(matern(1.5, s), r, 1) == pytest.approx(want, rel=1e-8)
+        assert derivative(matern(1.5, s), r, 1) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("nu,x,d1,d2,d3", MATERN_DERIVS)
+    def test_matern_frozen(self, nu, x, d1, d2, d3):
+        # psi^(k)(r) = s^k phi^(k)(s r); s = 2 keeps s r = x exact.  Both sides of
+        # nu = 1, where the third order changes form, and x from 1e-6 to 50
+        for k, want in enumerate((d1, d2, d3), start=1):
+            assert derivative(matern(nu, 2.0), x / 2.0, k) == pytest.approx(
+                2.0 ** k * want, rel=1e-12)
+
+    def test_matern_below_kv_range_is_nan(self):
+        got = derivative(matern(0.7, 1.0), np.array([1e-200, 1.0]), 2)
+        assert np.isnan(got[0]) and np.isfinite(got[1])
 
     def test_order_validation(self):
         with pytest.raises(ValueError):

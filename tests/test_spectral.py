@@ -102,6 +102,16 @@ class TestMemberDensity:
         got = member_spectral_density(stable(1.0, s), 3, u)
         assert got == pytest.approx(exact, rel=1e-9)
 
+    @pytest.mark.xfail(reason="the oscillatory quadrature reads about 1e-57 to 1e-11 for "
+                              "u <= 4e-4 s; the spectral kernel of ROADMAP item 6 owns the fix")
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("s", [1.0, 3.0])
+    def test_exponential_density_at_small_frequency(self, s, n):
+        u = np.array([1e-4, 4e-4]) * s
+        exact = (s / (math.pi * (s * s + u * u)) if n == 1
+                 else s / (math.pi ** 2 * (s * s + u * u) ** 2))
+        assert member_spectral_density(stable(1.0, s), n, u) == pytest.approx(exact, rel=1e-9)
+
     def test_matern_half_matches_exponential(self):
         s = 1.3
         u = np.array([0.0, 0.5, 2.0, 10.0])

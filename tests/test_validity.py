@@ -11,9 +11,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bicov import validity
-from bicov.bimodels import (BivariateModel, cauchy_bivariate, stable_bivariate)
+from bicov.bimodels import (BivariateModel, cauchy_bivariate, matern_bivariate,
+                            stable_bivariate)
 from bicov.corrfn import cauchy, derivative, matern, spherical, stable
 from bicov.field import FieldSample, check_pd, gram
 from bicov.validity import (AT_INFINITY, AT_WINDOW_EDGE, AT_ZERO, INCONCLUSIVE,
@@ -414,12 +417,33 @@ class TestGenericRoute:
             generic_sufficient_check(m, 1)
 
     def test_matern_sign_condition_fails(self):
-        # finite-difference second forms of the comparison family are too
-        # noisy at the grid extremes to certify the sign condition
+        # nu11 = 0.7 > 1/2: psi'' = c (x^nu K_nu - (2 nu - 1) x^(nu-1) K_(nu-1))
+        # falls to -inf as x -> 0, and so does psi'' - r psi'''
         m = BivariateModel(1.0, 1.0, 0.0, matern(0.7, 1.0), matern(1.0, 1.0),
                            matern(1.3, 1.0))
-        with pytest.raises(NotApplicable):
+        with pytest.raises(NotApplicable, match="psi11 violates the marginal second-order"):
             generic_sufficient_check(m, 3)
+
+    @pytest.mark.parametrize("n,want", [(1, 0.29906084460883636), (3, 0.2468323904409174)])
+    def test_matern_bound_from_exact_derivatives(self, n, want):
+        # central differences put the n = 3 bound at 0.24683277795404218,
+        # 1.6e-6 above its true value
+        m = matern_bivariate(1.0, 1.0, 0.0, 0.2729653856654739, 0.4008165909944131,
+                             0.13916612038035503, 0.435816560541311, 1.7179540936378843,
+                             2.7086787231686267)
+        assert generic_sufficient_check(m, n).rho_bound_raw == pytest.approx(want, rel=1e-9)
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(nu11=st.floats(0.05, 0.5), nu12=st.floats(0.05, 1.5), nu22=st.floats(0.05, 0.5),
+           scales=st.tuples(*[st.floats(0.1, 10.0)] * 3), n=st.sampled_from([1, 3]))
+    def test_rough_matern_marginals_meet_the_sign_condition(self, nu11, nu12, nu22, scales, n):
+        # for nu <= 1/2, psi'' and -r psi''' are sums of nonnegative Bessel terms
+        m = matern_bivariate(1.0, 1.0, 0.0, nu11, nu12, nu22, *scales)
+        try:
+            generic_sufficient_check(m, n)
+        except NotApplicable as exc:
+            assert "sign condition" not in str(exc)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_underflowing_ratio_not_applicable(self, n):

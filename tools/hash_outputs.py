@@ -13,7 +13,11 @@ Prints one SHA-256 prefix per case and a total over all of them:
 * ``bound``: the bound engine's reports on a seeded set of stable and Cauchy
   models in R^1 and R^3, fine (the defaults), coarse (``grid_points=512,
   refine_brackets=0``, as in the fit) and by the generic route, each report
-  written as text with its location as a float or a tag.
+  written as text with its location as a float or a tag;
+* ``deriv``: radial derivatives of orders 1 to 3 of a stable, Cauchy and
+  spherical member and of a Matern member on each side of nu = 1, on a
+  distance grid clear of the spherical kink, and the generic route's reports
+  on a rough bivariate Matern model in R^1 and R^3.
 
 Run it on two checkouts and compare the output; equal totals mean
 bit-identical results.  Byte equality holds at a fixed BLAS thread count:
@@ -45,6 +49,17 @@ MODELS = {
     "lmc": bc.LmcBivariate(b1=(1.0, 0.3, 0.5), b2=(0.4, 0.1, 0.9),
                            psi1=bc.stable(1.0, 0.7), psi2=bc.stable(1.5, 1.3)),
 }
+
+DERIV_MEMBERS = {
+    "stable": bc.stable(0.7, 1.3),
+    "cauchy": bc.cauchy(1.2, 2.5, 0.8),
+    "spherical": bc.spherical(0.7),
+    "matern 0.8": bc.matern(0.8, 1.3),
+    "matern 2.2": bc.matern(2.2, 0.6),
+}
+ROUGH_MATERN = bc.matern_bivariate(1.0, 1.0, 0.0, 0.2729653856654739, 0.4008165909944131,
+                                   0.13916612038035503, 0.435816560541311,
+                                   1.7179540936378843, 2.7086787231686267)
 
 
 def bound_models(kind: str):
@@ -128,6 +143,13 @@ def main() -> None:
             for route, text in routes.items():
                 h = hashlib.sha256("\n".join(map(text, bound_models(kind))).encode())
                 lines.append(f"bound {kind} {n} {route} {h.hexdigest()[:16]}")
+
+    r = np.geomspace(1e-3, 1e2, 41)
+    for name, fam in DERIV_MEMBERS.items():
+        lines.append(f"deriv {name} {digest(*(bc.derivative(fam, r, k) for k in (1, 2, 3)))}")
+    for n in (1, 3):
+        text = generic_text(ROUGH_MATERN, n)
+        lines.append(f"deriv generic matern {n} {hashlib.sha256(text.encode()).hexdigest()[:16]}")
 
     for line in lines:
         print(line)
