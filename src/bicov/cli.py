@@ -8,7 +8,8 @@ malformed model or data file, 70 computation errors.
 
 All outputs are deterministic byte for byte given identical inputs, seeds
 and BLAS thread count (the Cholesky factors behind simulate, fit and krige
-change in their last bits with it); every float is written repr-exact.
+change in their last bits with it), whatever the number of CPUs; every float
+is written repr-exact.
 """
 
 from __future__ import annotations

@@ -130,27 +130,40 @@ class _GramCache:
     """A sample's block distances and ``idx``, the slot of every Gram cell in
     the table [11 entries, 12 entries, 22 entries, var1 + nugget1,
     var2 + nugget2], so repeated builds only re-evaluate families.  A block
-    whose two location lists are equal keeps one slot per unordered pair."""
+    whose two location lists are equal keeps one slot per unordered pair.
+
+    Each distinct point set is measured once: in a colocated sample the two
+    components share one, so pairs 11, 12 and 22 read one distance block, and
+    11 and 22 one triangle of it.  The distance arrays are read-only."""
 
     def __init__(self, sample: FieldSample):
         self.comp = sample.components
         rows = {c: np.flatnonzero(self.comp == c) for c in (1, 2)}
         pts = {c: sample.locations[r] for c, r in rows.items()}
+        # the point set of each component: one for both when they are equal
+        key = {1: 1, 2: 1 if np.array_equal(pts[1], pts[2]) else 2}
         self.idx = np.empty((self.comp.size,) * 2, dtype=np.intp)
-        self.dist, self.slots, start = {}, {}, 0
+        self.dist, self.slots, start, blocks, triangles = {}, {}, 0, {}, {}
         for pair in _PAIRS:
             i, j = int(pair[0]), int(pair[1])
-            full = _block_distances(pts[i], pts[j])
-            if np.array_equal(pts[i], pts[j]):
+            a, b = key[i], key[j]
+            if (a, b) not in blocks:
+                blocks[a, b] = _block_distances(pts[a], pts[b])
+            full = blocks[a, b]
+            if a == b:
                 # the self-pairs of 11 and 22 are the diagonal: variance slots
-                upper = np.triu(np.ones(full.shape, dtype=bool), k=int(i == j))
-                slots = np.zeros(full.shape, dtype=np.intp)
-                slots[upper] = slots.T[upper] = start + np.arange(np.count_nonzero(upper))
+                if (a, i == j) not in triangles:
+                    upper = np.triu(np.ones(full.shape, dtype=bool), k=int(i == j))
+                    template = np.zeros(full.shape, dtype=np.intp)
+                    template[upper] = template.T[upper] = np.arange(np.count_nonzero(upper))
+                    triangles[a, i == j] = template, full[upper]
+                template, self.dist[pair] = triangles[a, i == j]
                 # symmetric: the mirrored block is written from slots itself, contiguously
-                self.dist[pair], mirror = full[upper], slots
+                slots = mirror = template + start
             else:
                 slots = start + np.arange(full.size).reshape(full.shape)
                 self.dist[pair], mirror = full.ravel(), slots.T
+            self.dist[pair].flags.writeable = False
             self.slots[pair] = slice(start, start + self.dist[pair].size)
             start += self.dist[pair].size
             self.idx[np.ix_(rows[i], rows[j])] = slots
@@ -273,6 +286,20 @@ def _precision(factor) -> np.ndarray:
     if info:
         raise np.linalg.LinAlgError(f"potri failed with info {info}")
     return p
+
+
+def _precision_diagonal(factor) -> np.ndarray:
+    """diag(m^-1) from the lower Cholesky factor L of m: the column sums of squares
+    of L^-1, by LAPACK trtri (potri is trtri plus lauum).  The factor is overwritten."""
+    from scipy.linalg import get_lapack_funcs
+    c = factor[0]
+    trtri, = get_lapack_funcs(("trtri",), (c,))
+    inv, info = trtri(c, lower=1, overwrite_c=1)
+    if info:
+        raise np.linalg.LinAlgError(f"trtri failed with info {info}")
+    for j in range(1, inv.shape[0]):   # trtri leaves the strict upper triangle as it was
+        inv[:j, j] = 0.0
+    return np.einsum("ij,ij->j", inv, inv)
 
 
 def _values(data: FieldSample) -> np.ndarray:
@@ -744,12 +771,13 @@ def loo_rmse(model_or_fit, data: FieldSample,
 
     For a Gaussian vector the deleted residual at i is (P (z - mu))_i / P_ii
     with P the precision matrix, so no refitting or resolving per point is
-    needed.  Means are the profiled GLS estimates of the full data.
+    needed.  diag(P) is read from one triangular inverse: the column sums of
+    squares of L^-1, L the Cholesky factor.  Means are the profiled GLS
+    estimates of the full data.
     """
     model, nug1, nug2, _, _ = _unpack_fitted(model_or_fit, nugget1, nugget2,
                                              None, None)
     z = _values(data)
-    m = gram(model, data, nug1, nug2)
-    factor, solved = _nll_core(m, data.components, z)[3:]
-    resid = solved / np.diag(_precision(factor))
+    factor, solved = _nll_core(gram(model, data, nug1, nug2), data.components, z)[3:]
+    resid = solved / _precision_diagonal(factor)
     return float(np.sqrt(np.mean(resid ** 2)))

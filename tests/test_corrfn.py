@@ -1,17 +1,23 @@
 """Correlation families: values and derivatives against high-precision
 oracles, stable and Cauchy radial derivatives against Richardson-extrapolated
-finite differences, parameter derivatives against central differences, and the
-parameter boxes.
+finite differences, parameter derivatives against central differences, the
+parameter boxes, and Bessel K split across threads.
 
 All frozen constants were produced with 50-digit arithmetic and pasted at
 full double precision.
 """
 
 import math
+import os
+import signal
+import time
+import warnings
 
 import numpy as np
 import pytest
 
+from bicov import FieldSample, gram, matern_bivariate
+from bicov import corrfn
 from bicov.corrfn import (ALPHA_MIN, CorrelationFamily, KinkError, StableParams,
                           _param_derivatives, cauchy, derivative, evaluate, matern,
                           spherical, stable)
@@ -121,6 +127,15 @@ MATERN_DERIVS = [
     (3.5, 50.0, -1.7056577822160913e-18, 1.6053242151250082e-18, -1.5089252977237716e-18),
 ]
 
+# (nu, x) -> psi, 50-digit mpmath: kv(nu, x) overflows at nu = 10, and both
+# Gamma(170) and 2**-169 / Gamma(170) leave double range
+MATERN_EXTREME_VALUES = [
+    (10.0, 1e-50, 1.0),
+    (10.0, 1e-30, 1.0),
+    (170.0, 0.1, 0.9999852072106574),
+    (200.0, 0.1, 0.99998743726524),
+]
+
 
 def richardson(f, r, order, h0):
     """Central differences on a 4-level Richardson tableau."""
@@ -175,6 +190,13 @@ class TestEvaluate:
         x = 0.8 * r
         got = evaluate(matern(1.5, 0.8), r)
         np.testing.assert_allclose(got, (1 + x) * np.exp(-x), rtol=1e-12)
+
+    @pytest.mark.parametrize("nu,x,want", MATERN_EXTREME_VALUES)
+    def test_matern_where_gamma_or_kv_overflows(self, nu, x, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluate(matern(nu, 2.0), np.array([x / 2.0, 0.0]))
+        assert got[0] == pytest.approx(want, rel=1e-13) and got[1] == 1.0
 
     def test_matern_extreme_arguments(self):
         fam = matern(1.2, 1.0)
@@ -317,3 +339,49 @@ class TestParamBoxes:
 
     def test_kink_error_is_value_error(self):
         assert issubclass(KinkError, ValueError)
+
+
+class TestBesselKvSplit:
+    """kv split across threads gives the bits of one scipy call."""
+
+    N = 2 * corrfn._KV_SHARE_MIN   # the least size that splits
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(N - 1,), (N,), (N + 1,), (3 * N + 7,),
+                                       (67, 129), "transposed"])
+    def test_equals_one_kv_call(self, cpus, shape, monkeypatch):
+        from scipy.special import kv
+        monkeypatch.setattr(corrfn, "_cpu_count", lambda: cpus)
+        x = np.random.default_rng(cpus).uniform(1e-3, 40.0, 4 * self.N)
+        if shape == "transposed":
+            x = x[:67 * 129].reshape(67, 129).T
+        else:
+            x = x[:math.prod(shape)].reshape(shape)
+        for order in (0.75, -2.3, 9.5):
+            got = corrfn._bessel_kv(order, x)
+            assert got.shape == x.shape
+            assert got.tobytes() == kv(order, x).tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_evaluates_a_matern_gram(self, monkeypatch):
+        monkeypatch.setattr(corrfn, "_cpu_count", lambda: 2)
+        model = matern_bivariate(1.0, 1.3, 0.2, 0.5, 1.0, 1.5, 0.7, 0.7, 0.7)
+        pts = np.random.default_rng(5).uniform(0.0, 10.0, (100, 2))
+        # 100 colocated sites: 4,950 and 5,050 distances, so kv splits
+        sample = FieldSample(np.repeat(pts, 2, axis=0), np.tile([1, 2], 100))
+        want = gram(model, sample)   # the parent splits kv before the fork
+        pid = os.fork()
+        if pid == 0:
+            code = 2
+            try:
+                code = 0 if np.array_equal(gram(model, sample), want) else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish within 60 s")
+            time.sleep(0.02)
+        assert os.waitstatus_to_exitcode(status[1]) == 0

@@ -10,8 +10,8 @@ from scipy.stats import multivariate_normal
 import bicov as bc
 from bicov import BivariateModel, FieldSample, matern, stable
 from bicov.bimodels import _entry, _terms
-from bicov.field import (_GramCache, _ParamSpec, _parsimonious_matern_rho_bound,
-                         _ProfiledNll, check_pd, gram)
+from bicov.field import (_block_distances, _GramCache, _ParamSpec,
+                         _parsimonious_matern_rho_bound, _ProfiledNll, check_pd, gram)
 from bicov.spectral import cross_spectral_profile
 
 
@@ -167,6 +167,57 @@ class TestGramAgainstScatter:
         # reads the variance slot, the amplitude itself); 12: every site pair,
         # self-pairs included
         assert sizes == [pairs, pairs + n_sites, pairs]
+
+
+def reference_cache(sample):
+    """idx, dist and slots of a _GramCache built pair by pair: each pair measures
+    its own block and numbers its own triangle."""
+    comp = sample.components
+    rows = {c: np.flatnonzero(comp == c) for c in (1, 2)}
+    pts = {c: sample.locations[r] for c, r in rows.items()}
+    idx = np.empty((comp.size,) * 2, dtype=np.intp)
+    dist, slots, start = {}, {}, 0
+    for pair in ("11", "12", "22"):
+        i, j = int(pair[0]), int(pair[1])
+        full = _block_distances(pts[i], pts[j])
+        if np.array_equal(pts[i], pts[j]):
+            upper = np.triu(np.ones(full.shape, dtype=bool), k=int(i == j))
+            block = np.zeros(full.shape, dtype=np.intp)
+            block[upper] = block.T[upper] = start + np.arange(np.count_nonzero(upper))
+            dist[pair], mirror = full[upper], block
+        else:
+            block = start + np.arange(full.size).reshape(full.shape)
+            dist[pair], mirror = full.ravel(), block.T
+        slots[pair] = slice(start, start + dist[pair].size)
+        start += dist[pair].size
+        idx[np.ix_(rows[i], rows[j])] = block
+        if i != j:
+            idx[np.ix_(rows[j], rows[i])] = mirror
+    for c in (1, 2):
+        idx[rows[c], rows[c]] = start + c - 1
+    return idx, dist, slots
+
+
+class TestGramCacheGeometry:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("layout", list(sample_layouts(1)))
+    def test_equals_the_per_pair_construction(self, d, layout):
+        sample = FieldSample(*sample_layouts(d)[layout])
+        cache = _GramCache(sample)
+        idx, dist, slots = reference_cache(sample)
+        assert np.array_equal(cache.idx, idx)
+        assert cache.slots == slots
+        for pair in ("11", "12", "22"):
+            assert cache.dist[pair].tobytes() == dist[pair].tobytes()
+            assert not cache.dist[pair].flags.writeable
+
+    def test_colocated_pairs_share_read_only_distances(self):
+        cache = _GramCache(FieldSample(*colocated_design(7, 30)))
+        assert cache.dist["11"] is cache.dist["22"]
+        assert cache.dist["12"].size == cache.dist["11"].size + 30
+        for pair in ("11", "12"):
+            with pytest.raises(ValueError, match="read-only"):
+                cache.dist[pair][0] = 1.0
 
 
 class TestCheckPd:
@@ -579,6 +630,30 @@ class TestLooRmse:
                                  int(comps[i]), mean1=mu1, mean2=mu2)
             sq.append((data.values[i] - pred[0]) ** 2)
         assert shortcut == pytest.approx(math.sqrt(np.mean(sq)), rel=1e-9)
+
+
+    # the predict benchmark's four models: the criterion-9 stable truth, a Cauchy
+    # model of case v, a parsimonious Matern model at 0.8 of its rho limit, an LMC
+    PREDICT_MODELS = {
+        "stable": bc.stable_bivariate(1.0, 1.5, 0.4, 0.8, 0.9, 0.6, 0.5, 0.7, 0.7),
+        "cauchy": bc.cauchy_bivariate(1.0, 1.2, 0.5, 0.5, 0.8, 0.7, 1.5, 2.5, 2.0,
+                                      0.5, 0.6, 0.7),
+        "matern": bc.matern_bivariate(1.0, 0.8, 0.8 * _parsimonious_matern_rho_bound(0.5, 1.0, 2),
+                                      0.5, 0.75, 1.0, 1.0, 1.0, 1.0),
+        "lmc": bc.LmcBivariate(b1=(1.0, 0.5, 0.8), b2=(0.5, -0.2, 0.6),
+                               psi1=stable(1.0, 0.5), psi2=stable(0.5, 1.0)),
+    }
+
+    @pytest.mark.parametrize("name", list(PREDICT_MODELS))
+    def test_matches_the_explicit_inverse(self, name):
+        model = self.PREDICT_MODELS[name]
+        locs, comps = colocated_design(17, 100, extent=20.0)
+        data = bc.simulate(model, locs, comps, seed=8, mean1=1.0, mean2=2.0)
+        _, mu1, mu2 = bc.nll(model, data)
+        precision = np.linalg.inv(gram(model, data))
+        resid = precision @ (data.values - np.where(comps == 1, mu1, mu2))
+        want = math.sqrt(np.mean((resid / np.diag(precision)) ** 2))
+        assert bc.loo_rmse(model, data) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestParsimoniousMaternBound:

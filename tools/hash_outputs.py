@@ -5,8 +5,11 @@ Prints one SHA-256 prefix per case and a total over all of them:
 * ``gram`` for a stable, Cauchy, Matern, spherical and LMC model on a
   colocated, a heterotopic and a partly colocated sample, without and with
   nuggets;
-* ``krige``: a simulated sample, ``cokrige`` for both target components and
-  ``loo_rmse`` on the same models and samples;
+* ``gram`` once more for the Matern model on 120 colocated sites, where kv
+  runs split across the CPUs;
+* ``krige``: a simulated sample and ``cokrige`` for both target components on
+  the same models and samples;
+* ``loo``: ``loo_rmse`` of that simulated sample, on a line of its own;
 * ``nll``: value and gradient of the fit objective at four Latin-hypercube
   points for every fitted kind, without and with ``fit_nugget``, on plain data
   and on data with ten repeated rows (which needs the nugget floor);
@@ -20,7 +23,8 @@ Prints one SHA-256 prefix per case and a total over all of them:
   on a rough bivariate Matern model in R^1 and R^3.
 
 Run it on two checkouts and compare the output; equal totals mean
-bit-identical results.  Byte equality holds at a fixed BLAS thread count:
+bit-identical results.  Byte equality holds at a fixed BLAS thread count,
+whatever the number of CPUs the process may run on:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/hash_outputs.py
 """
@@ -112,8 +116,13 @@ def main() -> None:
                                nugget1=0.01, nugget2=0.02)
             targets = pts[:7] + 0.3
             out = [data.values, *bc.cokrige(model, data, targets, 1, nugget1=0.01, nugget2=0.02),
-                   *bc.cokrige(model, data, targets, 2), bc.loo_rmse(model, data)]
+                   *bc.cokrige(model, data, targets, 2)]
             lines.append(f"krige {sname} {mname} {digest(*out)}")
+            lines.append(f"loo {sname} {mname} {digest(bc.loo_rmse(model, data))}")
+    # 120 colocated sites: 7,140 distances per pair, so kv runs split across the CPUs
+    big = np.repeat(np.random.default_rng(4).uniform(0, 10, size=(120, 2)), 2, axis=0)
+    sample = bc.FieldSample(big, np.tile([1, 2], 120))
+    lines.append(f"gram colocated-120 matern {digest(bc.gram(MODELS['matern'], sample))}")
 
     locs, comps = samples["colocated"]
     plain = bc.simulate(MODELS["stable"], locs[:80], comps[:80], seed=0, mean1=1.0, mean2=2.0)
