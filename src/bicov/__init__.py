@@ -2,9 +2,9 @@
 
 The package certifies how much colocated correlation a bivariate powered
 exponential or generalized Cauchy covariance model can carry, checks the
-spectral necessary conditions, proves the bivariate spherical model trivial,
-and provides the applied layer: Gram assembly, Gaussian simulation, maximum
-likelihood fitting, and simple cokriging, plus a CLI over all of it.
+spectral necessary conditions, proves the bivariate spherical model trivial
+in R^3, and provides the applied layer: Gram assembly, Gaussian simulation,
+maximum likelihood fitting, and simple cokriging, plus a CLI over all of it.
 
 No module imports scipy at its top: each scipy part is imported inside the
 functions that use it, so importing the package loads numpy only.

@@ -2,9 +2,9 @@
 
 Exit codes follow a three-way verdict convention: 0 means success (for
 ``validate``: the model as given is certified valid), 1 means inconclusive
-(nothing proves validity, nothing disproves it), 2 means provably invalid.
-Operational failures use codes above 2: 64 usage, 65 missing file, 66
-malformed model or data file, 70 computation errors.
+(nothing proves validity, nothing disproves it), 2 means provably invalid
+in the asked dimension.  Operational failures use codes above 2: 64 usage,
+65 missing file, 66 malformed model or data file, 70 computation errors.
 
 All outputs are deterministic byte for byte given identical inputs, seeds
 and BLAS thread count (the Cholesky factors behind simulate, fit and krige
@@ -22,12 +22,10 @@ import sys
 
 import numpy as np
 
-from .bimodels import (LmcBivariate, ModelParseError, _fmt, _write_csv, model_from_text,
-                       model_to_text)
+from .bimodels import ModelParseError, _fmt, _write_csv, model_from_text, model_to_text
 from .field import FieldSample, _cokrige, fit_ml, loo_rmse, simulate
 from .spectral import NonIntegrable, QuadratureError, cross_spectral_profile
-from .validity import (NECESSARILY_ZERO, SUFFICIENT, NotApplicable, _bound_report,
-                       _resolve_dim, generic_sufficient_check, spherical_triviality)
+from .validity import NECESSARILY_ZERO, SUFFICIENT, _resolve_dim, certify
 
 __all__ = ["main"]
 
@@ -107,64 +105,28 @@ def _read_sample(path: str) -> FieldSample:
 # ---------------------------------------------------------------------------
 # Subcommand handlers.
 
+# the keys validate prints after kind=, by report.case; every other case is a bound report
+_SHAPES = {"lmc": ("decidability", "note"), "no-route": ("decidability", "note"),
+           "separable": ("decidability", "rho_bound", "note"),
+           "spherical": ("valid", "reason", "witness_frequency")}
+_BOUND_SHAPE = ("rho", "rho_bound_raw", "rho_bound", "case", "infimum_location",
+                "decidability", "note")
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
-
-    if isinstance(model, LmcBivariate):
-        print("kind=lmc")
-        print("decidability=SufficientBound")
-        print("note=coregionalization with positive semidefinite coefficient "
-              "matrices is valid in any dimension")
-        return EXIT_VALID
-
-    kind = model.kind
-    if kind == "spherical":
-        verdict = spherical_triviality(model.psi11.params.scale,
-                                       model.psi12.params.scale,
-                                       model.psi22.params.scale, model.rho)
-        print("kind=spherical")
-        print(f"valid={str(verdict.valid).lower()}")
-        print(f"reason={verdict.reason}")
-        if verdict.witness_u is not None:
-            print(f"witness_frequency={_fmt(verdict.witness_u)}")
-        return EXIT_VALID if verdict.valid else EXIT_INVALID
-
-    if kind in ("stable", "cauchy"):
-        report = _bound_report(model, args.dim)
-    else:
-        if model.rho == 0.0:
-            print(f"kind={kind}")
-            print("decidability=SufficientBound")
-            print("rho_bound=0")
-            print("note=separable model (rho = 0) is valid whenever its "
-                  "marginals are")
-            return EXIT_VALID
-        try:
-            report = generic_sufficient_check(model, args.dim)
-        except NotApplicable as exc:
-            print(f"kind={kind}")
-            print("decidability=ZeroInfimumInconclusive")
-            print(f"note={exc}")
-            return EXIT_INCONCLUSIVE
-
-    loc = report.infimum_location
-    loc_str = loc if isinstance(loc, str) else _fmt(loc)
-    print(f"kind={kind}")
-    print(f"rho={_fmt(model.rho)}")
-    print(f"rho_bound_raw={_fmt(report.rho_bound_raw)}")
-    print(f"rho_bound={_fmt(report.rho_bound)}")
-    print(f"case={report.case}")
-    print(f"infimum_location={loc_str}")
-    print(f"decidability={report.decidability}")
-    if report.note:
-        print(f"note={report.note}")
-
-    if model.rho == 0.0:
-        return EXIT_VALID
-    if report.decidability == NECESSARILY_ZERO:
-        return EXIT_INVALID
-    return (EXIT_VALID if report.decidability == SUFFICIENT
-            and abs(model.rho) <= report.rho_bound else EXIT_INCONCLUSIVE)
+    report = certify(model, args.dim)
+    rho = getattr(model, "rho", 0.0)   # an LMC's coefficient matrices carry its correlation
+    values = {**vars(report), "rho": rho, "reason": report.note,
+              "valid": str(report.decidability == SUFFICIENT).lower(),
+              "witness_frequency": report.witness_u}
+    print(f"kind={model.kind}")
+    for key in _SHAPES.get(report.case, _BOUND_SHAPE):
+        if values[key] not in (None, ""):
+            print(f"{key}={values[key] if isinstance(values[key], str) else _fmt(values[key])}")
+    return (EXIT_VALID if rho == 0.0 or (report.decidability == SUFFICIENT
+                                         and abs(rho) <= report.rho_bound)
+            else EXIT_INVALID if report.decidability == NECESSARILY_ZERO else EXIT_INCONCLUSIVE)
 
 
 _SWEEPABLE_MISSING = ("rho is the certified output of the bound, "
@@ -173,7 +135,7 @@ _SWEEPABLE_MISSING = ("rho is the certified output of the bound, "
 
 def _cmd_curve(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
-    if isinstance(model, LmcBivariate) or model.kind not in ("stable", "cauchy"):
+    if model.kind not in ("stable", "cauchy"):
         raise SchemaError("curve sweeps require a stable or Cauchy model file")
     try:
         param, rng = args.sweep.split("=", 1)
@@ -199,7 +161,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         lines = [f"{param} = {_fmt(value)}" if ln.split("=", 1)[0].strip() == param
                  else ln for ln in base_lines]
         swept = model_from_text("\n".join(lines))
-        report = _bound_report(swept, args.dim)
+        report = certify(swept, args.dim)
         rows.append((value, report.rho_bound, report.decidability))
 
     _write_csv(args.out, (param, "rho_bound", "decidability"), rows)
@@ -209,7 +171,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 def _cmd_spectral(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
-    if isinstance(model, LmcBivariate):
+    if model.kind == "lmc":
         raise SchemaError("spectral profiles expect a bivariate member model")
     n, _ = _resolve_dim(args.dim)
     u = np.linspace(0.0, args.umax, args.points)

@@ -305,15 +305,16 @@ def _spherical_deriv(p: SphericalParams, rr: np.ndarray, order: int) -> np.ndarr
 
 def _matern_deriv(p: MaternParams, rr: np.ndarray, order: int) -> np.ndarray:
     """s**order phi^(order)(s*r), phi = c x**nu K_nu(x) (DLMF 10.29.4), NaN at s*r <= 1e-150;
-    below nu = 1, K_(nu-2) = K_nu - 2(nu-1)/x K_(nu-1) keeps order 3 from cancelling."""
+    K_(nu-2) is read directly from nu = 1 on, below as K_nu - 2(nu-1)/x K_(nu-1): no cancelling."""
     s, nu, x = p.scale, p.nu, p.scale * rr
     def k(power, q): return _matern_kx(nu, x, power, q, fill=np.nan)
     if order == 1:
         return -s * k(nu, nu - 1.0)
+    if nu >= 1.0:
+        return s ** order * (k(nu, nu - 2.0) - k(nu - 1.0, nu - 1.0) if order == 2
+                             else 3.0 * k(nu - 1.0, nu - 2.0) - k(nu, nu - 3.0))
     if order == 2:
         return s ** 2 * (k(nu, nu) - (2.0 * nu - 1.0) * k(nu - 1.0, nu - 1.0))
-    if nu >= 1.0:
-        return s ** 3 * (3.0 * k(nu - 1.0, nu - 2.0) - k(nu, nu - 3.0))
     return s ** 3 * ((2.0 * nu - 1.0) * (k(nu, nu) - 2.0 * (nu - 1.0) * k(nu - 1.0, nu - 1.0))
                      / x - k(nu, nu - 1.0))
 

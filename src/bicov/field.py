@@ -27,7 +27,7 @@ import numpy as np
 from .bimodels import (_PAIRS, LmcBivariate, _entry, _sum_into, _terms,
                        cauchy_bivariate, matern_bivariate, stable_bivariate)
 from .corrfn import _param_derivatives, _require, evaluate, stable
-from .validity import _bound_report, _log_infimum_gradient
+from .validity import _log_infimum_gradient, certify
 
 __all__ = [
     "FieldSample",
@@ -516,7 +516,7 @@ class _ParamSpec:
     def _member_bound(self, probe, params) -> _D:
         """Coarse certified bound of a stable or Cauchy probe; its gradient holds
         the bound engine's winning candidate fixed."""
-        report = _bound_report(probe, self.n_valid, grid_points=512, refine_brackets=0)
+        report = certify(probe, self.n_valid, grid_points=512, refine_brackets=0)
         grad = np.zeros(self.dim)
         if 0.0 < report.rho_bound_raw < 1.0:
             sens = _log_infimum_gradient(probe, report)
@@ -537,7 +537,7 @@ class _ParamSpec:
         """Re-certify rho with the fine engine and clip into the exact bound."""
         if self.kind not in ("stable", "cauchy"):
             return model
-        bound = _bound_report(replace(model, rho=0.0), self.n_valid).rho_bound
+        bound = certify(replace(model, rho=0.0), self.n_valid).rho_bound
         if abs(model.rho) > bound:
             return replace(model, rho=math.copysign(bound, model.rho))
         return model

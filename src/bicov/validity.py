@@ -62,6 +62,7 @@ __all__ = [
     "max_rho_cauchy",
     "generic_sufficient_check",
     "spherical_triviality",
+    "certify",
 ]
 
 AT_ZERO = "AtZero"
@@ -84,16 +85,18 @@ class NotApplicable(Exception):
     """The generic derivative criterion's preconditions fail for this model."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ValidityReport:
-    rho_bound_raw: float
-    rho_bound: float
-    infimum: float
+    """One route's answer in R^n: ``case`` names it, None marks a field it has no value for."""
+    rho_bound_raw: float | None = None
+    rho_bound: float | None = None
+    infimum: float | None = None
     case: str
-    infimum_location: object   # positive float, or AT_ZERO / AT_INFINITY / AT_WINDOW_EDGE
+    infimum_location: object = None   # positive float, or AT_ZERO / AT_INFINITY / AT_WINDOW_EDGE
     decidability: str
     n: int
     note: str = ""
+    witness_u: float | None = None    # a frequency where the spectral determinant is negative
 
 
 @dataclass(frozen=True)
@@ -144,11 +147,8 @@ def q_fn(alpha: float, s: float, n: int, r):
 
 
 def p_fn(alpha: float, beta: float, s: float, n: int, r):
-    """Generalized-Cauchy auxiliary function for dimension n in {1, 3}.
-
-    The linear coefficient in the n = 3 numerator is fixed by the identity
-    psi''(r) - r psi'''(r) = beta s^alpha r^(alpha-2) p(r).
-    """
+    """Generalized-Cauchy auxiliary function for dimension n in {1, 3}; the n = 3 linear
+    coefficient is fixed by psi''(r) - r psi'''(r) = beta s^alpha r^(alpha-2) p(r)."""
     _check_n13(n)
     rr, scalar = _as_r(r, False, "r")
     out = _aux(n, alpha, beta, s, rr)
@@ -447,7 +447,9 @@ def _max_rho(model: BivariateModel, kind: str, n: int, grid_points: int,
              refine_brackets: int) -> ValidityReport:
     n_used, note = _resolve_dim(n)
     members = _members(model, kind)
-    case, forced = (_stable_case if kind == "Stable" else _cauchy_case)(members, n_used)
+    # the case rules read the asked n: a Cauchy rule's beta-versus-n comparison comes
+    # from an R^n density behaving like u^(beta - n) at the origin, true in every n
+    case, forced = (_stable_case if kind == "Stable" else _cauchy_case)(members, n)
     log_inf, location = _scan_infimum(_log_integrand(members, n_used),
                                       _limits(members, n_used), grid_points=grid_points,
                                       n_brackets=refine_brackets)
@@ -504,13 +506,6 @@ def max_rho_cauchy(model: BivariateModel, n: int, grid_points: int = _GRID_POINT
                    refine_brackets: int = 8) -> ValidityReport:
     """Maximum certifiable |rho| for a bivariate generalized Cauchy model."""
     return _max_rho(model, "Cauchy", n, grid_points, refine_brackets)
-
-
-def _bound_report(model: BivariateModel, n: int, **engine) -> ValidityReport:
-    """:func:`max_rho_stable` or :func:`max_rho_cauchy` by ``model.kind``, looked up
-    as module globals at call time so that a wrapper set on this module sees every call."""
-    fn = max_rho_stable if model.kind == "stable" else max_rho_cauchy
-    return fn(model, n, **engine)
 
 
 # ---------------------------------------------------------------------------
@@ -579,13 +574,14 @@ _WITNESS_ROOTS = 200   # marginal density zeros searched for a witness frequency
 
 
 def spherical_triviality(s11: float, s12: float, s22: float, rho: float) -> TrivialityVerdict:
-    """Decide validity of the bivariate spherical model.
+    """Decide validity of the bivariate spherical model in R^3.
 
-    The model is valid exactly when rho = 0 or all three scales coincide.
-    Otherwise a frequency is produced at which the spectral matrix has a
-    negative determinant: the zeros of one marginal density (at twice its
-    scale times the tan-equation roots) are generically not zeros of the
-    cross density.
+    The model is valid in R^3 exactly when rho = 0 or all three scales
+    coincide.  Otherwise a frequency is produced at which the R^3 spectral
+    matrix has a negative determinant: the zeros of one marginal density (at
+    twice its scale times the tan-equation roots) are generically not zeros
+    of the cross density.  The refutation is an R^3 argument and proves
+    nothing in R^1 or R^2: in R^1 every member's density is positive.
     """
     for name, s in (("s11", s11), ("s12", s12), ("s22", s22)):
         if s <= 0.0:
@@ -613,3 +609,43 @@ def spherical_triviality(s11: float, s12: float, s22: float, rho: float) -> Triv
     return TrivialityVerdict(False, None,
                              f"distinct scales make the model invalid, but no witness "
                              f"frequency surfaced within the first {_WITNESS_ROOTS} density zeros")
+
+
+# ---------------------------------------------------------------------------
+# One answer for every model kind.
+
+def certify(model, n: int, **engine) -> ValidityReport:
+    """The validity of a model of any kind in R^n, n in {1, 2, 3}.
+
+    Stable and Cauchy models take :func:`max_rho_stable` or :func:`max_rho_cauchy` with
+    the ``engine`` options, looked up at call time so that a wrapper set on this module
+    sees every call; :func:`spherical_triviality` refutes in R^3 only; an LMC, or a
+    separable (rho = 0) model of another kind, is valid as it stands; any other model
+    takes :func:`generic_sufficient_check`, inconclusive where it raises NotApplicable.
+    """
+    n_used, _ = _resolve_dim(n)
+    kind = model.kind
+    if kind in ("stable", "cauchy"):
+        return (max_rho_stable if kind == "stable" else max_rho_cauchy)(model, n, **engine)
+    if kind == "lmc":
+        return ValidityReport(case="lmc", decidability=SUFFICIENT, n=n_used,
+                              note="coregionalization with positive semidefinite coefficient "
+                                   "matrices is valid in any dimension")
+    if kind == "spherical":
+        verdict = spherical_triviality(*(f.params.scale for f in (
+            model.psi11, model.psi12, model.psi22)), model.rho)
+        if not verdict.valid and n != 3:
+            return ValidityReport(case="no-route", decidability=INCONCLUSIVE, n=n, note=(
+                f"distinct spherical scales are refuted in R^3 only; nothing is proved in R^{n}"))
+        # a valid verdict at rho != 0 means equal scales, valid for every |rho| <= 1
+        return ValidityReport(rho_bound=1.0 if verdict.valid and model.rho else 0.0,
+                              case="spherical", n=n, note=verdict.reason,
+                              decidability=SUFFICIENT if verdict.valid else NECESSARILY_ZERO,
+                              witness_u=verdict.witness_u)
+    if model.rho == 0.0:
+        return ValidityReport(rho_bound=0.0, case="separable", decidability=SUFFICIENT, n=n_used,
+                              note="separable model (rho = 0) is valid whenever its marginals are")
+    try:
+        return generic_sufficient_check(model, n)
+    except NotApplicable as exc:
+        return ValidityReport(case="no-route", decidability=INCONCLUSIVE, n=n_used, note=str(exc))

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -130,6 +131,76 @@ class TestValidate:
         code = main(["validate", write_model(tmp_path, m)])
         assert code == 1
         assert "ZeroInfimumInconclusive" in capsys.readouterr().out
+
+
+# validate on every kind in bimodels._FORMATS and every route it can take
+VALIDATE_MATRIX = {
+    "stable-certified": VALID_STABLE,
+    "stable-above-bound": bc.stable_bivariate(1.0, 1.0, 0.5, 0.2, 0.6, 0.5, 2.0, 1.0, 3.0),
+    "stable-necessarily-zero": NZ_STABLE,
+    "stable-necessarily-zero-rho-0": bc.stable_bivariate(1.0, 1.0, 0.0, 0.8, 0.55, 0.6,
+                                                         1.0, 1.0, 1.0),
+    "stable-window-edge": bc.stable_bivariate(1.0, 1.0, 0.9, 0.3, 0.9, 0.6,
+                                              1e12, 0.8e12, 1.2e12),
+    "cauchy-v": bc.cauchy_bivariate(1.0, 1.0, 0.2, 0.5, 0.7, 0.9, 2.0, 2.5, 2.1, 2.0, 2.25, 2.5),
+    "cauchy-iv": bc.cauchy_bivariate(1.0, 1.0, 0.1, 0.5, 0.6, 0.6, 2.0, 2.2, 3.0, 1.0, 1.0, 1.0),
+    "cauchy-ii": bc.cauchy_bivariate(1.0, 1.0, 0.05, 0.5, 0.7, 0.9, 2.5, 2.2, 2.5,
+                                     2.0, 2.25, 2.5),
+    "cauchy-ii-beta-below-2": bc.cauchy_bivariate(1.0, 1.0, 0.05, 0.5, 0.7, 0.9, 1.5, 1.2, 1.5,
+                                                  2.0, 2.25, 2.5),
+    "cauchy-iii": bc.cauchy_bivariate(1.0, 1.0, 0.05, 0.5, 0.7, 0.9, 2.5, 2.6, 4.0,
+                                      2.0, 2.25, 2.5),
+    "spherical-distinct": bc.spherical_bivariate(1.0, 1.0, 0.05, 1.0, 1.4, 2.0),
+    "spherical-equal": bc.spherical_bivariate(1.0, 1.0, 0.3, 1.3, 1.3, 1.3),
+    "spherical-rho-0": bc.spherical_bivariate(1.0, 1.0, 0.0, 1.0, 1.4, 2.0),
+    "lmc": LmcBivariate((1.0, 0.3, 0.2), (0.1, 0.25, 0.9), stable(1.0, 0.5), stable(1.0, 2.0)),
+    "matern-separable": bc.matern_bivariate(1.0, 1.0, 0.0, 0.6, 1.0, 1.4, 1.0, 1.0, 1.0),
+    "matern-not-applicable": bc.matern_bivariate(1.0, 1.0, 0.3, 0.6, 1.0, 1.4, 1.0, 1.0, 1.0),
+    "matern-generic": bc.matern_bivariate(1.0, 1.0, 0.2, 0.2729653856654739, 0.4008165909944131,
+                                          0.13916612038035503, 0.435816560541311,
+                                          1.7179540936378843, 2.7086787231686267),
+}
+
+_CAUCHY_IV_AT_2 = (1, "kind=cauchy\nrho=0.050000000000000003\nrho_bound_raw=0\nrho_bound=0\n"
+                      "case=iv\ninfimum_location=AtInfinity\ndecidability=ZeroInfimumInconclusive\n"
+                      "note=n = 2 answered by the n = 3 criterion (validity in R^3 implies R^2)\n")
+
+
+def _spherical_unrefuted(dim):
+    return (1, "kind=spherical\ndecidability=ZeroInfimumInconclusive\nnote=distinct "
+               f"spherical scales are refuted in R^3 only; nothing is proved in R^{dim}\n")
+
+
+# the record's refutations that were proved in another dimension; each exits 1 now
+MATRIX_FIXED = {
+    # the record read case ii, NecessarilyZero, exit 2, from R^3's rule "every beta
+    # below 3"; in R^2 no beta (2.5, 2.2, 2.5) is below 2, so the case is iv
+    "cauchy-ii --dim 2": _CAUCHY_IV_AT_2,
+    # the record read case iii from 2 beta12 < beta11 + 3 = 5.5; at n = 2 that is 4.5,
+    # below 2 beta12 = 5.2, so the case is iv
+    "cauchy-iii --dim 2": _CAUCHY_IV_AT_2,
+    # the record refuted distinct spherical scales, exit 2: the triviality argument
+    # is an R^3 one, and in R^1 every member's density is positive (see
+    # TestSphericalOutsideR3 in test_validity.py)
+    "spherical-distinct --dim 1": _spherical_unrefuted(1),
+    "spherical-distinct --dim 2": _spherical_unrefuted(2),
+}
+
+
+class TestValidateMatrix:
+    """stdout and exit code of validate on each model in R^1, R^2 and R^3, against
+    ``data/validate_matrix.json``, recorded from the code before validate took every
+    route through ``certify``; only ``MATRIX_FIXED`` departs from it."""
+
+    RECORD = json.loads((Path(__file__).parent / "data" / "validate_matrix.json").read_text())
+
+    @pytest.mark.parametrize("dim", ["1", "2", "3"])
+    @pytest.mark.parametrize("name", list(VALIDATE_MATRIX))
+    def test_validate_matches_the_record(self, tmp_path, capsys, name, dim):
+        case = f"{name} --dim {dim}"
+        code = main(["validate", write_model(tmp_path, VALIDATE_MATRIX[name]), "--dim", dim])
+        want = MATRIX_FIXED.get(case, tuple(self.RECORD[case]))
+        assert (code, capsys.readouterr().out) == want
 
 
 class TestUsageAndFileErrors:

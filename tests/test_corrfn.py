@@ -125,6 +125,9 @@ MATERN_DERIVS = [
     (3.5, 0.5, -0.09603402112116696, -0.17690477574951807, 0.08592517679262307),
     (3.5, 3.0, -0.20910568714502856, 0.049787068367863944, 0.029872241020718365),
     (3.5, 50.0, -1.7056577822160913e-18, 1.6053242151250082e-18, -1.5089252977237716e-18),
+    # large nu: x**nu K_nu - (2 nu - 1) x**(nu-1) K_(nu-1) would cancel here (4.6e-11
+    # relative), which is why the second order reads K_(nu-2) from nu = 1 on
+    (150.0, 3.0, -0.0099152320384142412, -0.0032045955202482596, 9.9456608604568178e-05),
 ]
 
 # (nu, x) -> psi, 50-digit mpmath: kv(nu, x) overflows at nu = 10, and both
@@ -299,7 +302,7 @@ class TestDerivative:
         # nu = 1, where the third order changes form, and x from 1e-6 to 50
         for k, want in enumerate((d1, d2, d3), start=1):
             assert derivative(matern(nu, 2.0), x / 2.0, k) == pytest.approx(
-                2.0 ** k * want, rel=1e-12)
+                2.0 ** k * want, rel=1e-12, abs=0.0)
 
     def test_matern_below_kv_range_is_nan(self):
         got = derivative(matern(0.7, 1.0), np.array([1e-200, 1.0]), 2)

@@ -15,13 +15,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bicov import validity
-from bicov.bimodels import (BivariateModel, cauchy_bivariate, matern_bivariate,
-                            stable_bivariate)
+from bicov.bimodels import (BivariateModel, LmcBivariate, cauchy_bivariate, matern_bivariate,
+                            spherical_bivariate, stable_bivariate)
 from bicov.corrfn import cauchy, derivative, matern, spherical, stable
-from bicov.field import FieldSample, check_pd, gram
+from bicov.field import FieldSample, _ParamSpec, check_pd, gram, simulate
+from bicov.spectral import cross_spectral_profile
 from bicov.validity import (AT_INFINITY, AT_WINDOW_EDGE, AT_ZERO, INCONCLUSIVE,
                             NECESSARILY_ZERO, SUFFICIENT, ExcludedPoint, NotApplicable,
-                            ValidityReport, cauchy_bound_integrand,
+                            ValidityReport, cauchy_bound_integrand, certify,
                             generic_sufficient_check, max_rho_cauchy, max_rho_stable,
                             p_fn, q_fn, spherical_triviality, stable_bound_integrand)
 
@@ -555,3 +556,96 @@ class TestSphericalTriviality:
             spherical_triviality(0.0, 1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             spherical_triviality(1.0, 1.0, 1.0, 1.5)
+
+
+class TestSphericalOutsideR3:
+    def test_distinct_scales_meet_cramers_condition_in_r1(self):
+        # the R^3 refutation of scales (1, 1.4, 2) at rho = 0.05 proves nothing in
+        # R^1: there every member's density is positive (QUADPACK's finite-interval
+        # cosine rule), and min f11 f22 / f12^2 over 6,000 log-spaced frequencies is
+        # 0.502 at u = 14.7, so |rho| up to about 0.71 meets Cramer's condition on them
+        model = spherical_bivariate(1.0, 1.0, 0.05, 1.0, 1.4, 2.0)
+        u = np.geomspace(1e-4, 5e3, 6000)
+        p = cross_spectral_profile(model, 1, u)
+        assert np.all(p.f11 > 0.0) and np.all(p.f22 > 0.0)
+        ratio = p.f11 * p.f22 / p.f12 ** 2
+        i = int(np.argmin(ratio))
+        assert ratio[i] == pytest.approx(0.5021, rel=1e-3)
+        assert u[i] == pytest.approx(14.73, rel=1e-3)
+        assert spherical_triviality(1.0, 1.4, 2.0, 0.05).witness_u is not None
+        for n in (1, 2):
+            report = certify(model, n)
+            assert report.decidability == INCONCLUSIVE and report.witness_u is None
+        report = certify(model, 3)
+        assert report.decidability == NECESSARILY_ZERO
+        assert report.witness_u == pytest.approx(8.986818915818128, rel=1e-12)
+
+
+class TestCertify:
+    KINDS = {
+        "stable": FIG_STABLE,
+        "cauchy": FIG_CAUCHY,
+        "spherical": spherical_bivariate(1.0, 1.0, 0.3, 1.3, 1.3, 1.3),
+        "matern": matern_bivariate(1.0, 1.0, 0.3, 0.6, 1.0, 1.4, 1.0, 1.0, 1.0),
+        "lmc": LmcBivariate((1.0, 0.3, 0.2), (0.1, 0.25, 0.9), stable(1.0, 0.5), stable(1.0, 2.0)),
+        "mixed": BivariateModel(1.0, 1.0, 0.2, spherical(1.0), stable(0.5, 1.0),
+                                stable(0.5, 1.0)),
+    }
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_every_kind_gets_a_report(self, kind, n):
+        report = certify(self.KINDS[kind], n)
+        assert isinstance(report, ValidityReport)
+        assert report.decidability in (SUFFICIENT, NECESSARILY_ZERO, INCONCLUSIVE)
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_dimension_4_raises_for_every_kind(self, kind):
+        with pytest.raises(ValueError, match="dimension"):
+            certify(self.KINDS[kind], 4)
+
+    @pytest.mark.parametrize("kind,case,decidability,rho_bound", [
+        ("spherical", "spherical", SUFFICIENT, 1.0),
+        ("matern", "no-route", INCONCLUSIVE, None),
+        ("lmc", "lmc", SUFFICIENT, None),
+        ("mixed", "no-route", INCONCLUSIVE, None),
+    ])
+    def test_short_routes(self, kind, case, decidability, rho_bound):
+        report = certify(self.KINDS[kind], 3)
+        assert (report.case, report.decidability, report.rho_bound) == (
+            case, decidability, rho_bound)
+        assert report.rho_bound_raw is None and report.infimum_location is None
+        assert report.note
+
+    def test_separable_model_of_another_kind(self):
+        report = certify(matern_bivariate(1.0, 1.0, 0.0, 0.6, 1.0, 1.4, 1.0, 1.0, 1.0), 1)
+        assert (report.case, report.decidability, report.rho_bound) == (
+            "separable", SUFFICIENT, 0.0)
+
+    def test_generic_route_and_engine_options(self):
+        m = matern_bivariate(1.0, 1.0, 0.2, 0.2729653856654739, 0.4008165909944131,
+                             0.13916612038035503, 0.435816560541311, 1.7179540936378843,
+                             2.7086787231686267)
+        assert certify(m, 1) == generic_sufficient_check(m, 1)
+        coarse = dict(grid_points=512, refine_brackets=0)
+        assert certify(FIG_CAUCHY, 1, **coarse) == max_rho_cauchy(FIG_CAUCHY, 1, **coarse)
+
+    def test_a_wrapper_on_the_engine_sees_certify_and_the_fit(self, monkeypatch):
+        calls = []
+        original = validity.max_rho_stable
+
+        def counting(*args, **kw):
+            calls.append(kw.get("refine_brackets", 8))
+            return original(*args, **kw)
+
+        monkeypatch.setattr(validity, "max_rho_stable", counting)
+        model = stable_bivariate(1.0, 1.0, 0.2, 0.2, 0.6, 0.5, 2.0, 1.0, 3.0)
+        assert certify(model, 3) == original(model, 3)
+        pts = np.random.default_rng(0).uniform(0.0, 10.0, size=(12, 2))
+        data = simulate(model, np.repeat(pts, 2, axis=0), np.tile([1, 2], 12), seed=2)
+        spec = _ParamSpec("stable", data, 2, False, 0.0, 0.0)
+        fitted, _, _ = spec.decode(spec.starts(1, 0)[0])
+        spec.exact_rho_clip(fitted)
+        # validate's fine call, the rho cap's coarse call, the final clip's fine call
+        assert calls == [8, 0, 8]
+
