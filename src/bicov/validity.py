@@ -573,6 +573,15 @@ def generic_sufficient_check(model: BivariateModel, n: int) -> ValidityReport:
 _WITNESS_ROOTS = 200   # marginal density zeros searched for a witness frequency
 
 
+def _spherical_valid(s11: float, s12: float, s22: float, rho: float) -> str | None:
+    """Why the bivariate spherical model is valid in every dimension, or None."""
+    if rho == 0.0:
+        return "rho is zero"
+    if _near(s11, s12) and _near(s12, s22) and _near(s11, s22):
+        return "all scales equal"
+    return None
+
+
 def spherical_triviality(s11: float, s12: float, s22: float, rho: float) -> TrivialityVerdict:
     """Decide validity of the bivariate spherical model in R^3.
 
@@ -588,10 +597,9 @@ def spherical_triviality(s11: float, s12: float, s22: float, rho: float) -> Triv
             raise ValueError(f"{name} must be positive")
     if abs(rho) > 1.0:
         raise ValueError("|rho| must not exceed 1")
-    if rho == 0.0:
-        return TrivialityVerdict(True, None, "rho is zero")
-    if _near(s11, s12) and _near(s12, s22) and _near(s11, s22):
-        return TrivialityVerdict(True, None, "all scales equal")
+    reason = _spherical_valid(s11, s12, s22, rho)
+    if reason:
+        return TrivialityVerdict(True, None, reason)
 
     base = s11 if not _near(s12, s11) else s22
     roots = tan_roots(_WITNESS_ROOTS)
@@ -632,11 +640,11 @@ def certify(model, n: int, **engine) -> ValidityReport:
                               note="coregionalization with positive semidefinite coefficient "
                                    "matrices is valid in any dimension")
     if kind == "spherical":
-        verdict = spherical_triviality(*(f.params.scale for f in (
-            model.psi11, model.psi12, model.psi22)), model.rho)
-        if not verdict.valid and n != 3:
+        scales = [f.params.scale for f in (model.psi11, model.psi12, model.psi22)]
+        if n != 3 and not _spherical_valid(*scales, model.rho):   # the search is R^3 only
             return ValidityReport(case="no-route", decidability=INCONCLUSIVE, n=n, note=(
                 f"distinct spherical scales are refuted in R^3 only; nothing is proved in R^{n}"))
+        verdict = spherical_triviality(*scales, model.rho)
         # a valid verdict at rho != 0 means equal scales, valid for every |rho| <= 1
         return ValidityReport(rho_bound=1.0 if verdict.valid and model.rho else 0.0,
                               case="spherical", n=n, note=verdict.reason,

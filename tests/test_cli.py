@@ -523,3 +523,25 @@ class TestModuleEntryPoint:
         argv = [a.format(model=GOLDEN / "stable.txt", out=tmp_path / "out.csv") for a in argv]
         code = f"from bicov.cli import main\nassert main({argv!r}) == 0"
         assert self.scipy_modules_after(code) == "[]"
+
+    @pytest.mark.parametrize("dim", ["1", "3"])
+    @pytest.mark.parametrize("model", [
+        VALID_STABLE,
+        bc.cauchy_bivariate(1.0, 1.2, 0.3, 0.8, 0.9, 0.6, 3.5, 4.0, 5.0, 0.9, 1.1, 0.8),
+        bc.spherical_bivariate(1.0, 1.0, 0.05, 1.0, 1.4, 2.0),
+        bc.matern_bivariate(1.0, 1.3, 0.2, 0.5, 1.0, 1.5, 0.7, 0.7, 0.7),
+    ], ids=lambda m: m.kind)
+    def test_spectral_leaves_scipy_unloaded(self, tmp_path, model, dim):
+        # every member density is a closed form or the numpy Fourier rule
+        argv = ["spectral", write_model(tmp_path, model), "--dim", dim,
+                "--out", str(tmp_path / "out.csv")]
+        code = f"from bicov.cli import main\nassert main({argv!r}) == 0"
+        assert self.scipy_modules_after(code) == "[]"
+
+    def test_spherical_certify_outside_r3_leaves_scipy_unloaded(self):
+        # distinct scales are refuted by a witness search in R^3 only, so R^1
+        # decides without tan_roots
+        code = ("import bicov as bc\n"
+                "r = bc.certify(bc.spherical_bivariate(1, 1, 0.05, 1, 1.4, 2), 1)\n"
+                "assert r.case == 'no-route'")
+        assert self.scipy_modules_after(code) == "[]"

@@ -166,20 +166,20 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("a,s,r,want", STABLE_VALUES)
     def test_stable_values(self, a, s, r, want):
-        assert evaluate(stable(a, s), r) == pytest.approx(want, rel=1e-15)
+        assert evaluate(stable(a, s), r) == pytest.approx(want, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("a,b,s,r,want", CAUCHY_VALUES)
     def test_cauchy_values(self, a, b, s, r, want):
-        assert evaluate(cauchy(a, b, s), r) == pytest.approx(want, rel=1e-15)
+        assert evaluate(cauchy(a, b, s), r) == pytest.approx(want, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("nu,s,r,want", MATERN_VALUES)
     def test_matern_values(self, nu, s, r, want):
-        assert evaluate(matern(nu, s), r) == pytest.approx(want, rel=1e-13)
+        assert evaluate(matern(nu, s), r) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_spherical_polynomial_and_support(self):
         fam = spherical(0.5)
         x = 0.5 * 1.2
-        assert evaluate(fam, 1.2) == pytest.approx(1 - 1.5 * x + 0.5 * x ** 3, rel=1e-15)
+        assert evaluate(fam, 1.2) == pytest.approx(1 - 1.5 * x + 0.5 * x ** 3, rel=1e-15, abs=0.0)
         assert evaluate(fam, 2.0) == 0.0
         assert evaluate(fam, 50.0) == 0.0
 
@@ -199,7 +199,7 @@ class TestEvaluate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = evaluate(matern(nu, 2.0), np.array([x / 2.0, 0.0]))
-        assert got[0] == pytest.approx(want, rel=1e-13) and got[1] == 1.0
+        assert got[0] == pytest.approx(want, rel=1e-13, abs=0.0) and got[1] == 1.0
 
     def test_matern_extreme_arguments(self):
         fam = matern(1.2, 1.0)
@@ -220,11 +220,11 @@ class TestEvaluate:
 class TestDerivative:
     @pytest.mark.parametrize("a,s,r,k,want", STABLE_DERIVS)
     def test_stable_frozen(self, a, s, r, k, want):
-        assert derivative(stable(a, s), r, k) == pytest.approx(want, rel=1e-13)
+        assert derivative(stable(a, s), r, k) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("a,b,s,r,k,want", CAUCHY_DERIVS)
     def test_cauchy_frozen(self, a, b, s, r, k, want):
-        assert derivative(cauchy(a, b, s), r, k) == pytest.approx(want, rel=1e-13)
+        assert derivative(cauchy(a, b, s), r, k) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("fam", [stable(0.35, 1.3), stable(1.0, 0.4),
                                      cauchy(0.6, 0.9, 2.0), cauchy(1.0, 4.0, 0.7)])
@@ -237,7 +237,7 @@ class TestDerivative:
         tol = 1e-7 if order < 3 else 1e-6
         for r in (0.4, 1.1, 3.7):
             num = richardson(lambda x: evaluate(fam, x), r, order, h0=r * h_rel)
-            assert derivative(fam, r, order) == pytest.approx(num, rel=tol)
+            assert derivative(fam, r, order) == pytest.approx(num, rel=tol, abs=0.0)
 
     @pytest.mark.parametrize("make,params", [
         (lambda a, ls: stable(a, math.exp(ls)), [0.7, 0.3]),
@@ -261,8 +261,8 @@ class TestDerivative:
     @pytest.mark.parametrize("a,s,r,d_alpha,d_log_s", STABLE_PARAM_DERIVS)
     def test_stable_parameter_derivatives_frozen(self, a, s, r, d_alpha, d_log_s):
         _, (got_alpha, got_log_s) = _param_derivatives(stable(a, s), np.array([r]))
-        assert got_alpha[0] == pytest.approx(d_alpha, rel=1e-12)
-        assert got_log_s[0] == pytest.approx(d_log_s, rel=1e-12)
+        assert got_alpha[0] == pytest.approx(d_alpha, rel=1e-12, abs=0.0)
+        assert got_log_s[0] == pytest.approx(d_log_s, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("a,b,s,r,d_alpha,d_log_s,d_beta", CAUCHY_PARAM_DERIVS)
     def test_cauchy_parameter_derivatives_frozen(self, a, b, s, r, d_alpha, d_log_s, d_beta):
@@ -270,9 +270,9 @@ class TestDerivative:
         # d/dalpha = psi c / alpha (log(1 + t) - t log t / (1 + t)), c = beta/alpha,
         # falls to zero as t = (s r)^alpha grows (t = 2828 and 2.2e5 at the last
         # two points), where the bracket's two terms would cancel
-        assert got_alpha[0] == pytest.approx(d_alpha, rel=1e-12)
-        assert got_log_s[0] == pytest.approx(d_log_s, rel=1e-12)
-        assert got_beta[0] == pytest.approx(d_beta, rel=1e-12)
+        assert got_alpha[0] == pytest.approx(d_alpha, rel=1e-12, abs=0.0)
+        assert got_log_s[0] == pytest.approx(d_log_s, rel=1e-12, abs=0.0)
+        assert got_beta[0] == pytest.approx(d_beta, rel=1e-12, abs=0.0)
 
     def test_spherical_piecewise(self):
         s = 0.5
@@ -294,7 +294,7 @@ class TestDerivative:
         # nu = 1.5: psi = (1+x) e^{-x}, psi'(r) = -s^2 r e^{-s r}
         s, r = 0.8, 1.3
         want = -s * s * r * math.exp(-s * r)
-        assert derivative(matern(1.5, s), r, 1) == pytest.approx(want, rel=1e-13)
+        assert derivative(matern(1.5, s), r, 1) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("nu,x,d1,d2,d3", MATERN_DERIVS)
     def test_matern_frozen(self, nu, x, d1, d2, d3):

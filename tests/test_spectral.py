@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from bicov import BivariateModel, cauchy, matern, spherical, stable
+from bicov import spectral
 from bicov.spectral import (
     NonIntegrable,
+    QuadratureError,
     cross_spectral_profile,
     member_spectral_density,
     spectral_pd_inequality,
@@ -17,13 +19,15 @@ from bicov.spectral import (
 # mpmath, 40 digits: findroot on cot(x) - 1/x per bracket
 TAN_ROOTS = [4.4934094579090641753, 7.7252518369377071642, 10.904121659428899827]
 
-# mpmath quad/quadosc oracles for (family, n, u) -> density.  The heavy-tail
-# stable transform at u > 0 is the only case limited by the oscillatory
-# extrapolation rather than roundoff.
+# mpmath oracles for (family, n, u) -> density: quad/quadosc, except the two
+# stable(0.5) rows at u > 0, which sum the convergent series of the symmetric
+# stable density for alpha < 1 at 50 digits,
+#   p(u) = (1/pi) sum_(k>=1) (-1)^(k+1) Gamma(alpha k + 1) / k! sin(k pi alpha / 2)
+#          u^-(alpha k + 1)
 DENSITY_VALUES = [
     (stable(0.5, 1.0), 1, 0.0, 0.63661977236758134308, 1e-12),
-    (stable(0.5, 1.0), 1, 0.5, 0.17076239264532643122, 1e-6),
-    (stable(0.5, 1.0), 1, 2.0, 0.039142856914661545588, 1e-6),
+    (stable(0.5, 1.0), 1, 0.5, 0.17076240172520622381, 1e-12),
+    (stable(0.5, 1.0), 1, 2.0, 0.039142858049651342948, 1e-12),
     (stable(1.5, 0.8), 3, 1.0, 0.033203240942625437714, 1e-12),
     (cauchy(1.0, 1.5, 1.0), 1, 1.0, 0.12125984445178929915, 1e-10),
     (spherical(1.0), 1, 0.0, 0.11936620731892150183, 1e-12),
@@ -86,7 +90,7 @@ class TestSphericalClosedForm:
 class TestMemberDensity:
     @pytest.mark.parametrize("family,n,u,want,rel", DENSITY_VALUES)
     def test_frozen_points(self, family, n, u, want, rel):
-        assert member_spectral_density(family, n, u) == pytest.approx(want, rel=rel)
+        assert member_spectral_density(family, n, u) == pytest.approx(want, rel=rel, abs=0.0)
 
     @pytest.mark.parametrize("s", [1.0, 1.3])
     def test_exponential_line_density(self, s):
@@ -102,8 +106,6 @@ class TestMemberDensity:
         got = member_spectral_density(stable(1.0, s), 3, u)
         assert got == pytest.approx(exact, rel=1e-9)
 
-    @pytest.mark.xfail(reason="the oscillatory quadrature reads about 1e-57 to 1e-11 for "
-                              "u <= 4e-4 s; the spectral kernel of ROADMAP item 6 owns the fix")
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("s", [1.0, 3.0])
     def test_exponential_density_at_small_frequency(self, s, n):
@@ -111,6 +113,85 @@ class TestMemberDensity:
         exact = (s / (math.pi * (s * s + u * u)) if n == 1
                  else s / (math.pi ** 2 * (s * s + u * u) ** 2))
         assert member_spectral_density(stable(1.0, s), n, u) == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    @pytest.mark.parametrize("s", [0.1, 1.0, 3.0, 10.0])
+    def test_closed_form_members_over_twelve_decades(self, s, alpha, n):
+        # exponential and Gaussian members from u = 1e-8, far inside the
+        # exp-sinh regime, to 1e3, where the densities fall by up to 1e-13
+        # (alpha = 1) or underflow (alpha = 2): within 1e-9 relative, or 1e-14
+        # of f(0) where the value itself is below that
+        u = np.geomspace(1e-8, 1e3, 111)
+        if alpha == 1.0:
+            exact = (s / (math.pi * (s * s + u * u)) if n == 1
+                     else s / (math.pi ** 2 * (s * s + u * u) ** 2))
+        else:
+            head = 2.0 * math.sqrt(math.pi) * s if n == 1 else 8.0 * math.pi ** 1.5 * s ** 3
+            exact = np.exp(-0.25 * (u / s) ** 2) / head
+        got = member_spectral_density(stable(alpha, s), n, u)
+        tol = np.maximum(1e-9 * exact, 1e-14 * exact[0])
+        assert np.all(np.abs(got - exact) <= tol)
+
+    # the stable series above for alpha = 0.05 in R^3, f3(u) = -f1'(u) / (2 pi u), 50 digits
+    SMALL_ALPHA_R3 = [(0.5, 0.01169422841914338764609), (2.0, 0.0001829931891083969502119),
+                      (20.0, 1.815594292380849982727e-7)]
+
+    @pytest.mark.parametrize("u,want", SMALL_ALPHA_R3)
+    def test_small_alpha_in_r3_is_integrated_by_parts(self, u, want):
+        # the cosine form (psi + r psi') cos(u r) / u keeps these within 1e-12;
+        # the sine form r psi sin(u r), whose amplitude grows to 1e4 before it
+        # decays, misses by 1.2e-12 to 7e-12
+        assert member_spectral_density(stable(0.05, 1.0), 3, u) == pytest.approx(
+            want, rel=1e-12, abs=0.0)
+
+    def test_small_alpha_cauchy_in_r3_keeps_the_sine_form(self):
+        # integrated by parts, this member's transform cancels to below its
+        # error estimate at small u; the sine form holds it
+        u = np.array([1.3e-8, 4.1e-7, 1e-4])
+        assert np.all(member_spectral_density(cauchy(0.08, 14.7, 1.0), 3, u) > 0.0)
+
+    def test_step_sizes_agree_on_random_members(self):
+        # seeded stable and Cauchy members over u/s in [1e-3, 1e3]: the rule at
+        # t-step 0.025 passes its own error test and agrees with the rule at
+        # half the step within the same threshold, 1e-5 |J| + 1e-9
+        rng = np.random.default_rng(20)
+        for i in range(1200):
+            n = (1, 3)[i % 2]
+            alpha, scale = rng.uniform(0.05, 2.0), 10.0 ** rng.uniform(-1.0, 1.0)
+            fam = (stable(alpha, scale) if i % 4 < 2
+                   else cauchy(alpha, rng.uniform(n, 20.0) + 1e-9, scale))
+            v = 10.0 ** rng.uniform(-3.0, 3.0, 5)
+            j, err = spectral._transform(fam.params, n, v)
+            finer, _ = spectral._transform(fam.params, n, v, h=0.0125)
+            threshold = 1e-5 * np.abs(j) + 1e-9
+            assert np.all(err <= threshold), (fam, n, v)
+            assert np.all(np.abs(finer - j) <= threshold), (fam, n, v)
+
+    def test_failed_error_test_raises(self, monkeypatch):
+        # a rule that changes with its step must raise, never return a value
+        real = spectral._transform
+
+        def rough(p, n, v, h=0.025):
+            j, _ = real(p, n, v, h)
+            return j, 1e-3 * np.abs(j)
+        monkeypatch.setattr(spectral, "_transform", rough)
+        with pytest.raises(QuadratureError):
+            member_spectral_density(stable(0.7, 1.0), 1, [0.0, 0.5])
+
+    def test_spherical_line_density(self):
+        # J(x) = 3 (x^2/2 - x sin x + 1 - cos x) / x^4, x = u/s, from its series
+        # below x = 1 to the direct form above; J(0) = 3/8
+        s = 0.7
+        assert member_spectral_density(spherical(s), 1, 0.0) == pytest.approx(
+            3.0 / (8.0 * math.pi * s), rel=1e-15, abs=0.0)
+        lo, hi = member_spectral_density(spherical(s), 1, [s * (1 - 1e-9), s * (1 + 1e-9)])
+        assert lo == pytest.approx(hi, rel=1e-8, abs=0.0)
+        # x = 1e-3: 3/8 - x^2/48 + x^4/1920 - ..., where the direct form is 1e-4 off
+        x = 1e-3
+        want = (3.0 / 8.0 - x ** 2 / 48.0 + x ** 4 / 1920.0) / (math.pi * s)
+        assert member_spectral_density(spherical(s), 1, x * s) == pytest.approx(
+            want, rel=1e-15, abs=0.0)
 
     def test_matern_half_matches_exponential(self):
         s = 1.3

@@ -60,9 +60,9 @@ def brute_force_infimum(model, n, points=200_000):
 class TestAuxiliaryFunctions:
     def test_frozen_rational_points(self):
         # alpha = 1 collapses q to t (n = 1) and t^2 + t (n = 3)
-        assert q_fn(1.0, 1.0, 1, 2.5) == pytest.approx(2.5, rel=1e-15)
-        assert q_fn(1.0, 1.0, 3, 1.0) == pytest.approx(2.0, rel=1e-15)
-        assert p_fn(1.0, 1.0, 1.0, 3, 1.0) == pytest.approx(10.0 / 16.0, rel=1e-15)
+        assert q_fn(1.0, 1.0, 1, 2.5) == pytest.approx(2.5, rel=1e-15, abs=0.0)
+        assert q_fn(1.0, 1.0, 3, 1.0) == pytest.approx(2.0, rel=1e-15, abs=0.0)
+        assert p_fn(1.0, 1.0, 1.0, 3, 1.0) == pytest.approx(10.0 / 16.0, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("a,s", [(0.7, 1.3), (0.35, 0.6), (1.0, 2.0)])
     def test_q_matches_derivatives(self, a, s):
@@ -73,9 +73,9 @@ class TestAuxiliaryFunctions:
             fam = stable(a, s)
             lead = a * t * math.exp(-t) / r ** 2
             assert q_fn(a, s, 1, r) == pytest.approx(
-                derivative(fam, r, 2) / lead, rel=1e-12)
+                derivative(fam, r, 2) / lead, rel=1e-12, abs=0.0)
             d = derivative(fam, r, 2) - r * derivative(fam, r, 3)
-            assert q_fn(a, s, 3, r) == pytest.approx(d / lead, rel=1e-12)
+            assert q_fn(a, s, 3, r) == pytest.approx(d / lead, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("a,b,s", [(0.7, 1.7, 1.3), (0.4, 0.6, 2.0),
                                        (1.0, 3.0, 0.5)])
@@ -85,9 +85,9 @@ class TestAuxiliaryFunctions:
             fam = cauchy(a, b, s)
             lead = b * s ** a * r ** (a - 2.0)
             assert p_fn(a, b, s, 1, r) == pytest.approx(
-                derivative(fam, r, 2) / lead, rel=1e-12)
+                derivative(fam, r, 2) / lead, rel=1e-12, abs=0.0)
             d = derivative(fam, r, 2) - r * derivative(fam, r, 3)
-            assert p_fn(a, b, s, 3, r) == pytest.approx(d / lead, rel=1e-12)
+            assert p_fn(a, b, s, 3, r) == pytest.approx(d / lead, rel=1e-12, abs=0.0)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -107,7 +107,7 @@ class TestIntegrands:
         for r in (0.3, 1.0, 4.7):
             want = (second_form(m.psi11, r, n) * second_form(m.psi22, r, n)
                     / second_form(m.psi12, r, n) ** 2)
-            assert stable_bound_integrand(m, n, r) == pytest.approx(want, rel=1e-12)
+            assert stable_bound_integrand(m, n, r) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_cauchy_equals_derivative_ratio(self, n):
@@ -115,7 +115,7 @@ class TestIntegrands:
         for r in (0.3, 1.0, 4.7):
             want = (second_form(m.psi11, r, n) * second_form(m.psi22, r, n)
                     / second_form(m.psi12, r, n) ** 2)
-            assert cauchy_bound_integrand(m, n, r) == pytest.approx(want, rel=1e-12)
+            assert cauchy_bound_integrand(m, n, r) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_separable_integrand_is_one(self):
         m = stable_bivariate(1, 1, 0, 0.7, 0.7, 0.7, 1.3, 1.3, 1.3)
@@ -167,9 +167,9 @@ class TestEngineAgainstBruteForce:
         fn = max_rho_stable if model is FIG_STABLE else max_rho_cauchy
         report = fn(model, n)
         brute = brute_force_infimum(model, n)
-        assert report.infimum == pytest.approx(brute, rel=1e-6)
+        assert report.infimum == pytest.approx(brute, rel=1e-6, abs=0.0)
         assert report.infimum <= brute * (1.0 + 1e-9)
-        assert report.rho_bound == pytest.approx(math.sqrt(brute), rel=1e-6)
+        assert report.rho_bound == pytest.approx(math.sqrt(brute), rel=1e-6, abs=0.0)
 
     def test_tail_cancellation_instance(self):
         # equal exponents with 2 s12^a = s11^a + s22^a: the infimum sits at
@@ -178,7 +178,7 @@ class TestEngineAgainstBruteForce:
         m = stable_bivariate(1, 1, 0, 0.4, 0.4, 0.4, 1.0, s12, 2.0)
         report = max_rho_stable(m, 1)
         assert report.infimum_location == AT_INFINITY
-        assert report.infimum == pytest.approx(0.96241093099192532, rel=1e-10)
+        assert report.infimum == pytest.approx(0.96241093099192532, rel=1e-10, abs=0.0)
         brute = brute_force_infimum(m, 1)
         assert report.infimum <= brute * (1.0 + 1e-9)
         assert brute - report.infimum < 5e-3
@@ -187,23 +187,23 @@ class TestEngineAgainstBruteForce:
 class TestFrozenReports:
     def test_fig_stable_n1(self):
         r = max_rho_stable(FIG_STABLE, 1)
-        assert r.infimum == pytest.approx(0.13944620942559413, rel=1e-9)
-        assert r.rho_bound == pytest.approx(0.37342497161490706, rel=1e-9)
+        assert r.infimum == pytest.approx(0.13944620942559413, rel=1e-9, abs=0.0)
+        assert r.rho_bound == pytest.approx(0.37342497161490706, rel=1e-9, abs=0.0)
         assert r.case == "iv" and r.decidability == SUFFICIENT
-        assert r.infimum_location == pytest.approx(5.666927607305302, rel=1e-6)
+        assert r.infimum_location == pytest.approx(5.666927607305302, rel=1e-6, abs=0.0)
 
     def test_fig_stable_n3(self):
         r = max_rho_stable(FIG_STABLE, 3)
-        assert r.infimum == pytest.approx(0.13011572922601986, rel=1e-9)
-        assert r.rho_bound == pytest.approx(0.36071557940574156, rel=1e-9)
+        assert r.infimum == pytest.approx(0.13011572922601986, rel=1e-9, abs=0.0)
+        assert r.rho_bound == pytest.approx(0.36071557940574156, rel=1e-9, abs=0.0)
         assert r.n == 3
 
     def test_fig_cauchy_n1(self):
         r = max_rho_cauchy(FIG_CAUCHY, 1)
-        assert r.infimum == pytest.approx(0.36078161682684656, rel=1e-9)
-        assert r.rho_bound == pytest.approx(0.60065099419450441, rel=1e-9)
+        assert r.infimum == pytest.approx(0.36078161682684656, rel=1e-9, abs=0.0)
+        assert r.rho_bound == pytest.approx(0.60065099419450441, rel=1e-9, abs=0.0)
         assert r.case == "v" and r.decidability == SUFFICIENT
-        assert r.infimum_location == pytest.approx(0.002471420962365163, rel=1e-4)
+        assert r.infimum_location == pytest.approx(0.002471420962365163, rel=1e-4, abs=0.0)
 
     def test_separable_bound_is_one(self):
         for n in (1, 3):
@@ -214,7 +214,7 @@ class TestFrozenReports:
 
     def test_rho_bound_is_sqrt_of_infimum_capped(self):
         r = max_rho_stable(FIG_STABLE, 1)
-        assert r.rho_bound_raw == pytest.approx(math.sqrt(r.infimum), rel=1e-12)
+        assert r.rho_bound_raw == pytest.approx(math.sqrt(r.infimum), rel=1e-12, abs=0.0)
         assert r.rho_bound == min(r.rho_bound_raw, 1.0)
 
 
@@ -254,7 +254,7 @@ class TestEndpoints:
             for t, value in limits.items():
                 if math.isfinite(value):
                     want = far[0] if t == AT_ZERO else far[1]
-                    assert value == pytest.approx(want, rel=1e-9)
+                    assert value == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 class TestWindowEdge:
@@ -294,7 +294,7 @@ class TestStableClassification:
         r = max_rho_stable(stable_bivariate(1, 1, 0, 0.7, 0.7, 0.7,
                                             1.0, 1.3, 1.2), 1)
         assert r.case == "i" and r.decidability == SUFFICIENT
-        assert r.rho_bound == pytest.approx(0.874495418578353, rel=1e-9)
+        assert r.rho_bound == pytest.approx(0.874495418578353, rel=1e-9, abs=0.0)
 
     def test_case_i_boundary_equality(self):
         # equal scales sit exactly on the case-i scale condition
@@ -307,16 +307,16 @@ class TestStableClassification:
         r3 = max_rho_stable(stable_bivariate(1, 1, 0, 0.5, 0.8, 0.8,
                                              1.0, 0.9, 1.0), 1)
         assert r2.case == "ii" and r3.case == "iii"
-        assert r2.rho_bound == pytest.approx(0.7274696214063866, rel=1e-9)
+        assert r2.rho_bound == pytest.approx(0.7274696214063866, rel=1e-9, abs=0.0)
         # swapping the component labels must not move the bound
-        assert r3.rho_bound == pytest.approx(r2.rho_bound, rel=1e-9)
+        assert r3.rho_bound == pytest.approx(r2.rho_bound, rel=1e-9, abs=0.0)
 
     def test_case_iv(self):
         r = max_rho_stable(stable_bivariate(1, 1, 0, 0.8, 0.9, 0.6,
                                             0.5, 0.7, 0.7), 3)
         assert r.case == "iv" and r.decidability == SUFFICIENT
-        assert r.rho_bound == pytest.approx(0.61361730878081888, rel=1e-9)
-        assert r.infimum_location == pytest.approx(3.165703783958171, rel=1e-6)
+        assert r.rho_bound == pytest.approx(0.61361730878081888, rel=1e-9, abs=0.0)
+        assert r.infimum_location == pytest.approx(3.165703783958171, rel=1e-6, abs=0.0)
 
     def test_below_mean_is_necessarily_zero(self):
         r = max_rho_stable(stable_bivariate(1, 1, 0, 0.8, 0.5, 0.6, 1, 1, 1), 1)
@@ -397,13 +397,13 @@ class TestGenericRoute:
     def test_matches_stable_closed_form(self, n):
         g = generic_sufficient_check(FIG_STABLE, n)
         c = max_rho_stable(FIG_STABLE, n)
-        assert g.rho_bound == pytest.approx(c.rho_bound, rel=1e-9)
+        assert g.rho_bound == pytest.approx(c.rho_bound, rel=1e-9, abs=0.0)
         assert g.case == "generic" and g.decidability == SUFFICIENT
 
     def test_matches_cauchy_closed_form(self):
         g = generic_sufficient_check(FIG_CAUCHY, 1)
         c = max_rho_cauchy(FIG_CAUCHY, 1)
-        assert g.rho_bound == pytest.approx(c.rho_bound, rel=1e-9)
+        assert g.rho_bound == pytest.approx(c.rho_bound, rel=1e-9, abs=0.0)
 
     def test_spherical_member_rejected(self):
         m = BivariateModel(1.0, 1.0, 0.0, spherical(1.0), stable(0.5, 1.0),
@@ -432,7 +432,8 @@ class TestGenericRoute:
         m = matern_bivariate(1.0, 1.0, 0.0, 0.2729653856654739, 0.4008165909944131,
                              0.13916612038035503, 0.435816560541311, 1.7179540936378843,
                              2.7086787231686267)
-        assert generic_sufficient_check(m, n).rho_bound_raw == pytest.approx(want, rel=1e-9)
+        assert generic_sufficient_check(m, n).rho_bound_raw == pytest.approx(
+            want, rel=1e-9, abs=0.0)
 
     @settings(max_examples=30, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
@@ -538,14 +539,14 @@ class TestSphericalTriviality:
         v = spherical_triviality(1.0, 1.4, 2.0, 0.3)
         assert not v.valid
         # first zero of the s11 marginal density: 2 s11 x1, tan(x1) = x1
-        assert v.witness_u == pytest.approx(8.986818915818128, rel=1e-12)
+        assert v.witness_u == pytest.approx(8.986818915818128, rel=1e-12, abs=0.0)
 
     def test_cross_scale_equal_to_first_marginal(self):
         # zeros of f12 coincide with f11's, so the witness scan must switch
         # to the second marginal's zeros
         v = spherical_triviality(1.0, 1.0, 2.0, 0.5)
         assert not v.valid
-        assert v.witness_u == pytest.approx(4.0 * 4.493409457909064, rel=1e-12)
+        assert v.witness_u == pytest.approx(4.0 * 4.493409457909064, rel=1e-12, abs=0.0)
 
     def test_tiny_rho_still_invalid(self):
         v = spherical_triviality(1.0, 1.4, 2.0, 0.05)
@@ -570,15 +571,15 @@ class TestSphericalOutsideR3:
         assert np.all(p.f11 > 0.0) and np.all(p.f22 > 0.0)
         ratio = p.f11 * p.f22 / p.f12 ** 2
         i = int(np.argmin(ratio))
-        assert ratio[i] == pytest.approx(0.5021, rel=1e-3)
-        assert u[i] == pytest.approx(14.73, rel=1e-3)
+        assert ratio[i] == pytest.approx(0.5021, rel=1e-3, abs=0.0)
+        assert u[i] == pytest.approx(14.73, rel=1e-3, abs=0.0)
         assert spherical_triviality(1.0, 1.4, 2.0, 0.05).witness_u is not None
         for n in (1, 2):
             report = certify(model, n)
             assert report.decidability == INCONCLUSIVE and report.witness_u is None
         report = certify(model, 3)
         assert report.decidability == NECESSARILY_ZERO
-        assert report.witness_u == pytest.approx(8.986818915818128, rel=1e-12)
+        assert report.witness_u == pytest.approx(8.986818915818128, rel=1e-12, abs=0.0)
 
 
 class TestCertify:

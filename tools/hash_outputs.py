@@ -20,7 +20,9 @@ Prints one SHA-256 prefix per case and a total over all of them:
 * ``deriv``: radial derivatives of orders 1 to 3 of a stable, Cauchy and
   spherical member and of a Matern member on each side of nu = 1, on a
   distance grid clear of the spherical kink, and the generic route's reports
-  on a rough bivariate Matern model in R^1 and R^3.
+  on a rough bivariate Matern model in R^1 and R^3;
+* ``spectral``: the spectral density of a stable, Cauchy, spherical and
+  Matern member in R^1 and R^3 at u = 0, 1e-3, 0.5, 2 and 20.
 
 Run it on two checkouts and compare the output; equal totals mean
 bit-identical results.  Byte equality holds at a fixed BLAS thread count,
@@ -60,6 +62,12 @@ DERIV_MEMBERS = {
     "spherical": bc.spherical(0.7),
     "matern 0.8": bc.matern(0.8, 1.3),
     "matern 2.2": bc.matern(2.2, 0.6),
+}
+SPECTRAL_MEMBERS = {
+    "stable": bc.stable(0.7, 1.3),
+    "cauchy": bc.cauchy(1.2, 3.5, 0.8),
+    "spherical": bc.spherical(0.7),
+    "matern": bc.matern(0.8, 1.3),
 }
 ROUGH_MATERN = bc.matern_bivariate(1.0, 1.0, 0.0, 0.2729653856654739, 0.4008165909944131,
                                    0.13916612038035503, 0.435816560541311,
@@ -159,6 +167,11 @@ def main() -> None:
     for n in (1, 3):
         text = generic_text(ROUGH_MATERN, n)
         lines.append(f"deriv generic matern {n} {hashlib.sha256(text.encode()).hexdigest()[:16]}")
+
+    u = np.array([0.0, 1e-3, 0.5, 2.0, 20.0])
+    for name, fam in SPECTRAL_MEMBERS.items():
+        for n in (1, 3):
+            lines.append(f"spectral {name} {n} {digest(bc.member_spectral_density(fam, n, u))}")
 
     for line in lines:
         print(line)
