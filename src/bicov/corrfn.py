@@ -28,6 +28,7 @@ import numpy as np
 
 __all__ = [
     "ALPHA_MIN",
+    "NU_MAX",
     "StableParams",
     "CauchyParams",
     "SphericalParams",
@@ -44,6 +45,9 @@ __all__ = [
 
 # Below this, (s*r)**alpha is numerically degenerate (hovers near 1 for every r).
 ALPHA_MIN = 1e-4
+# Above this, psi = c x**nu K_nu(x) is NaN at some x: kv overflows where K_nu's
+# small-x series would cancel (first seen at nu = 320 over r in [1e-6, 5e3]).
+NU_MAX = 300.0
 
 
 class KinkError(ValueError):
@@ -134,13 +138,15 @@ class SphericalParams:
 
 @dataclass(frozen=True)
 class MaternParams:
-    """Matern parameters: psi(r) = 2**(1-nu)/Gamma(nu) * x**nu * K_nu(x), x = scale*r."""
+    """Matern parameters: psi(r) = 2**(1-nu)/Gamma(nu) * x**nu * K_nu(x), x = scale*r,
+    for 0 < nu <= NU_MAX (300)."""
 
     nu: float
     scale: float
 
     def __post_init__(self):
         _require(self.nu > 0.0, f"nu must be positive, got {self.nu}")
+        _require(self.nu <= NU_MAX, f"nu must be at most {NU_MAX:g}, got {self.nu}")
         _require(self.scale > 0.0, f"scale must be positive, got {self.scale}")
 
 
@@ -274,19 +280,20 @@ def evaluate(family: CorrelationFamily, r):
     return _maybe_scalar(out, scalar)
 
 
-def _chain_deriv(p: Union[StableParams, CauchyParams], rr: np.ndarray, order: int) -> np.ndarray:
-    """d^order/dr^order G(t(r)) by Faa di Bruno; t_k = d^k t/dr^k = t_(k-1) (alpha-k+1)/r."""
-    a = p.alpha
+def _chain_deriv(p: Union[StableParams, CauchyParams], rr: np.ndarray, orders) -> list:
+    """[d^k/dr^k G(t(r)) for k in orders], orders from 1..3, by one Faa di Bruno pass;
+    t_k = d^k t/dr^k = t_(k-1) (alpha-k+1)/r.  Each order's values are the same
+    whatever other orders are asked with it."""
+    a, top = p.alpha, max(orders)
     t = (p.scale * rr) ** a
-    g = _outer(p, t, order)
+    g = _outer(p, t, top)
     t1 = a * t / rr
-    if order == 1:
-        return g[1] * t1
-    t2 = t1 * (a - 1.0) / rr
-    if order == 2:
-        return g[2] * t1 * t1 + g[1] * t2
-    t3 = t2 * (a - 2.0) / rr
-    return g[3] * t1 * t1 * t1 + 3.0 * g[2] * t1 * t2 + g[1] * t3
+    t2 = t1 * (a - 1.0) / rr if top > 1 else None
+    t3 = t2 * (a - 2.0) / rr if top > 2 else None
+    chains = {1: lambda: g[1] * t1,
+              2: lambda: g[2] * t1 * t1 + g[1] * t2,
+              3: lambda: g[3] * t1 * t1 * t1 + 3.0 * g[2] * t1 * t2 + g[1] * t3}
+    return [chains[k]() for k in orders]
 
 
 def _spherical_deriv(p: SphericalParams, rr: np.ndarray, order: int) -> np.ndarray:
@@ -331,7 +338,7 @@ def derivative(family: CorrelationFamily, r, order: int):
     rr, scalar = _as_r(r, allow_zero=False)
     p = family.params
     if family.kind in ("Stable", "Cauchy"):
-        out = _chain_deriv(p, rr, order)
+        out, = _chain_deriv(p, rr, (order,))
     elif family.kind == "Spherical":
         out = _spherical_deriv(p, rr, order)
     else:
@@ -352,8 +359,9 @@ def _param_derivatives(family: CorrelationFamily, r: np.ndarray, free=(True, Tru
     if family.kind == "Matern":
         h, psi = 1e-5 * p.nu, np.asarray(evaluate(family, r))
         # x d/dx [x^nu K_nu(x)] = -x^(nu+1) K_(nu-1)(x)
-        parts = (lambda: (evaluate(matern(p.nu + h, p.scale), r)
-                          - evaluate(matern(p.nu - h, p.scale), r)) / (2.0 * h),
+        # psi at nu +- h straight from _matern_kx, as evaluate reads it: nu + h may pass NU_MAX
+        parts = (lambda: (_matern_kx(p.nu + h, x, p.nu + h, p.nu + h, fill=1.0)
+                          - _matern_kx(p.nu - h, x, p.nu - h, p.nu - h, fill=1.0)) / (2.0 * h),
                  lambda: -_matern_kx(p.nu, x, p.nu + 1.0, p.nu - 1.0, fill=0.0))
     elif family.kind in ("Stable", "Cauchy"):
         # dt/dalpha = t log x, dt/dlog s = alpha t; a Cauchy member's exponent c = beta/alpha

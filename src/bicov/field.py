@@ -172,12 +172,14 @@ class _GramCache:
         for c in (1, 2):
             self.idx[rows[c], rows[c]] = start + c - 1
 
-    def build(self, model, nugget1: float, nugget2: float, psis=None) -> np.ndarray:
+    def build(self, model, nugget1: float, nugget2: float, psis=None,
+              out: np.ndarray | None = None) -> np.ndarray:
         """The Gram of ``model`` gathered from its value table: each term of
         :func:`bimodels._terms` adds amplitude times its correlation at the
         pair's distances to the pair's slots, and its amplitude to the pair's
         variance, to which the nuggets then add.  ``psis`` holds the terms'
-        correlations when already evaluated."""
+        correlations when already evaluated; ``out``, an (N, N) float array,
+        receives the Gram in place of a new one."""
         _check_nuggets(nugget1, nugget2)
         entries, var = {}, {}
         for k, (pair, amp, fam) in enumerate(_terms(model)):
@@ -188,7 +190,8 @@ class _GramCache:
         table = np.concatenate([entries[p] for p in _PAIRS if p in entries]
                                + [np.array([var["11"], var["22"]])])
         table[-2:] += nugget1, nugget2
-        return table[self.idx]
+        # idx is in range: "clip" gathers straight into out, where "raise" would buffer it
+        return np.take(table, self.idx, out=out, mode="clip")
 
 
 def check_pd(matrix: np.ndarray) -> PdCheck:
@@ -261,8 +264,9 @@ def cho_solve(*args, **kwargs):
 
 def _nll_core(m: np.ndarray, comp: np.ndarray, z: np.ndarray):
     """NLL, profiled means (mean1, mean2), the Cholesky factor of m and
-    m^-1 (z - profiled means)."""
-    factor = cho_factor(m, lower=True)
+    m^-1 (z - profiled means).  m must be bitwise symmetric, and m is
+    overwritten: it is factored in place, through m.T, its Fortran-ordered view."""
+    factor = cho_factor(m.T, lower=True, overwrite_a=True)
     cols = [c for c in (1, 2) if np.any(comp == c)]
     design = np.column_stack([(comp == c).astype(float) for c in cols])
     solved_design = cho_solve(factor, design)
@@ -550,8 +554,10 @@ class _ProfiledNll:
     and the table's derivatives.  The gradient is 1/2 <dK, W> with
     W = K^-1 - a a^T: W is summed once onto the table's slots,
     w = bincount(idx, W), and each parameter's derivative is
-    1/2 <d table, w>.  A Gram matrix that is not positive definite is retried
-    with a nugget floor of 1e-8 times the empirical component variance.
+    1/2 <d table, w>.  Every Gram is built into one workspace that lives as
+    long as the objective and is factored in place, so an evaluation maps no
+    fresh N x N pages.  A Gram matrix that is not positive definite is
+    retried with a nugget floor of 1e-8 times the empirical component variance.
     Calls count towards ``cap`` and the best point is kept; the call that
     reaches the cap raises :class:`_BudgetSpent`.
     """
@@ -560,6 +566,7 @@ class _ProfiledNll:
         self.spec, self.cache = spec, _GramCache(data)
         self.idx = self.cache.idx.ravel()
         self.z = _values(data)
+        self.work = np.empty(self.cache.idx.shape)
         self.floor = (1e-8 * spec.emp_var[0], 1e-8 * spec.emp_var[1])
         self.restart(math.inf)
 
@@ -568,12 +575,15 @@ class _ProfiledNll:
         self.best = (math.inf, None)   # (NLL, (model, nuggets used))
 
     def core(self, model, nug1: float, nug2: float, psis=None):
-        """:func:`_nll_core` with the floor fallback, and the nuggets used."""
+        """:func:`_nll_core` on the workspace with the floor fallback, and the nuggets
+        used; the factor it returns holds until the next call.  A failed factorization
+        has overwritten part of the workspace, so the fallback builds the Gram again."""
+        cache, work = self.cache, self.work
         try:
-            out = _nll_core(self.cache.build(model, nug1, nug2, psis), self.cache.comp, self.z)
+            out = _nll_core(cache.build(model, nug1, nug2, psis, work), cache.comp, self.z)
         except np.linalg.LinAlgError:
             nug1, nug2 = nug1 + self.floor[0], nug2 + self.floor[1]
-            out = _nll_core(self.cache.build(model, nug1, nug2, psis), self.cache.comp, self.z)
+            out = _nll_core(cache.build(model, nug1, nug2, psis, work), cache.comp, self.z)
         return out, nug1, nug2
 
     def __call__(self, theta: np.ndarray):
@@ -748,7 +758,8 @@ def _cokrige(model, data: FieldSample, targets, target_component: int,
     if means is None:
         _, mu1, mu2, factor, _ = _nll_core(m, comp, z)
     else:
-        (mu1, mu2), factor = means, cho_factor(m, lower=True)
+        # m is bitwise symmetric: m.T is factored in place, as in _nll_core
+        (mu1, mu2), factor = means, cho_factor(m.T, lower=True, overwrite_a=True)
     dist = _block_distances(pts, data.locations)
     cross = np.empty_like(dist)
     for c in (1, 2):

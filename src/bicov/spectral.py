@@ -85,11 +85,17 @@ def tan_roots(k_max: int) -> np.ndarray:
     """First ``k_max`` positive roots of tan(x) = x.
 
     Root k lies in (pi k, pi k + pi/2), where cot(x) - 1/x falls strictly
-    from +inf to below zero.
+    from +inf to below zero.  Each call returns a fresh copy of a solve made
+    once per ``k_max``.
     """
-    from scipy.optimize import brentq
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    return _tan_roots(k_max).copy()
+
+
+@lru_cache(maxsize=8)
+def _tan_roots(k_max: int) -> np.ndarray:
+    from scipy.optimize import brentq
 
     def g(x: float) -> float:
         return math.cos(x) / math.sin(x) - 1.0 / x

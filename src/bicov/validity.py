@@ -16,12 +16,14 @@ three-way decidability tag:
 One table-driven engine serves both families.  Each auxiliary function is
 a polynomial in t = (s r)^alpha over a power of (1 + t); one table gives its
 coefficients and that power, and ``q_fn``, ``p_fn``, the raw integrands, both
-endpoint limits and the per-member log term all read it.  That term,
+endpoint limits and the log terms all read it.  A member's term,
 log k + log t + log|q or p| (- t for a stable member), k = alpha or beta, is
 the one function of log r behind the log-domain integrand (the sum of the
 terms of psi11, psi12 and psi22, weighted 1, -2, 1) and behind the gradient
-of the fit's rho cap.  Beyond the table the families differ only in the
-stable -t and the case rules.
+of the fit's rho cap.  Any number of same-family members are evaluated as
+the rows of one array pass, so an integrand call and a gradient each make
+one.  Beyond the table the families differ only in the stable -t and the
+case rules.
 
 The engine works on the log of the integrand (the raw integrand overflows
 double precision near the endpoints), scanning a log-spaced grid, refining
@@ -45,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bimodels import BivariateModel
-from .corrfn import (CorrelationFamily, _as_r, _check_n13, _maybe_scalar, derivative,
-                     evaluate)
+from .corrfn import (CorrelationFamily, _as_r, _chain_deriv, _check_n13, _maybe_scalar,
+                     derivative, evaluate)
 from .spectral import spherical_density_closed_form, tan_roots
 
 __all__ = [
@@ -212,38 +214,48 @@ def cauchy_bound_integrand(model: BivariateModel, n: int, r):
 # ---------------------------------------------------------------------------
 # Log-domain evaluation of the integrands (engine internals).
 
-def _log_term(n: int, member):
-    """log r -> (log k + log t + log|q or p| (- t if stable), sign of q or p):
-    one member's term of the log-integrand, k = alpha or beta, t = (s r)^alpha.
-    The polynomial is evaluated in u = min(t, 1/t), as t^deg times the reversed
-    polynomial for t > 1, and log(1 + t) as max(log t, 0) + log1p(u), so
-    neither overflows."""
-    a, b, s = member
-    coefs, denom = _aux_table(n, a, b)
-    deg, log_k, log_s = len(coefs) - 1, math.log(a if b is None else b), math.log(s)
+def _log_terms(n: int, members):
+    """log r -> (terms, signs), each (k, m) for k same-family members at m values of
+    log r: row i holds member i's log k + log t + log|q or p| (- t if stable), k = alpha
+    or beta, t = (s r)^alpha, and the sign of q or p.  The polynomial is evaluated in
+    u = min(t, 1/t), as t^deg times the reversed polynomial for t > 1, and log(1 + t) as
+    max(log t, 0) + log1p(u), so neither overflows.  Horner's rule y = y u + c over the
+    coefficient columns, from y = 0, is ``np.polyval``'s, so each row is bit-equal to a
+    one-member call."""
+    stable = members[0][1] is None
+    tables = [_aux_table(n, a, b) for a, b, _ in members]
+    coefs, denom = np.array([c for c, _ in tables]), np.array([[d] for _, d in tables])
+    deg = coefs.shape[1] - 1
+    # one column each: row i holds member i's alpha, log s and log k
+    a, log_s, log_k = np.array([(a, math.log(s), math.log(a if b is None else b))
+                                for a, b, s in members]).T[:, :, None]
 
     def fn(lr: np.ndarray):
         lt = a * (log_s + lr)
         u, big = np.exp(-np.abs(lt)), np.maximum(lt, 0.0)
-        poly = np.where(lt <= 0.0, np.polyval(coefs, u), np.polyval(coefs[::-1], u))
+        low = high = np.zeros_like(u)
+        for j in range(deg + 1):
+            low = low * u + coefs[:, j, None]
+            high = high * u + coefs[:, deg - j, None]
+        poly = np.where(lt <= 0.0, low, high)
         with np.errstate(divide="ignore", over="ignore"):
             term = log_k + lt + np.log(np.abs(poly)) + deg * big
-            if denom:
+            if not stable:
                 term = term - denom * (big + np.log1p(u))
-            return (term - np.exp(lt) if b is None else term), np.sign(poly)
+            return (term - np.exp(lt) if stable else term), np.sign(poly)
 
     return fn
 
 
 def _log_integrand(members, n: int):
     """log r -> (log of the bound integrand, sign of the cross factor): the
-    :func:`_log_term` sum term11 + term22 - 2 term12, NaN wherever a marginal
+    :func:`_log_terms` sum term11 + term22 - 2 term12, NaN wherever a marginal
     factor is not positive or the cross factor vanishes."""
-    terms = [_log_term(n, m) for m in members]
+    terms = _log_terms(n, members)
 
     def fn(lr: np.ndarray):
         lr = np.atleast_1d(np.asarray(lr, dtype=float))
-        (l11, g11), (l12, g12), (l22, g22) = (f(lr) for f in terms)
+        (l11, l12, l22), (g11, g12, g22) = terms(lr)
         with np.errstate(invalid="ignore"):
             li = l11 + l22 - 2.0 * l12
         return np.where((g11 > 0) & (g22 > 0) & (g12 != 0), li, np.nan), g12
@@ -265,7 +277,7 @@ def _endpoint(members, n: int, tag: str) -> tuple[float, float]:
     """(log-limit, constant) of the log-integrand at r -> 0+ or r -> infinity.
 
     The log-integrand sums, weighted 1, -2, 1 over psi11, psi12, psi22, the
-    terms of :func:`_log_term`, log k + log t + log|q or p| (- t if stable),
+    terms of :func:`_log_terms`, log k + log t + log|q or p| (- t if stable),
     and this returns the limits of that sum.  Beside -t each term behaves
     like kappa log r + c: q or p tends to its constant coefficient at r -> 0+
     (its linear one times t when alpha is 1 within the case tolerance) and to
@@ -469,30 +481,28 @@ def _log_infimum_gradient(model: BivariateModel, report: ValidityReport) -> list
 
     The candidate that won in ``report`` is held fixed (envelope theorem) and
     differenced centrally in one parameter at a time: the constant of a
-    winning limit (see :func:`_endpoint`), or the moved member's
-    :func:`_log_term` at the winning r.
+    winning limit (see :func:`_endpoint`), or the moved member's term at the
+    winning r.  The terms of all moved members (12 stable, 18 Cauchy) are the
+    rows of one :func:`_log_terms` call.
     """
     members, n, loc = _members(model, model.psi11.kind), report.n, report.infimum_location
-    if isinstance(loc, str):
-        def value(q, m):
-            return _endpoint(members[:q] + (m,) + members[q + 1:], n, loc)[1]
-    else:
-        lr = math.log(loc)
-
-        def value(q, m):
-            return _WEIGHTS[q] * float(_log_term(n, m)(np.array([lr]))[0][0])
-    out = []
+    steps, moved = [], []   # (q, h) of each parameter; (q, member) moved by +h, then by -h
     for q, (a, b, s) in enumerate(members):
         params = [a, math.log(s)] + ([] if b is None else [b])
-        grads = []
         for k, v in enumerate(params):
             h = 1e-6 * max(1.0, abs(v))
-            ends = []
-            for moved in (v + h, v - h):
-                p = params[:k] + [moved] + params[k + 1:]
-                ends.append(value(q, (p[0], None if b is None else p[2], math.exp(p[1]))))
-            grads.append((ends[0] - ends[1]) / (2.0 * h))
-        out.append(grads)
+            steps.append((q, h))
+            for end in (v + h, v - h):
+                p = params[:k] + [end] + params[k + 1:]
+                moved.append((q, (p[0], None if b is None else p[2], math.exp(p[1]))))
+    if isinstance(loc, str):
+        ends = [_endpoint(members[:q] + (m,) + members[q + 1:], n, loc)[1] for q, m in moved]
+    else:
+        terms = _log_terms(n, [m for _, m in moved])(np.array([math.log(loc)]))[0][:, 0]
+        ends = [_WEIGHTS[q] * float(v) for (q, _), v in zip(moved, terms)]
+    out = [[] for _ in members]
+    for (q, h), plus, minus in zip(steps, ends[::2], ends[1::2]):
+        out[q].append((plus - minus) / (2.0 * h))
     return out
 
 
@@ -512,10 +522,15 @@ def max_rho_cauchy(model: BivariateModel, n: int, grid_points: int = _GRID_POINT
 # Generic route: the same bound from raw derivatives of arbitrary members.
 
 def _second_form(fam: CorrelationFamily, rr: np.ndarray, n: int) -> np.ndarray:
-    d2 = derivative(fam, rr, 2)
-    if n == 1:
-        return np.asarray(d2)
-    return np.asarray(d2) - rr * np.asarray(derivative(fam, rr, 3))
+    """psi'' (n = 1) or psi'' - r psi''' (n = 3) at r > 0: a stable or Cauchy
+    member takes both orders from one Faa di Bruno chain, a Matern member reads
+    :func:`derivative` once per order."""
+    orders = (2,) if n == 1 else (2, 3)
+    if fam.kind in ("Stable", "Cauchy"):
+        d = _chain_deriv(fam.params, rr, orders)
+    else:
+        d = [derivative(fam, rr, k) for k in orders]
+    return d[0] if n == 1 else d[0] - rr * d[1]
 
 
 def generic_sufficient_check(model: BivariateModel, n: int) -> ValidityReport:

@@ -223,6 +223,13 @@ class TestUsageAndFileErrors:
         assert main(["validate", str(path)]) == 66
         assert "line 2" in capsys.readouterr().err
 
+    def test_matern_nu_above_the_cap_is_a_malformed_model(self, tmp_path, capsys):
+        path = tmp_path / "big_nu.txt"
+        text = model_to_text(bc.matern_bivariate(1.0, 1.0, 0.0, 0.5, 1.0, 1.5, 1.0, 1.0, 1.0))
+        path.write_text(text.replace("nu12 = 1\n", "nu12 = 1000\n"))
+        assert main(["validate", str(path)]) == 66
+        assert "nu must be at most 300" in capsys.readouterr().err
+
     def test_malformed_data_reports_row(self, tmp_path, capsys):
         model = write_model(tmp_path, VALID_STABLE)
         data = tmp_path / "data.csv"

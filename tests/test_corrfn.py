@@ -18,7 +18,7 @@ import pytest
 
 from bicov import FieldSample, gram, matern_bivariate
 from bicov import corrfn
-from bicov.corrfn import (ALPHA_MIN, CorrelationFamily, KinkError, StableParams,
+from bicov.corrfn import (ALPHA_MIN, NU_MAX, CorrelationFamily, KinkError, StableParams,
                           _param_derivatives, cauchy, derivative, evaluate, matern,
                           spherical, stable)
 
@@ -333,6 +333,21 @@ class TestParamBoxes:
             spherical(-2.0)
         with pytest.raises(ValueError):
             matern(0.0, 1.0)
+
+    def test_matern_nu_cap(self):
+        # psi at the cap is finite and a correlation over x = s r in [1e-6, 5e3]; from
+        # nu = 320 on kv overflows where K's small-x series cancels, and psi is NaN
+        r = np.concatenate([[0.0], np.geomspace(1e-6, 5e3, 20001)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = evaluate(matern(NU_MAX, 1.0), r)
+        assert NU_MAX == 300.0
+        assert np.all(np.isfinite(psi)) and np.all((psi >= 0.0) & (psi <= 1.0))
+        with pytest.raises(ValueError, match="at most 300"):
+            matern(1000.0, 1.0)
+        # the fit's central difference in nu steps past the cap
+        d_nu = _param_derivatives(matern(NU_MAX, 1.0), r[::400])[1][0]
+        assert np.all(np.isfinite(d_nu))
 
     def test_kind_params_mismatch(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from scipy.stats import multivariate_normal
 import bicov as bc
 from bicov import BivariateModel, FieldSample, matern, stable
 from bicov.bimodels import _entry, _terms
-from bicov.field import (_block_distances, _GramCache, _ParamSpec,
+from bicov.field import (_block_distances, _GramCache, _nll_core, _ParamSpec,
                          _parsimonious_matern_rho_bound, _ProfiledNll, check_pd, gram)
 from bicov.spectral import cross_spectral_profile
 
@@ -148,6 +148,9 @@ class TestGramAgainstScatter:
                 assert np.array_equal(got, want)
                 assert np.array_equal(cache.build(model, *nuggets), want)
                 assert np.array_equal(got, got.T)
+                out = np.full(want.shape, np.nan)   # a workspace the build fills in place
+                assert cache.build(model, *nuggets, out=out) is out
+                assert np.array_equal(out, want)
 
     def test_colocated_build_evaluates_each_site_pair_once(self, monkeypatch):
         n_sites = 9
@@ -333,6 +336,27 @@ class TestFitMl:
         emp1 = np.var(data.values[comps == 1])
         assert fit.nugget1 >= 1e-8 * emp1 * (1.0 - 1e-12)
         assert math.isfinite(fit.nll)
+
+    @pytest.mark.parametrize("kind", ["stable", "lmc"])
+    def test_evaluation_after_a_floor_fallback_equals_a_fresh_factorization(self, kind):
+        # duplicate rows: the first, in-place factorization fails part way and
+        # leaves the workspace overwritten, so the fallback must build it again
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(0, 5, size=(10, 2))
+        locs, comps = np.vstack([np.repeat(pts, 2, axis=0)] * 2), np.tile([1, 2], 20)
+        half = bc.simulate(MODEL, locs[:20], comps[:20], seed=8)
+        data = FieldSample(locs, comps, values=np.concatenate([half.values] * 2))
+        spec = _ParamSpec(kind, data, 2, False, 0.0, 0.0)
+        objective = _ProfiledNll(spec, data)
+        theta = spec.starts(1, 0)[0]
+        model = spec.decode(theta)[0]
+        (value, mu1, mu2, (c, _), solved), nug1, nug2 = objective.core(model, 0.0, 0.0)
+        assert (nug1, nug2) == objective.floor
+        want = _nll_core(bc.gram(model, data, nug1, nug2), comps, data.values)
+        assert (value, mu1, mu2) == want[:3]
+        assert np.tril(c).tobytes() == np.tril(want[3][0]).tobytes()
+        assert solved.tobytes() == want[4].tobytes()
+        assert objective(theta)[0] == value
 
     def test_nugget_floor_only_when_the_returned_model_needs_it(self):
         # five sites repeated 1e-9 away: some LMC iterates need the floor, the

@@ -15,8 +15,9 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import bicov as bc
-from bicov.validity import (_GRID_HI, _GRID_LO, _GRID_POINTS, _ZOOM_POINTS, ExcludedPoint,
-                            _aux_table, _log_integrand, _log_term, _members, _zoom)
+from bicov.validity import (_GRID_HI, _GRID_LO, _GRID_POINTS, _WEIGHTS, _ZOOM_POINTS,
+                            ExcludedPoint, _aux_table, _endpoint, _log_infimum_gradient,
+                            _log_integrand, _log_terms, _members, _zoom)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -143,7 +144,7 @@ def test_log_term_matches_decimal_reference(n, member, lt_target):
     a, b, s = member
     lr = lt_target / a - math.log(s)
     lt = a * (math.log(s) + lr)   # the log t the term is evaluated at
-    got, sign = (float(v[0]) for v in _log_term(n, member)(np.array([lr])))
+    got, sign = (float(v[0, 0]) for v in _log_terms(n, [member])(np.array([lr])))
     want, want_sign, cond = _decimal_term(n, member, lt)
     assume(cond < 1e12)
     # rounding scales with each summand and with the polynomial's cancellation
@@ -158,6 +159,74 @@ def test_log_term_matches_decimal_reference(n, member, lt_target):
             aux = bc.q_fn(a, s, n, r) if b is None else bc.p_fn(a, b, s, n, r)
         if math.isfinite(aux) and aux != 0.0:
             assert math.copysign(1.0, aux) == sign
+
+
+# log r inside the scan window, and far beyond it, where t over- or underflows
+log_r = st.one_of(st.floats(_GRID_LO, _GRID_HI), st.floats(-800.0, 800.0))
+
+
+@SETTINGS
+@given(models(), st.lists(log_r, min_size=1, max_size=6))
+def test_log_terms_rows_equal_one_member_calls(case, lrs):
+    family, alphas, betas, scales, n = case
+    members = _members(build(family, alphas, betas, scales),
+                       "Stable" if family == "stable" else "Cauchy")
+    lr = np.array(lrs)
+    terms, signs = _log_terms(n, members)(lr)
+    assert terms.shape == signs.shape == (3, lr.size)
+    for row, member in enumerate(members):
+        one_terms, one_signs = _log_terms(n, [member])(lr)
+        assert terms[row].tobytes() == one_terms[0].tobytes()
+        assert signs[row].tobytes() == one_signs[0].tobytes()
+
+
+def _gradient_one_member_at_a_time(model, report):
+    """:func:`_log_infimum_gradient` as it was written before the moved members
+    shared one call: each end is the winning limit's constant, or one moved
+    member's term from a call of its own."""
+    members, n, loc = _members(model, model.psi11.kind), report.n, report.infimum_location
+    if isinstance(loc, str):
+        def value(q, m):
+            return _endpoint(members[:q] + (m,) + members[q + 1:], n, loc)[1]
+    else:
+        lr = math.log(loc)
+
+        def value(q, m):
+            return _WEIGHTS[q] * float(_log_terms(n, [m])(np.array([lr]))[0][0, 0])
+    out = []
+    for q, (a, b, s) in enumerate(members):
+        params = [a, math.log(s)] + ([] if b is None else [b])
+        grads = []
+        for k, v in enumerate(params):
+            h = 1e-6 * max(1.0, abs(v))
+            ends = []
+            for moved in (v + h, v - h):
+                p = params[:k] + [moved] + params[k + 1:]
+                ends.append(value(q, (p[0], None if b is None else p[2], math.exp(p[1]))))
+            grads.append((ends[0] - ends[1]) / (2.0 * h))
+        out.append(grads)
+    return out
+
+
+@pytest.mark.parametrize("family", ["stable", "cauchy"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_log_infimum_gradient_equals_one_member_at_a_time(family, n):
+    rng = np.random.default_rng(17)
+    wins = set()
+    for i in range(40):
+        a11, a22 = rng.uniform(0.05, 1.0, 2)
+        # a free cross smoothness, the larger marginal one, and the marginal mean
+        a12 = (rng.uniform(0.05, 2.0), max(a11, a22), 0.5 * (a11 + a22))[i % 3]
+        betas = tuple(rng.uniform(0.1, 5.0, 3)) if family == "cauchy" else None
+        model = build(family, (a11, a12, a22), betas, tuple(rng.uniform(0.1, 10.0, 3)))
+        engine = bc.max_rho_stable if family == "stable" else bc.max_rho_cauchy
+        for report in (engine(model, n), engine(model, n, grid_points=512, refine_brackets=0)):
+            got = _log_infimum_gradient(model, report)
+            want = _gradient_one_member_at_a_time(model, report)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            loc = report.infimum_location
+            wins.add(loc if isinstance(loc, str) else "interior")
+    assert wins >= {"interior", "AtZero", "AtInfinity"}   # every kind of winner occurs
 
 
 @SETTINGS

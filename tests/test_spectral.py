@@ -52,6 +52,13 @@ class TestTanRoots:
         with pytest.raises(ValueError):
             tan_roots(0)
 
+    def test_each_call_returns_its_own_copy(self):
+        first = tan_roots(5)
+        want = first.copy()
+        first[:] = 0.0
+        assert tan_roots(5).tobytes() == want.tobytes()
+        assert tan_roots(5) is not tan_roots(5)
+
 
 class TestSphericalClosedForm:
     def test_origin_value(self):

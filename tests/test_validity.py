@@ -447,6 +447,17 @@ class TestGenericRoute:
         except NotApplicable as exc:
             assert "sign condition" not in str(exc)
 
+    @pytest.mark.parametrize("fam", [stable(0.3, 2.0), stable(1.0, 0.7), stable(2.0, 1.3),
+                                     cauchy(0.5, 2.0, 1.5), cauchy(1.0, 0.3, 0.2),
+                                     cauchy(1.9, 4.0, 8.0)])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_second_form_takes_both_orders_from_one_chain(self, fam, n):
+        r = np.geomspace(1e-8, 1e8, 97)
+        want = derivative(fam, r, 2) - (r * derivative(fam, r, 3) if n == 3 else 0.0)
+        with np.errstate(all="ignore"):
+            got = validity._second_form(fam, r, n)
+        assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
+
     @pytest.mark.parametrize("n", [1, 3])
     def test_underflowing_ratio_not_applicable(self, n):
         # alpha12 below the marginal mean: the ratio keeps falling until the
@@ -503,27 +514,30 @@ class TestEngineCost:
     # 7.788994555031706; the closed-form engine reads 0.3734249716149066 in n = 1.
     # The golden-section search before the zoom read 0.3734249716149069 at
     # 5.666927054300786 and 0.3607155794057417 at 7.788994034532395, with 126
-    # and 252 derivative calls
+    # and 252 derivative calls.  A stable member's psi'' and psi''' now come from
+    # one chain call, so ``calls`` counts the orders those calls compute
     @pytest.mark.parametrize("n,infimum,raw,location,calls", [
         (1, 0.13944620942559377, 0.37342497161490656, 5.666927193767619, 18),
         (3, 0.13011572922601974, 0.3607155794057414, 7.78899455509697, 36),
     ])
     def test_generic_route_evaluates_its_grid_once(self, monkeypatch, n, infimum, raw,
                                                     location, calls):
-        count = [0]
+        chains, orders, chain = [0], [0], validity._chain_deriv
 
-        def counting(*args, **kw):
-            count[0] += 1
-            return derivative(*args, **kw)
+        def counting(params, r, ks):
+            chains[0] += 1
+            orders[0] += len(ks)
+            return chain(params, r, ks)
 
-        monkeypatch.setattr(validity, "derivative", counting)
+        monkeypatch.setattr(validity, "_chain_deriv", counting)
+        monkeypatch.setattr(validity, "derivative", None)   # stable members never call it
         report = generic_sufficient_check(FIG_STABLE, n)
         assert report == ValidityReport(
             rho_bound_raw=raw, rho_bound=raw, infimum=infimum, case="generic",
             infimum_location=location, decidability=SUFFICIENT, n=n, note="")
-        # one derivative call per member (two for n = 3) on the grid and
-        # again on each of the five zoom passes
-        assert count[0] == calls
+        # one chain call per member on the grid and again on each of the five
+        # zoom passes, giving psi'' (and psi''' for n = 3)
+        assert chains[0] == 18 and orders[0] == calls
 
 
 class TestSphericalTriviality:

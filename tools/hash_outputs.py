@@ -22,7 +22,9 @@ Prints one SHA-256 prefix per case and a total over all of them:
   distance grid clear of the spherical kink, and the generic route's reports
   on a rough bivariate Matern model in R^1 and R^3;
 * ``spectral``: the spectral density of a stable, Cauchy, spherical and
-  Matern member in R^1 and R^3 at u = 0, 1e-3, 0.5, 2 and 20.
+  Matern member in R^1 and R^3 at u = 0, 1e-3, 0.5, 2 and 20;
+* ``grad``: the fit's derivatives of the log infimum in every member's
+  parameters, at the fine and at the coarse report of each ``bound`` model.
 
 Run it on two checkouts and compare the output; equal totals mean
 bit-identical results.  Byte equality holds at a fixed BLAS thread count,
@@ -37,7 +39,7 @@ import numpy as np
 
 import bicov as bc
 from bicov.field import _ParamSpec, _ProfiledNll
-from bicov.validity import NotApplicable, generic_sufficient_check
+from bicov.validity import NotApplicable, _log_infimum_gradient, generic_sufficient_check
 
 
 def digest(*arrays) -> str:
@@ -172,6 +174,14 @@ def main() -> None:
     for name, fam in SPECTRAL_MEMBERS.items():
         for n in (1, 3):
             lines.append(f"spectral {name} {n} {digest(bc.member_spectral_density(fam, n, u))}")
+
+    for kind in ("stable", "cauchy"):
+        engine = bc.max_rho_stable if kind == "stable" else bc.max_rho_cauchy
+        for n in (1, 3):
+            grads = [_log_infimum_gradient(m, report) for m in bound_models(kind)
+                     for report in (engine(m, n), engine(m, n, grid_points=512,
+                                                          refine_brackets=0))]
+            lines.append(f"grad {kind} {n} {digest(*(g for grad in grads for g in grad))}")
 
     for line in lines:
         print(line)
