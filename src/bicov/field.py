@@ -20,7 +20,7 @@ own derivative is taken at the bound engine's winning candidate, held fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -518,9 +518,9 @@ class _ParamSpec:
         return model, nuggets, [(amp, params[p]) for p, amp in zip(_PAIRS, amps)]
 
     def _member_bound(self, probe, params) -> _D:
-        """Coarse certified bound of a stable or Cauchy probe; its gradient holds
-        the bound engine's winning candidate fixed."""
-        report = certify(probe, self.n_valid, grid_points=512, refine_brackets=0)
+        """:func:`certify`'s bound of a stable or Cauchy probe, bit for bit; its
+        gradient holds the bound engine's winning candidate fixed."""
+        report = certify(probe, self.n_valid)
         grad = np.zeros(self.dim)
         if 0.0 < report.rho_bound_raw < 1.0:
             sens = _log_infimum_gradient(probe, report)
@@ -536,15 +536,6 @@ class _ParamSpec:
         common = 0.5 * (digamma(mean_nu) - digamma(mean_nu + half))
         d1, d2 = (0.5 * (digamma(nu + half) - digamma(nu)) + common for nu in (nu1.x, nu2.x))
         return _D(b, b * (d1 * nu1.g + d2 * nu2.g))
-
-    def exact_rho_clip(self, model):
-        """Re-certify rho with the fine engine and clip into the exact bound."""
-        if self.kind not in ("stable", "cauchy"):
-            return model
-        bound = certify(replace(model, rho=0.0), self.n_valid).rho_bound
-        if abs(model.rho) > bound:
-            return replace(model, rho=math.copysign(bound, model.rho))
-        return model
 
 
 class _ProfiledNll:
@@ -655,14 +646,14 @@ def fit_ml(data: FieldSample, model_kind: str, n_starts: int = 8, seed: int = 0,
     ``converged`` is L-BFGS-B's verdict on the winning start (false when it
     ended on the cap).
 
-    Every iterate is valid: rho is tanh(u) times the coarse certified bound
-    of the current structure, and the cross smoothness is searched only
-    where that bound can be positive: stable alpha12 in
+    Every iterate is valid: rho is tanh(u) times the certified bound of the
+    current structure, :func:`certify`'s own, and the cross smoothness is
+    searched only where that bound can be positive: stable alpha12 in
     [max(alpha11, alpha22), 2], Cauchy alpha12 in [(alpha11 + alpha22)/2, 2]
-    and beta12 in [(beta11 + beta22)/2, 50].  The returned rho is clipped
-    into the fine bound.  A singular Gram matrix is retried with a nugget
-    floor of 1e-8 times the empirical component variance; the floor is added
-    to the returned nuggets only when the returned model's Gram needs it.
+    and beta12 in [(beta11 + beta22)/2, 50].  A singular Gram matrix is
+    retried with a nugget floor of 1e-8 times the empirical component
+    variance; the floor is added to the returned nuggets only when the
+    returned model's Gram needs it.
     """
     z = _values(data)
     kind = _KIND_ALIASES.get(model_kind.lower().replace("_", ""))
@@ -701,7 +692,6 @@ def fit_ml(data: FieldSample, model_kind: str, n_starts: int = 8, seed: int = 0,
     if best[1] is None:
         raise ValueError("no start reached a finite likelihood")
     model, (nug1, nug2) = best[1]
-    model = spec.exact_rho_clip(model)
     (value, mu1, mu2, _, _), nug1, nug2 = objective.core(model, nug1, nug2)
     n_params = spec.dim + 2
     return FitResult(model=model, kind=kind, nugget1=nug1, nugget2=nug2,

@@ -191,20 +191,35 @@ def _transform(p, n: int, v: np.ndarray, h: float = 0.025) -> tuple[np.ndarray, 
 
 
 def _zero_density(family: CorrelationFamily, n: int) -> float:
-    """The density at u = 0 in closed form (see the module docstring)."""
+    """The density at u = 0 in closed form (see the module docstring); ValueError
+    where it exceeds the largest double."""
     p, c = family.params, _C[n]
     if family.kind == "Spherical":
         return c * 3.0 / (8.0 * p.scale)
-    if family.kind == "Stable":
-        return c * math.gamma(n / p.alpha) / (p.alpha * p.scale ** n)
-    log_b = (math.lgamma(n / p.alpha) + math.lgamma((p.beta - n) / p.alpha)
-             - math.lgamma(p.beta / p.alpha))
-    return c * math.exp(log_b) / (p.alpha * p.scale ** n)
+    try:
+        if family.kind == "Stable":
+            f0 = c * math.gamma(n / p.alpha) / (p.alpha * p.scale ** n)
+        else:
+            log_b = (math.lgamma(n / p.alpha) + math.lgamma((p.beta - n) / p.alpha)
+                     - math.lgamma(p.beta / p.alpha))
+            f0 = c * math.exp(log_b) / (p.alpha * p.scale ** n)
+    except OverflowError:
+        f0 = math.inf
+    if f0 == math.inf:
+        raise ValueError(f"the {family.kind.lower()} member's density at u = 0 in R^{n} "
+                         f"leaves the double range (alpha {p.alpha:g}, scale {p.scale:g})")
+    return f0
 
 
 def _density(family: CorrelationFamily, n: int, uu: np.ndarray, check: bool = True):
     _check_n13(n)
     p = family.params
+    try:
+        scale_n = p.scale ** n
+    except OverflowError:
+        scale_n = math.inf
+    if not 0.0 < scale_n < math.inf:
+        raise ValueError(f"member scale {p.scale:g} puts scale^{n} outside the double range")
     if check and family.kind == "Cauchy" and p.beta <= n:
         raise NonIntegrable("generalized Cauchy member with beta <= n has a diverging density "
                             "at the origin; no pointwise profile is produced")

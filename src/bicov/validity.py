@@ -47,8 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bimodels import BivariateModel
-from .corrfn import (CorrelationFamily, _as_r, _chain_deriv, _check_n13, _maybe_scalar,
-                     derivative, evaluate)
+from .corrfn import CorrelationFamily, _as_r, _check_n13, _maybe_scalar, derivative, evaluate
 from .spectral import spherical_density_closed_form, tan_roots
 
 __all__ = [
@@ -327,7 +326,7 @@ def _limits(members, n: int):
 # The infimum engine: grid scan + zoom refinement + exact limits.
 
 _GRID_LO, _GRID_HI = math.log(1e-8), math.log(1e8)
-_GRID_POINTS = 4096   # fine scan of log r over [_GRID_LO, _GRID_HI]
+_GRID_POINTS = 512    # scan of log r over [_GRID_LO, _GRID_HI], 32 points a decade
 _ZOOM_POINTS = 129    # odd: each zoom pass re-samples the previous best point at its centre
 _ZOOM_TOL = 1e-10     # bracket width in log r at which the zoom stops
 
@@ -522,15 +521,9 @@ def max_rho_cauchy(model: BivariateModel, n: int, grid_points: int = _GRID_POINT
 # Generic route: the same bound from raw derivatives of arbitrary members.
 
 def _second_form(fam: CorrelationFamily, rr: np.ndarray, n: int) -> np.ndarray:
-    """psi'' (n = 1) or psi'' - r psi''' (n = 3) at r > 0: a stable or Cauchy
-    member takes both orders from one Faa di Bruno chain, a Matern member reads
-    :func:`derivative` once per order."""
-    orders = (2,) if n == 1 else (2, 3)
-    if fam.kind in ("Stable", "Cauchy"):
-        d = _chain_deriv(fam.params, rr, orders)
-    else:
-        d = [derivative(fam, rr, k) for k in orders]
-    return d[0] if n == 1 else d[0] - rr * d[1]
+    """psi'' (n = 1) or psi'' - r psi''' (n = 3) at r > 0, read from :func:`derivative`."""
+    d2 = derivative(fam, rr, 2)
+    return d2 if n == 1 else d2 - rr * derivative(fam, rr, 3)
 
 
 def generic_sufficient_check(model: BivariateModel, n: int) -> ValidityReport:
@@ -637,11 +630,11 @@ def spherical_triviality(s11: float, s12: float, s22: float, rho: float) -> Triv
 # ---------------------------------------------------------------------------
 # One answer for every model kind.
 
-def certify(model, n: int, **engine) -> ValidityReport:
+def certify(model, n: int) -> ValidityReport:
     """The validity of a model of any kind in R^n, n in {1, 2, 3}.
 
-    Stable and Cauchy models take :func:`max_rho_stable` or :func:`max_rho_cauchy` with
-    the ``engine`` options, looked up at call time so that a wrapper set on this module
+    Stable and Cauchy models take :func:`max_rho_stable` or :func:`max_rho_cauchy` in
+    the engine's one mode, looked up at call time so that a wrapper set on this module
     sees every call; :func:`spherical_triviality` refutes in R^3 only; an LMC, or a
     separable (rho = 0) model of another kind, is valid as it stands; any other model
     takes :func:`generic_sufficient_check`, inconclusive where it raises NotApplicable.
@@ -649,7 +642,7 @@ def certify(model, n: int, **engine) -> ValidityReport:
     n_used, _ = _resolve_dim(n)
     kind = model.kind
     if kind in ("stable", "cauchy"):
-        return (max_rho_stable if kind == "stable" else max_rho_cauchy)(model, n, **engine)
+        return (max_rho_stable if kind == "stable" else max_rho_cauchy)(model, n)
     if kind == "lmc":
         return ValidityReport(case="lmc", decidability=SUFFICIENT, n=n_used,
                               note="coregionalization with positive semidefinite coefficient "

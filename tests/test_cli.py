@@ -353,6 +353,18 @@ class TestSpectral:
         assert code == 70
         assert "diverging" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("s11", ["1e-300", "1e-150"])
+    def test_tiny_stable_scale_is_a_compute_error(self, tmp_path, capsys, s11):
+        # s11^3 underflows to 0, where the u = 0 density divided by it
+        path = tmp_path / "tiny.txt"
+        path.write_text((GOLDEN / "stable.txt").read_text().replace("s11 = 2\n",
+                                                                    f"s11 = {s11}\n"))
+        code = main(["spectral", str(path), "--dim", "3", "--out", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert code == 70
+        assert len(err.strip().splitlines()) == 1
+        assert "double range" in err
+
 
 class TestSimulate:
     def test_grid_rows_and_determinism(self, tmp_path):
@@ -466,14 +478,15 @@ class TestFitAndKrige:
 
 class TestEngineLookup:
     def test_callers_reach_the_engines_through_validity(self, tmp_path, capsys, monkeypatch):
-        # the fit's coarse calls and validate's fine calls look the engines up
-        # on bicov.validity, where a wrapper (the benchmark's tracer) sees them
+        # the fit's rho cap and validate look the engines up on bicov.validity,
+        # where a wrapper (the benchmark's tracer) sees them; neither passes an
+        # engine option
         calls = []
         for name in ("max_rho_stable", "max_rho_cauchy"):
             original = getattr(bc.validity, name)
 
             def counting(*args, _original=original, _name=name, **kw):
-                calls.append((_name, kw.get("refine_brackets", 8)))
+                calls.append((_name, kw))
                 return _original(*args, **kw)
             monkeypatch.setattr(bc.validity, name, counting)
 
@@ -483,13 +496,13 @@ class TestEngineLookup:
         objective = _ProfiledNll(spec, data)
         for theta in spec.starts(3, 0):
             objective(theta)
-        assert calls == [("max_rho_stable", 0)] * 3
+        assert calls == [("max_rho_stable", {})] * 3
 
         calls.clear()
         cauchy = bc.cauchy_bivariate(1.0, 1.0, 0.1, 0.5, 0.8, 0.6, 4.0, 4.5, 5.0, 1.0, 1.0, 1.0)
         for model in (VALID_STABLE, cauchy):
             main(["validate", write_model(tmp_path, model)])
-        assert calls == [("max_rho_stable", 8), ("max_rho_cauchy", 8)]
+        assert calls == [("max_rho_stable", {}), ("max_rho_cauchy", {})]
 
 
 class TestModuleEntryPoint:

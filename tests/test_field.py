@@ -10,7 +10,7 @@ from scipy.stats import multivariate_normal
 import bicov as bc
 from bicov import BivariateModel, FieldSample, matern, stable
 from bicov.bimodels import _entry, _terms
-from bicov.field import (_block_distances, _GramCache, _nll_core, _ParamSpec,
+from bicov.field import (_D, _block_distances, _GramCache, _nll_core, _ParamSpec,
                          _parsimonious_matern_rho_bound, _ProfiledNll, check_pd, gram)
 from bicov.spectral import cross_spectral_profile
 
@@ -425,8 +425,8 @@ class TestFitMl:
 
     @pytest.mark.parametrize("d,n", [(1, 1), (2, 3), (3, 3)])
     def test_bound_dimension_follows_the_coordinates(self, d, n, monkeypatch):
-        # every engine call of the fit, coarse and fine, answers in R^n, and
-        # the returned rho lies within the fine R^n bound
+        # every engine call of the fit answers in R^n, and the returned rho
+        # lies within the R^n bound
         reports = []
         original = bc.validity.max_rho_stable
 
@@ -446,6 +446,34 @@ class TestFitMl:
         fit = bc.fit_ml(data, "StableBivariate", n_starts=1, seed=0,
                         max_evals=30)
         assert fit.kind == "stable"
+
+
+class TestOneEngineMode:
+    """The fit's rho cap is certify's bound: smooth, and never exceeded."""
+
+    def test_the_cap_is_smooth_along_a_scale(self):
+        # the README library model in R^3 with s12 over [0.69, 0.71] at steps of
+        # 1e-5: the cap's largest second difference.  A 512-point scan without
+        # the zoom, the fit's cap before, read 7.7e-7 here; with the zoom 3.6e-11
+        locs, comps = colocated_design(5, 12)
+        spec = _ParamSpec("stable", bc.simulate(MODEL, locs, comps, seed=2), 2, False, 0.0, 0.0)
+        zero = np.zeros(spec.dim)
+        caps = []
+        for s12 in np.linspace(0.69, 0.71, 2001):
+            probe = bc.stable_bivariate(1.0, 1.0, 0.0, 0.8, 0.9, 0.6, 0.5, s12, 0.7)
+            params = {p: [_D(f.params.alpha, zero), _D(math.log(f.params.scale), zero)]
+                      for p, f in zip(("11", "12", "22"), (probe.psi11, probe.psi12, probe.psi22))}
+            caps.append(spec._member_bound(probe, params).x)
+        assert np.abs(np.diff(caps, 2)).max() <= 1e-9
+
+    @pytest.mark.parametrize("kind", ["stable", "cauchy"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fitted_rho_lies_within_the_certified_bound(self, kind, seed):
+        locs, comps = colocated_design(seed, 15)
+        data = bc.simulate(MODEL, locs, comps, seed=seed)
+        fit = bc.fit_ml(data, kind, n_starts=1, seed=seed, max_evals=40)
+        bound = bc.certify(replace(fit.model, rho=0.0), 2).rho_bound
+        assert abs(fit.model.rho) <= bound
 
 
 GRAD_LOCS, GRAD_COMPS = colocated_design(0, 40)

@@ -42,6 +42,33 @@ The Cauchy ``validate`` run is not recorded again: its ``rho_bound`` moved
 from 0.59040784708340566 to 0.59040784708340532, within the 1e-14 it is held
 to.
 
+When every caller took one engine mode, a 512-point scan of log r with the
+zoom (the fit's cap included, so no clip follows it), these were recorded
+again:
+
+* ``validate_stable.out``: ``rho_bound_raw`` and ``rho_bound``
+  0.36071557940574139 -> 0.36071557940574134, ``infimum_location``
+  7.7889946095258411 -> 7.7889946877629743;
+* ``curve.csv``: alpha12 = 0.62, 0.3542116509536456 -> 0.35421165095364548,
+  and alpha12 = 0.78, 0.27895243261239122 -> 0.27895243261239128;
+* ``fit.out`` and ``fit.txt``: the cap is smooth now, and the fit converges
+  after 51 evaluations where it stopped on its 80-evaluation cap.  ``nll``
+  63.020597758993844 -> 62.981954818422594, ``aic`` 148.04119551798769 ->
+  147.96390963684519, ``loo_rmse`` 0.8084476569513922 -> 0.80388921021812954,
+  ``mean1`` 0.6477903872258769 -> 0.64063078172101584, ``mean2``
+  0.030212304699268788 -> 0.030378409521011462, ``converged`` false -> true,
+  ``n_iter`` 80 -> 51; ``sigma1`` 0.81863439426935902 -> 0.82650766907088768,
+  ``sigma2`` 1.007573861694103 -> 1.0164668704561466, ``rho``
+  0.45399093609189484 -> 0.44128807747969279, ``alpha11`` 0.73979312057904667
+  -> 0.61123363663185382, ``alpha12`` 0.78055680846563047 ->
+  0.88167975522209585, ``alpha22`` 0.75791931542345392 -> 0.86617077357942751,
+  ``s11`` 1.2397979088833029 -> 1.3128494669938899, ``s12``
+  4.6406842186687651 -> 11.308746499195436, ``s22`` 9.7793987077105751 ->
+  15.416252619078913.
+
+The Cauchy ``validate`` run's ``rho_bound`` reads 0.59040784708340499 in that
+mode, 1.3e-15 relative from the file, and is not recorded again.
+
 The commands run in one child interpreter with BLAS pinned to one thread,
 because the Cholesky factor of the 512-site simulation differs in its last
 bits between thread counts.

@@ -240,6 +240,24 @@ class TestMemberDensity:
         with pytest.raises(ValueError):
             member_spectral_density(stable(1.0, 1.0), 1, -1.0)
 
+    @pytest.mark.parametrize("fam,n", [
+        (stable(0.2, 1e-100), 3),            # f(0) = Gamma(15) / (0.2 s^3) overflows
+        (stable(0.01, 1.0), 3),              # Gamma(300) overflows
+        (stable(0.5, 1e-150), 3),            # s^3 underflows to 0
+        (stable(0.5, 1e300), 3),             # s^3 overflows
+        (matern(0.5, 1e-110), 3),
+        (cauchy(0.5, 4.0, 1e-300), 3),
+        (spherical(1e-300), 3),
+    ])
+    def test_density_outside_the_double_range_is_refused(self, fam, n):
+        with pytest.raises(ValueError, match="double range"):
+            member_spectral_density(fam, n, [0.0, 1.0])
+
+    def test_tiny_scale_inside_the_double_range_keeps_its_value(self):
+        # s^3 and f(0) are finite: the closed form is kept as it stands
+        f0 = member_spectral_density(stable(0.5, 1e-50), 3, 0.0)
+        assert f0 == spectral._C[3] * math.gamma(6.0) / (0.5 * 1e-50 ** 3)
+
 
 class TestCrossProfile:
     def test_profile_and_csv(self, tmp_path):

@@ -469,6 +469,45 @@ class TestGenericRoute:
         assert max_rho_stable(m, n).decidability == NECESSARILY_ZERO
 
 
+def _engine_models(count: int, seed: int):
+    """(model, n) pairs, stable and Cauchy in turn, n = 1 and 3 in turn; every
+    second block of four is extreme: marginal alpha log-uniform from 1e-3, alpha12
+    up to 1e-6 above its edge, scales e^+-6, beta log-uniform in [0.01, 50]."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        is_stable, n, extreme = i % 2 == 0, (1, 3)[(i // 2) % 2], i % 8 >= 4
+        if extreme:
+            a11, a22 = np.exp(rng.uniform(math.log(1e-3), 0.0, 2))
+        else:
+            a11, a22 = rng.uniform(0.05, 1.0, 2)
+        edge = max(a11, a22) if is_stable else 0.5 * (a11 + a22)
+        step = 10.0 ** rng.uniform(-6.0, 0.0) if extreme else rng.uniform(0.0, 2.0 - edge)
+        a12 = min(edge + step, 2.0)
+        scales = np.exp(rng.uniform(-6.0, 6.0, 3) if extreme else rng.uniform(-2.0, 2.0, 3))
+        if is_stable:
+            yield stable_bivariate(1.0, 1.0, 0.0, a11, a12, a22, *scales), n
+            continue
+        if extreme:
+            b11, b22 = np.exp(rng.uniform(math.log(0.01), math.log(50.0), 2))
+        else:
+            b11, b22 = rng.uniform(0.2, 8.0, 2)
+        b12 = min(0.5 * (b11 + b22) * math.exp(rng.uniform(-0.3, 1.0)), 50.0)
+        yield cauchy_bivariate(1.0, 1.0, 0.0, a11, a12, a22, b11, b12, b22, *scales), n
+
+
+class TestOneEngineMode:
+    def test_512_points_with_the_zoom_give_the_4096_point_answer(self):
+        # the default scan against the 4,096-point one every caller but the fit
+        # took before: same verdict and location kind, bounds within 1e-11
+        for model, n in _engine_models(2000, 13):
+            engine = max_rho_stable if model.kind == "stable" else max_rho_cauchy
+            got, fine = engine(model, n), engine(model, n, grid_points=4096)
+            where = [r.infimum_location if isinstance(r.infimum_location, str) else "r"
+                     for r in (got, fine)]
+            assert (got.decidability, where[0]) == (fine.decidability, where[1]), (model, n)
+            assert got.rho_bound_raw == pytest.approx(fine.rho_bound_raw, rel=1e-11, abs=0.0)
+
+
 class TestEngineCost:
     """The zoom refines every bracket in the same few integrand calls."""
 
@@ -507,37 +546,38 @@ class TestEngineCost:
         assert report.rho_bound == pytest.approx(1.0, abs=1e-12)
         assert eight == one <= 1 + passes
 
-    # FIG_STABLE's generic reports and derivative calls since one outer
-    # function per family drives the radial derivatives.  Before it, n = 1
-    # read infimum 0.13944620942559402 and bound 0.3734249716149069 at
-    # 5.66692719310287, and n = 3 the same infimum and bound at
-    # 7.788994555031706; the closed-form engine reads 0.3734249716149066 in n = 1.
-    # The golden-section search before the zoom read 0.3734249716149069 at
-    # 5.666927054300786 and 0.3607155794057417 at 7.788994034532395, with 126
-    # and 252 derivative calls.  A stable member's psi'' and psi''' now come from
-    # one chain call, so ``calls`` counts the orders those calls compute
+    # FIG_STABLE's generic reports and derivative calls since the engine scans
+    # 512 points of log r.  Before it, one outer function per family drove the
+    # radial derivatives and the scan had 4,096 points: n = 1 read infimum
+    # 0.13944620942559377 and bound 0.37342497161490656 at 5.666927193767619, n = 3
+    # the present infimum and bound at 7.78899455509697, each from 18 chain calls
+    # (one per member on the grid and on each of five zoom passes).  Before the
+    # outer function, n = 1 read infimum 0.13944620942559402 and bound
+    # 0.3734249716149069 at 5.66692719310287, and n = 3 the same infimum and
+    # bound at 7.788994555031706; the closed-form engine reads 0.3734249716149066
+    # in n = 1.  The golden-section search before the zoom read 0.3734249716149069
+    # at 5.666927054300786 and 0.3607155794057417 at 7.788994034532395, with 126
+    # and 252 derivative calls
     @pytest.mark.parametrize("n,infimum,raw,location,calls", [
-        (1, 0.13944620942559377, 0.37342497161490656, 5.666927193767619, 18),
-        (3, 0.13011572922601974, 0.3607155794057414, 7.78899455509697, 36),
-    ])
+        (1, 0.13944620942559402, 0.3734249716149069, 5.666926990699754, 21),
+        (3, 0.13011572922601974, 0.3607155794057414, 7.7889943420887775, 42),
+    ], ids=["1", "3"])
     def test_generic_route_evaluates_its_grid_once(self, monkeypatch, n, infimum, raw,
                                                     location, calls):
-        chains, orders, chain = [0], [0], validity._chain_deriv
+        count, deriv = [0], validity.derivative
 
-        def counting(params, r, ks):
-            chains[0] += 1
-            orders[0] += len(ks)
-            return chain(params, r, ks)
+        def counting(fam, r, k):
+            count[0] += 1
+            return deriv(fam, r, k)
 
-        monkeypatch.setattr(validity, "_chain_deriv", counting)
-        monkeypatch.setattr(validity, "derivative", None)   # stable members never call it
+        monkeypatch.setattr(validity, "derivative", counting)
         report = generic_sufficient_check(FIG_STABLE, n)
         assert report == ValidityReport(
             rho_bound_raw=raw, rho_bound=raw, infimum=infimum, case="generic",
             infimum_location=location, decidability=SUFFICIENT, n=n, note="")
-        # one chain call per member on the grid and again on each of the five
-        # zoom passes, giving psi'' (and psi''' for n = 3)
-        assert chains[0] == 18 and orders[0] == calls
+        # one call per member and order (psi'', and psi''' for n = 3) on the
+        # grid and again on each of the six zoom passes
+        assert count[0] == calls
 
 
 class TestSphericalTriviality:
@@ -642,15 +682,17 @@ class TestCertify:
                              0.13916612038035503, 0.435816560541311, 1.7179540936378843,
                              2.7086787231686267)
         assert certify(m, 1) == generic_sufficient_check(m, 1)
-        coarse = dict(grid_points=512, refine_brackets=0)
-        assert certify(FIG_CAUCHY, 1, **coarse) == max_rho_cauchy(FIG_CAUCHY, 1, **coarse)
+        assert certify(FIG_CAUCHY, 1) == max_rho_cauchy(FIG_CAUCHY, 1)
+        # one engine mode: certify passes no scan options on
+        with pytest.raises(TypeError):
+            certify(FIG_CAUCHY, 1, grid_points=512)
 
     def test_a_wrapper_on_the_engine_sees_certify_and_the_fit(self, monkeypatch):
         calls = []
         original = validity.max_rho_stable
 
         def counting(*args, **kw):
-            calls.append(kw.get("refine_brackets", 8))
+            calls.append(kw)
             return original(*args, **kw)
 
         monkeypatch.setattr(validity, "max_rho_stable", counting)
@@ -659,8 +701,7 @@ class TestCertify:
         pts = np.random.default_rng(0).uniform(0.0, 10.0, size=(12, 2))
         data = simulate(model, np.repeat(pts, 2, axis=0), np.tile([1, 2], 12), seed=2)
         spec = _ParamSpec("stable", data, 2, False, 0.0, 0.0)
-        fitted, _, _ = spec.decode(spec.starts(1, 0)[0])
-        spec.exact_rho_clip(fitted)
-        # validate's fine call, the rho cap's coarse call, the final clip's fine call
-        assert calls == [8, 0, 8]
+        spec.decode(spec.starts(1, 0)[0])
+        # validate's call and the rho cap's, both in the engine's one mode
+        assert calls == [{}, {}]
 

@@ -14,9 +14,11 @@ Prints one SHA-256 prefix per case and a total over all of them:
   points for every fitted kind, without and with ``fit_nugget``, on plain data
   and on data with ten repeated rows (which needs the nugget floor);
 * ``bound``: the bound engine's reports on a seeded set of stable and Cauchy
-  models in R^1 and R^3, fine (the defaults), coarse (``grid_points=512,
-  refine_brackets=0``, as in the fit) and by the generic route, each report
-  written as text with its location as a float or a tag;
+  models in R^1 and R^3, ``fine`` (the defaults, which every route in the
+  package takes, the fit's rho cap included), ``coarse`` (the public keywords
+  ``grid_points=512, refine_brackets=0``, which no route passes) and by the
+  generic route, each report written as text with its location as a float or
+  a tag;
 * ``deriv``: radial derivatives of orders 1 to 3 of a stable, Cauchy and
   spherical member and of a Matern member on each side of nu = 1, on a
   distance grid clear of the spherical kink, and the generic route's reports
@@ -24,7 +26,7 @@ Prints one SHA-256 prefix per case and a total over all of them:
 * ``spectral``: the spectral density of a stable, Cauchy, spherical and
   Matern member in R^1 and R^3 at u = 0, 1e-3, 0.5, 2 and 20;
 * ``grad``: the fit's derivatives of the log infimum in every member's
-  parameters, at the fine and at the coarse report of each ``bound`` model.
+  parameters, at the default and at the coarse report of each ``bound`` model.
 
 Run it on two checkouts and compare the output; equal totals mean
 bit-identical results.  Byte equality holds at a fixed BLAS thread count,
