@@ -17,11 +17,13 @@ invalid model must stay possible so it can be reported as invalid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .corrfn import CorrelationFamily, _require, cauchy, evaluate, matern, spherical, stable
+from .corrfn import (CorrelationFamily, _require, _require_positive, cauchy, evaluate, matern,
+                     spherical, stable)
 
 __all__ = [
     "BivariateModel",
@@ -47,8 +49,8 @@ class BivariateModel:
     psi22: CorrelationFamily
 
     def __post_init__(self):
-        _require(self.sigma1 > 0.0, "sigma1 must be positive")
-        _require(self.sigma2 > 0.0, "sigma2 must be positive")
+        _require_positive(self.sigma1, "sigma1")
+        _require_positive(self.sigma2, "sigma2")
         _require(abs(self.rho) <= 1.0, "|rho| must not exceed 1")
 
     @property
@@ -73,8 +75,9 @@ class LmcBivariate:
     def __post_init__(self):
         for name, (b11, b12, b22) in (("B1", self.b1), ("B2", self.b2)):
             tr, det = b11 + b22, b11 * b22 - b12 * b12
-            _require(b11 >= 0.0 and b22 >= 0.0 and det >= -1e-12 * max(1.0, tr * tr),
-                     f"{name} must be positive semidefinite")
+            _require(all(map(math.isfinite, (b11, b12, b22))) and b11 >= 0.0 and b22 >= 0.0
+                     and det >= -1e-12 * max(1.0, tr * tr),
+                     f"{name} must be finite and positive semidefinite")
 
     @property
     def kind(self) -> str:

@@ -3,8 +3,10 @@
 Exit codes follow a three-way verdict convention: 0 means success (for
 ``validate``: the model as given is certified valid), 1 means inconclusive
 (nothing proves validity, nothing disproves it), 2 means provably invalid
-in the asked dimension.  Operational failures use codes above 2: 64 usage,
-65 missing file, 66 malformed model or data file, 70 computation errors.
+in the asked dimension.  Operational failures use codes above 2, with one
+stderr line: 64 usage, 65 a file that cannot be opened, input or output
+(missing, a directory, not permitted), 66 malformed input (non-UTF-8 text or
+a parameter value the model constructors refuse), 70 computation errors.
 
 All outputs are deterministic byte for byte given identical inputs, seeds
 and BLAS thread count (the Cholesky factors behind simulate, fit and krige
@@ -17,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 
 import numpy as np
@@ -43,8 +44,6 @@ class SchemaError(ValueError):
 
 
 def _load_model(path: str):
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     with open(path, encoding="utf-8") as fh:
         return model_from_text(fh.read())
 
@@ -58,8 +57,6 @@ def _read_csv(path: str, tails):
     Header mandatory.  Returns the (N, d) locations and a dict holding each
     tail column as an array.
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -105,6 +102,13 @@ def _read_sample(path: str) -> FieldSample:
 # ---------------------------------------------------------------------------
 # Subcommand handlers.
 
+def _print_keys(values: dict, keys) -> None:
+    """One key=value line per key whose value is set; numbers repr-exact."""
+    for key in keys:
+        if values[key] not in (None, ""):
+            print(f"{key}={values[key] if isinstance(values[key], str) else _fmt(values[key])}")
+
+
 # the keys validate prints after kind=, by report.case; every other case is a bound report
 _SHAPES = {"lmc": ("decidability", "note"), "no-route": ("decidability", "note"),
            "separable": ("decidability", "rho_bound", "note"),
@@ -117,13 +121,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     report = certify(model, args.dim)
     rho = getattr(model, "rho", 0.0)   # an LMC's coefficient matrices carry its correlation
-    values = {**vars(report), "rho": rho, "reason": report.note,
+    values = {**vars(report), "kind": model.kind, "rho": rho, "reason": report.note,
               "valid": str(report.decidability == SUFFICIENT).lower(),
               "witness_frequency": report.witness_u}
-    print(f"kind={model.kind}")
-    for key in _SHAPES.get(report.case, _BOUND_SHAPE):
-        if values[key] not in (None, ""):
-            print(f"{key}={values[key] if isinstance(values[key], str) else _fmt(values[key])}")
+    _print_keys(values, ("kind", *_SHAPES.get(report.case, _BOUND_SHAPE)))
     return (EXIT_VALID if rho == 0.0 or (report.decidability == SUFFICIENT
                                          and abs(rho) <= report.rho_bound)
             else EXIT_INVALID if report.decidability == NECESSARILY_ZERO else EXIT_INCONCLUSIVE)
@@ -227,16 +228,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     rmse = loo_rmse(result, data)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(model_to_text(result.model))
-    print(f"kind={result.kind}")
-    print(f"nll={_fmt(result.nll)}")
-    print(f"aic={_fmt(result.aic)}")
-    print(f"loo_rmse={_fmt(rmse)}")
-    print(f"mean1={_fmt(result.mean1)}")
-    print(f"mean2={_fmt(result.mean2)}")
-    print(f"nugget1={_fmt(result.nugget1)}")
-    print(f"nugget2={_fmt(result.nugget2)}")
-    print(f"converged={str(result.converged).lower()}")
-    print(f"n_iter={result.n_iter}")
+    _print_keys({**vars(result), "loo_rmse": rmse, "converged": str(result.converged).lower()},
+                ("kind", "nll", "aic", "loo_rmse", "mean1", "mean2", "nugget1", "nugget2",
+                 "converged", "n_iter"))
     print(f"model written to {args.out}")
     return EXIT_VALID
 
@@ -255,7 +249,43 @@ def _cmd_krige(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing.
+# Argument parsing: one table of subcommands, each with its handler, its help
+# line and its arguments in order; a list among them is a required choice of one.
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+_MODEL = _arg("model")
+_DIM = _arg("--dim", type=int, default=3, choices=(1, 2, 3))
+_OUT = _arg("--out", required=True)
+_SEED = _arg("--seed", type=int, default=0)
+_NUGGETS = [_arg(f"--nugget{c}", type=float, default=0.0) for c in "12"]
+
+_COMMANDS = {
+    "validate": (_cmd_validate, "certify a model file's correlation", [_MODEL, _DIM]),
+    "curve": (_cmd_curve, "sweep a parameter, tabulate rho bounds", [
+        _MODEL, _arg("--sweep", required=True, metavar="param=lo:hi:steps"), _DIM, _OUT]),
+    "spectral": (_cmd_spectral, "tabulate member spectral densities", [
+        _MODEL, _DIM, _arg("--umax", type=float, default=10.0),
+        _arg("--points", type=int, default=101), _OUT]),
+    "simulate": (_cmd_simulate, "draw a Gaussian field sample", [
+        _MODEL, [_arg("--grid", metavar="NxM:extent"), _arg("--points", dest="points_path")],
+        _SEED, _arg("--mean1", type=float, default=0.0), _arg("--mean2", type=float, default=0.0),
+        *_NUGGETS, _OUT]),
+    "fit": (_cmd_fit, "maximum likelihood fit from a data CSV", [
+        _arg("data"), _arg("--kind", required=True, choices=("stable", "cauchy", "matern", "lmc")),
+        _arg("--starts", type=int, default=8,
+             help="number of optimizer starts, at least 1 (default 8)"),
+        _SEED, _arg("--max-evals", type=int, default=None,
+                    help="cap on likelihood-and-gradient evaluations per start "
+                         "(default 400 per fitted parameter)"),
+        _arg("--fit-nugget", action="store_true"), *_NUGGETS, _OUT]),
+    "krige": (_cmd_krige, "simple cokriging at target locations", [
+        _MODEL, _arg("data"), _arg("targets"),
+        _arg("--component", type=int, default=1, choices=(1, 2)), *_NUGGETS, _OUT]),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -263,70 +293,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bivariate covariance models: validity bounds, spectral "
                     "densities, simulation, fitting, and cokriging.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("validate", help="certify a model file's correlation")
-    p.add_argument("model")
-    p.add_argument("--dim", type=int, default=3, choices=(1, 2, 3))
-
-    p = sub.add_parser("curve", help="sweep a parameter, tabulate rho bounds")
-    p.add_argument("model")
-    p.add_argument("--sweep", required=True, metavar="param=lo:hi:steps")
-    p.add_argument("--dim", type=int, default=3, choices=(1, 2, 3))
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("spectral", help="tabulate member spectral densities")
-    p.add_argument("model")
-    p.add_argument("--dim", type=int, default=3, choices=(1, 2, 3))
-    p.add_argument("--umax", type=float, default=10.0)
-    p.add_argument("--points", type=int, default=101)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("simulate", help="draw a Gaussian field sample")
-    p.add_argument("model")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--grid", metavar="NxM:extent")
-    group.add_argument("--points", dest="points_path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mean1", type=float, default=0.0)
-    p.add_argument("--mean2", type=float, default=0.0)
-    p.add_argument("--nugget1", type=float, default=0.0)
-    p.add_argument("--nugget2", type=float, default=0.0)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("fit", help="maximum likelihood fit from a data CSV")
-    p.add_argument("data")
-    p.add_argument("--kind", required=True,
-                   choices=("stable", "cauchy", "matern", "lmc"))
-    p.add_argument("--starts", type=int, default=8,
-                   help="number of optimizer starts, at least 1 (default 8)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-evals", type=int, default=None,
-                   help="cap on likelihood-and-gradient evaluations per start "
-                        "(default 400 per fitted parameter)")
-    p.add_argument("--fit-nugget", action="store_true")
-    p.add_argument("--nugget1", type=float, default=0.0)
-    p.add_argument("--nugget2", type=float, default=0.0)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("krige", help="simple cokriging at target locations")
-    p.add_argument("model")
-    p.add_argument("data")
-    p.add_argument("targets")
-    p.add_argument("--component", type=int, default=1, choices=(1, 2))
-    p.add_argument("--nugget1", type=float, default=0.0)
-    p.add_argument("--nugget2", type=float, default=0.0)
-    p.add_argument("--out", required=True)
+    for name, (handler, help_line, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        p.set_defaults(handler=handler)
+        for arg in arguments:
+            one_of = isinstance(arg, list)
+            into = p.add_mutually_exclusive_group(required=True) if one_of else p
+            for flags, options in arg if one_of else [arg]:
+                into.add_argument(*flags, **options)
     return parser
-
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "curve": _cmd_curve,
-    "spectral": _cmd_spectral,
-    "simulate": _cmd_simulate,
-    "fit": _cmd_fit,
-    "krige": _cmd_krige,
-}
 
 
 def main(argv=None) -> int:
@@ -335,11 +310,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_VALID if exc.code == 0 else EXIT_USAGE
     try:
-        return _HANDLERS[args.subcommand](args)
+        return args.handler(args)
     except FileNotFoundError as exc:
-        print(f"file not found: {exc}", file=sys.stderr)
+        print(f"file not found: {exc.filename}", file=sys.stderr)
         return EXIT_NOFILE
-    except (ModelParseError, SchemaError) as exc:
+    except OSError as exc:   # any other file that cannot be opened, input or --out
+        print(f"cannot open {exc.filename}: {exc.strerror}" if exc.filename else str(exc),
+              file=sys.stderr)
+        return EXIT_NOFILE
+    except (ModelParseError, SchemaError, UnicodeDecodeError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BADDATA
     except (NonIntegrable, QuadratureError, np.linalg.LinAlgError,

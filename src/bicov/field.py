@@ -223,6 +223,7 @@ def _chol_with_jitter(m: np.ndarray) -> tuple[np.ndarray, float]:
         "covariance matrix is not positive definite even with maximal jitter")
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")   # non-finite values raise
 def simulate(model, locations, components, seed: int, n_draws: int = 1,
              mean1: float = 0.0, mean2: float = 0.0,
              nugget1: float = 0.0, nugget2: float = 0.0) -> FieldSample:
@@ -241,6 +242,8 @@ def simulate(model, locations, components, seed: int, n_draws: int = 1,
     eps = rng.standard_normal((n_draws, m.shape[0]))
     means = np.where(base.components == 1, mean1, mean2)
     values = eps @ chol.T + means
+    _require(bool(np.isfinite(values).all()), "simulated values are not finite: the "
+             "model's covariances at these locations leave the double range")
     if n_draws == 1:
         values = values[0]
     return FieldSample(locations=base.locations, components=base.components,

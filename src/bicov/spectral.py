@@ -115,15 +115,14 @@ def spherical_density_closed_form(s: float, u):
     series expansion below x = u / 2s = 1e-3 where the direct form cancels.
     f(0) = 1 / (48 pi^2 s^3).
     """
-    if s <= 0.0:
-        raise ValueError("scale must be positive")
+    s3 = _scale_power(s, 3)
     uu, scalar = _as_r(u, True, "frequency")
     x = uu / (2.0 * s)
     out = np.empty_like(uu)
     small = x < 1e-3
     xs = x[small]
     poly = (1.0 / 3.0 - xs ** 2 / 30.0 + xs ** 4 / 840.0 - xs ** 6 / 45360.0)
-    out[small] = 3.0 / (16.0 * math.pi ** 2 * s ** 3) * poly ** 2
+    out[small] = 3.0 / (16.0 * math.pi ** 2 * s3) * poly ** 2
     ub, xb = uu[~small], x[~small]
     out[~small] = (3.0 * s / (math.pi ** 2 * ub ** 6)
                    * (ub * np.cos(xb) - 2.0 * s * np.sin(xb)) ** 2)
@@ -190,60 +189,67 @@ def _transform(p, n: int, v: np.ndarray, h: float = 0.025) -> tuple[np.ndarray, 
     return out[0], np.abs(out[1] - out[0])
 
 
-def _zero_density(family: CorrelationFamily, n: int) -> float:
-    """The density at u = 0 in closed form (see the module docstring); ValueError
-    where it exceeds the largest double."""
-    p, c = family.params, _C[n]
-    if family.kind == "Spherical":
-        return c * 3.0 / (8.0 * p.scale)
+def _scale_power(scale: float, n: int) -> float:
+    """scale^n; ValueError where it is not a positive finite double."""
     try:
-        if family.kind == "Stable":
-            f0 = c * math.gamma(n / p.alpha) / (p.alpha * p.scale ** n)
-        else:
-            log_b = (math.lgamma(n / p.alpha) + math.lgamma((p.beta - n) / p.alpha)
-                     - math.lgamma(p.beta / p.alpha))
-            f0 = c * math.exp(log_b) / (p.alpha * p.scale ** n)
-    except OverflowError:
-        f0 = math.inf
-    if f0 == math.inf:
-        raise ValueError(f"the {family.kind.lower()} member's density at u = 0 in R^{n} "
-                         f"leaves the double range (alpha {p.alpha:g}, scale {p.scale:g})")
-    return f0
-
-
-def _density(family: CorrelationFamily, n: int, uu: np.ndarray, check: bool = True):
-    _check_n13(n)
-    p = family.params
-    try:
-        scale_n = p.scale ** n
+        scale_n = scale ** n
     except OverflowError:
         scale_n = math.inf
     if not 0.0 < scale_n < math.inf:
-        raise ValueError(f"member scale {p.scale:g} puts scale^{n} outside the double range")
+        raise ValueError(f"scale {scale:g} must be positive with scale^{n} in the double range")
+    return scale_n
+
+
+def _zero_density(family: CorrelationFamily, n: int) -> float:
+    """The density at u = 0 in closed form (see the module docstring); inf where
+    it leaves the double range."""
+    p, c = family.params, _C[n]
+    try:
+        if family.kind == "Spherical":
+            return c * 3.0 / (8.0 * p.scale)
+        if family.kind == "Stable":
+            return c * math.gamma(n / p.alpha) / (p.alpha * p.scale ** n)
+        log_b = (math.lgamma(n / p.alpha) + math.lgamma((p.beta - n) / p.alpha)
+                 - math.lgamma(p.beta / p.alpha))
+        return c * math.exp(log_b) / (p.alpha * p.scale ** n)
+    except (OverflowError, ZeroDivisionError):   # Gamma or exp overflows, or alpha s^n is 0
+        return math.inf
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")   # a non-finite result raises
+def _density(family: CorrelationFamily, n: int, uu: np.ndarray, check: bool = True):
+    _check_n13(n)
+    p = family.params
+    scale_n = _scale_power(p.scale, n)
     if check and family.kind == "Cauchy" and p.beta <= n:
         raise NonIntegrable("generalized Cauchy member with beta <= n has a diverging density "
                             "at the origin; no pointwise profile is produced")
     if family.kind == "Spherical" and n == 3:
-        return spherical_density_closed_form(p.scale, uu)
-    if family.kind == "Matern":
+        out = spherical_density_closed_form(p.scale, uu)
+    elif family.kind == "Matern":
         # (1 + (u/s)^2)^-k as hypot(1, u/s)^-2k, which does not overflow
         k = p.nu + 0.5 * n
-        head = math.exp(math.lgamma(k) - math.lgamma(p.nu)) / (math.pi ** (0.5 * n) * p.scale ** n)
-        return head * np.hypot(1.0, uu / p.scale) ** (-2.0 * k)
-    pos = uu > 0.0
-    out = np.full_like(uu, np.nan if pos.all() else _zero_density(family, n))
-    v = uu[pos] / p.scale
-    if family.kind == "Spherical":
-        j = np.where(v < 1.0, np.polyval(_SPHERE_SERIES, v * v),
-                     3.0 * (0.5 * v * v - v * np.sin(v) + 2.0 * np.sin(0.5 * v) ** 2) / v ** 4)
-    else:   # blocks of 256 frequencies bound the temporaries
-        blocks = np.split(v, range(256, v.size, 256))
-        j, err = (np.concatenate(r) for r in zip(*(_transform(p, n, b) for b in blocks)))
-        bad = np.flatnonzero(~(err <= 1e-5 * np.abs(j) + 1e-9))   # a NaN estimate fails too
-        if bad.size:
-            raise QuadratureError(f"{family.kind} member in R^{n} at u = {uu[pos][bad[0]]:g}: "
-                                  f"estimated error {err[bad[0]]:g} for value {j[bad[0]]:g}")
-    out[pos] = _C[n] * j / p.scale ** n
+        head = math.exp(math.lgamma(k) - math.lgamma(p.nu)) / (math.pi ** (0.5 * n) * scale_n)
+        out = head * np.hypot(1.0, uu / p.scale) ** (-2.0 * k)
+    else:
+        pos = uu > 0.0
+        out = np.full_like(uu, np.nan if pos.all() else _zero_density(family, n))
+        v = uu[pos] / p.scale
+        if family.kind == "Spherical":
+            j = np.where(v < 1.0, np.polyval(_SPHERE_SERIES, v * v),
+                         3.0 * (0.5 * v * v - v * np.sin(v) + 2.0 * np.sin(0.5 * v) ** 2) / v ** 4)
+        else:   # blocks of 256 frequencies bound the temporaries
+            blocks = np.split(v, range(256, v.size, 256))
+            j, err = (np.concatenate(r) for r in zip(*(_transform(p, n, b) for b in blocks)))
+            bad = np.flatnonzero(~(err <= 1e-5 * np.abs(j) + 1e-9))   # a NaN estimate fails too
+            if bad.size:
+                raise QuadratureError(f"{family.kind} member in R^{n} at u = {uu[pos][bad[0]]:g}: "
+                                      f"estimated error {err[bad[0]]:g} for value {j[bad[0]]:g}")
+        out[pos] = _C[n] * j / scale_n
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise ValueError(f"the {family.kind.lower()} member's density in R^{n} at u = "
+                         f"{uu[bad[0]]:g} leaves the double range (scale {p.scale:g})")
     return out
 
 

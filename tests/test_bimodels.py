@@ -73,6 +73,17 @@ class TestConstructorBoxes:
         # |rho| = 1 is constructible; validity is a separate question
         stable_bivariate(1, 1, -1.0, 0.5, 0.5, 0.5, 1, 1, 1)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_sigmas_and_lmc_coefficients_are_finite(self, value):
+        with pytest.raises(ValueError, match="sigma1 must be positive and finite"):
+            stable_bivariate(value, 1, 0.2, 0.5, 0.5, 0.5, 1, 1, 1)
+        with pytest.raises(ValueError, match="sigma2 must be positive and finite"):
+            stable_bivariate(1, value, 0.2, 0.5, 0.5, 0.5, 1, 1, 1)
+        # an infinite diagonal passed the positive semidefinite test
+        with pytest.raises(ValueError, match="B2 must be finite"):
+            LmcBivariate(b1=(1.0, 0.0, 1.0), b2=(value, 0.0, 1.0),
+                         psi1=stable(1.0, 1.0), psi2=stable(1.0, 2.0))
+
     def test_lmc_requires_psd_coefficients(self):
         with pytest.raises(ValueError):
             LmcBivariate(b1=(1.0, 2.0, 1.0), b2=(1.0, 0.0, 1.0),

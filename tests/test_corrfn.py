@@ -334,6 +334,16 @@ class TestParamBoxes:
         with pytest.raises(ValueError):
             matern(0.0, 1.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_scale_and_beta_are_finite(self, value):
+        for make in (lambda: stable(0.5, value), lambda: cauchy(0.5, 4.0, value),
+                     lambda: cauchy(0.5, value, 1.0), lambda: spherical(value),
+                     lambda: matern(0.5, value)):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                make()
+        # the largest double is finite and kept
+        assert cauchy(0.5, 1.797e308, 1.797e308).params.beta == 1.797e308
+
     def test_matern_nu_cap(self):
         # psi at the cap is finite and a correlation over x = s r in [1e-6, 5e3]; from
         # nu = 320 on kv overflows where K's small-x series cancels, and psi is NaN

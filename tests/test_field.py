@@ -267,6 +267,15 @@ class TestSimulate:
         with pytest.raises(ValueError, match="means must be finite"):
             bc.simulate(MODEL, locs, comps, seed=5, **means)
 
+    @pytest.mark.parametrize("model", [
+        bc.matern_bivariate(1.0, 1.0, 0.0, 5e-324, 1.0, 1.0, 1.0, 1.0, 1.0),   # Gamma(nu) = inf
+        bc.matern_bivariate(1.0, 1.0, 0.0, 0.5, 1.0, 1.0, 1.797e308, 1.0, 1.0),
+    ])
+    def test_rejects_non_finite_values(self, model):
+        locs = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], 2, axis=0)
+        with pytest.raises(ValueError, match="simulated values are not finite"):
+            bc.simulate(model, locs, np.tile([1, 2], 3), seed=5)
+
     def test_colocated_correlation_matches_rho(self):
         # one site observed in both components: correlation over draws is rho
         locs = np.zeros((2, 2))

@@ -92,6 +92,8 @@ class TestSphericalClosedForm:
             spherical_density_closed_form(0.0, 1.0)
         with pytest.raises(ValueError):
             spherical_density_closed_form(1.0, -0.5)
+        with pytest.raises(ValueError, match="double range"):   # s^3 underflows to 0
+            spherical_density_closed_form(1e-300, 1.0)
 
 
 class TestMemberDensity:
@@ -248,6 +250,9 @@ class TestMemberDensity:
         (matern(0.5, 1e-110), 3),
         (cauchy(0.5, 4.0, 1e-300), 3),
         (spherical(1e-300), 3),
+        (stable(0.2, 5e-324), 1),            # alpha s underflows to 0 in f(0)
+        (matern(0.5, 5e-324), 1),            # f(0) overflows, f(1) is inf times 0
+        (spherical(1e-300), 1),              # v^4 overflows beside the series
     ])
     def test_density_outside_the_double_range_is_refused(self, fam, n):
         with pytest.raises(ValueError, match="double range"):
