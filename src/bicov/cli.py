@@ -142,7 +142,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         param, rng = args.sweep.split("=", 1)
         lo_s, hi_s, steps_s = rng.split(":")
         lo, hi, steps = float(lo_s), float(hi_s), int(steps_s)
-        if steps < 2 or not lo < hi:
+        if steps < 2 or not -math.inf < lo < hi < math.inf:
             raise ValueError
     except ValueError:
         raise SchemaError(f"invalid sweep spec {args.sweep!r}; "
@@ -175,6 +175,8 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     if model.kind == "lmc":
         raise SchemaError("spectral profiles expect a bivariate member model")
     n, _ = _resolve_dim(args.dim)
+    if not math.isfinite(args.umax):
+        raise SchemaError(f"--umax must be finite, got {args.umax}")
     u = np.linspace(0.0, args.umax, args.points)
     profile = cross_spectral_profile(model, n, u)
     profile.to_csv(args.out)
@@ -187,7 +189,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         shape, extent_s = spec.split(":")
         nx_s, ny_s = shape.lower().split("x")
         nx, ny, extent = int(nx_s), int(ny_s), float(extent_s)
-        if nx < 1 or ny < 1 or extent <= 0:
+        if nx < 1 or ny < 1 or not 0 < extent < math.inf:
             raise ValueError
     except ValueError:
         raise SchemaError(f"invalid grid spec {spec!r}; expected NxM:extent") from None
@@ -287,8 +289,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors on one stderr line, the usage screen left out."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bicov",
         description="Bivariate covariance models: validity bounds, spectral "
                     "densities, simulation, fitting, and cokriging.")

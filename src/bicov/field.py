@@ -9,8 +9,8 @@ counter-based generator so runs are reproducible bit for bit.
 Fitting is exact Gaussian maximum likelihood with per-component constant
 means profiled out in closed form.  The remaining parameters are searched by
 multi-start L-BFGS-B in a transformed space where every iterate is a valid
-model: the colocated correlation is tanh(u) times the certified bound for
-the current structural parameters.  The gradient is exact,
+model: the colocated correlation is a fraction in [-1, 1] (sin(t), or tanh(u)
+for Matern) times the certified bound for the current structural parameters.  The gradient is exact,
 1/2 tr(K^-1 dK) - 1/2 a^T dK a with a = K^-1 (z - means): K^-1 - a a^T is
 summed once onto the slots of the Gram's value table, and each parameter's
 derivative is that sum against the derivative of the table.  The bound's
@@ -343,8 +343,18 @@ class _D:
 
     __radd__, __rmul__ = __add__, __mul__
 
+    def __sub__(self, o: "_D") -> "_D":
+        return _D(self.x - o.x, self.g - o.g)
+
     def __rsub__(self, o):
         return _D(o - self.x, -self.g)
+
+    def __truediv__(self, o: "_D") -> "_D":
+        q = self.x / o.x
+        return _D(q, (self.g - q * o.g) / o.x)
+
+    def log(self) -> "_D":
+        return self.chain(math.log(self.x), 1.0 / self.x)
 
     def chain(self, fx: float, dfx: float) -> "_D":
         """f(self) from f(x) and f'(x)."""
@@ -361,19 +371,54 @@ def _tanh(t: _D, v=None) -> _D:
     return t.chain(math.tanh(t.x), 1.0 - math.tanh(t.x) ** 2)
 
 
-def _box(lo: float, hi: float, lower=None):
-    """lo + (hi - lo) logistic(t), with lo = lower(v) when given."""
+def _box(lo: float, hi: float):
+    """lo + (hi - lo) logistic(t)."""
     from scipy.special import expit
 
     def tf(t: _D, v) -> _D:
-        y, low = expit(t.x), lower(v) if lower else lo
-        return low + (hi - low) * t.chain(y, y * (1.0 - y))
+        y = expit(t.x)
+        return lo + (hi - lo) * t.chain(y, y * (1.0 - y))
     return tf
 
 
 def _log_box(lo: float, hi: float):
     box = _box(math.log(lo), math.log(hi))
     return lambda t, v: _exp(box(t, v))
+
+
+def _sin_box(hi: float, lower):
+    """lower(v) + (hi - lower(v)) sin^2(t).  Unlike a logistic box it reaches its
+    lower edge at t = 0, and its slope vanishes only linearly there, so a search
+    that runs onto the edge can leave it again."""
+    def tf(t: _D, v) -> _D:
+        low = lower(v)
+        return low + (hi - low) * t.chain(math.sin(t.x) ** 2, math.sin(2.0 * t.x))
+    return tf
+
+
+def _from_logistic(x: float, v=None) -> float:
+    """theta of a :func:`_sin_box` row from a start-box draw x of its logistic coordinate."""
+    return math.asin(math.sqrt(1.0 / (1.0 + math.exp(-x))))
+
+
+def _microergodic(i: str):
+    """(transform, start map) of the row that carries m_ii = log(sigma_i^2 c s_ii^alpha_ii),
+    c = beta_ii / alpha_ii for a Cauchy member and 1 for a stable one, and decodes
+    log s_ii: psi_ii = 1 - c (s_ii r)^alpha_ii + ... near the origin, and the
+    likelihood is nearly flat along m_ii (Zhang 2004, JASA).  The start map takes a
+    draw of log s_ii to m_ii."""
+    def offset(v):   # (log(sigma_i^2 c), alpha_ii)
+        a, b, log_var = v[f"a{i}{i}"], v.get(f"b{i}{i}"), v[f"log_var{i}"]
+        return (log_var if b is None else log_var + b.log() - a.log()), a
+
+    def tf(t: _D, v) -> _D:
+        off, a = offset(v)
+        return (t - off) / a
+
+    def from_log_scale(ls: float, v) -> float:
+        off, a = offset(v)
+        return off.x + a.x * ls
+    return tf, from_log_scale
 
 
 def _box_inv(x: float, lo: float, hi: float) -> float:
@@ -399,13 +444,31 @@ def _parsimonious_matern_rho_bound(nu1: float, nu2: float, d: int) -> float:
 class _ParamSpec:
     """Per-kind transformed parameter space with latin hypercube start boxes.
 
-    ``table`` lists (name, transform, start box) per theta coordinate.  theta
-    is unconstrained and every decoded model is valid: structural parameters
-    stay in their boxes, and |rho| = |tanh(u)| times the certified bound for
-    the current structural parameters.  Below the cross-smoothness edges
-    (stable alpha12 < max(alpha11, alpha22); Cauchy alpha12 or beta12 below
-    the marginal mean) the bound, and so rho, is zero, so the search starts
-    at them.  ``n_valid`` is the dimension handed to the bound engine.
+    ``table`` lists (name, transform, start box, start map) per theta
+    coordinate.  theta is unconstrained and every decoded model is valid:
+    structural parameters stay in their boxes, and |rho| = |rho_frac| <= 1
+    times the certified bound for the current structural parameters.  Below
+    the cross-smoothness edges (stable alpha12 < max(alpha11, alpha22); Cauchy
+    alpha12 or beta12 below the marginal mean) the bound, and so rho, is zero,
+    so the search starts at them.  ``n_valid`` is the dimension handed to the
+    bound engine.
+
+    theta carries log sigma_i^2.  A stable or Cauchy fit searches coordinates
+    along which the likelihood is better conditioned:
+
+    * each marginal scale as m_ii = log(sigma_i^2 c s_ii^alpha_ii) (see
+      :func:`_microergodic`), in the rows ``ls11`` and ``ls22`` that decode to
+      log s_ii;
+    * the cross scale as log s12 - (log s11 + log s22) / 2, so s12 follows the
+      marginal scales along their ridges instead of drifting into the region
+      where the bound, and so rho, is zero, a plateau with zero gradient;
+    * the cross smoothness (and Cauchy beta12) in a :func:`_sin_box`, and
+      rho_frac as sin(t), so a search can leave the cross edges and the bound.
+
+    Their start boxes hold the plain coordinates (log s_ii, the logistic box
+    coordinate, u of tanh(u)); a row's start map, None where theta is the
+    start-box coordinate, turns a draw into theta, so every start decodes to
+    the model a plain draw decodes to.
     """
 
     def __init__(self, kind: str, data: FieldSample, n_valid: int,
@@ -430,22 +493,24 @@ class _ParamSpec:
         lv1, lv2 = math.log(v1), math.log(v2)
 
         smooth = (_box_inv(0.35, 1e-3, 1.0), _box_inv(0.95, 1e-3, 1.0))
-        table = [("sigma1", lambda t, v: _exp(0.5 * t), (lv1 - 1.2, lv1 + 1.2)),
-                 ("sigma2", lambda t, v: _exp(0.5 * t), (lv2 - 1.2, lv2 + 1.2)),
-                 ("tanh_u", _tanh, (-0.7, 0.7))]
+        table = [("log_var1", lambda t, v: t, (lv1 - 1.2, lv1 + 1.2)),
+                 ("log_var2", lambda t, v: t, (lv2 - 1.2, lv2 + 1.2)),
+                 ("rho_frac", _tanh, (-0.7, 0.7)) if kind == "matern" else
+                 ("rho_frac", lambda t, v: t.chain(math.sin(t.x), math.cos(t.x)), (-0.7, 0.7),
+                  lambda u, v: math.asin(math.tanh(u)))]
         if kind == "stable":
             table += [("a11", _box(1e-3, 1.0), smooth), ("a22", _box(1e-3, 1.0), smooth),
-                      ("a12", _box(None, 2.0, lambda v: max(v["a11"], v["a22"],
-                                                            key=lambda a: a.x)), (-4.0, 0.0))]
+                      ("a12", _sin_box(2.0, lambda v: max(v["a11"], v["a22"], key=lambda a: a.x)),
+                       (-4.0, 0.0), _from_logistic)]
         elif kind == "cauchy":
             lb = math.log(0.01), math.log(50.0)
             beta = (_box_inv(math.log(0.3), *lb), _box_inv(math.log(5.0), *lb))
             table += [("a11", _box(1e-3, 1.0), smooth), ("a22", _box(1e-3, 1.0), smooth),
-                      ("a12", _box(None, 2.0, lambda v: 0.5 * (v["a11"] + v["a22"])),
-                       (-4.0, 0.0)),
+                      ("a12", _sin_box(2.0, lambda v: 0.5 * (v["a11"] + v["a22"])),
+                       (-4.0, 0.0), _from_logistic),
                       ("b11", _log_box(0.01, 50.0), beta), ("b22", _log_box(0.01, 50.0), beta),
-                      ("b12", _box(None, 50.0, lambda v: 0.5 * (v["b11"] + v["b22"])),
-                       (-6.0, -1.0))]
+                      ("b12", _sin_box(50.0, lambda v: 0.5 * (v["b11"] + v["b22"])),
+                       (-6.0, -1.0), _from_logistic)]
         elif kind == "matern":
             nu = (_box_inv(math.log(0.3), math.log(0.05), math.log(10.0)),
                   _box_inv(math.log(2.5), math.log(0.05), math.log(10.0)))
@@ -464,18 +529,40 @@ class _ParamSpec:
         else:
             raise ValueError(f"unknown model kind {kind!r}")
         if kind in ("stable", "cauchy"):
-            table += [(f"ls{p}", lambda t, v: t, (ls - 2.0, ls + 2.0))
-                      for p in ("11", "22", "12")]
+            # log s12 as its offset from the mean marginal log scale
+            cross = (lambda t, v: t + 0.5 * (v["ls11"] + v["ls22"]),
+                     lambda ls, v: ls - 0.5 * (v["ls11"].x + v["ls22"].x))
+            table += [(f"ls{p}", tf, (ls - 2.0, ls + 2.0), start_map)
+                      for p, (tf, start_map) in (("11", _microergodic("1")),
+                                                 ("22", _microergodic("2")), ("12", cross))]
         if fit_nugget:
             table += [("nugget1", _exp, (lv1 - 9.0, lv1 - 1.6)),
                       ("nugget2", _exp, (lv2 - 9.0, lv2 - 1.6))]
-        self.table, self.dim = table, len(table)
+        self.table = [row if len(row) == 4 else (*row, None) for row in table]
+        self.dim = len(table)
 
     def starts(self, n_starts: int, seed: int) -> np.ndarray:
         from scipy.stats import qmc
         unit = qmc.LatinHypercube(d=self.dim, seed=seed).random(n_starts)
         box = np.array([entry[2] for entry in self.table])
-        return box[:, 0] + unit * (box[:, 1] - box[:, 0])
+        return self.encode(box[:, 0] + unit * (box[:, 1] - box[:, 0]))
+
+    def encode(self, draws: np.ndarray) -> np.ndarray:
+        """theta from start-box draws, one row per start."""
+        theta = np.array(draws, dtype=float)
+        for row in theta:
+            self._walk(row, encode=True)
+        return theta
+
+    def _walk(self, theta: np.ndarray, encode: bool = False) -> dict:
+        """Every row's parameter as a :class:`_D`, decoded in table order.  With
+        ``encode`` theta holds start-box draws, mapped to theta in place first."""
+        v = {}
+        for k, ((name, tf, _, start_map), basis) in enumerate(zip(self.table, np.eye(self.dim))):
+            if encode and start_map is not None:
+                theta[k] = start_map(theta[k], v)
+            v[name] = tf(_D(float(theta[k]), basis), v)
+        return v
 
     def decode(self, theta: np.ndarray):
         """theta -> (model, (nugget1, nugget2), sensitivities).
@@ -485,9 +572,7 @@ class _ParamSpec:
         :func:`bimodels._terms` (model), the parameters in
         :func:`corrfn._param_derivatives` order, None where fixed.
         """
-        v = {}
-        for (name, tf, _), t, row in zip(self.table, theta, np.eye(self.dim)):
-            v[name] = tf(_D(float(t), row), v)
+        v = self._walk(theta)
         nuggets = tuple(v.get(f"nugget{c}", _D(self.nuggets[c - 1], np.zeros(self.dim)))
                         for c in (1, 2))
         if self.kind == "lmc":
@@ -500,12 +585,13 @@ class _ParamSpec:
             return model, nuggets, [(b, [None, v[f"ls{j}"]])
                                     for j, bs in zip((1, 2), coefs) for b in bs]
 
+        s1, s2 = (_exp(0.5 * v[f"log_var{c}"]) for c in (1, 2))
         if self.kind == "matern":
             ls = v["ls"]
             nus = (v["nu1"], 0.5 * (v["nu1"] + v["nu2"]), v["nu2"])
             params = {p: [nu, ls] for p, nu in zip(_PAIRS, nus)}
-            rho = v["tanh_u"] * self._matern_bound(v["nu1"], v["nu2"])
-            model = matern_bivariate(v["sigma1"].x, v["sigma2"].x, rho.x,
+            rho = v["rho_frac"] * self._matern_bound(v["nu1"], v["nu2"])
+            model = matern_bivariate(s1.x, s2.x, rho.x,
                                      *(nu.x for nu in nus), *[math.exp(ls.x)] * 3)
         else:
             params = {p: [v["a" + p], v["ls" + p]] + ([v["b" + p]] if "b" + p in v else [])
@@ -514,9 +600,8 @@ class _ParamSpec:
             shape = [v[k].x for k in ("a11", "a12", "a22", "b11", "b12", "b22") if k in v]
             scales = [math.exp(v["ls" + p].x) for p in _PAIRS]
             probe = make(1.0, 1.0, 0.0, *shape, *scales)
-            rho = v["tanh_u"] * self._member_bound(probe, params)
-            model = make(v["sigma1"].x, v["sigma2"].x, rho.x, *shape, *scales)
-        s1, s2 = v["sigma1"], v["sigma2"]
+            rho = v["rho_frac"] * self._member_bound(probe, params)
+            model = make(s1.x, s2.x, rho.x, *shape, *scales)
         amps = (s1 * s1, rho * s1 * s2, s2 * s2)
         return model, nuggets, [(amp, params[p]) for p, amp in zip(_PAIRS, amps)]
 
@@ -649,8 +734,8 @@ def fit_ml(data: FieldSample, model_kind: str, n_starts: int = 8, seed: int = 0,
     ``converged`` is L-BFGS-B's verdict on the winning start (false when it
     ended on the cap).
 
-    Every iterate is valid: rho is tanh(u) times the certified bound of the
-    current structure, :func:`certify`'s own, and the cross smoothness is
+    Every iterate is valid: rho is a fraction in [-1, 1] times the certified
+    bound of the current structure, :func:`certify`'s own, and the cross smoothness is
     searched only where that bound can be positive: stable alpha12 in
     [max(alpha11, alpha22), 2], Cauchy alpha12 in [(alpha11 + alpha22)/2, 2]
     and beta12 in [(beta11 + beta22)/2, 50].  A singular Gram matrix is
@@ -681,9 +766,8 @@ def fit_ml(data: FieldSample, model_kind: str, n_starts: int = 8, seed: int = 0,
     for theta0 in spec.starts(n_starts, seed):
         objective.restart(max_evals if max_evals is not None else 400 * spec.dim)
         try:
-            # ftol = 1e-12 is about 4e-10 nats at N = 300: the likelihood is flat
-            # along sigma^2 s^alpha, and the default 2.2e-9 stops up to 2e-3
-            # nats short on that ridge
+            # ftol = 1e-12 is about 4e-10 nats per step at N = 300; the default
+            # 2.2e-9 stops up to 2e-3 nats short there
             converged = bool(minimize(objective, theta0, jac=True, method="L-BFGS-B",
                                       options=dict(ftol=1e-12)).success)
         except _BudgetSpent:

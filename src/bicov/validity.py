@@ -47,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bimodels import BivariateModel
-from .corrfn import CorrelationFamily, _as_r, _check_n13, _maybe_scalar, derivative, evaluate
+from .corrfn import (CorrelationFamily, _as_r, _check_n13, _maybe_scalar, _require, derivative,
+                     evaluate)
 from .spectral import spherical_density_closed_form, tan_roots
 
 __all__ = [
@@ -239,9 +240,16 @@ def _log_terms(n: int, members):
         poly = np.where(lt <= 0.0, low, high)
         with np.errstate(divide="ignore", over="ignore"):
             term = log_k + lt + np.log(np.abs(poly)) + deg * big
-            if not stable:
-                term = term - denom * (big + np.log1p(u))
-            return (term - np.exp(lt) if stable else term), np.sign(poly)
+            if stable:
+                return term - np.exp(lt), np.sign(poly)
+            term = term - denom * (big + np.log1p(u))
+        # a Cauchy term is finite wherever its polynomial is not zero, unless it overflowed
+        finite = np.isfinite(term)
+        if not finite.all():
+            for (a_, b_, s_), ok in zip(members, (finite | (poly == 0.0)).all(axis=1)):
+                _require(ok, f"the log term of the Cauchy member alpha = {a_:g}, beta = {b_:g}, "
+                             f"scale = {s_:g} leaves the double range")
+        return term, np.sign(poly)
 
     return fn
 
@@ -255,7 +263,8 @@ def _log_integrand(members, n: int):
     def fn(lr: np.ndarray):
         lr = np.atleast_1d(np.asarray(lr, dtype=float))
         (l11, l12, l22), (g11, g12, g22) = terms(lr)
-        with np.errstate(invalid="ignore"):
+        # a sum past the double range is +-inf, as the integrand's own value: no bound rests on it
+        with np.errstate(invalid="ignore", over="ignore"):
             li = l11 + l22 - 2.0 * l12
         return np.where((g11 > 0) & (g22 > 0) & (g12 != 0), li, np.nan), g12
 

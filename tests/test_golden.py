@@ -69,6 +69,26 @@ again:
 The Cauchy ``validate`` run's ``rho_bound`` reads 0.59040784708340499 in that
 mode, 1.3e-15 relative from the file, and is not recorded again.
 
+When the stable and Cauchy fits moved to better-conditioned coordinates
+(each marginal log scale to its microergodic parameter, log(sigma_i^2
+s_ii^alpha_ii), the cross log scale to its offset from the mean marginal one,
+and the cross smoothness and rho to maps that reach their edges), ``fit.out``
+and ``fit.txt`` were recorded again.  The 25-site fit no longer stops after
+51 evaluations but keeps descending to its 80-evaluation cap, where it ends
+1.0e-6 nats lower (uncapped, it converges after 340 at 62.976929510383556):
+``nll`` 62.981954818422594 -> 62.981953803409333, ``aic``
+147.96390963684519 -> 147.96390760681868, ``loo_rmse`` 0.80388921021812954
+-> 0.80389303637952847, ``mean1`` 0.64063078172101584 ->
+0.64064103389060933, ``mean2`` 0.030378409521011462 -> 0.030378383523815954,
+``converged`` true -> false, ``n_iter`` 51 -> 80; ``sigma1``
+0.82650766907088768 -> 0.82646921245230631, ``sigma2`` 1.0164668704561466 ->
+1.0164588549047517, ``rho`` 0.44128807747969279 -> 0.44122803302129315,
+``alpha11`` 0.61123363663185382 -> 0.61137397632783919, ``alpha12``
+0.88167975522209585 -> 0.95099556113010442, ``alpha22`` 0.86617077357942751
+-> 0.94702198172839203, ``s11`` 1.3128494669938899 -> 1.3127281281364016,
+``s12`` 11.308746499195436 -> 7.6727938262606372, ``s22`` 15.416252619078913
+-> 8.6861088515557903.
+
 The commands run in one child interpreter with BLAS pinned to one thread,
 because the Cholesky factor of the 512-site simulation differs in its last
 bits between thread counts.

@@ -1,8 +1,9 @@
 """Every input reaches a documented exit code.
 
 Each model-file key of each kind is set, one at a time, to each of a fixed list
-of hostile values and run through ``cli.main`` under validate, spectral and
-simulate; directories and non-UTF-8 files are fed where a file is read or
+of hostile values and run through ``cli.main`` under validate, spectral,
+simulate and curve; so is each numeric option, with the other arguments
+valid; directories and non-UTF-8 files are fed where a file is read or
 written.  A run must return a documented code, write exactly one stderr line
 when it fails, let no exception escape ``main``, and write only finite numbers
 when it exits 0; a run that does not fail writes nothing to stderr.  A
@@ -14,6 +15,7 @@ simulate's seed is pinned.
 import math
 import re
 
+import numpy as np
 import pytest
 
 import bicov as bc
@@ -43,6 +45,7 @@ COMMANDS = {
     "spectral3": ["spectral", "{model}", "--dim", "3", "--points", "11", "--out", "{out}"],
     "spectral1": ["spectral", "{model}", "--dim", "1", "--points", "11", "--out", "{out}"],
     "simulate": ["simulate", "{model}", "--grid", "3x3:5", "--seed", "3", "--out", "{out}"],
+    "curve": ["curve", "{model}", "--sweep", "alpha12=0.7:1.1:3", "--dim", "1", "--out", "{out}"],
 }
 
 
@@ -94,6 +97,56 @@ def test_every_model_key_at_every_hostile_value(tmp_path, capsys, kind, command)
             model.write_text("\n".join(base[:i] + [f"{key} = {value}"] + base[i + 1:]) + "\n")
             argv = [a.format(model=model, out=out) for a in COMMANDS[command]]
             findings += [f"{key} = {value}: {f}" for f in run(argv, out, capsys)]
+    assert findings == []
+
+
+_FIT = ["fit", "{data}", "--kind", "stable", "--out", "{out}"]
+
+# option -> a command with one argument holding {v}, the hostile value; every fit is capped
+# at a few evaluations
+OPTIONS = {
+    "--umax": ["spectral", "{model}", "--dim", "1", "--points", "11", "--umax", "{v}",
+               "--out", "{out}"],
+    "--points": ["spectral", "{model}", "--dim", "1", "--points", "{v}", "--out", "{out}"],
+    "--grid count": ["simulate", "{model}", "--grid", "{v}x3:5", "--out", "{out}"],
+    "--grid second count": ["simulate", "{model}", "--grid", "3x{v}:5", "--out", "{out}"],
+    "--grid extent": ["simulate", "{model}", "--grid", "3x3:{v}", "--out", "{out}"],
+    "--sweep lo": ["curve", "{model}", "--sweep", "alpha12={v}:1.1:3", "--out", "{out}"],
+    "--sweep hi": ["curve", "{model}", "--sweep", "alpha12=0.7:{v}:3", "--out", "{out}"],
+    "--sweep steps": ["curve", "{model}", "--sweep", "alpha12=0.7:1.1:{v}", "--out", "{out}"],
+    **{f"simulate --{opt}": ["simulate", "{model}", "--grid", "3x3:5", f"--{opt}", "{v}",
+                             "--out", "{out}"]
+       for opt in ("mean1", "mean2", "nugget1", "nugget2")},
+    **{f"krige --{opt}": ["krige", "{model}", "{data}", "{targets}", f"--{opt}", "{v}",
+                          "--out", "{out}"] for opt in ("nugget1", "nugget2")},
+    **{f"fit --{opt}": _FIT + ["--starts", "1", "--max-evals", "3", f"--{opt}", "{v}"]
+       for opt in ("nugget1", "nugget2")},
+    "--starts": _FIT + ["--max-evals", "3", "--starts", "{v}"],
+    "--max-evals": _FIT + ["--starts", "1", "--max-evals", "{v}"],
+}
+
+
+@pytest.fixture(scope="module")
+def option_files(tmp_path_factory):
+    """The stable base model, a sample of it at 12 colocated sites and two targets."""
+    work = tmp_path_factory.mktemp("options")
+    paths = {name: work / f"{name}.txt" for name in ("model", "data", "targets", "out")}
+    paths["model"].write_text(model_to_text(BASES["stable"]))
+    pts = np.random.default_rng(0).uniform(0.0, 5.0, size=(12, 2))
+    sample = bc.simulate(BASES["stable"], np.repeat(pts, 2, axis=0), np.tile([1, 2], 12), seed=0)
+    rows = np.column_stack([sample.locations, sample.components, sample.values])
+    paths["data"].write_text("x,y,component,value\n"
+                             + "".join(f"{x!r},{y!r},{int(c)},{v!r}\n" for x, y, c, v in rows))
+    paths["targets"].write_text("x,y\n0.5,0.5\n2,3\n")
+    return paths
+
+
+@pytest.mark.parametrize("option", list(OPTIONS))
+def test_every_numeric_option_at_every_hostile_value(option_files, capsys, option):
+    out, findings = option_files["out"], []
+    for value in HOSTILE:
+        argv = [a.format(v=value, **option_files) for a in OPTIONS[option]]
+        findings += [f"{value}: {f}" for f in run(argv, out, capsys)]
     assert findings == []
 
 

@@ -289,6 +289,27 @@ class TestWindowEdge:
         assert r.decidability == INCONCLUSIVE and r.infimum_location == AT_WINDOW_EDGE
 
 
+class TestDoubleRange:
+    """A log term past the double range refuses the model or bounds nothing."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("alpha12", [0.7, 1.1])
+    def test_cauchy_log_term_past_the_double_range_is_refused(self, n, alpha12):
+        # beta12 / alpha12 overflows at alpha12 = 0.7; at 1.1 the term itself does
+        model = cauchy_bivariate(1.0, 1.0, 0.2, 0.5, alpha12, 0.9, 2.0, 1.797e308, 2.1,
+                                 2.0, 2.25, 2.5)
+        with pytest.raises(ValueError, match="beta = 1.797e.308.*double range"):
+            certify(model, n)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_stable_sum_past_the_double_range_bounds_nothing(self, n):
+        # -(s12 r)^alpha12 reaches -1e308 near r = 1e8, where -2 term12 overflows
+        r = certify(stable_bivariate(1.0, 1.0, 0.1, 0.5, 1.0, 0.5, 1.0, 1e300, 1.0), n)
+        assert r.decidability == INCONCLUSIVE and r.infimum_location == AT_WINDOW_EDGE
+
+
 class TestStableClassification:
     def test_case_i(self):
         r = max_rho_stable(stable_bivariate(1, 1, 0, 0.7, 0.7, 0.7,

@@ -13,6 +13,9 @@ Prints one SHA-256 prefix per case and a total over all of them:
 * ``nll``: value and gradient of the fit objective at four Latin-hypercube
   points for every fitted kind, without and with ``fit_nugget``, on plain data
   and on data with ten repeated rows (which needs the nugget floor);
+* ``fit``: a single-start ``fit_ml`` of every kind on 100 seeded sites that
+  observe one component each, written as its evaluation count and a digest of
+  the fitted model's text, so a change in the optimizer's path shows;
 * ``bound``: the bound engine's reports on a seeded set of stable and Cauchy
   models in R^1 and R^3, ``fine`` (the defaults, which every route in the
   package takes, the fit's rho cap included), ``coarse`` (the public keywords
@@ -151,6 +154,13 @@ def main() -> None:
                     value, grad = objective(theta)
                     values += [value, *grad]
                 lines.append(f"nll {kind} {dname} {fit_nugget} {digest(values)}")
+    sites = np.random.default_rng(6).uniform(0, 10, size=(100, 2))
+    fit_data = bc.simulate(MODELS["stable"], sites, np.tile([1, 2], 50), seed=6,
+                           mean1=1.0, mean2=2.0)
+    for kind in ("stable", "cauchy", "matern", "lmc"):
+        fit = bc.fit_ml(fit_data, kind, n_starts=1, seed=0)
+        text = bc.model_to_text(fit.model)
+        lines.append(f"fit {kind} {fit.n_iter} {hashlib.sha256(text.encode()).hexdigest()[:16]}")
 
     for kind in ("stable", "cauchy"):
         engine = bc.max_rho_stable if kind == "stable" else bc.max_rho_cauchy
