@@ -285,20 +285,20 @@ def evaluate(family: CorrelationFamily, r):
     return _maybe_scalar(out, scalar)
 
 
-def _chain_deriv(p: Union[StableParams, CauchyParams], rr: np.ndarray, order: int) -> np.ndarray:
-    """d^order/dr^order G(t(r)), order in 1..3, by Faa di Bruno's formula;
-    t_k = d^k t/dr^k = t_(k-1) (alpha-k+1)/r."""
-    a = p.alpha
+def _chain_deriv(p: Union[StableParams, CauchyParams], rr: np.ndarray, orders) -> list:
+    """[d^k/dr^k G(t(r)) for k in orders], orders from 1..3, by one Faa di Bruno pass;
+    t_k = d^k t/dr^k = t_(k-1) (alpha-k+1)/r.  Each order's values are the same
+    whatever other orders are asked with it."""
+    a, top = p.alpha, max(orders)
     t = (p.scale * rr) ** a
-    g = _outer(p, t, order)
+    g = _outer(p, t, top)
     t1 = a * t / rr
-    if order == 1:
-        return g[1] * t1
-    t2 = t1 * (a - 1.0) / rr
-    if order == 2:
-        return g[2] * t1 * t1 + g[1] * t2
-    t3 = t2 * (a - 2.0) / rr
-    return g[3] * t1 * t1 * t1 + 3.0 * g[2] * t1 * t2 + g[1] * t3
+    t2 = t1 * (a - 1.0) / rr if top > 1 else None
+    t3 = t2 * (a - 2.0) / rr if top > 2 else None
+    chains = {1: lambda: g[1] * t1,
+              2: lambda: g[2] * t1 * t1 + g[1] * t2,
+              3: lambda: g[3] * t1 * t1 * t1 + 3.0 * g[2] * t1 * t2 + g[1] * t3}
+    return [chains[k]() for k in orders]
 
 
 def _spherical_deriv(p: SphericalParams, rr: np.ndarray, order: int) -> np.ndarray:
@@ -341,14 +341,18 @@ def derivative(family: CorrelationFamily, r, order: int):
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
     rr, scalar = _as_r(r, allow_zero=False)
+    out, = _radial_derivatives(family, rr, (order,))
+    return _maybe_scalar(out, scalar)
+
+
+def _radial_derivatives(family: CorrelationFamily, rr: np.ndarray, orders) -> list:
+    """[psi^(k)(r) for k in orders] at a 1-d float array rr > 0, unchecked: each is
+    :func:`derivative`'s value, a stable or Cauchy member's all from one chain."""
     p = family.params
     if family.kind in ("Stable", "Cauchy"):
-        out = _chain_deriv(p, rr, order)
-    elif family.kind == "Spherical":
-        out = _spherical_deriv(p, rr, order)
-    else:
-        out = _matern_deriv(p, rr, order)
-    return _maybe_scalar(out, scalar)
+        return _chain_deriv(p, rr, orders)
+    deriv = _spherical_deriv if family.kind == "Spherical" else _matern_deriv
+    return [deriv(p, rr, k) for k in orders]
 
 
 def _param_derivatives(family: CorrelationFamily, r: np.ndarray, free=(True, True, True)):

@@ -47,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bimodels import BivariateModel
-from .corrfn import (CorrelationFamily, _as_r, _check_n13, _maybe_scalar, _require, derivative,
-                     evaluate)
+from .corrfn import (CorrelationFamily, _as_r, _check_n13, _maybe_scalar, _radial_derivatives,
+                     _require, evaluate)
 from .spectral import spherical_density_closed_form, tan_roots
 
 __all__ = [
@@ -352,7 +352,7 @@ def _zoom(f, a: np.ndarray, b: np.ndarray, tol: float):
         x = c[:, None] + h[:, None] * steps
         fx = f(x.ravel()).reshape(x.shape)
         j = np.argmin(np.where(np.isnan(fx), np.inf, fx), axis=1)
-        c, h = x[rows, np.clip(j, 1, 2 * half - 1)], h / half
+        c, h = x[rows, np.minimum(np.maximum(j, 1), 2 * half - 1)], h / half
         if 2.0 * h.max() <= tol:
             return x[rows, j], fx[rows, j]
 
@@ -530,9 +530,12 @@ def max_rho_cauchy(model: BivariateModel, n: int, grid_points: int = _GRID_POINT
 # Generic route: the same bound from raw derivatives of arbitrary members.
 
 def _second_form(fam: CorrelationFamily, rr: np.ndarray, n: int) -> np.ndarray:
-    """psi'' (n = 1) or psi'' - r psi''' (n = 3) at r > 0, read from :func:`derivative`."""
-    d2 = derivative(fam, rr, 2)
-    return d2 if n == 1 else d2 - rr * derivative(fam, rr, 3)
+    """psi'' (n = 1) or psi'' - r psi''' (n = 3) at a 1-d array r > 0 that the caller
+    built, so unchecked; a stable or Cauchy member takes both orders from one chain."""
+    if n == 1:
+        return _radial_derivatives(fam, rr, (2,))[0]
+    d2, d3 = _radial_derivatives(fam, rr, (2, 3))
+    return d2 - rr * d3
 
 
 def generic_sufficient_check(model: BivariateModel, n: int) -> ValidityReport:

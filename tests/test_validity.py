@@ -578,27 +578,29 @@ class TestEngineCost:
     # bound at 7.788994555031706; the closed-form engine reads 0.3734249716149066
     # in n = 1.  The golden-section search before the zoom read 0.3734249716149069
     # at 5.666927054300786 and 0.3607155794057417 at 7.788994034532395, with 126
-    # and 252 derivative calls
-    @pytest.mark.parametrize("n,infimum,raw,location,calls", [
-        (1, 0.13944620942559402, 0.3734249716149069, 5.666926990699754, 21),
-        (3, 0.13011572922601974, 0.3607155794057414, 7.7889943420887775, 42),
+    # and 252 derivative calls.  Before the route read psi'' and psi''' from one
+    # chain, it made 21 (n = 1) and 42 (n = 3) `derivative` calls, one per member
+    # and order on the grid and on each zoom pass
+    @pytest.mark.parametrize("n,infimum,raw,location", [
+        (1, 0.13944620942559402, 0.3734249716149069, 5.666926990699754),
+        (3, 0.13011572922601974, 0.3607155794057414, 7.7889943420887775),
     ], ids=["1", "3"])
     def test_generic_route_evaluates_its_grid_once(self, monkeypatch, n, infimum, raw,
-                                                    location, calls):
-        count, deriv = [0], validity.derivative
+                                                    location):
+        count, radial = [0], validity._radial_derivatives
 
-        def counting(fam, r, k):
+        def counting(fam, rr, orders):
             count[0] += 1
-            return deriv(fam, r, k)
+            return radial(fam, rr, orders)
 
-        monkeypatch.setattr(validity, "derivative", counting)
+        monkeypatch.setattr(validity, "_radial_derivatives", counting)
         report = generic_sufficient_check(FIG_STABLE, n)
         assert report == ValidityReport(
             rho_bound_raw=raw, rho_bound=raw, infimum=infimum, case="generic",
             infimum_location=location, decidability=SUFFICIENT, n=n, note="")
-        # one call per member and order (psi'', and psi''' for n = 3) on the
-        # grid and again on each of the six zoom passes
-        assert count[0] == calls
+        # one call per member, whatever n, on the grid and again on each of the
+        # six zoom passes
+        assert count[0] == 3 * 7
 
 
 class TestSphericalTriviality:
