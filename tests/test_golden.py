@@ -89,6 +89,29 @@ and ``fit.txt`` were recorded again.  The 25-site fit no longer stops after
 ``s12`` 11.308746499195436 -> 7.6727938262606372, ``s22`` 15.416252619078913
 -> 8.6861088515557903.
 
+When the zoom that refines the engine's minima stopped at 1e-8 in log r
+instead of 1e-10 (four passes instead of six), these were recorded again:
+
+* ``validate_stable.out``: ``rho_bound_raw`` and ``rho_bound``
+  0.36071557940574134 -> 0.36071557940574139, ``infimum_location``
+  7.7889946877629743 -> 7.7889946762571158;
+* ``curve.csv``: alpha12 = 0.62, 0.35421165095364548 -> 0.3542116509536456,
+  alpha12 = 0.78, 0.27895243261239128 -> 0.27895243261239139, and
+  alpha12 = 1.1, 0.16685330534977658 -> 0.16685330534977663;
+* ``fit.out`` and ``fit.txt``: the fit still stops on its 80-evaluation cap.
+  ``nll`` 62.981953803409333 -> 62.981953835869717, ``aic``
+  147.96390760681868 -> 147.96390767173943, ``loo_rmse``
+  0.80389303637952847 -> 0.80389376275843827, ``mean1`` 0.64064103389060933
+  -> 0.64063862627283985, ``mean2`` 0.030378383523815954 ->
+  0.030378383716269955; ``sigma1`` 0.82646921245230631 ->
+  0.82650474876650282, ``sigma2`` 1.0164588549047517 -> 1.0164623782275168,
+  ``rho`` 0.44122803302129315 -> 0.4412435049123819, ``alpha11``
+  0.61137397632783919 -> 0.61147635114694199, ``alpha12``
+  0.95099556113010442 -> 0.95091310887235658, ``alpha22``
+  0.94702198172839203 -> 0.94688827914813978, ``s11`` 1.3127281281364016 ->
+  1.3123795541791627, ``s12`` 7.6727938262606372 -> 7.6709593255166624,
+  ``s22`` 8.6861088515557903 -> 8.6751429972139302.
+
 The commands run in one child interpreter with BLAS pinned to one thread,
 because the Cholesky factor of the 512-site simulation differs in its last
 bits between thread counts.
