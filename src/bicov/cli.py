@@ -175,8 +175,10 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     if model.kind == "lmc":
         raise SchemaError("spectral profiles expect a bivariate member model")
     n, _ = _resolve_dim(args.dim)
-    if not math.isfinite(args.umax):
-        raise SchemaError(f"--umax must be finite, got {args.umax}")
+    if not 0.0 <= args.umax < math.inf:
+        raise SchemaError(f"--umax must be nonnegative and finite, got {args.umax}")
+    if args.points < 1:
+        raise SchemaError(f"--points must be at least 1, got {args.points}")
     u = np.linspace(0.0, args.umax, args.points)
     profile = cross_spectral_profile(model, n, u)
     profile.to_csv(args.out)

@@ -16,7 +16,11 @@ the member sheds its mass before the first oscillation, which those nodes
 under-resolve, and the exp-sinh rule takes the whole integrand.  A stable member
 with alpha <= 0.1 in R^3 is integrated by parts first, x psi1 sin(v x) ->
 (psi1 + x psi1') cos(v x) / v, of bounded amplitude.  Each rule runs at t-steps
-0.025 and 0.05; a difference above 1e-5 |J| + 1e-9 raises QuadratureError.
+0.025 and 0.05.  Where the two differ by more than 1e-5 |J| + 1e-9, the step-0.05
+rule may be the one that is off (a heavy Cauchy tail at a tiny frequency), so
+the rule runs again at step 0.0125 and its difference from step 0.025 decides;
+above that threshold too, QuadratureError is raised.  The value is the step-0.025
+one either way.
 
 A valid bivariate model must satisfy f11(u) f22(u) >= rho^2 f12(u)^2 for almost
 every frequency; ``spectral_pd_inequality`` checks this margin on a grid.  The
@@ -238,10 +242,17 @@ def _density(family: CorrelationFamily, n: int, uu: np.ndarray, check: bool = Tr
         if family.kind == "Spherical":
             j = np.where(v < 1.0, np.polyval(_SPHERE_SERIES, v * v),
                          3.0 * (0.5 * v * v - v * np.sin(v) + 2.0 * np.sin(0.5 * v) ** 2) / v ** 4)
-        else:   # blocks of 256 frequencies bound the temporaries
-            blocks = np.split(v, range(256, v.size, 256))
-            j, err = (np.concatenate(r) for r in zip(*(_transform(p, n, b) for b in blocks)))
-            bad = np.flatnonzero(~(err <= 1e-5 * np.abs(j) + 1e-9))   # a NaN estimate fails too
+        else:
+            def transform(vv, h):   # blocks of 256 frequencies bound the temporaries
+                blocks = np.split(vv, range(256, vv.size, 256))
+                return (np.concatenate(r) for r in zip(*(_transform(p, n, b, h) for b in blocks)))
+
+            j, err = transform(v, 0.025)
+            tol = 1e-5 * np.abs(j) + 1e-9
+            bad = np.flatnonzero(~(err <= tol))   # a NaN estimate fails too
+            if bad.size:   # the step-2h rule may be the one that is off: try step h/2
+                err[bad] = list(transform(v[bad], 0.0125))[1]
+                bad = bad[~(err[bad] <= tol[bad])]
             if bad.size:
                 raise QuadratureError(f"{family.kind} member in R^{n} at u = {uu[pos][bad[0]]:g}: "
                                       f"estimated error {err[bad[0]]:g} for value {j[bad[0]]:g}")

@@ -345,6 +345,22 @@ class TestSpectral:
         assert main(["spectral", str(GOLDEN / "stable.txt"), "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1].startswith("0,2760314891.")
 
+    @pytest.mark.parametrize("option,value,named", [
+        ("--points", "-1", "--points must be at least 1"),
+        ("--points", "0", "--points must be at least 1"),
+        ("--umax", "-1", "--umax must be nonnegative and finite"),
+    ])
+    def test_bad_grid_option_is_refused_where_parsed(self, tmp_path, capsys, option, value,
+                                                     named):
+        # before: numpy's "Number of samples, -1, ..." and "frequency must be
+        # nonnegative" exited 70, and --points 0 wrote a header-only table
+        out = tmp_path / "spec.csv"
+        code = main(["spectral", write_model(tmp_path, VALID_STABLE), "--dim", "1",
+                     option, value, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 66 and not out.exists()
+        assert err.count("\n") == 1 and named in err
+
     def test_heavy_cauchy_is_a_compute_error(self, tmp_path, capsys):
         m = bc.cauchy_bivariate(1.0, 1.0, 0.2, 1.0, 1.0, 1.0,
                                 0.5, 0.5, 0.5, 1.0, 1.0, 1.0)

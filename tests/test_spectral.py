@@ -177,6 +177,29 @@ class TestMemberDensity:
             assert np.all(err <= threshold), (fam, n, v)
             assert np.all(np.abs(finer - j) <= threshold), (fam, n, v)
 
+    def test_tiny_cauchy_frequency_keeps_its_step_h_value(self):
+        # the step-0.05 rule is what is off here: against it the error estimate is
+        # 4.6e-6, while the values at steps 0.025 and 0.0125 agree to 5.7e-13
+        fam = cauchy(1.6437797482830918, 4.372934288934939, 0.6256358562155339)
+        u, s = 7.30749e-9, fam.params.scale
+        got = member_spectral_density(fam, 3, u)
+        j, _ = spectral._transform(fam.params, 3, np.array([u / s]))
+        assert got == spectral._C[3] * j[0] / s ** 3
+        assert got == pytest.approx(member_spectral_density(fam, 3, 0.0), rel=1e-10, abs=0.0)
+
+    def test_small_frequencies_of_random_members_raise_nothing(self):
+        # 2,000 seeded members at 8 frequencies u/s in [1e-8, 1e-3] each: 9 of the
+        # 4,000 Cauchy R^3 points raised QuadratureError while the step-0.05 rule's
+        # estimate alone decided
+        rng = np.random.default_rng(0)
+        for i in range(2000):
+            n = (1, 3)[i % 2]
+            alpha, scale = rng.uniform(0.05, 2.0), 10.0 ** rng.uniform(-1.0, 1.0)
+            fam = (stable(alpha, scale) if i % 4 < 2
+                   else cauchy(alpha, rng.uniform(n, 20.0) + 1e-9, scale))
+            u = scale * 10.0 ** rng.uniform(-8.0, -3.0, 8)
+            assert np.all(member_spectral_density(fam, n, u) > 0.0), (fam, n, u)
+
     def test_failed_error_test_raises(self, monkeypatch):
         # a rule that changes with its step must raise, never return a value
         real = spectral._transform
