@@ -245,13 +245,12 @@ def _density(family: CorrelationFamily, n: int, uu: np.ndarray, check: bool = Tr
         else:
             def transform(vv, h):   # blocks of 256 frequencies bound the temporaries
                 blocks = np.split(vv, range(256, vv.size, 256))
-                return (np.concatenate(r) for r in zip(*(_transform(p, n, b, h) for b in blocks)))
-
+                return [np.concatenate(r) for r in zip(*(_transform(p, n, b, h) for b in blocks))]
             j, err = transform(v, 0.025)
             tol = 1e-5 * np.abs(j) + 1e-9
             bad = np.flatnonzero(~(err <= tol))   # a NaN estimate fails too
             if bad.size:   # the step-2h rule may be the one that is off: try step h/2
-                err[bad] = list(transform(v[bad], 0.0125))[1]
+                err[bad] = transform(v[bad], 0.0125)[1]
                 bad = bad[~(err[bad] <= tol[bad])]
             if bad.size:
                 raise QuadratureError(f"{family.kind} member in R^{n} at u = {uu[pos][bad[0]]:g}: "

@@ -538,10 +538,8 @@ def max_rho_cauchy(model: BivariateModel, n: int, grid_points: int = _GRID_POINT
 def _second_form(fam: CorrelationFamily, rr: np.ndarray, n: int) -> np.ndarray:
     """psi'' (n = 1) or psi'' - r psi''' (n = 3) at a 1-d array r > 0 that the caller
     built, so unchecked; a stable or Cauchy member takes both orders from one chain."""
-    if n == 1:
-        return _radial_derivatives(fam, rr, (2,))[0]
-    d2, d3 = _radial_derivatives(fam, rr, (2, 3))
-    return d2 - rr * d3
+    d = _radial_derivatives(fam, rr, (2,) if n == 1 else (2, 3))
+    return d[0] if n == 1 else d[0] - rr * d[1]
 
 
 def generic_sufficient_check(model: BivariateModel, n: int) -> ValidityReport:
