@@ -7,8 +7,10 @@ Prints one SHA-256 prefix per case and a total over all of them:
   nuggets;
 * ``gram`` once more for the Matern model on 120 colocated sites, where kv
   runs split across the CPUs;
-* ``krige``: a simulated sample and ``cokrige`` for both target components on
-  the same models and samples;
+* ``simulate``: the values of a simulated sample on the same models and
+  samples;
+* ``krige``: ``cokrige`` of that simulated sample for both target components,
+  so a change to cokriging shows apart from a change to simulation;
 * ``loo``: ``loo_rmse`` of that simulated sample, on a line of its own;
 * ``nll``: value and gradient of the fit objective at four Latin-hypercube
   points for every fitted kind, without and with ``fit_nugget``, on plain data
@@ -130,8 +132,9 @@ def main() -> None:
             data = bc.simulate(model, locs, comps, seed=5, mean1=1.0, mean2=2.0,
                                nugget1=0.01, nugget2=0.02)
             targets = pts[:7] + 0.3
-            out = [data.values, *bc.cokrige(model, data, targets, 1, nugget1=0.01, nugget2=0.02),
+            out = [*bc.cokrige(model, data, targets, 1, nugget1=0.01, nugget2=0.02),
                    *bc.cokrige(model, data, targets, 2)]
+            lines.append(f"simulate {sname} {mname} {digest(data.values)}")
             lines.append(f"krige {sname} {mname} {digest(*out)}")
             lines.append(f"loo {sname} {mname} {digest(bc.loo_rmse(model, data))}")
     # 120 colocated sites: 7,140 distances per pair, so kv runs split across the CPUs
