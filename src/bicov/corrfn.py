@@ -227,7 +227,8 @@ def _outer(p: Union[StableParams, CauchyParams], t, order: int) -> list:
 
 
 def _matern_kx(nu: float, x: np.ndarray, power: float, order: float, fill: float) -> np.ndarray:
-    """2**(1-nu)/Gamma(nu) * x**power * K_order(x) at x >= 0, ``fill`` where x <= 1e-150.
+    """2**(1-nu)/Gamma(nu) * x**power * K_order(x) at x >= 0, ``fill`` where x <= 1e-150
+    and 0 at x = inf.
 
     Where the constant is not a normal float (from nu near 170) or the product is
     not finite, the value is taken in logs; where kv overflows too, K_a, a = |order|,
@@ -246,6 +247,7 @@ def _matern_kx(nu: float, x: np.ndarray, power: float, order: float, fill: float
         logs[over] = ((a - nu) * ln2 + (gammaln(a) - gammaln(nu)) + (power - a) * log_x[over]
                       + np.log(_kv_small_x(a, xs[redo][over])))
         val[redo] = np.exp(logs)
+    val[np.isposinf(xs)] = 0.0   # K decays exponentially: every x**power K(x) ends at 0
     out[safe] = val
     return out
 
@@ -265,11 +267,12 @@ def _kv_small_x(a: float, x: np.ndarray) -> np.ndarray:
     return np.where(q <= 0.5 * (a - 1.0), total, np.nan)
 
 
+@np.errstate(over="ignore")   # a scaled distance past the double range is inf: psi is 0
 def evaluate(family: CorrelationFamily, r):
     """Evaluate psi(r) for scalar or array distances r >= 0.
 
     Returns a float for scalar input, an ndarray otherwise.  psi(0) is
-    exactly 1 for every family.
+    exactly 1 for every family, and psi(inf) is 0.
     """
     rr, scalar = _as_r(r, allow_zero=True)
     p = family.params
@@ -277,7 +280,8 @@ def evaluate(family: CorrelationFamily, r):
         out = _outer(p, (p.scale * rr) ** p.alpha, 0)[0]
     elif family.kind == "Spherical":
         x = p.scale * rr
-        out = np.where(x < 1.0, 1.0 - 1.5 * x + 0.5 * x ** 3, 0.0)
+        xc = np.minimum(x, 1.0)   # the cubic is not formed past the range: it would overflow
+        out = np.where(x < 1.0, 1.0 - 1.5 * xc + 0.5 * xc ** 3, 0.0)
     else:  # Matern; psi is 1 to double precision below the cut-off
         out = _matern_kx(p.nu, p.scale * rr, p.nu, p.nu, fill=1.0)
     # r = 0 must give exactly 1

@@ -101,24 +101,31 @@ def gram(model, sample: FieldSample, nugget1: float = 0.0,
          nugget2: float = 0.0) -> np.ndarray:
     """Block covariance matrix in the sample's row order.
 
-    Every cell is gathered from one table of evaluated entries, and cells
-    (i, j) and (j, i) read the same slot, so the result is bitwise symmetric.
+    Every cell is read from one table of evaluated entries, and cells
+    (i, j) and (j, i) read the same entry, so the result is bitwise symmetric.
     When both components are observed at the same sites in the same order,
-    the cross cells of sites (p, q) and (q, p) share a slot too: their
+    the cross cells of sites (p, q) and (q, p) share an entry too: their
     distances are equal bit for bit.  Nuggets add to the matching diagonal
     entries only.
     """
     return _GramCache(sample).build(model, nugget1, nugget2)
 
 
+@np.errstate(over="ignore")   # overflowed squares are recomputed below
 def _block_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances between the rows of a and b, bit-equal to
-    ``np.linalg.norm(a[i] - b[j])`` (squares summed in coordinate order)."""
+    ``np.linalg.norm(a[i] - b[j])`` (squares summed in coordinate order)
+    wherever that sum of squares is finite; where it overflows, the distance
+    is taken by hypot, which scales, and is infinite only past the double range."""
     sq = 0.0
     for k in range(a.shape[1]):
         diff = a[:, None, k] - b[None, :, k]
         sq = sq + diff * diff
-    return np.sqrt(sq)
+    dist = np.sqrt(sq)
+    if np.max(dist, initial=0.0) == math.inf:
+        big = np.nonzero(np.isinf(dist))
+        dist[big] = np.hypot.reduce(np.abs(a[big[0]] - b[big[1]]), axis=1)
+    return dist
 
 
 def _check_nuggets(nugget1: float, nugget2: float) -> None:
@@ -126,11 +133,23 @@ def _check_nuggets(nugget1: float, nugget2: float) -> None:
              f"nuggets must be finite and nonnegative, got {nugget1} and {nugget2}")
 
 
+def _strided(rows: np.ndarray) -> slice | None:
+    """``rows`` (increasing) as a slice, None when they are not evenly spaced."""
+    steps = np.unique(np.diff(rows))
+    if steps.size > 1:
+        return None
+    step = int(steps[0]) if steps.size else 1
+    start = int(rows[0]) if rows.size else 0
+    return slice(start, start + step * rows.size, step)
+
+
 class _GramCache:
-    """A sample's block distances and ``idx``, the slot of every Gram cell in
-    the table [11 entries, 12 entries, 22 entries, var1 + nugget1,
-    var2 + nugget2], so repeated builds only re-evaluate families.  A block
-    whose two location lists are equal keeps one slot per unordered pair.
+    """A sample's block distances and the layout of its value table
+    [11 entries, 12 entries, 22 entries, var1 + nugget1, var2 + nugget2], so
+    repeated builds only re-evaluate families.  ``slots[pair]`` is the pair's
+    span of the table.  A block whose two location lists are equal keeps one
+    entry per unordered pair of sites, in the row-major order of its upper
+    triangle (``upper[pair]``; None for a full block, kept in row-major order).
 
     Each distinct point set is measured once: in a colocated sample the two
     components share one, so pairs 11, 12 and 22 read one distance block, and
@@ -138,12 +157,16 @@ class _GramCache:
 
     def __init__(self, sample: FieldSample):
         self.comp = sample.components
-        rows = {c: np.flatnonzero(self.comp == c) for c in (1, 2)}
-        pts = {c: sample.locations[r] for c, r in rows.items()}
+        self.rows = {c: np.flatnonzero(self.comp == c) for c in (1, 2)}
+        strided = {c: _strided(r) for c, r in self.rows.items()}
+        # where the block of rows p and columns q goes: a strided view when both
+        # components' rows are evenly spaced, else an np.ix_ write
+        self.at = {(p, q): (strided[p], strided[q]) if strided[p] and strided[q]
+                   else np.ix_(self.rows[p], self.rows[q]) for p in (1, 2) for q in (1, 2)}
+        pts = {c: sample.locations[r] for c, r in self.rows.items()}
         # the point set of each component: one for both when they are equal
         key = {1: 1, 2: 1 if np.array_equal(pts[1], pts[2]) else 2}
-        self.idx = np.empty((self.comp.size,) * 2, dtype=np.intp)
-        self.dist, self.slots, start, blocks, triangles = {}, {}, 0, {}, {}
+        self.dist, self.slots, self.upper, start, blocks, triangles = {}, {}, {}, 0, {}, {}
         for pair in _PAIRS:
             i, j = int(pair[0]), int(pair[1])
             a, b = key[i], key[j]
@@ -154,29 +177,45 @@ class _GramCache:
                 # the self-pairs of 11 and 22 are the diagonal: variance slots
                 if (a, i == j) not in triangles:
                     upper = np.triu(np.ones(full.shape, dtype=bool), k=int(i == j))
-                    template = np.zeros(full.shape, dtype=np.intp)
-                    template[upper] = template.T[upper] = np.arange(np.count_nonzero(upper))
-                    triangles[a, i == j] = template, full[upper]
-                template, self.dist[pair] = triangles[a, i == j]
-                # symmetric: the mirrored block is written from slots itself, contiguously
-                slots = mirror = template + start
+                    triangles[a, i == j] = upper, full[upper]
+                self.upper[pair], self.dist[pair] = triangles[a, i == j]
             else:
-                slots = start + np.arange(full.size).reshape(full.shape)
-                self.dist[pair], mirror = full.ravel(), slots.T
+                self.upper[pair], self.dist[pair] = None, full.ravel()
             self.dist[pair].flags.writeable = False
             self.slots[pair] = slice(start, start + self.dist[pair].size)
             start += self.dist[pair].size
-            self.idx[np.ix_(rows[i], rows[j])] = slots
+        self.n_slots = start + 2
+
+    def place(self, table: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The (N, N) matrix whose every cell holds its table entry, written
+        into ``out`` when given: each pair's block and its mirror at ``at``,
+        then the two variance entries on the diagonal.  Applied to
+        ``arange(n_slots)`` it gives each cell's slot."""
+        n = self.comp.size
+        out = np.empty((n, n), dtype=table.dtype) if out is None else out
+        for pair in _PAIRS:
+            i, j = int(pair[0]), int(pair[1])
+            upper, entries = self.upper[pair], table[self.slots[pair]]
+            if upper is None:
+                block = entries.reshape(self.rows[i].size, self.rows[j].size)
+            else:
+                # symmetric: the triangle is written and mirrored, the diagonal
+                # left for the variances where the triangle omits it
+                block = np.empty(upper.shape, dtype=table.dtype)
+                block[upper] = entries
+                block.T[upper] = entries
+            out[self.at[i, j]] = block
             if i != j:
-                self.idx[np.ix_(rows[j], rows[i])] = mirror
+                out[self.at[j, i]] = block.T
         for c in (1, 2):
-            self.idx[rows[c], rows[c]] = start + c - 1
+            out[self.rows[c], self.rows[c]] = table[c - 3]
+        return out
 
     def build(self, model, nugget1: float, nugget2: float, psis=None,
               out: np.ndarray | None = None) -> np.ndarray:
-        """The Gram of ``model`` gathered from its value table: each term of
+        """The Gram of ``model`` placed from its value table: each term of
         :func:`bimodels._terms` adds amplitude times its correlation at the
-        pair's distances to the pair's slots, and its amplitude to the pair's
+        pair's distances to the pair's entries, and its amplitude to the pair's
         variance, to which the nuggets then add.  ``psis`` holds the terms'
         correlations when already evaluated; ``out``, an (N, N) float array,
         receives the Gram in place of a new one."""
@@ -190,8 +229,7 @@ class _GramCache:
         table = np.concatenate([entries[p] for p in _PAIRS if p in entries]
                                + [np.array([var["11"], var["22"]])])
         table[-2:] += nugget1, nugget2
-        # idx is in range: "clip" gathers straight into out, where "raise" would buffer it
-        return np.take(table, self.idx, out=out, mode="clip")
+        return self.place(table, out)
 
 
 def check_pd(matrix: np.ndarray) -> PdCheck:
@@ -632,7 +670,8 @@ class _ProfiledNll:
     One evaluation of each term's family gives both the Gram's value table
     and the table's derivatives.  The gradient is 1/2 <dK, W> with
     W = K^-1 - a a^T: W is summed once onto the table's slots,
-    w = bincount(idx, W), and each parameter's derivative is
+    w = bincount(idx, W), with idx the cache's placement of the slot
+    numbers, made once per objective, and each parameter's derivative is
     1/2 <d table, w>.  Every Gram is built into one workspace that lives as
     long as the objective and is factored in place, so an evaluation maps no
     fresh N x N pages.  A Gram matrix that is not positive definite is
@@ -643,9 +682,9 @@ class _ProfiledNll:
 
     def __init__(self, spec: _ParamSpec, data: FieldSample):
         self.spec, self.cache = spec, _GramCache(data)
-        self.idx = self.cache.idx.ravel()
+        self.idx = self.cache.place(np.arange(self.cache.n_slots)).ravel()
         self.z = _values(data)
-        self.work = np.empty(self.cache.idx.shape)
+        self.work = np.empty((self.z.size,) * 2)
         self.floor = (1e-8 * spec.emp_var[0], 1e-8 * spec.emp_var[1])
         self.restart(math.inf)
 
@@ -807,10 +846,12 @@ def cokrige(model_or_fit, data: FieldSample, targets, target_component: int,
             mean1: float | None = None, mean2: float | None = None):
     """Simple cokriging predictions and variances at target locations.
 
-    Weights solve the block Gram system once per call; the prediction is
-    mean + w^T (data - means) and the variance C(0) - w^T c0 refers to the
-    nugget-free field, so an observed location with zero nugget reproduces
-    its observation with zero variance.
+    With K = L L^T the data's Gram and c the cross-covariances of a target,
+    the prediction is mean + c^T a, a = K^-1 (data - means), from one vector
+    solve, and the variance is C(0) - |L^-1 c|^2, from one lower-triangular
+    solve with all target columns.  The variance refers to the nugget-free
+    field, so an observed location with zero nugget reproduces its
+    observation with zero variance.  Targets must be finite.
     """
     model, nug1, nug2, mu1, mu2 = _unpack_fitted(
         model_or_fit, nugget1, nugget2, mean1, mean2)
@@ -819,24 +860,29 @@ def cokrige(model_or_fit, data: FieldSample, targets, target_component: int,
     return _cokrige(model, data, targets, target_component, nug1, nug2, (mu1, mu2))
 
 
+@np.errstate(over="ignore", invalid="ignore")   # non-finite results raise
 def _cokrige(model, data: FieldSample, targets, target_component: int,
              nugget1: float, nugget2: float, means=None):
     """:func:`cokrige` for a bare model; ``means=None`` takes the profiled
-    GLS means of the data from the same Gram factor as the weights."""
+    GLS means of the data from the same Gram factor as the weights, and a
+    from the likelihood's own solve."""
+    from scipy.linalg import solve_triangular
     z = _values(data)
     if target_component not in (1, 2):
         raise ValueError("target component must be 1 or 2")
     pts = np.atleast_2d(np.asarray(targets, dtype=float))
     if pts.shape[1] != data.locations.shape[1]:
         raise ValueError("targets must match the data coordinate dimension")
+    _require(bool(np.isfinite(pts).all()), "targets must be finite")
 
     comp = data.components
     m = gram(model, data, nugget1, nugget2)
     if means is None:
-        _, mu1, mu2, factor, _ = _nll_core(m, comp, z)
+        _, mu1, mu2, factor, a = _nll_core(m, comp, z)
     else:
         # m is bitwise symmetric: m.T is factored in place, as in _nll_core
         (mu1, mu2), factor = means, cho_factor(m.T, lower=True, overwrite_a=True)
+        a = cho_solve(factor, z - np.where(comp == 1, mu1, mu2))
     dist = _block_distances(pts, data.locations)
     cross = np.empty_like(dist)
     for c in (1, 2):
@@ -844,12 +890,13 @@ def _cokrige(model, data: FieldSample, targets, target_component: int,
         if np.any(cols):
             pair = "".join(sorted(f"{target_component}{c}"))
             cross[:, cols] = _entry(model, pair, dist[:, cols])
-    weights = cho_solve(factor, cross.T)
-    means_z = np.where(comp == 1, mu1, mu2)
-    target_mean = mu1 if target_component == 1 else mu2
-    pred = target_mean + (z - means_z) @ weights
+    pred = (mu1 if target_component == 1 else mu2) + cross @ a
+    # L^-1 c for every target at once; cross.T is Fortran-ordered, solved in place
+    half = solve_triangular(factor[0], cross.T, lower=True, overwrite_b=True)
     sill = float(_entry(model, f"{target_component}{target_component}", 0.0))
-    var = sill - np.einsum("ij,ji->i", cross, weights)
+    var = sill - np.einsum("ij,ij->j", half, half)
+    _require(bool(np.isfinite(pred).all() and np.isfinite(var).all()), "cokriging results "
+             "are not finite: the data values or the weights leave the double range")
     return pred, var
 
 

@@ -206,6 +206,16 @@ class TestEvaluate:
         assert evaluate(fam, 1e-200) == 1.0
         assert evaluate(fam, 1e6) == 0.0
 
+    def test_every_family_is_zero_at_infinity(self):
+        fams = [stable(0.5, 2.0), cauchy(0.7, 1.5, 0.3), spherical(2.0), matern(0.7, 1.0),
+                matern(3.5, 1e-3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fam in fams:
+                assert evaluate(fam, math.inf) == 0.0
+                # the scaled distance overflows to inf
+                assert np.array_equal(evaluate(fam, np.array([1e308, 0.0])), [0.0, 1.0])
+
     def test_scalar_vs_array(self):
         fam = cauchy(0.5, 2.0, 1.0)
         arr = evaluate(fam, np.array([0.5, 1.0, 2.0]))

@@ -121,6 +121,10 @@ def sample_layouts(d):
                                np.repeat([1, 2], [9, 6])),
         "colocated-repeated": (np.repeat(np.vstack([pts[:5], pts[:2]]), 2, axis=0),
                                np.tile([1, 2], 7)),
+        # component 1 on every other row, component 2 on the rest, bunched at the
+        # end: the 11 block is placed through strided views, 12 and 22 through np.ix_
+        "strided-and-scattered": (np.vstack([np.repeat(pts[:6], 2, axis=0), pts[6:10]]),
+                                  np.concatenate([np.tile([1, 2], 6), np.full(4, 2)])),
     }
 
 
@@ -208,7 +212,8 @@ class TestGramCacheGeometry:
         sample = FieldSample(*sample_layouts(d)[layout])
         cache = _GramCache(sample)
         idx, dist, slots = reference_cache(sample)
-        assert np.array_equal(cache.idx, idx)
+        # the placement of the slot numbers is the slot table
+        assert np.array_equal(cache.place(np.arange(cache.n_slots)), idx)
         assert cache.slots == slots
         for pair in ("11", "12", "22"):
             assert cache.dist[pair].tobytes() == dist[pair].tobytes()
@@ -221,6 +226,33 @@ class TestGramCacheGeometry:
         for pair in ("11", "12"):
             with pytest.raises(ValueError, match="read-only"):
                 cache.dist[pair][0] = 1.0
+
+    def test_placement_takes_both_branches(self):
+        cache = _GramCache(FieldSample(*sample_layouts(2)["strided-and-scattered"]))
+        assert cache.at[1, 1] == (slice(0, 12, 2),) * 2
+        rows2 = [1, 3, 5, 7, 9, 11, 12, 13, 14, 15]
+        for at in (cache.at[1, 2], cache.at[2, 1], cache.at[2, 2]):
+            assert all(isinstance(ix, np.ndarray) for ix in at)
+        assert np.array_equal(cache.at[2, 2][0].ravel(), rows2)
+
+
+class TestBlockDistances:
+    def test_overflowed_squares_are_recomputed(self):
+        a = np.array([[1e200, 0.0], [0.0, 0.0], [1e308, 1e308], [-1.7e308, 0.0], [3.0, 4.0]])
+        b = np.array([[0.0, 0.0], [1.7e308, 0.0], [0.0, 1e-3]])
+        got = _block_distances(a, b)
+        with np.errstate(over="ignore"):
+            want = np.array([[math.hypot(*(p - q)) for q in b] for p in a])
+        # past the double range the distance is infinite, and only there
+        assert np.isinf(got[3, 1]) and np.isinf(want[3, 1])
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+        with np.errstate(over="ignore"):
+            diffs = a[:, None, :] - b[None, :, :]
+            finite_squares = np.sum(diffs * diffs, axis=2) < math.inf
+            norms = np.linalg.norm(diffs, axis=2)
+        # bit for bit the plain norm wherever its sum of squares is finite
+        assert np.array_equal(got[finite_squares], norms[finite_squares])
+        assert not finite_squares[0, 0]
 
 
 class TestCheckPd:
@@ -269,12 +301,19 @@ class TestSimulate:
 
     @pytest.mark.parametrize("model", [
         bc.matern_bivariate(1.0, 1.0, 0.0, 5e-324, 1.0, 1.0, 1.0, 1.0, 1.0),   # Gamma(nu) = inf
-        bc.matern_bivariate(1.0, 1.0, 0.0, 0.5, 1.0, 1.0, 1.797e308, 1.0, 1.0),
     ])
     def test_rejects_non_finite_values(self, model):
         locs = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], 2, axis=0)
         with pytest.raises(ValueError, match="simulated values are not finite"):
             bc.simulate(model, locs, np.tile([1, 2], 3), seed=5)
+
+    def test_matern_scale_past_the_double_range_decorrelates(self):
+        # s11 r is inf at every pair of distinct sites, where psi is 0, not NaN
+        model = bc.matern_bivariate(1.0, 1.0, 0.0, 0.5, 1.0, 1.0, 1.797e308, 1.0, 1.0)
+        locs = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], 2, axis=0)
+        assert np.array_equal(gram(model, FieldSample(locs, np.tile([1, 2], 3)))[0::2, 0::2],
+                              np.eye(3))
+        assert np.all(np.isfinite(bc.simulate(model, locs, np.tile([1, 2], 3), seed=5).values))
 
     def test_colocated_correlation_matches_rho(self):
         # one site observed in both components: correlation over draws is rho
@@ -721,6 +760,41 @@ class TestCokrige:
             bc.cokrige(MODEL, FieldSample(locs, comps), np.zeros((2, 2)), 1)
         with pytest.raises(ValueError, match="means must be finite"):
             bc.cokrige(MODEL, data, np.zeros((2, 2)), 1, mean1=math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_targets_before_the_gram(self, bad, monkeypatch):
+        locs, comps = colocated_design(6, 12)
+        data = bc.simulate(MODEL, locs, comps, seed=1)
+
+        def no_gram(*args, **kwargs):
+            raise AssertionError("the Gram was built")
+
+        monkeypatch.setattr(bc.field, "gram", no_gram)
+        with pytest.raises(ValueError, match="targets must be finite"):
+            bc.cokrige(MODEL, data, [[bad, 1.0]], 1)
+
+    @pytest.mark.parametrize("layout", ["colocated-interleaved", "heterotopic",
+                                        "partly-colocated"])
+    @pytest.mark.parametrize("target_component", [1, 2])
+    @pytest.mark.parametrize("model", GRAM_MODELS[:3], ids=["stable", "cauchy", "matern"])
+    def test_matches_a_dense_solve(self, layout, target_component, model):
+        locs, comps = sample_layouts(2)[layout]
+        data = bc.simulate(model, locs, comps, seed=3, mean1=1.0, mean2=-2.0,
+                           nugget1=0.01, nugget2=0.02)
+        targets = np.vstack([locs[:3], np.random.default_rng(5).uniform(0.0, 10.0, (6, 2))])
+        nuggets, means = (0.01, 0.02), (0.5, -1.5)
+        k = scatter_gram(model, data, *nuggets)
+        dist = np.linalg.norm(targets[:, None, :] - locs[None, :, :], axis=2)
+        cross = np.column_stack([_entry(model, "".join(sorted(f"{target_component}{c}")),
+                                        dist[:, i]) for i, c in enumerate(comps)])
+        weights = np.linalg.solve(k, cross.T)
+        centred = data.values - np.where(comps == 1, *means)
+        sill = float(_entry(model, f"{target_component}{target_component}", 0.0))
+        pred, var = bc.cokrige(model, data, targets, target_component, *nuggets, *means)
+        assert pred == pytest.approx(means[target_component - 1] + centred @ weights,
+                                     abs=1e-12 * sill, rel=0.0)
+        assert var == pytest.approx(sill - np.einsum("ij,ji->i", cross, weights),
+                                    abs=1e-12 * sill, rel=0.0)
 
 
 class TestFitResultArguments:

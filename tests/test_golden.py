@@ -112,6 +112,16 @@ instead of 1e-10 (four passes instead of six), these were recorded again:
   1.3123795541791627, ``s12`` 7.6727938262606372 -> 7.6709593255166624,
   ``s22`` 8.6861088515557903 -> 8.6751429972139302.
 
+When cokriging moved to mean + c^T a, a = K^-1 (z - means) from one vector
+solve, with the variance sill - |L^-1 c|^2 from one lower-triangular solve,
+``krige.csv`` was recorded again:
+
+* x, y = 0, 0: prediction 0.56145521118564601 -> 0.56145521118564612
+  (variance 0 on both);
+* x, y = 0.37, 4.2: prediction 0.85582862351060918 -> 0.85582862351060929;
+* x, y = 5.5, 1.25: prediction 0.70335958542993005 -> 0.70335958542992993,
+  variance 0.76621698049336817 -> 0.76621698049336828.
+
 The commands run in one child interpreter with BLAS pinned to one thread,
 because the Cholesky factor of the 512-site simulation differs in its last
 bits between thread counts.

@@ -9,7 +9,8 @@ when it fails, let no exception escape ``main``, and write only finite numbers
 when it exits 0; a run that does not fail writes nothing to stderr.  A
 RuntimeWarning is an error here: from the command line it would be stderr
 lines beside the one message.  Deterministic: the base models are fixed and
-simulate's seed is pinned.
+simulate's seed is pinned.  The same holds for each coordinate and value
+cell of krige's data and targets files.
 """
 
 import math
@@ -134,7 +135,8 @@ def option_files(tmp_path_factory):
     paths["model"].write_text(model_to_text(BASES["stable"]))
     pts = np.random.default_rng(0).uniform(0.0, 5.0, size=(12, 2))
     sample = bc.simulate(BASES["stable"], np.repeat(pts, 2, axis=0), np.tile([1, 2], 12), seed=0)
-    rows = np.column_stack([sample.locations, sample.components, sample.values])
+    # plain floats: the repr of a numpy scalar is not a CSV number
+    rows = np.column_stack([sample.locations, sample.components, sample.values]).tolist()
     paths["data"].write_text("x,y,component,value\n"
                              + "".join(f"{x!r},{y!r},{int(c)},{v!r}\n" for x, y, c, v in rows))
     paths["targets"].write_text("x,y\n0.5,0.5\n2,3\n")
@@ -147,6 +149,39 @@ def test_every_numeric_option_at_every_hostile_value(option_files, capsys, optio
     for value in HOSTILE:
         argv = [a.format(v=value, **option_files) for a in OPTIONS[option]]
         findings += [f"{value}: {f}" for f in run(argv, out, capsys)]
+    assert findings == []
+
+
+KRIGE_MODELS = {"stable": BASES["stable"],
+                "matern": bc.matern_bivariate(1.0, 1.0, 0.2, 0.5, 0.75, 1.0, 1.0, 1.0, 1.0)}
+
+
+@pytest.mark.parametrize("sheet", ["data", "targets"])
+@pytest.mark.parametrize("kind", list(KRIGE_MODELS))
+def test_every_krige_csv_cell_at_every_hostile_value(option_files, tmp_path, capsys, kind,
+                                                     sheet):
+    """Each coordinate and value cell of the data file, and each coordinate of the
+    targets file, at each hostile value in turn."""
+    files = {**option_files, "model": tmp_path / "model.txt", sheet: tmp_path / f"{sheet}.csv",
+             "out": tmp_path / "out.csv"}
+    files["model"].write_text(model_to_text(KRIGE_MODELS[kind]))
+    header, *rows = [line.split(",") for line in option_files[sheet].read_text().splitlines()]
+    argv = ["krige", *(str(files[k]) for k in ("model", "data", "targets")),
+            "--out", str(files["out"])]
+    files[sheet].write_text(option_files[sheet].read_text())
+    assert main(argv) == 0, capsys.readouterr().err   # the unswept files krige
+    capsys.readouterr()
+    findings = []
+    for r, c in np.ndindex(len(rows), len(header)):
+        if header[c] == "component":
+            continue
+        for value in HOSTILE:
+            cells = [list(row) for row in rows]
+            cells[r][c] = value
+            files[sheet].unlink(missing_ok=True)   # a fresh file: truncating one can be slow
+            files[sheet].write_text("".join(",".join(row) + "\n" for row in [header, *cells]))
+            findings += [f"row {r + 2} {header[c]} = {value}: {f}"
+                         for f in run(argv, files["out"], capsys)]
     assert findings == []
 
 
