@@ -10,7 +10,7 @@ from scipy.stats import multivariate_normal
 import bicov as bc
 from bicov import BivariateModel, FieldSample, matern, stable
 from bicov.bimodels import _entry, _terms
-from bicov.field import (_D, _block_distances, _GramCache, _nll_core, _ParamSpec,
+from bicov.field import (_D, _block_distances, _cokrige, _GramCache, _nll_core, _ParamSpec,
                          _parsimonious_matern_rho_bound, _ProfiledNll, check_pd, gram)
 from bicov.spectral import cross_spectral_profile
 
@@ -773,24 +773,32 @@ class TestCokrige:
         with pytest.raises(ValueError, match="targets must be finite"):
             bc.cokrige(MODEL, data, [[bad, 1.0]], 1)
 
+    @pytest.mark.parametrize("profiled", [False, True], ids=["given-means", "profiled-means"])
     @pytest.mark.parametrize("layout", ["colocated-interleaved", "heterotopic",
                                         "partly-colocated"])
     @pytest.mark.parametrize("target_component", [1, 2])
     @pytest.mark.parametrize("model", GRAM_MODELS[:3], ids=["stable", "cauchy", "matern"])
-    def test_matches_a_dense_solve(self, layout, target_component, model):
+    def test_matches_a_dense_solve(self, layout, target_component, model, profiled):
         locs, comps = sample_layouts(2)[layout]
         data = bc.simulate(model, locs, comps, seed=3, mean1=1.0, mean2=-2.0,
                            nugget1=0.01, nugget2=0.02)
         targets = np.vstack([locs[:3], np.random.default_rng(5).uniform(0.0, 10.0, (6, 2))])
-        nuggets, means = (0.01, 0.02), (0.5, -1.5)
+        nuggets = (0.01, 0.02)
         k = scatter_gram(model, data, *nuggets)
         dist = np.linalg.norm(targets[:, None, :] - locs[None, :, :], axis=2)
         cross = np.column_stack([_entry(model, "".join(sorted(f"{target_component}{c}")),
                                         dist[:, i]) for i, c in enumerate(comps)])
         weights = np.linalg.solve(k, cross.T)
+        if profiled:   # the GLS means, as bicov krige takes them
+            design = np.column_stack([comps == 1, comps == 2]).astype(float)
+            solved = np.linalg.solve(k, design)
+            means = tuple(np.linalg.solve(design.T @ solved, solved.T @ data.values))
+            pred, var = _cokrige(model, data, targets, target_component, *nuggets)
+        else:
+            means = (0.5, -1.5)
+            pred, var = bc.cokrige(model, data, targets, target_component, *nuggets, *means)
         centred = data.values - np.where(comps == 1, *means)
         sill = float(_entry(model, f"{target_component}{target_component}", 0.0))
-        pred, var = bc.cokrige(model, data, targets, target_component, *nuggets, *means)
         assert pred == pytest.approx(means[target_component - 1] + centred @ weights,
                                      abs=1e-12 * sill, rel=0.0)
         assert var == pytest.approx(sill - np.einsum("ij,ji->i", cross, weights),
