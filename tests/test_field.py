@@ -136,6 +136,23 @@ GRAM_MODELS = [
     bc.LmcBivariate(b1=(1.0, 0.3, 0.5), b2=(0.4, 0.1, 0.9),
                     psi1=stable(1.0, 0.7), psi2=stable(1.5, 1.3)),
 ]
+GRAM_MODEL_IDS = ["stable", "cauchy", "matern", "spherical", "lmc"]
+
+
+def layout_data(locs, comps):
+    """A layout's rows with seeded values around the means 1 and -2."""
+    values = np.where(comps == 1, 1.0, -2.0) + np.random.default_rng(8).standard_normal(comps.size)
+    return FieldSample(locs, comps, values=values)
+
+
+def dense_gls_means(k, comps, z):
+    """(mean1, mean2): the GLS means under the dense covariance k, 0.0 for an
+    unobserved component, as the profiled likelihood takes them."""
+    cols = [c for c in (1, 2) if np.any(comps == c)]
+    design = np.column_stack([comps == c for c in cols]).astype(float)
+    solved = np.linalg.solve(k, design)
+    fitted = dict(zip(cols, np.linalg.solve(design.T @ solved, solved.T @ z)))
+    return fitted.get(1, 0.0), fitted.get(2, 0.0)
 
 
 class TestGramAgainstScatter:
@@ -775,24 +792,24 @@ class TestCokrige:
 
     @pytest.mark.parametrize("profiled", [False, True], ids=["given-means", "profiled-means"])
     @pytest.mark.parametrize("layout", ["colocated-interleaved", "heterotopic",
-                                        "partly-colocated"])
+                                        "partly-colocated", "colocated-sorted",
+                                        "colocated-reordered", "one-component",
+                                        "repeated-locations", "colocated-repeated",
+                                        "strided-and-scattered"])
     @pytest.mark.parametrize("target_component", [1, 2])
-    @pytest.mark.parametrize("model", GRAM_MODELS[:3], ids=["stable", "cauchy", "matern"])
+    @pytest.mark.parametrize("model", GRAM_MODELS, ids=GRAM_MODEL_IDS)
     def test_matches_a_dense_solve(self, layout, target_component, model, profiled):
         locs, comps = sample_layouts(2)[layout]
-        data = bc.simulate(model, locs, comps, seed=3, mean1=1.0, mean2=-2.0,
-                           nugget1=0.01, nugget2=0.02)
-        targets = np.vstack([locs[:3], np.random.default_rng(5).uniform(0.0, 10.0, (6, 2))])
         nuggets = (0.01, 0.02)
+        data = layout_data(locs, comps)
+        targets = np.vstack([locs[:3], np.random.default_rng(5).uniform(0.0, 10.0, (6, 2))])
         k = scatter_gram(model, data, *nuggets)
         dist = np.linalg.norm(targets[:, None, :] - locs[None, :, :], axis=2)
         cross = np.column_stack([_entry(model, "".join(sorted(f"{target_component}{c}")),
                                         dist[:, i]) for i, c in enumerate(comps)])
         weights = np.linalg.solve(k, cross.T)
         if profiled:   # the GLS means, as bicov krige takes them
-            design = np.column_stack([comps == 1, comps == 2]).astype(float)
-            solved = np.linalg.solve(k, design)
-            means = tuple(np.linalg.solve(design.T @ solved, solved.T @ data.values))
+            means = dense_gls_means(k, comps, data.values)
             pred, var = _cokrige(model, data, targets, target_component, *nuggets)
         else:
             means = (0.5, -1.5)
@@ -881,6 +898,49 @@ class TestLooRmse:
         resid = precision @ (data.values - np.where(comps == 1, mu1, mu2))
         want = math.sqrt(np.mean((resid / np.diag(precision)) ** 2))
         assert bc.loo_rmse(model, data) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+class TestOneShotPathsOnEveryLayout:
+    """nll, loo_rmse and simulate on every sample layout and Gram model, each
+    against a dense computation on scatter_gram (cokrige: TestCokrige)."""
+
+    NUGGETS = (0.01, 0.02)
+
+    @pytest.mark.parametrize("model", GRAM_MODELS, ids=GRAM_MODEL_IDS)
+    @pytest.mark.parametrize("layout", list(sample_layouts(2)))
+    def test_nll_matches_the_dense_gaussian_density(self, layout, model):
+        locs, comps = sample_layouts(2)[layout]
+        data = layout_data(locs, comps)
+        k = scatter_gram(model, data, *self.NUGGETS)
+        means = dense_gls_means(k, comps, data.values)
+        value, mu1, mu2 = bc.nll(model, data, *self.NUGGETS)
+        direct = -multivariate_normal(mean=np.where(comps == 1, *means), cov=k).logpdf(data.values)
+        assert value == pytest.approx(direct, rel=1e-10)
+        assert (mu1, mu2) == pytest.approx(means, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("model", GRAM_MODELS, ids=GRAM_MODEL_IDS)
+    @pytest.mark.parametrize("layout", list(sample_layouts(2)))
+    def test_loo_rmse_matches_the_explicit_inverse(self, layout, model):
+        locs, comps = sample_layouts(2)[layout]
+        data = layout_data(locs, comps)
+        k = scatter_gram(model, data, *self.NUGGETS)
+        precision = np.linalg.inv(k)
+        resid = precision @ (data.values - np.where(comps == 1, *dense_gls_means(k, comps,
+                                                                                   data.values)))
+        want = math.sqrt(np.mean((resid / np.diag(precision)) ** 2))
+        assert bc.loo_rmse(model, data, *self.NUGGETS) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("model", GRAM_MODELS, ids=GRAM_MODEL_IDS)
+    @pytest.mark.parametrize("layout", list(sample_layouts(2)))
+    def test_simulate_whitens_to_its_draws(self, layout, model):
+        locs, comps = sample_layouts(2)[layout]
+        sim = bc.simulate(model, locs, comps, seed=9, n_draws=2, mean1=1.0, mean2=-2.0,
+                          nugget1=self.NUGGETS[0], nugget2=self.NUGGETS[1])
+        assert sim.info["jitter"] == 0.0
+        chol = np.linalg.cholesky(scatter_gram(model, sim, *self.NUGGETS))
+        eps = np.random.Generator(np.random.Philox(9)).standard_normal((2, comps.size))
+        white = np.linalg.solve(chol, (sim.values - np.where(comps == 1, 1.0, -2.0)).T).T
+        assert white == pytest.approx(eps, rel=0.0, abs=1e-9)
 
 
 class TestParsimoniousMaternBound:
