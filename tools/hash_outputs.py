@@ -3,8 +3,9 @@
 Prints one SHA-256 prefix per case and a total over all of them:
 
 * ``gram`` for a stable, Cauchy, Matern, spherical and LMC model on a
-  colocated, a heterotopic and a partly colocated sample, without and with
-  nuggets;
+  colocated sample with the components interleaved, the same sample with the
+  components one after the other, a heterotopic and a partly colocated
+  sample, without and with nuggets;
 * ``gram`` once more for the Matern model on 120 colocated sites, where kv
   runs split across the CPUs;
 * ``simulate``: the values of a simulated sample on the same models and
@@ -118,6 +119,7 @@ def main() -> None:
     pts = rng.uniform(0, 10, size=(60, 2))
     samples = {
         "colocated": (np.repeat(pts, 2, axis=0), np.tile([1, 2], 60)),
+        "colocated-sorted": (np.vstack([pts, pts]), np.repeat([1, 2], 60)),
         "heterotopic": (rng.uniform(0, 10, size=(90, 2)),
                         rng.permutation(np.tile([1, 2], 45))),
         "partly": (np.vstack([pts[:40], pts[20:]]), np.repeat([1, 2], 40)),
