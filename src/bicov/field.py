@@ -101,14 +101,27 @@ def gram(model, sample: FieldSample, nugget1: float = 0.0,
          nugget2: float = 0.0) -> np.ndarray:
     """Block covariance matrix in the sample's row order.
 
-    Every cell is read from one table of evaluated entries, and cells
-    (i, j) and (j, i) read the same entry, so the result is bitwise symmetric.
-    When both components are observed at the same sites in the same order,
-    the cross cells of sites (p, q) and (q, p) share an entry too: their
-    distances are equal bit for bit.  Nuggets add to the matching diagonal
-    entries only.
+    Every cell is read from one table of evaluated entries: the cells on or
+    above the diagonal are placed from it and mirrored once below, so the
+    result is full and bitwise symmetric.  When both components are observed
+    at the same sites in the same order, the cross cells of sites (p, q) and
+    (q, p) share an entry too: their distances are equal bit for bit.
+    Nuggets add to the matching diagonal entries only.
     """
+    return _mirror(_upper_gram(model, sample, nugget1, nugget2))
+
+
+def _upper_gram(model, sample: FieldSample, nugget1: float, nugget2: float) -> np.ndarray:
+    """The Gram's cells on or above the diagonal, zeros below: all that an
+    in-place Cholesky factorisation of its transpose reads."""
     return _GramCache(sample).build(model, nugget1, nugget2)
+
+
+def _mirror(m: np.ndarray) -> np.ndarray:
+    """m with each cell below the diagonal copied from its mirror above, in place."""
+    for k in range(m.shape[0] - 1):
+        m[k + 1:, k] = m[k, k + 1:]
+    return m
 
 
 @np.errstate(over="ignore")   # overflowed squares are recomputed below
@@ -144,25 +157,28 @@ def _strided(rows: np.ndarray) -> slice | None:
 
 
 class _GramCache:
-    """A sample's block distances and the layout of its value table
-    [11 entries, 12 entries, 22 entries, var1 + nugget1, var2 + nugget2], so
-    repeated builds only re-evaluate families.  ``slots[pair]`` is the pair's
-    span of the table.  A block whose two location lists are equal keeps one
-    entry per unordered pair of sites, in the row-major order of its upper
-    triangle (``upper[pair]``; None for a full block, kept in row-major order).
+    """A sample's block distances, the layout of its value table
+    [11 entries, 12 entries, 22 entries, var1 + nugget1, var2 + nugget2] and
+    where each entry goes in the Gram, so repeated builds only re-evaluate
+    families.  ``slots[pair]`` is the pair's span of the table.  A block whose
+    two location lists are equal keeps one entry per unordered pair of sites,
+    in the row-major order of its upper triangle (``upper[pair]``; None for a
+    full block, kept in row-major order).
 
     Each distinct point set is measured once: in a colocated sample the two
     components share one, so pairs 11, 12 and 22 read one distance block, and
-    11 and 22 one triangle of it.  The distance arrays are read-only."""
+    11 and 22 one triangle of it.  The distance arrays are read-only.
+
+    ``writes[pair]`` lists, for the pair's block of rows i and columns j and
+    for its mirror, rows j and columns i, the block's cells that lie above the
+    Gram's diagonal: the cells ``out[at][above]``, or ``out[at]`` when the
+    components' rows are not evenly spaced and ``above`` is None, take
+    ``values(entries)``, their entries in row-major order.  A mirror that
+    holds no such cell is left out."""
 
     def __init__(self, sample: FieldSample):
         self.comp = sample.components
         self.rows = {c: np.flatnonzero(self.comp == c) for c in (1, 2)}
-        strided = {c: _strided(r) for c, r in self.rows.items()}
-        # where the block of rows p and columns q goes: a strided view when both
-        # components' rows are evenly spaced, else an np.ix_ write
-        self.at = {(p, q): (strided[p], strided[q]) if strided[p] and strided[q]
-                   else np.ix_(self.rows[p], self.rows[q]) for p in (1, 2) for q in (1, 2)}
         pts = {c: sample.locations[r] for c, r in self.rows.items()}
         # the point set of each component: one for both when they are equal
         key = {1: 1, 2: 1 if np.array_equal(pts[1], pts[2]) else 2}
@@ -176,7 +192,8 @@ class _GramCache:
             if a == b:
                 # the self-pairs of 11 and 22 are the diagonal: variance slots
                 if (a, i == j) not in triangles:
-                    upper = np.triu(np.ones(full.shape, dtype=bool), k=int(i == j))
+                    sites = np.arange(full.shape[0])
+                    upper = sites >= sites[:, None] + int(i == j)
                     triangles[a, i == j] = upper, full[upper]
                 self.upper[pair], self.dist[pair] = triangles[a, i == j]
             else:
@@ -185,40 +202,88 @@ class _GramCache:
             self.slots[pair] = slice(start, start + self.dist[pair].size)
             start += self.dist[pair].size
         self.n_slots = start + 2
-
-    def place(self, table: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The (N, N) matrix whose every cell holds its table entry, written
-        into ``out`` when given: each pair's block and its mirror at ``at``,
-        then the two variance entries on the diagonal.  Applied to
-        ``arange(n_slots)`` it gives each cell's slot."""
-        n = self.comp.size
-        out = np.empty((n, n), dtype=table.dtype) if out is None else out
+        strided = {c: _strided(r) for c, r in self.rows.items()}
+        self.writes = {}
         for pair in _PAIRS:
             i, j = int(pair[0]), int(pair[1])
-            upper, entries = self.upper[pair], table[self.slots[pair]]
-            if upper is None:
-                block = entries.reshape(self.rows[i].size, self.rows[j].size)
+            blocks = [(i, j)] if i == j else [(i, j), (j, i)]
+            self.writes[pair] = [w for w in (self._write(pair, p, q, strided) for p, q in blocks)
+                                 if w is not None]
+
+    def _write(self, pair: str, p: int, q: int, strided: dict):
+        """(at, above, values) of the block of rows p and columns q, None when
+        none of its cells lies above the diagonal."""
+        rows_p, rows_q = self.rows[p], self.rows[q]
+        # each row's cells above the diagonal are those from its first column past it on
+        first = np.searchsorted(rows_q, rows_p, side="right")
+        if np.all(first == rows_q.size):
+            return None
+        upper = self.upper[pair]
+        if upper is not None:
+            # where each row of the stored triangle begins
+            stored = np.minimum(np.arange(rows_p.size) + int(p == q), rows_q.size)
+        if upper is not None and np.array_equal(first, stored):
+            above = upper
+
+            def values(entries):
+                return entries
+        else:
+            above = np.arange(rows_q.size) >= first[:, None]
+            if upper is None:   # a full block, stored as rows i and columns j
+                shape = (self.rows[int(pair[0])].size, self.rows[int(pair[1])].size)
+                flip = p != int(pair[0])
+
+                def values(entries):
+                    block = entries.reshape(shape)
+                    return (block.T if flip else block)[above]
+            elif np.all(first >= stored):
+                chosen = above[upper]
+
+                def values(entries):
+                    return entries[chosen]
             else:
-                # symmetric: the triangle is written and mirrored, the diagonal
-                # left for the variances where the triangle omits it
-                block = np.empty(upper.shape, dtype=table.dtype)
-                block[upper] = entries
-                block.T[upper] = entries
-            out[self.at[i, j]] = block
-            if i != j:
-                out[self.at[j, i]] = block.T
+                # a colocated cross block whose cells above the diagonal reach
+                # below the stored triangle, as when component 2 follows
+                # component 1: those read the mirrored entries
+                def values(entries):
+                    block = np.empty(upper.shape, dtype=entries.dtype)
+                    block[upper] = entries
+                    block.T[upper] = entries
+                    return block[above]
+        if strided[p] and strided[q]:
+            return (strided[p], strided[q]), above, values
+        cells = np.nonzero(above)
+        return (rows_p[cells[0]], rows_q[cells[1]]), None, values
+
+    def place(self, table: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The (N, N) matrix whose every cell on or above the diagonal holds
+        its table entry, written into ``out`` when given: each block's cells
+        there as ``writes`` lists them, then the two variance entries on the
+        diagonal.  Cells below the diagonal keep what they held, zeros in a new
+        matrix; :func:`_mirror` fills them.  Applied to ``arange(n_slots)`` it
+        gives each such cell's slot."""
+        n = self.comp.size
+        out = np.zeros((n, n), dtype=table.dtype) if out is None else out
+        for pair in _PAIRS:
+            entries = table[self.slots[pair]]
+            for at, above, values in self.writes[pair]:
+                if above is None:
+                    out[at] = values(entries)
+                else:
+                    out[at][above] = values(entries)
         for c in (1, 2):
             out[self.rows[c], self.rows[c]] = table[c - 3]
         return out
 
     def build(self, model, nugget1: float, nugget2: float, psis=None,
               out: np.ndarray | None = None) -> np.ndarray:
-        """The Gram of ``model`` placed from its value table: each term of
-        :func:`bimodels._terms` adds amplitude times its correlation at the
-        pair's distances to the pair's entries, and its amplitude to the pair's
-        variance, to which the nuggets then add.  ``psis`` holds the terms'
-        correlations when already evaluated; ``out``, an (N, N) float array,
-        receives the Gram in place of a new one."""
+        """The Gram of ``model`` placed from its value table, on and above the
+        diagonal: each term of :func:`bimodels._terms` adds amplitude times its
+        correlation at the pair's distances to the pair's entries, and its
+        amplitude to the pair's variance, to which the nuggets then add.
+        ``psis`` holds the terms' correlations when already evaluated;
+        ``out``, an (N, N) float array, receives the Gram in place of a new
+        one, and its cells below the diagonal are left as they are."""
         _check_nuggets(nugget1, nugget2)
         entries, var = {}, {}
         for k, (pair, amp, fam) in enumerate(_terms(model)):
@@ -249,6 +314,7 @@ _JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
 
 def _chol_with_jitter(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """numpy's lower Cholesky factor of m, which reads m's lower triangle only."""
     scale = float(np.max(np.diag(m)))
     for j in _JITTER_LADDER:
         try:
@@ -274,8 +340,8 @@ def simulate(model, locations, components, seed: int, n_draws: int = 1,
     _require(math.isfinite(mean1) and math.isfinite(mean2),
              f"means must be finite, got {mean1} and {mean2}")
     base = FieldSample(locations=locations, components=components)
-    m = gram(model, base, nugget1, nugget2)
-    chol, jitter = _chol_with_jitter(m)
+    m = _upper_gram(model, base, nugget1, nugget2)
+    chol, jitter = _chol_with_jitter(m.T)
     rng = np.random.Generator(np.random.Philox(seed))
     eps = rng.standard_normal((n_draws, m.shape[0]))
     means = np.where(base.components == 1, mean1, mean2)
@@ -303,19 +369,27 @@ def cho_solve(*args, **kwargs):
     return linalg.cho_solve(*args, **kwargs)
 
 
+def _solve(factor, b: np.ndarray) -> np.ndarray:
+    """K^-1 b from a Cholesky factor made here, whose Gram cho_factor checked:
+    only b is checked for finiteness, with scipy's own message."""
+    return cho_solve(factor, np.asarray_chkfinite(b), check_finite=False)
+
+
 def _nll_core(m: np.ndarray, comp: np.ndarray, z: np.ndarray):
-    """NLL, profiled means (mean1, mean2), the Cholesky factor of m and
-    m^-1 (z - profiled means).  m must be bitwise symmetric, and m is
-    overwritten: it is factored in place, through m.T, its Fortran-ordered view."""
+    """NLL, profiled means (mean1, mean2), the Cholesky factor of the Gram
+    and Gram^-1 (z - profiled means).  m holds the Gram on and above its
+    diagonal; its cells below are not read but must be finite, since
+    cho_factor checks the whole array.  m is overwritten: it is factored in
+    place through m.T, its Fortran-ordered view, whose lower triangle that is."""
     factor = cho_factor(m.T, lower=True, overwrite_a=True)
     cols = [c for c in (1, 2) if np.any(comp == c)]
     design = np.column_stack([(comp == c).astype(float) for c in cols])
-    solved_design = cho_solve(factor, design)
+    solved_design = _solve(factor, design)
     mu_fit = np.linalg.solve(design.T @ solved_design, solved_design.T @ z)
     means = {c: float(v) for c, v in zip(cols, mu_fit)}
     mu1, mu2 = means.get(1, 0.0), means.get(2, 0.0)
     resid = z - design @ mu_fit
-    solved = cho_solve(factor, resid)
+    solved = _solve(factor, resid)
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
     value = 0.5 * (len(z) * math.log(2.0 * math.pi) + logdet + float(resid @ solved))
     return value, mu1, mu2, factor, solved
@@ -357,7 +431,7 @@ def nll(model, data: FieldSample, nugget1: float = 0.0,
         nugget2: float = 0.0) -> tuple[float, float, float]:
     """Negative log-likelihood and the profiled means (mean1, mean2)."""
     z = _values(data)
-    m = gram(model, data, nugget1, nugget2)
+    m = _upper_gram(model, data, nugget1, nugget2)
     return _nll_core(m, data.components, z)[:3]
 
 
@@ -674,17 +748,20 @@ class _ProfiledNll:
     numbers, made once per objective, and each parameter's derivative is
     1/2 <d table, w>.  Every Gram is built into one workspace that lives as
     long as the objective and is factored in place, so an evaluation maps no
-    fresh N x N pages.  A Gram matrix that is not positive definite is
-    retried with a nugget floor of 1e-8 times the empirical component variance.
+    fresh N x N pages.  A build writes the workspace on and above its
+    diagonal; W's mirror below stays there, and is cleared when it is not
+    finite, since cho_factor checks the whole array.  A Gram matrix that is
+    not positive definite is retried with a nugget floor of 1e-8 times the
+    empirical component variance.
     Calls count towards ``cap`` and the best point is kept; the call that
     reaches the cap raises :class:`_BudgetSpent`.
     """
 
     def __init__(self, spec: _ParamSpec, data: FieldSample):
         self.spec, self.cache = spec, _GramCache(data)
-        self.idx = self.cache.place(np.arange(self.cache.n_slots)).ravel()
+        self.idx = _mirror(self.cache.place(np.arange(self.cache.n_slots))).ravel()
         self.z = _values(data)
-        self.work = np.empty((self.z.size,) * 2)
+        self.work = np.zeros((self.z.size,) * 2)
         self.floor = (1e-8 * spec.emp_var[0], 1e-8 * spec.emp_var[1])
         self.restart(math.inf)
 
@@ -732,11 +809,11 @@ class _ProfiledNll:
         syr, = get_blas_funcs(("syr",), (c,))
         p = syr(-1.0, a, a=_precision((c, lower)), lower=lower, overwrite_a=1)
         # potri and syr fill one triangle: mirror it, reading rows contiguously
-        t = p.T if lower else p
-        for k in range(t.shape[0] - 1):
-            t[k + 1:, k] = t[k, k + 1:]
+        _mirror(p.T if lower else p)
         # W and idx are symmetric, so p.T lists W's cells in idx's order
         w = np.bincount(self.idx, p.T.ravel())
+        if not np.isfinite(w).all():
+            self.work.fill(0.0)   # the next build must not leave W's mirror to cho_factor
         w_var = {"11": w[-2], "12": 0.0, "22": w[-1]}
         grad = 0.5 * (w[-2] * nuggets[0].g + w[-1] * nuggets[1].g)
         for (pair, _, _), (psi, ds), (amp, params) in zip(terms, derivs, sens):
@@ -876,13 +953,13 @@ def _cokrige(model, data: FieldSample, targets, target_component: int,
     _require(bool(np.isfinite(pts).all()), "targets must be finite")
 
     comp = data.components
-    m = gram(model, data, nugget1, nugget2)
+    m = _upper_gram(model, data, nugget1, nugget2)
     if means is None:
         _, mu1, mu2, factor, a = _nll_core(m, comp, z)
     else:
-        # m is bitwise symmetric: m.T is factored in place, as in _nll_core
+        # m.T, whose lower triangle m holds, is factored in place, as in _nll_core
         (mu1, mu2), factor = means, cho_factor(m.T, lower=True, overwrite_a=True)
-        a = cho_solve(factor, z - np.where(comp == 1, mu1, mu2))
+        a = _solve(factor, z - np.where(comp == 1, mu1, mu2))
     dist = _block_distances(pts, data.locations)
     cross = np.empty_like(dist)
     for c in (1, 2):
@@ -891,8 +968,10 @@ def _cokrige(model, data: FieldSample, targets, target_component: int,
             pair = "".join(sorted(f"{target_component}{c}"))
             cross[:, cols] = _entry(model, pair, dist[:, cols])
     pred = (mu1 if target_component == 1 else mu2) + cross @ a
-    # L^-1 c for every target at once; cross.T is Fortran-ordered, solved in place
-    half = solve_triangular(factor[0], cross.T, lower=True, overwrite_b=True)
+    # L^-1 c for every target at once; cross.T is Fortran-ordered, solved in place,
+    # and only it is checked for finiteness: the factor was made here
+    half = solve_triangular(factor[0], np.asarray_chkfinite(cross.T), lower=True,
+                            overwrite_b=True, check_finite=False)
     sill = float(_entry(model, f"{target_component}{target_component}", 0.0))
     var = sill - np.einsum("ij,ij->j", half, half)
     _require(bool(np.isfinite(pred).all() and np.isfinite(var).all()), "cokriging results "
@@ -913,6 +992,6 @@ def loo_rmse(model_or_fit, data: FieldSample,
     model, nug1, nug2, _, _ = _unpack_fitted(model_or_fit, nugget1, nugget2,
                                              None, None)
     z = _values(data)
-    factor, solved = _nll_core(gram(model, data, nug1, nug2), data.components, z)[3:]
+    factor, solved = _nll_core(_upper_gram(model, data, nug1, nug2), data.components, z)[3:]
     resid = solved / _precision_diagonal(factor)
     return float(np.sqrt(np.mean(resid ** 2)))

@@ -10,8 +10,9 @@ from scipy.stats import multivariate_normal
 import bicov as bc
 from bicov import BivariateModel, FieldSample, matern, stable
 from bicov.bimodels import _entry, _terms
-from bicov.field import (_D, _block_distances, _cokrige, _GramCache, _nll_core, _ParamSpec,
-                         _parsimonious_matern_rho_bound, _ProfiledNll, check_pd, gram)
+from bicov.field import (_D, _block_distances, _cokrige, _GramCache, _mirror, _nll_core,
+                         _ParamSpec, _parsimonious_matern_rho_bound, _ProfiledNll, check_pd,
+                         gram)
 from bicov.spectral import cross_spectral_profile
 
 
@@ -162,16 +163,21 @@ class TestGramAgainstScatter:
         locs, comps = sample_layouts(d)[layout]
         sample = FieldSample(locs, comps)
         cache = _GramCache(sample)   # one cache serving every model in turn
+        upper, lower = np.triu_indices(comps.size), np.tril_indices(comps.size, -1)
         for model in GRAM_MODELS:
             for nuggets in ((0.0, 0.0), (0.3, 0.05)):
                 want = scatter_gram(model, sample, *nuggets)
                 got = gram(model, sample, *nuggets)
                 assert np.array_equal(got, want)
-                assert np.array_equal(cache.build(model, *nuggets), want)
                 assert np.array_equal(got, got.T)
+                # a build writes the cells on and above the diagonal, zeros below
+                built = cache.build(model, *nuggets)
+                assert np.array_equal(built[upper], want[upper])
+                assert not np.any(built[lower])
                 out = np.full(want.shape, np.nan)   # a workspace the build fills in place
                 assert cache.build(model, *nuggets, out=out) is out
-                assert np.array_equal(out, want)
+                assert np.array_equal(out[upper], want[upper])
+                assert np.all(np.isnan(out[lower]))   # cells below left as they were
 
     def test_colocated_build_evaluates_each_site_pair_once(self, monkeypatch):
         n_sites = 9
@@ -229,12 +235,24 @@ class TestGramCacheGeometry:
         sample = FieldSample(*sample_layouts(d)[layout])
         cache = _GramCache(sample)
         idx, dist, slots = reference_cache(sample)
-        # the placement of the slot numbers is the slot table
-        assert np.array_equal(cache.place(np.arange(cache.n_slots)), idx)
+        # the placement of the slot numbers is the slot table on and above the
+        # diagonal; mirrored, it is the whole slot table
+        placed = cache.place(np.arange(cache.n_slots))
+        upper = np.triu_indices(idx.shape[0])
+        assert np.array_equal(placed[upper], idx[upper])
+        assert not np.any(np.tril(placed, -1))
+        assert np.array_equal(_mirror(placed), idx)
         assert cache.slots == slots
         for pair in ("11", "12", "22"):
             assert cache.dist[pair].tobytes() == dist[pair].tobytes()
             assert not cache.dist[pair].flags.writeable
+
+    @pytest.mark.parametrize("layout", [name for name in sample_layouts(2)
+                                        if name != "one-component"])
+    def test_the_fit_reads_the_whole_slot_table(self, layout):
+        data = layout_data(*sample_layouts(2)[layout])
+        objective = _ProfiledNll(_ParamSpec("stable", data, 2, False, 0.0, 0.0), data)
+        assert np.array_equal(objective.idx, reference_cache(data)[0].ravel())
 
     def test_colocated_pairs_share_read_only_distances(self):
         cache = _GramCache(FieldSample(*colocated_design(7, 30)))
@@ -246,11 +264,25 @@ class TestGramCacheGeometry:
 
     def test_placement_takes_both_branches(self):
         cache = _GramCache(FieldSample(*sample_layouts(2)["strided-and-scattered"]))
-        assert cache.at[1, 1] == (slice(0, 12, 2),) * 2
+        (at, above, _), = cache.writes["11"]
+        assert at == (slice(0, 12, 2),) * 2 and above.shape == (6, 6)
         rows2 = [1, 3, 5, 7, 9, 11, 12, 13, 14, 15]
-        for at in (cache.at[1, 2], cache.at[2, 1], cache.at[2, 2]):
-            assert all(isinstance(ix, np.ndarray) for ix in at)
-        assert np.array_equal(cache.at[2, 2][0].ravel(), rows2)
+        for pair in ("12", "22"):
+            for at, above, _ in cache.writes[pair]:
+                assert above is None and all(isinstance(ix, np.ndarray) for ix in at)
+        (at, _, _), = cache.writes["22"]
+        assert np.array_equal(np.unique(at[0]), rows2[:-1])
+
+    @pytest.mark.parametrize("layout,blocks", [
+        ("colocated-interleaved", {"11": 1, "12": 2, "22": 1}),
+        # component 2 after component 1: every cell of rows 1 and columns 2 lies
+        # above the diagonal, and none of rows 2 and columns 1
+        ("colocated-sorted", {"11": 1, "12": 1, "22": 1}),
+        ("one-component", {"11": 0, "12": 0, "22": 1}),
+    ])
+    def test_only_blocks_with_cells_above_the_diagonal_are_written(self, layout, blocks):
+        cache = _GramCache(FieldSample(*sample_layouts(2)[layout]))
+        assert {pair: len(w) for pair, w in cache.writes.items()} == blocks
 
 
 class TestBlockDistances:
@@ -422,6 +454,27 @@ class TestFitMl:
         assert np.tril(c).tobytes() == np.tril(want[3][0]).tobytes()
         assert solved.tobytes() == want[4].tobytes()
         assert objective(theta)[0] == value
+
+    def test_a_non_finite_gradient_leaves_the_workspace_usable(self, monkeypatch):
+        # W is mirrored into the workspace below its diagonal, which builds leave
+        # as it is and cho_factor checks: a non-finite W must not refuse the next Gram
+        data = layout_data(*colocated_design(3, 20))
+        spec = _ParamSpec("stable", data, 2, False, 0.0, 0.0)
+        theta = spec.starts(1, 0)[0]
+        objective, precision = _ProfiledNll(spec, data), bc.field._precision
+
+        def poisoned(factor):
+            p = precision(factor)
+            p *= math.inf
+            return p
+
+        monkeypatch.setattr(bc.field, "_precision", poisoned)
+        with np.errstate(invalid="ignore"):
+            assert not np.all(np.isfinite(objective(theta)[1]))
+        monkeypatch.undo()
+        value, grad = objective(theta)
+        fresh_value, fresh_grad = _ProfiledNll(spec, data)(theta)
+        assert value == fresh_value < 1e12 and np.array_equal(grad, fresh_grad)
 
     def test_nugget_floor_only_when_the_returned_model_needs_it(self):
         # five sites repeated 1e-9 away: some LMC iterates need the floor, the
@@ -786,7 +839,7 @@ class TestCokrige:
         def no_gram(*args, **kwargs):
             raise AssertionError("the Gram was built")
 
-        monkeypatch.setattr(bc.field, "gram", no_gram)
+        monkeypatch.setattr(bc.field, "_upper_gram", no_gram)
         with pytest.raises(ValueError, match="targets must be finite"):
             bc.cokrige(MODEL, data, [[bad, 1.0]], 1)
 
@@ -941,6 +994,23 @@ class TestOneShotPathsOnEveryLayout:
         eps = np.random.Generator(np.random.Philox(9)).standard_normal((2, comps.size))
         white = np.linalg.solve(chol, (sim.values - np.where(comps == 1, 1.0, -2.0)).T).T
         assert white == pytest.approx(eps, rel=0.0, abs=1e-9)
+
+
+    # LMC amplitudes whose sums overflow: the variances and the 11 entries are inf
+    OVERFLOWING = bc.LmcBivariate(b1=(1e308, 0.0, 1.0), b2=(1e308, 0.0, 1.0),
+                                  psi1=stable(1.0, 0.7), psi2=stable(1.5, 1.3))
+
+    @pytest.mark.parametrize("layout", ["colocated-interleaved", "colocated-sorted",
+                                        "heterotopic"])
+    def test_a_gram_with_a_non_finite_entry_is_refused(self, layout):
+        data = layout_data(*sample_layouts(2)[layout])
+        model, targets = self.OVERFLOWING, [[1.0, 2.0]]
+        assert not np.all(np.isfinite(gram(model, data)))
+        for call in (lambda: bc.nll(model, data), lambda: bc.loo_rmse(model, data),
+                     lambda: bc.cokrige(model, data, targets, 1),
+                     lambda: _cokrige(model, data, targets, 2, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+                call()
 
 
 class TestParsimoniousMaternBound:
