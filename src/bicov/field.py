@@ -10,11 +10,14 @@ Fitting is exact Gaussian maximum likelihood with per-component constant
 means profiled out in closed form.  The remaining parameters are searched by
 multi-start L-BFGS-B in a transformed space where every iterate is a valid
 model: the colocated correlation is a fraction in [-1, 1] (sin(t), or tanh(u)
-for Matern) times the certified bound for the current structural parameters.  The gradient is exact,
-1/2 tr(K^-1 dK) - 1/2 a^T dK a with a = K^-1 (z - means): K^-1 - a a^T is
-summed once onto the slots of the Gram's value table, and each parameter's
-derivative is that sum against the derivative of the table.  The bound's
-own derivative is taken at the bound engine's winning candidate, held fixed.
+for Matern) times the certified bound for the current structural parameters.
+The gradient is 1/2 tr(K^-1 dK) - 1/2 a^T dK a with a = K^-1 (z - means):
+K^-1 - a a^T is summed once onto the slots of the Gram's value table, and each
+parameter's derivative is that sum against the derivative of the table.  The
+table's derivatives are exact, but for a Matern member's smoothness nu, whose
+derivative is a central difference with step 1e-5 nu
+(:func:`corrfn._param_derivatives`).  The bound's own derivative is taken at
+the bound engine's winning candidate, held fixed.
 """
 
 from __future__ import annotations
@@ -739,7 +742,7 @@ class _ParamSpec:
 
 
 class _ProfiledNll:
-    """theta -> (NLL with the component means profiled out, its exact gradient).
+    """theta -> (NLL with the component means profiled out, its gradient).
 
     One evaluation of each term's family gives both the Gram's value table
     and the table's derivatives.  The gradient is 1/2 <dK, W> with
@@ -842,10 +845,12 @@ def fit_ml(data: FieldSample, model_kind: str, n_starts: int = 8, seed: int = 0,
            nugget1: float = 0.0, nugget2: float = 0.0) -> FitResult:
     """Multi-start maximum likelihood over a valid-by-design parameter space.
 
-    Each of the ``n_starts`` starts (at least 1) runs L-BFGS-B on the exact
-    gradient of the NLL with the two component means profiled out.
-    ``max_evals`` caps the NLL-and-gradient evaluations of each start
-    (default 400 per parameter); a start ends on the cap with its best point.
+    Each of the ``n_starts`` starts (at least 1) runs L-BFGS-B on the
+    gradient of the NLL with the two component means profiled out, exact but
+    for a Matern fit's smoothness derivatives, which are central differences
+    with step 1e-5 nu.  ``max_evals`` caps the NLL-and-gradient evaluations
+    of each start (default 400 per parameter); a start ends on the cap with
+    its best point.
     ``n_iter`` is the total over all starts, at most ``n_starts * max_evals``;
     ``converged`` is L-BFGS-B's verdict on the winning start (false when it
     ended on the cap).
