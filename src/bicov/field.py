@@ -186,6 +186,7 @@ class _GramCache:
         # the point set of each component: one for both when they are equal
         key = {1: 1, 2: 1 if np.array_equal(pts[1], pts[2]) else 2}
         self.dist, self.slots, self.upper, start, blocks, triangles = {}, {}, {}, 0, {}, {}
+        self.masks = {}
         for pair in _PAIRS:
             i, j = int(pair[0]), int(pair[1])
             a, b = key[i], key[j]
@@ -196,7 +197,7 @@ class _GramCache:
                 # the self-pairs of 11 and 22 are the diagonal: variance slots
                 if (a, i == j) not in triangles:
                     sites = np.arange(full.shape[0])
-                    upper = sites >= sites[:, None] + int(i == j)
+                    upper = self._mask(np.minimum(sites + int(i == j), sites.size), sites.size)
                     triangles[a, i == j] = upper, full[upper]
                 self.upper[pair], self.dist[pair] = triangles[a, i == j]
             else:
@@ -221,42 +222,44 @@ class _GramCache:
         first = np.searchsorted(rows_q, rows_p, side="right")
         if np.all(first == rows_q.size):
             return None
-        upper = self.upper[pair]
-        if upper is not None:
-            # where each row of the stored triangle begins
-            stored = np.minimum(np.arange(rows_p.size) + int(p == q), rows_q.size)
-        if upper is not None and np.array_equal(first, stored):
-            above = upper
-
+        above, upper = self._mask(first, rows_q.size), self.upper[pair]
+        if above is upper:   # the stored triangle as it stands
             def values(entries):
                 return entries
+        elif upper is None:   # a full block, stored as rows i and columns j
+            shape = (self.rows[int(pair[0])].size, self.rows[int(pair[1])].size)
+            flip = p != int(pair[0])
+
+            def values(entries):
+                block = entries.reshape(shape)
+                return (block.T if flip else block)[above]
+        elif np.all(first >= np.arange(rows_p.size)):
+            # within the stored triangle, whose rows begin at their own sites
+            chosen = above[upper]
+
+            def values(entries):
+                return entries[chosen]
         else:
-            above = np.arange(rows_q.size) >= first[:, None]
-            if upper is None:   # a full block, stored as rows i and columns j
-                shape = (self.rows[int(pair[0])].size, self.rows[int(pair[1])].size)
-                flip = p != int(pair[0])
-
-                def values(entries):
-                    block = entries.reshape(shape)
-                    return (block.T if flip else block)[above]
-            elif np.all(first >= stored):
-                chosen = above[upper]
-
-                def values(entries):
-                    return entries[chosen]
-            else:
-                # a colocated cross block whose cells above the diagonal reach
-                # below the stored triangle, as when component 2 follows
-                # component 1: those read the mirrored entries
-                def values(entries):
-                    block = np.empty(upper.shape, dtype=entries.dtype)
-                    block[upper] = entries
-                    block.T[upper] = entries
-                    return block[above]
+            # a colocated cross block whose cells above the diagonal reach below
+            # the stored triangle, as when component 2 follows component 1:
+            # those read the mirrored entries
+            def values(entries):
+                block = np.empty(upper.shape, dtype=entries.dtype)
+                block[upper] = entries
+                block.T[upper] = entries
+                return block[above]
         if strided[p] and strided[q]:
             return (strided[p], strided[q]), above, values
         cells = np.nonzero(above)
         return (rows_p[cells[0]], rows_q[cells[1]]), None, values
+
+    def _mask(self, first: np.ndarray, width: int) -> np.ndarray:
+        """The (first.size, width) mask of each row's cells from its ``first``
+        column on, one array for equal masks."""
+        key = width, first.tobytes()
+        if key not in self.masks:
+            self.masks[key] = np.arange(width) >= first[:, None]
+        return self.masks[key]
 
     def place(self, table: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The (N, N) matrix whose every cell on or above the diagonal holds
