@@ -210,8 +210,8 @@ class _GramCache:
         self.writes = {}
         for pair in _PAIRS:
             i, j = int(pair[0]), int(pair[1])
-            blocks = [(i, j)] if i == j else [(i, j), (j, i)]
-            self.writes[pair] = [w for w in (self._write(pair, p, q, strided) for p, q in blocks)
+            sides = [(i, j)] if i == j else [(i, j), (j, i)]
+            self.writes[pair] = [w for w in (self._write(pair, p, q, strided) for p, q in sides)
                                  if w is not None]
 
     def _write(self, pair: str, p: int, q: int, strided: dict):
