@@ -115,8 +115,9 @@ def gram(model, sample: FieldSample, nugget1: float = 0.0,
 
 
 def _upper_gram(model, sample: FieldSample, nugget1: float, nugget2: float) -> np.ndarray:
-    """The Gram's cells on or above the diagonal, zeros below: all that an
-    in-place Cholesky factorisation of its transpose reads."""
+    """The Gram's cells on or above the diagonal, all that an in-place
+    Cholesky factorisation of its transpose reads; a cell below holds zero or,
+    in a block written whole, its own entry."""
     return _GramCache(sample).build(model, nugget1, nugget2)
 
 
@@ -173,11 +174,13 @@ class _GramCache:
     11 and 22 one triangle of it.  The distance arrays are read-only.
 
     ``writes[pair]`` lists, for the pair's block of rows i and columns j and
-    for its mirror, rows j and columns i, the block's cells that lie above the
-    Gram's diagonal: the cells ``out[at][above]``, or ``out[at]`` when the
-    components' rows are not evenly spaced and ``above`` is None, take
-    ``values(entries)``, their entries in row-major order.  A mirror that
-    holds no such cell is left out."""
+    for its mirror, rows j and columns i, where the block's cells that lie
+    above the Gram's diagonal go: the cells ``out[at][above]`` take
+    ``values(entries)``, their entries in row-major order.  When the
+    components' rows are not evenly spaced, ``above`` is None and the whole
+    block, cells below the diagonal included, goes to ``out[at]``, an
+    ``np.ix_`` index.  A block that holds no cell above the diagonal is left
+    out."""
 
     def __init__(self, sample: FieldSample):
         self.comp = sample.components
@@ -222,36 +225,42 @@ class _GramCache:
         first = np.searchsorted(rows_q, rows_p, side="right")
         if np.all(first == rows_q.size):
             return None
-        above, upper = self._mask(first, rows_q.size), self.upper[pair]
-        if above is upper:   # the stored triangle as it stands
-            def values(entries):
-                return entries
-        elif upper is None:   # a full block, stored as rows i and columns j
+        upper = self.upper[pair]
+        if upper is None:   # a full block, stored as rows i and columns j
             shape = (self.rows[int(pair[0])].size, self.rows[int(pair[1])].size)
             flip = p != int(pair[0])
 
+            def block(entries):
+                full = entries.reshape(shape)
+                return full.T if flip else full
+        else:
+            # symmetric: the triangle mirrored, the diagonal left for the
+            # variances where the triangle omits it
+            def block(entries):
+                full = np.empty(upper.shape, dtype=entries.dtype)
+                full[upper] = entries
+                full.T[upper] = entries
+                return full
+        if not (strided[p] and strided[q]):
+            # the whole block through np.ix_: its cells below the diagonal are never read
+            return np.ix_(rows_p, rows_q), None, block
+        above = self._mask(first, rows_q.size)
+        if above is upper:   # the stored triangle as it stands
             def values(entries):
-                block = entries.reshape(shape)
-                return (block.T if flip else block)[above]
-        elif np.all(first >= np.arange(rows_p.size)):
+                return entries
+        elif upper is not None and np.all(first >= np.arange(rows_p.size)):
             # within the stored triangle, whose rows begin at their own sites
             chosen = above[upper]
 
             def values(entries):
                 return entries[chosen]
         else:
-            # a colocated cross block whose cells above the diagonal reach below
-            # the stored triangle, as when component 2 follows component 1:
-            # those read the mirrored entries
+            # a full block, or a colocated cross block whose cells above the
+            # diagonal reach below the stored triangle, as when component 2
+            # follows component 1: those read the mirrored entries
             def values(entries):
-                block = np.empty(upper.shape, dtype=entries.dtype)
-                block[upper] = entries
-                block.T[upper] = entries
-                return block[above]
-        if strided[p] and strided[q]:
-            return (strided[p], strided[q]), above, values
-        cells = np.nonzero(above)
-        return (rows_p[cells[0]], rows_q[cells[1]]), None, values
+                return block(entries)[above]
+        return (strided[p], strided[q]), above, values
 
     def _mask(self, first: np.ndarray, width: int) -> np.ndarray:
         """The (first.size, width) mask of each row's cells from its ``first``
@@ -265,9 +274,11 @@ class _GramCache:
         """The (N, N) matrix whose every cell on or above the diagonal holds
         its table entry, written into ``out`` when given: each block's cells
         there as ``writes`` lists them, then the two variance entries on the
-        diagonal.  Cells below the diagonal keep what they held, zeros in a new
-        matrix; :func:`_mirror` fills them.  Applied to ``arange(n_slots)`` it
-        gives each such cell's slot."""
+        diagonal.  Cells below the diagonal are not read: they keep what they
+        held, zeros in a new matrix, but in a block written whole take their
+        own entries; :func:`_mirror` fills them.  Applied to
+        ``arange(n_slots)`` it gives each cell's slot on and above the
+        diagonal."""
         n = self.comp.size
         out = np.zeros((n, n), dtype=table.dtype) if out is None else out
         for pair in _PAIRS:
@@ -289,7 +300,8 @@ class _GramCache:
         amplitude to the pair's variance, to which the nuggets then add.
         ``psis`` holds the terms' correlations when already evaluated;
         ``out``, an (N, N) float array, receives the Gram in place of a new
-        one, and its cells below the diagonal are left as they are."""
+        one, and its cells below the diagonal are left as :meth:`place`
+        says."""
         _check_nuggets(nugget1, nugget2)
         entries, var = {}, {}
         for k, (pair, amp, fam) in enumerate(_terms(model)):

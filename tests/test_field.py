@@ -156,6 +156,17 @@ def dense_gls_means(k, comps, z):
     return fitted.get(1, 0.0), fitted.get(2, 0.0)
 
 
+def below_is_untouched_or_entries(got, before, want, comps):
+    """Whether each cell of got below the diagonal holds what it held (before)
+    or, in a block written whole, its entry in want; with every component's
+    rows evenly spaced, only the former."""
+    lower = np.tril_indices(comps.size, -1)
+    kept = (got[lower] == before[lower]) | (np.isnan(got[lower]) & np.isnan(before[lower]))
+    if all(np.unique(np.diff(np.flatnonzero(comps == c))).size <= 1 for c in (1, 2)):
+        return bool(np.all(kept))
+    return bool(np.all(kept | (got[lower] == want[lower])))
+
+
 class TestGramAgainstScatter:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("layout", list(sample_layouts(1)))
@@ -163,21 +174,24 @@ class TestGramAgainstScatter:
         locs, comps = sample_layouts(d)[layout]
         sample = FieldSample(locs, comps)
         cache = _GramCache(sample)   # one cache serving every model in turn
-        upper, lower = np.triu_indices(comps.size), np.tril_indices(comps.size, -1)
+        upper = np.triu_indices(comps.size)
         for model in GRAM_MODELS:
             for nuggets in ((0.0, 0.0), (0.3, 0.05)):
                 want = scatter_gram(model, sample, *nuggets)
                 got = gram(model, sample, *nuggets)
                 assert np.array_equal(got, want)
                 assert np.array_equal(got, got.T)
-                # a build writes the cells on and above the diagonal, zeros below
+                # a build writes the cells on and above the diagonal; below,
+                # zeros or, in a block written whole, the entries
                 built = cache.build(model, *nuggets)
                 assert np.array_equal(built[upper], want[upper])
-                assert not np.any(built[lower])
+                assert below_is_untouched_or_entries(built, np.zeros(want.shape), want,
+                                                     sample.components)
                 out = np.full(want.shape, np.nan)   # a workspace the build fills in place
                 assert cache.build(model, *nuggets, out=out) is out
                 assert np.array_equal(out[upper], want[upper])
-                assert np.all(np.isnan(out[lower]))   # cells below left as they were
+                assert below_is_untouched_or_entries(out, np.full(want.shape, np.nan), want,
+                                                     sample.components)
 
     def test_colocated_build_evaluates_each_site_pair_once(self, monkeypatch):
         n_sites = 9
@@ -240,7 +254,8 @@ class TestGramCacheGeometry:
         placed = cache.place(np.arange(cache.n_slots))
         upper = np.triu_indices(idx.shape[0])
         assert np.array_equal(placed[upper], idx[upper])
-        assert not np.any(np.tril(placed, -1))
+        assert below_is_untouched_or_entries(placed, np.zeros(idx.shape), idx,
+                                             sample.components)
         assert np.array_equal(_mirror(placed), idx)
         assert cache.slots == slots
         for pair in ("11", "12", "22"):
@@ -270,8 +285,8 @@ class TestGramCacheGeometry:
         for pair in ("12", "22"):
             for at, above, _ in cache.writes[pair]:
                 assert above is None and all(isinstance(ix, np.ndarray) for ix in at)
-        (at, _, _), = cache.writes["22"]
-        assert np.array_equal(np.unique(at[0]), rows2[:-1])
+        (at, _, _), = cache.writes["22"]   # the whole block of rows and columns 2
+        assert np.array_equal(at[0].ravel(), rows2) and np.array_equal(at[1].ravel(), rows2)
 
     @pytest.mark.parametrize("layout,blocks", [
         ("colocated-interleaved", {"11": 1, "12": 2, "22": 1}),
