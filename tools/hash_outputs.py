@@ -7,7 +7,8 @@ Prints one SHA-256 prefix per case and a total over all of them:
   components one after the other, a heterotopic and a partly colocated
   sample, without and with nuggets;
 * ``gram`` once more for the Matern model on 120 colocated sites, where kv
-  runs split across the CPUs;
+  runs split across the CPUs, and ``loo`` of a sample simulated there: its
+  240 rows take the fit's triangular inverse through two levels of recursion;
 * ``simulate``: the values of a simulated sample on the same models and
   samples;
 * ``krige``: ``cokrige`` of that simulated sample for both target components,
@@ -143,6 +144,9 @@ def main() -> None:
     big = np.repeat(np.random.default_rng(4).uniform(0, 10, size=(120, 2)), 2, axis=0)
     sample = bc.FieldSample(big, np.tile([1, 2], 120))
     lines.append(f"gram colocated-120 matern {digest(bc.gram(MODELS['matern'], sample))}")
+    data = bc.simulate(MODELS["matern"], big, sample.components, seed=5, mean1=1.0, mean2=2.0,
+                       nugget1=0.01, nugget2=0.02)
+    lines.append(f"loo colocated-120 matern {digest(bc.loo_rmse(MODELS['matern'], data))}")
 
     locs, comps = samples["colocated"]
     plain = bc.simulate(MODELS["stable"], locs[:80], comps[:80], seed=0, mean1=1.0, mean2=2.0)
