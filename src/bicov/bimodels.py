@@ -132,14 +132,21 @@ def _terms(model) -> list:
     amplitude times the family's correlation over its terms, in list order.
 
     A :class:`BivariateModel` has one term per pair; an :class:`LmcBivariate`
-    has B1 psi1 then B2 psi2, three terms each.
+    has B1 psi1 then B2 psi2, three terms each.  A :class:`BivariateModel`
+    whose sigma1^2 or sigma2^2 leaves the double range raises ``ValueError``;
+    with both finite, |rho sigma1 sigma2| <= max(sigma1^2, sigma2^2) is too.
     """
     if isinstance(model, LmcBivariate):
         return [(pair, b[k], psi) for b, psi in ((model.b1, model.psi1), (model.b2, model.psi2))
                 for k, pair in enumerate(_PAIRS)]
     s1, s2 = model.sigma1, model.sigma2
-    return [("11", s1 ** 2, model.psi11), ("12", model.rho * s1 * s2, model.psi12),
-            ("22", s2 ** 2, model.psi22)]
+    try:
+        var1, var2 = s1 ** 2, s2 ** 2
+    except OverflowError:
+        raise ValueError(f"sigma1^2 or sigma2^2 leaves the double range (sigma1 = {s1:g}, "
+                         f"sigma2 = {s2:g})") from None
+    return [("11", var1, model.psi11), ("12", model.rho * s1 * s2, model.psi12),
+            ("22", var2, model.psi22)]
 
 
 def _sum_into(sums: dict, key, value) -> None:

@@ -22,6 +22,7 @@ the bound engine's winning candidate, held fixed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -111,14 +112,16 @@ def gram(model, sample: FieldSample, nugget1: float = 0.0,
     (q, p) share an entry too: their distances are equal bit for bit.
     Nuggets add to the matching diagonal entries only.
     """
-    return _mirror(_upper_gram(model, sample, nugget1, nugget2))
+    return _mirror(_upper_gram(model, sample, nugget1, nugget2, check_finite=False))
 
 
-def _upper_gram(model, sample: FieldSample, nugget1: float, nugget2: float) -> np.ndarray:
+def _upper_gram(model, sample: FieldSample, nugget1: float, nugget2: float,
+                check_finite: bool = True) -> np.ndarray:
     """The Gram's cells on or above the diagonal, all that an in-place
     Cholesky factorisation of its transpose reads; a cell below holds zero or,
-    in a block written whole, its own entry."""
-    return _GramCache(sample).build(model, nugget1, nugget2)
+    in a block written whole, its own entry.  ``check_finite`` as in
+    :meth:`_GramCache.build`."""
+    return _GramCache(sample).build(model, nugget1, nugget2, check_finite=check_finite)
 
 
 def _mirror(m: np.ndarray) -> np.ndarray:
@@ -293,7 +296,7 @@ class _GramCache:
         return out
 
     def build(self, model, nugget1: float, nugget2: float, psis=None,
-              out: np.ndarray | None = None) -> np.ndarray:
+              out: np.ndarray | None = None, check_finite: bool = True) -> np.ndarray:
         """The Gram of ``model`` placed from its value table, on and above the
         diagonal: each term of :func:`bimodels._terms` adds amplitude times its
         correlation at the pair's distances to the pair's entries, and its
@@ -301,7 +304,9 @@ class _GramCache:
         ``psis`` holds the terms' correlations when already evaluated;
         ``out``, an (N, N) float array, receives the Gram in place of a new
         one, and its cells below the diagonal are left as :meth:`place`
-        says."""
+        says.  With ``check_finite`` a table with a non-finite value raises
+        scipy's ``ValueError``: every cell LAPACK reads comes from the table,
+        so the factorisations need not scan the N x N array."""
         _check_nuggets(nugget1, nugget2)
         entries, var = {}, {}
         for k, (pair, amp, fam) in enumerate(_terms(model)):
@@ -312,7 +317,7 @@ class _GramCache:
         table = np.concatenate([entries[p] for p in _PAIRS if p in entries]
                                + [np.array([var["11"], var["22"]])])
         table[-2:] += nugget1, nugget2
-        return self.place(table, out)
+        return self.place(np.asarray_chkfinite(table) if check_finite else table, out)
 
 
 def check_pd(matrix: np.ndarray) -> PdCheck:
@@ -358,7 +363,7 @@ def simulate(model, locations, components, seed: int, n_draws: int = 1,
     _require(math.isfinite(mean1) and math.isfinite(mean2),
              f"means must be finite, got {mean1} and {mean2}")
     base = FieldSample(locations=locations, components=components)
-    m = _upper_gram(model, base, nugget1, nugget2)
+    m = _upper_gram(model, base, nugget1, nugget2, check_finite=False)
     chol, jitter = _chol_with_jitter(m.T)
     rng = np.random.Generator(np.random.Philox(seed))
     eps = rng.standard_normal((n_draws, m.shape[0]))
@@ -388,7 +393,7 @@ def cho_solve(*args, **kwargs):
 
 
 def _solve(factor, b: np.ndarray) -> np.ndarray:
-    """K^-1 b from a Cholesky factor made here, whose Gram cho_factor checked:
+    """K^-1 b from a Cholesky factor made here, whose Gram's table was checked:
     only b is checked for finiteness, with scipy's own message."""
     return cho_solve(factor, np.asarray_chkfinite(b), check_finite=False)
 
@@ -396,10 +401,11 @@ def _solve(factor, b: np.ndarray) -> np.ndarray:
 def _nll_core(m: np.ndarray, comp: np.ndarray, z: np.ndarray):
     """NLL, profiled means (mean1, mean2), the Cholesky factor of the Gram
     and Gram^-1 (z - profiled means).  m holds the Gram on and above its
-    diagonal; its cells below are not read but must be finite, since
-    cho_factor checks the whole array.  m is overwritten: it is factored in
-    place through m.T, its Fortran-ordered view, whose lower triangle that is."""
-    factor = cho_factor(m.T, lower=True, overwrite_a=True)
+    diagonal, checked for finite values where it was built
+    (:meth:`_GramCache.build`); its cells below are neither read nor checked.
+    m is overwritten: it is factored in place through m.T, its Fortran-ordered
+    view, whose lower triangle that is."""
+    factor = cho_factor(m.T, lower=True, overwrite_a=True, check_finite=False)
     cols = [c for c in (1, 2) if np.any(comp == c)]
     design = np.column_stack([(comp == c).astype(float) for c in cols])
     solved_design = _solve(factor, design)
@@ -413,28 +419,99 @@ def _nll_core(m: np.ndarray, comp: np.ndarray, z: np.ndarray):
     return value, mu1, mu2, factor, solved
 
 
+# Rows of the diagonal blocks that :func:`_invert_lower` hands to LAPACK trtri
+# (at 32, the inverse of a 1,600-row factor took a quarter longer).
+_LEAF = 64
+
+
+@functools.cache
+def _trtri_trmm():
+    """LAPACK dtrtri and BLAS dtrmm, scipy's own, as ctypes functions of their
+    Fortran pointer arguments: unlike scipy's wrappers, which copy an array that
+    is not contiguous, they read and write a block of a larger array where it lies."""
+    import ctypes
+    from scipy.linalg import cython_blas, cython_lapack
+    char, ptr = ctypes.c_char_p, ctypes.c_void_p
+    ints, doubles = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+    # prototypes of their own, so that ctypes.pythonapi's shared attributes stay as they are
+    capsule_name = ctypes.PYFUNCTYPE(char, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    capsule_pointer = ctypes.PYFUNCTYPE(ptr, ctypes.py_object, char)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+    def routine(module, name, *argtypes):
+        capsule = module.__pyx_capi__[name]
+        return ctypes.CFUNCTYPE(None, *argtypes)(capsule_pointer(capsule, capsule_name(capsule)))
+    # dtrtri(uplo, diag, n, a, lda, info);
+    # dtrmm(side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb)
+    return (routine(cython_lapack, "dtrtri", char, char, ints, ptr, ints, ints),
+            routine(cython_blas, "dtrmm", char, char, char, char, ints, ints, doubles,
+                    ptr, ints, ptr, ints))
+
+
+def _halvings(j: int, size: int):
+    """The diagonal blocks (first row, rows) that :func:`_invert_lower` visits
+    in the block of rows j to j + size, each after the two halves it splits into."""
+    if size > _LEAF:
+        half = size // 2
+        yield from _halvings(j, half)
+        yield from _halvings(j + half, size - half)
+    yield j, size
+
+
+def _invert_lower(c: np.ndarray) -> np.ndarray:
+    """L^-1 in place of L, the lower triangle of the square Fortran-ordered
+    float array c; the strict upper triangle is neither read nor written, as
+    by LAPACK trtri.  A zero on L's diagonal raises ``LinAlgError``.
+
+    The recursion of Elmroth, Gustavson, Jonsson and Kagstrom (SIAM Review 46,
+    2004): with L split in halves, [[A, 0], [B, C]]^-1 = [[A^-1, 0],
+    [-C^-1 B A^-1, C^-1]].  trtri inverts the diagonal blocks of at most
+    ``_LEAF`` rows, and two BLAS trmm calls take each B to -C^-1 B A^-1, so
+    most of the work runs at matrix-multiply speed, where trtri's own panels
+    run it at a fraction of that.  Every block is read and written in c."""
+    import ctypes
+    n = c.shape[0]
+    if not (c.dtype == np.float64 and c.shape == (n, n) and c.flags.f_contiguous
+            and c.flags.writeable):
+        raise ValueError("the factor must be a square, writeable, Fortran-ordered float64 array")
+    trtri, trmm = _trtri_trmm()
+    base, ld, info = c.ctypes.data, ctypes.c_int(n), ctypes.c_int(0)
+    one, minus_one = ctypes.c_double(1.0), ctypes.c_double(-1.0)
+
+    def at(i: int, j: int) -> int:   # the address of c[i, j]
+        return base + c.itemsize * (i + n * j)
+
+    for j, size in _halvings(0, n):
+        if size <= _LEAF:
+            trtri(b"L", b"N", ctypes.c_int(size), at(j, j), ld, info)
+            if info.value:
+                raise np.linalg.LinAlgError(f"the factor's diagonal entry {j + info.value} "
+                                            "is zero")
+            continue
+        # B, rows j + half to j + size of columns j to j + half, after its halves' inverses
+        half = size // 2
+        rows, cols, b = ctypes.c_int(size - half), ctypes.c_int(half), at(j + half, j)
+        trmm(b"R", b"L", b"N", b"N", rows, cols, one, at(j, j), ld, b, ld)
+        trmm(b"L", b"L", b"N", b"N", rows, cols, minus_one, at(j + half, j + half), ld, b, ld)
+    return c
+
+
 def _precision(factor) -> np.ndarray:
-    """m^-1 from the Cholesky factor by LAPACK potri, in the factor's triangle
-    only (the other holds stale values).  The factor is overwritten."""
+    """m^-1 = L^-T L^-1 from the lower Cholesky factor L of m, by
+    :func:`_invert_lower` and LAPACK lauum, in the factor's lower triangle only
+    (the other holds stale values).  The factor is overwritten."""
     from scipy.linalg import get_lapack_funcs
-    c, lower = factor
-    potri, = get_lapack_funcs(("potri",), (c,))
-    p, info = potri(c, lower=lower, overwrite_c=1)
-    if info:
-        raise np.linalg.LinAlgError(f"potri failed with info {info}")
-    return p
+    inv = _invert_lower(factor[0])
+    lauum, = get_lapack_funcs(("lauum",), (inv,))
+    return lauum(inv, lower=1, overwrite_c=1)[0]
 
 
 def _precision_diagonal(factor) -> np.ndarray:
-    """diag(m^-1) from the lower Cholesky factor L of m: the column sums of squares
-    of L^-1, by LAPACK trtri (potri is trtri plus lauum).  The factor is overwritten."""
-    from scipy.linalg import get_lapack_funcs
-    c = factor[0]
-    trtri, = get_lapack_funcs(("trtri",), (c,))
-    inv, info = trtri(c, lower=1, overwrite_c=1)
-    if info:
-        raise np.linalg.LinAlgError(f"trtri failed with info {info}")
-    for j in range(1, inv.shape[0]):   # trtri leaves the strict upper triangle as it was
+    """diag(m^-1) from the lower Cholesky factor L of m: the column sums of
+    squares of L^-1, by :func:`_invert_lower`.  The factor is overwritten."""
+    inv = _invert_lower(factor[0])
+    for j in range(1, inv.shape[0]):   # the strict upper triangle holds stale values
         inv[:j, j] = 0.0
     return np.einsum("ij,ij->j", inv, inv)
 
@@ -762,22 +839,26 @@ class _ProfiledNll:
     One evaluation of each term's family gives both the Gram's value table
     and the table's derivatives.  The gradient is 1/2 <dK, W> with
     W = K^-1 - a a^T: W is summed once onto the table's slots,
-    w = bincount(idx, W), with idx the cache's placement of the slot
-    numbers, made once per objective, and each parameter's derivative is
-    1/2 <d table, w>.  Every Gram is built into one workspace that lives as
-    long as the objective and is factored in place, so an evaluation maps no
-    fresh N x N pages.  A build writes the workspace on and above its
-    diagonal; W's mirror below stays there, and is cleared when it is not
-    finite, since cho_factor checks the whole array.  A Gram matrix that is
-    not positive definite is retried with a nugget floor of 1e-8 times the
-    empirical component variance.
+    w = bincount(idx, W), and each parameter's derivative is
+    1/2 <d table, w>.  LAPACK lauum and BLAS syr write W on and above the
+    Gram's diagonal only, so idx, the cache's placement of the slot numbers
+    made once per objective, holds them there and one discard slot below.
+    Every entry slot lies off the diagonal, where W and the slot table are
+    symmetric, so its sum is doubled; the variance slots lie on it.  Every Gram
+    is built into one workspace that lives as long as the objective and is
+    factored in place, so an evaluation maps no fresh N x N pages; no step
+    writes the workspace below its diagonal but a build's whole-block write.
+    A Gram matrix that is not positive definite is retried with a nugget floor
+    of 1e-8 times the empirical component variance.
     Calls count towards ``cap`` and the best point is kept; the call that
     reaches the cap raises :class:`_BudgetSpent`.
     """
 
     def __init__(self, spec: _ParamSpec, data: FieldSample):
         self.spec, self.cache = spec, _GramCache(data)
-        self.idx = _mirror(self.cache.place(np.arange(self.cache.n_slots))).ravel()
+        idx = self.cache.place(np.arange(self.cache.n_slots))
+        idx[np.tri(idx.shape[0], k=-1, dtype=bool)] = self.cache.n_slots   # the discard slot
+        self.idx = idx.ravel()
         self.z = _values(data)
         self.work = np.zeros((self.z.size,) * 2)
         self.floor = (1e-8 * spec.emp_var[0], 1e-8 * spec.emp_var[1])
@@ -826,12 +907,9 @@ class _ProfiledNll:
         from scipy.linalg import get_blas_funcs
         syr, = get_blas_funcs(("syr",), (c,))
         p = syr(-1.0, a, a=_precision((c, lower)), lower=lower, overwrite_a=1)
-        # potri and syr fill one triangle: mirror it, reading rows contiguously
-        _mirror(p.T if lower else p)
-        # W and idx are symmetric, so p.T lists W's cells in idx's order
-        w = np.bincount(self.idx, p.T.ravel())
-        if not np.isfinite(w).all():
-            self.work.fill(0.0)   # the next build must not leave W's mirror to cho_factor
+        # p.T, the workspace, lists W's cells in idx's order; the discard slot goes
+        w = np.bincount(self.idx, p.T.ravel())[:-1]
+        w[:-2] *= 2.0
         w_var = {"11": w[-2], "12": 0.0, "22": w[-1]}
         grad = 0.5 * (w[-2] * nuggets[0].g + w[-1] * nuggets[1].g)
         for (pair, _, _), (psi, ds), (amp, params) in zip(terms, derivs, sens):
@@ -978,7 +1056,8 @@ def _cokrige(model, data: FieldSample, targets, target_component: int,
         _, mu1, mu2, factor, a = _nll_core(m, comp, z)
     else:
         # m.T, whose lower triangle m holds, is factored in place, as in _nll_core
-        (mu1, mu2), factor = means, cho_factor(m.T, lower=True, overwrite_a=True)
+        (mu1, mu2), factor = means, cho_factor(m.T, lower=True, overwrite_a=True,
+                                               check_finite=False)
         a = _solve(factor, z - np.where(comp == 1, mu1, mu2))
     dist = _block_distances(pts, data.locations)
     cross = np.empty_like(dist)
@@ -1005,8 +1084,8 @@ def loo_rmse(model_or_fit, data: FieldSample,
 
     For a Gaussian vector the deleted residual at i is (P (z - mu))_i / P_ii
     with P the precision matrix, so no refitting or resolving per point is
-    needed.  diag(P) is read from one triangular inverse: the column sums of
-    squares of L^-1, L the Cholesky factor.  Means are the profiled GLS
+    needed.  diag(P) is read from one triangular inverse, :func:`_invert_lower`:
+    the column sums of squares of L^-1, L the Cholesky factor.  Means are the profiled GLS
     estimates of the full data.
     """
     model, nug1, nug2, _, _ = _unpack_fitted(model_or_fit, nugget1, nugget2,

@@ -382,6 +382,32 @@ class TestSpectral:
         assert "double range" in err
 
 
+class TestVariancePastTheDoubleRange:
+    """sigma1^2 = 1e400: simulate and krige refuse the model with one line
+    that names the double range, as a computation error (exit 70)."""
+
+    MODEL = bc.stable_bivariate(1e200, 1.0, 0.4, 0.8, 0.9, 0.6, 0.9, 1.1, 0.8)
+
+    def check(self, argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 70
+        assert err.splitlines() == [err.strip()]
+        assert "leaves the double range" in err and "computation failed" not in err
+
+    def test_simulate(self, tmp_path, capsys):
+        self.check(["simulate", write_model(tmp_path, self.MODEL), "--grid", "3x3:5",
+                    "--seed", "3", "--out", str(tmp_path / "s.csv")], capsys)
+
+    def test_krige(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("x,y,component,value\n0,0,1,1.0\n1,0,2,0.5\n0,1,1,0.25\n")
+        targets = tmp_path / "targets.csv"
+        targets.write_text("x,y\n0.5,0.5\n")
+        self.check(["krige", write_model(tmp_path, self.MODEL), str(data), str(targets),
+                    "--out", str(tmp_path / "k.csv")], capsys)
+
+
 class TestSimulate:
     def test_grid_rows_and_determinism(self, tmp_path):
         path = write_model(tmp_path, VALID_STABLE)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +12,9 @@ from scipy.stats import multivariate_normal
 import bicov as bc
 from bicov import BivariateModel, FieldSample, matern, stable
 from bicov.bimodels import _entry, _terms
-from bicov.field import (_D, _block_distances, _cokrige, _GramCache, _mirror, _nll_core,
-                         _ParamSpec, _parsimonious_matern_rho_bound, _ProfiledNll, check_pd,
-                         gram)
+from bicov.field import (_D, _LEAF, _block_distances, _cokrige, _GramCache, _invert_lower,
+                         _mirror, _nll_core, _ParamSpec, _parsimonious_matern_rho_bound,
+                         _ProfiledNll, check_pd, gram)
 from bicov.spectral import cross_spectral_profile
 
 
@@ -262,12 +264,27 @@ class TestGramCacheGeometry:
             assert cache.dist[pair].tobytes() == dist[pair].tobytes()
             assert not cache.dist[pair].flags.writeable
 
-    @pytest.mark.parametrize("layout", [name for name in sample_layouts(2)
-                                        if name != "one-component"])
+    # numpy warns of the one-component layout's empty component, which has no variance
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("layout", list(sample_layouts(2)))
     def test_the_fit_reads_the_whole_slot_table(self, layout):
         data = layout_data(*sample_layouts(2)[layout])
         objective = _ProfiledNll(_ParamSpec("stable", data, 2, False, 0.0, 0.0), data)
-        assert np.array_equal(objective.idx, reference_cache(data)[0].ravel())
+        idx, n_slots = reference_cache(data)[0], objective.cache.n_slots
+        # each cell on or above the diagonal holds its slot, each below the discard slot
+        upper = np.triu(np.ones(idx.shape, dtype=bool))
+        got = objective.idx.reshape(idx.shape)
+        assert np.array_equal(got[upper], idx[upper])
+        assert np.all(got[~upper] == n_slots)
+        # so a symmetric W summed from that triangle, the entry slots doubled,
+        # gives the sums over the whole slot table
+        w = np.random.default_rng(5).standard_normal(idx.shape)
+        w = w + w.T
+        want = np.bincount(idx.ravel(), w.ravel(), minlength=n_slots)
+        got_sums = np.bincount(objective.idx, w.ravel(), minlength=n_slots + 1)[:-1]
+        got_sums[:-2] *= 2.0
+        scale = np.bincount(idx.ravel(), np.abs(w).ravel(), minlength=n_slots)
+        assert np.all(np.abs(got_sums - want) <= 1e-14 * scale)
 
     def test_colocated_pairs_share_read_only_distances(self):
         cache = _GramCache(FieldSample(*colocated_design(7, 30)))
@@ -1026,6 +1043,92 @@ class TestOneShotPathsOnEveryLayout:
                      lambda: _cokrige(model, data, targets, 2, 0.0, 0.0)):
             with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
                 call()
+
+    # sigma1^2 = 1e400 is past the double range; rho sigma1 sigma2 = 4e199 is not
+    HUGE_SIGMA = bc.stable_bivariate(1e200, 1.0, 0.4, 0.8, 0.9, 0.6, 0.9, 1.1, 0.8)
+
+    def test_a_variance_past_the_double_range_is_refused(self):
+        locs, comps = sample_layouts(2)["colocated-interleaved"]
+        data, model, targets = layout_data(locs, comps), self.HUGE_SIGMA, [[1.0, 2.0]]
+        for call in (lambda: gram(model, data), lambda: bc.nll(model, data),
+                     lambda: bc.loo_rmse(model, data),
+                     lambda: bc.cokrige(model, data, targets, 1),
+                     lambda: bc.simulate(model, locs, comps, seed=5)):
+            with pytest.raises(ValueError, match=r"sigma2\^2 leaves the double range"):
+                call()
+        # the model itself is accepted: its bound does not depend on sigma1
+        assert bc.certify(model, 3) == bc.certify(replace(model, sigma1=1.0), 3)
+
+
+def longdouble_inverse(lower: np.ndarray) -> np.ndarray:
+    """The inverse of a lower-triangular matrix by forward substitution in
+    long double, a reference some bits finer than any double routine."""
+    ell = lower.astype(np.longdouble)
+    inv = np.zeros(ell.shape, dtype=np.longdouble)
+    for i in range(ell.shape[0]):
+        inv[i] = -(ell[i, :i] @ inv[:i])
+        inv[i, i] += 1.0
+        inv[i] /= ell[i, i]
+    return inv
+
+
+class TestInvertLower:
+    @staticmethod
+    def factor(n: int, seed: int = 0) -> np.ndarray:
+        a = np.random.default_rng(seed).standard_normal((n, n))
+        return np.asfortranarray(np.linalg.cholesky(a @ a.T + n * np.eye(n)))
+
+    @pytest.mark.parametrize("n", [1, 2, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1, 300])
+    def test_matches_a_triangular_solve_in_place(self, n):
+        from scipy.linalg import solve_triangular
+        lower = self.factor(n)
+        c = lower.copy(order="F")
+        upper = np.triu_indices(n, 1)
+        c[upper] = np.nan   # never read: a NaN there would reach every product
+        assert _invert_lower(c) is c
+        assert np.isnan(c[upper]).all()
+        want = solve_triangular(lower, np.eye(n), lower=True)
+        assert np.allclose(np.tril(c), want, rtol=1e-13, atol=1e-15 * np.abs(want).max())
+
+    @pytest.mark.parametrize("zero_at", [0, 70, 299])
+    def test_a_zero_on_the_diagonal_raises(self, zero_at):
+        c = self.factor(300)
+        c[zero_at, zero_at] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match=f"diagonal entry {zero_at + 1} is zero"):
+            _invert_lower(c)
+
+    def test_refuses_what_it_cannot_write_in_place(self):
+        for c in (self.factor(5).T, np.asfortranarray(self.factor(5)[:, :4]),
+                  self.factor(5).astype(np.float32)):
+            with pytest.raises(ValueError, match="Fortran-ordered float64"):
+                _invert_lower(c)
+
+    def test_keeps_no_reference_to_the_factor(self):
+        # a reference cycle through the factor would keep a one-shot Gram of
+        # 1,600 rows, 20 MB, alive until the cyclic collector ran
+        c = self.factor(2 * _LEAF + 1)
+        gone = weakref.ref(c)
+        gc.disable()
+        try:
+            _invert_lower(c)
+            del c
+            assert gone() is None
+        finally:
+            gc.enable()
+
+    def test_error_within_four_times_trtri_on_an_ill_conditioned_gram(self):
+        from scipy.linalg import get_lapack_funcs
+        # 150 colocated sites within 0.02 of each other, scales 2, alphas near 1
+        pts = np.random.default_rng(0).uniform(0.0, 0.02, size=(150, 2))
+        model = bc.stable_bivariate(1.0, 1.5, 0.4, 0.95, 0.97, 0.99, 2.0, 2.0, 2.0)
+        lower = np.asfortranarray(np.linalg.cholesky(
+            gram(model, FieldSample(np.repeat(pts, 2, axis=0), np.tile([1, 2], 150)))))
+        assert np.linalg.cond(lower) > 1e3
+        want = longdouble_inverse(lower)
+        trtri, = get_lapack_funcs(("trtri",), (lower,))
+        errors = [np.linalg.norm(np.tril(inv) - want) / np.linalg.norm(want)
+                  for inv in (_invert_lower(lower.copy(order="F")), trtri(lower, lower=1)[0])]
+        assert errors[0] <= 4.0 * errors[1]
 
 
 class TestParsimoniousMaternBound:

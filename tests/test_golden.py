@@ -122,6 +122,22 @@ solve, with the variance sill - |L^-1 c|^2 from one lower-triangular solve,
 * x, y = 5.5, 1.25: prediction 0.70335958542993005 -> 0.70335958542992993,
   variance 0.76621698049336817 -> 0.76621698049336828.
 
+When the fit's gradient took K^-1 from a recursive triangular inverse and
+summed K^-1 - a a^T from one triangle (its entries doubled), in place of
+LAPACK potri and the mirrored matrix, the gradient's last bits moved, and
+``fit.out`` and ``fit.txt`` were recorded again.  The fit still stops on its
+80-evaluation cap.  ``nll`` 62.981953835869717 -> 62.981953654779844, ``aic``
+147.96390767173943 -> 147.96390730955969, ``loo_rmse`` 0.80389376275843827
+-> 0.80389151775329626, ``mean1`` 0.64063862627283985 -> 0.64063646777729311,
+``mean2`` 0.030378383716269955 -> 0.030378381591055947; ``sigma1``
+0.82650474876650282 -> 0.82651873296255218, ``sigma2`` 1.0164623782275168 ->
+1.0164896927685014, ``rho`` 0.4412435049123819 -> 0.44123755418714694,
+``alpha11`` 0.61147635114694199 -> 0.61136244213483648, ``alpha12``
+0.95091310887235658 -> 0.95107315076319432, ``alpha22`` 0.94688827914813978
+-> 0.94717568448174894, ``s11`` 1.3123795541791627 -> 1.3126140314770338,
+``s12`` 7.6709593255166624 -> 7.6726968524717156, ``s22`` 8.6751429972139302
+-> 8.7441140073487986.
+
 The commands run in one child interpreter with BLAS pinned to one thread,
 because the Cholesky factor of the 512-site simulation differs in its last
 bits between thread counts.
