@@ -419,8 +419,10 @@ def _nll_core(m: np.ndarray, comp: np.ndarray, z: np.ndarray):
     return value, mu1, mu2, factor, solved
 
 
-# Rows of the diagonal blocks that :func:`_invert_lower` hands to LAPACK trtri
-# (at 32, the inverse of a 1,600-row factor took a quarter longer).
+# Rows of the diagonal blocks that :func:`_invert_lower` hands to LAPACK trtri.
+# At one BLAS thread on a 2-core x86-64 VM, leaves of 32 and 64 rows took the
+# same time on factors of 300 and 1,600 rows; 128 took 10-50% longer at 240-300
+# rows, and trtri on the whole factor 1.7-3x as long.
 _LEAF = 64
 
 
@@ -1084,9 +1086,9 @@ def loo_rmse(model_or_fit, data: FieldSample,
 
     For a Gaussian vector the deleted residual at i is (P (z - mu))_i / P_ii
     with P the precision matrix, so no refitting or resolving per point is
-    needed.  diag(P) is read from one triangular inverse, :func:`_invert_lower`:
-    the column sums of squares of L^-1, L the Cholesky factor.  Means are the profiled GLS
-    estimates of the full data.
+    needed.  diag(P) is read from one triangular inverse,
+    :func:`_invert_lower`: the column sums of squares of L^-1, L the Cholesky
+    factor.  Means are the profiled GLS estimates of the full data.
     """
     model, nug1, nug2, _, _ = _unpack_fitted(model_or_fit, nugget1, nugget2,
                                              None, None)
