@@ -6,9 +6,9 @@ Prints one SHA-256 prefix per case and a total over all of them:
   colocated sample with the components interleaved, the same sample with the
   components one after the other, a heterotopic and a partly colocated
   sample, without and with nuggets;
-* ``gram`` once more for the Matern model on 120 colocated sites, where kv
-  runs split across the CPUs, and ``loo`` of a sample simulated there: its
-  240 rows take the fit's triangular inverse through two levels of recursion;
+* ``gram`` once more for the Matern model on 120 colocated sites, 7,140
+  distances per pair, and ``loo`` of a sample simulated there: its 240 rows
+  take the fit's triangular inverse through two levels of recursion;
 * ``simulate``: the values of a simulated sample on the same models and
   samples;
 * ``krige``: ``cokrige`` of that simulated sample for both target components,
@@ -30,6 +30,9 @@ Prints one SHA-256 prefix per case and a total over all of them:
   spherical member and of a Matern member on each side of nu = 1, on a
   distance grid clear of the spherical kink, and the generic route's reports
   on a rough bivariate Matern model in R^1 and R^3;
+* ``psi``: a Matern member's value and radial derivatives of orders 1 to 3
+  for nu from 0.05 to the cap of 300, at x from 1e-150 to 700 and at inf
+  (the value at 0 too);
 * ``spectral``: the spectral density of a stable, Cauchy, spherical and
   Matern member in R^1 and R^3 at u = 0, 1e-3, 0.5, 2 and 20;
 * ``grad``: the fit's derivatives of the log infimum in every member's
@@ -74,6 +77,7 @@ DERIV_MEMBERS = {
     "matern 0.8": bc.matern(0.8, 1.3),
     "matern 2.2": bc.matern(2.2, 0.6),
 }
+PSI_NUS = (0.05, 0.5, 0.75, 1.0, 2.5, 10.0, 150.0, 300.0)
 SPECTRAL_MEMBERS = {
     "stable": bc.stable(0.7, 1.3),
     "cauchy": bc.cauchy(1.2, 3.5, 0.8),
@@ -140,7 +144,7 @@ def main() -> None:
             lines.append(f"simulate {sname} {mname} {digest(data.values)}")
             lines.append(f"krige {sname} {mname} {digest(*out)}")
             lines.append(f"loo {sname} {mname} {digest(bc.loo_rmse(model, data))}")
-    # 120 colocated sites: 7,140 distances per pair, so kv runs split across the CPUs
+    # 120 colocated sites: 7,140 distances per pair
     big = np.repeat(np.random.default_rng(4).uniform(0, 10, size=(120, 2)), 2, axis=0)
     sample = bc.FieldSample(big, np.tile([1, 2], 120))
     lines.append(f"gram colocated-120 matern {digest(bc.gram(MODELS['matern'], sample))}")
@@ -190,6 +194,13 @@ def main() -> None:
     for n in (1, 3):
         text = generic_text(ROUGH_MATERN, n)
         lines.append(f"deriv generic matern {n} {hashlib.sha256(text.encode()).hexdigest()[:16]}")
+
+    x = np.concatenate([np.geomspace(1e-150, 700.0, 121), [np.inf]])
+    for nu in PSI_NUS:
+        fam = bc.matern(nu)
+        values = [bc.evaluate(fam, np.concatenate([[0.0], x]))]
+        values += [bc.derivative(fam, x, k) for k in (1, 2, 3)]
+        lines.append(f"psi matern {nu:g} {digest(*values)}")
 
     u = np.array([0.0, 1e-3, 0.5, 2.0, 20.0])
     for name, fam in SPECTRAL_MEMBERS.items():
