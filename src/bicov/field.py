@@ -398,24 +398,32 @@ def _solve(factor, b: np.ndarray) -> np.ndarray:
     return cho_solve(factor, np.asarray_chkfinite(b), check_finite=False)
 
 
+_DATA_RANGE = "the data values are too large: the likelihood's products leave the double range"
+
+
 def _nll_core(m: np.ndarray, comp: np.ndarray, z: np.ndarray):
     """NLL, profiled means (mean1, mean2), the Cholesky factor of the Gram
     and Gram^-1 (z - profiled means).  m holds the Gram on and above its
     diagonal, checked for finite values where it was built
     (:meth:`_GramCache.build`); its cells below are neither read nor checked.
     m is overwritten: it is factored in place through m.T, its Fortran-ordered
-    view, whose lower triangle that is."""
+    view, whose lower triangle that is.  Data whose GLS products or quadratic
+    form leave the double range raise ``ValueError``, not a NaN."""
     factor = cho_factor(m.T, lower=True, overwrite_a=True, check_finite=False)
     cols = [c for c in (1, 2) if np.any(comp == c)]
     design = np.column_stack([(comp == c).astype(float) for c in cols])
     solved_design = _solve(factor, design)
-    mu_fit = np.linalg.solve(design.T @ solved_design, solved_design.T @ z)
+    with np.errstate(over="ignore", invalid="ignore"):   # products past the double range raise
+        mu_fit = np.linalg.solve(design.T @ solved_design, solved_design.T @ z)
+        resid = z - design @ mu_fit
+        _require(bool(np.isfinite(resid).all()), _DATA_RANGE)
+        solved = _solve(factor, resid)
+        quad = float(resid @ solved)
+    _require(math.isfinite(quad), _DATA_RANGE)
     means = {c: float(v) for c, v in zip(cols, mu_fit)}
     mu1, mu2 = means.get(1, 0.0), means.get(2, 0.0)
-    resid = z - design @ mu_fit
-    solved = _solve(factor, resid)
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    value = 0.5 * (len(z) * math.log(2.0 * math.pi) + logdet + float(resid @ solved))
+    value = 0.5 * (len(z) * math.log(2.0 * math.pi) + logdet + quad)
     return value, mu1, mu2, factor, solved
 
 
@@ -526,7 +534,11 @@ def _values(data: FieldSample) -> np.ndarray:
 
 def nll(model, data: FieldSample, nugget1: float = 0.0,
         nugget2: float = 0.0) -> tuple[float, float, float]:
-    """Negative log-likelihood and the profiled means (mean1, mean2)."""
+    """Negative log-likelihood and the profiled means (mean1, mean2).
+
+    Data so large that the likelihood's products leave the double range raise
+    ``ValueError``.
+    """
     z = _values(data)
     m = _upper_gram(model, data, nugget1, nugget2)
     return _nll_core(m, data.components, z)[:3]
@@ -1088,11 +1100,16 @@ def loo_rmse(model_or_fit, data: FieldSample,
     with P the precision matrix, so no refitting or resolving per point is
     needed.  diag(P) is read from one triangular inverse,
     :func:`_invert_lower`: the column sums of squares of L^-1, L the Cholesky
-    factor.  Means are the profiled GLS estimates of the full data.
+    factor.  Means are the profiled GLS estimates of the full data.  Data so
+    large that the likelihood's products or the RMSE leave the double range
+    raise ``ValueError``.
     """
     model, nug1, nug2, _, _ = _unpack_fitted(model_or_fit, nugget1, nugget2,
                                              None, None)
     z = _values(data)
     factor, solved = _nll_core(_upper_gram(model, data, nug1, nug2), data.components, z)[3:]
     resid = solved / _precision_diagonal(factor)
-    return float(np.sqrt(np.mean(resid ** 2)))
+    with np.errstate(over="ignore"):
+        rmse = float(np.sqrt(np.mean(resid ** 2)))
+    _require(math.isfinite(rmse), _DATA_RANGE)
+    return rmse

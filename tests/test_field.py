@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -427,6 +428,23 @@ class TestNll:
         locs, comps = colocated_design(9, 12)
         with pytest.raises(ValueError):
             bc.nll(MODEL, FieldSample(locs, comps))
+
+
+    @pytest.mark.parametrize("big", [1e160, 1e300, 1.797e308])
+    @pytest.mark.parametrize("fn", [bc.nll, bc.loo_rmse])
+    def test_data_past_the_double_range_are_refused(self, fn, big):
+        # 24 rows, one value at big: the GLS products and z^T K^-1 z overflow, which
+        # gave a NaN NLL and an infinite RMSE with RuntimeWarnings
+        base = bc.stable_bivariate(1.0, 1.0, 0.2, 0.2, 0.6, 0.5, 2.0, 1.0, 3.0)
+        pts = np.random.default_rng(0).uniform(0.0, 5.0, size=(12, 2))
+        sample = bc.simulate(base, np.repeat(pts, 2, axis=0), np.tile([1, 2], 12), seed=0)
+        values = sample.values.copy()
+        values[3] = big
+        data = FieldSample(sample.locations, sample.components, values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="double range"):
+                fn(base, data)
 
 
 class TestFitMl:
