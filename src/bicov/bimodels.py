@@ -154,13 +154,20 @@ def _sum_into(sums: dict, key, value) -> None:
     sums[key] = value if key not in sums else sums[key] + value
 
 
+def _entries(model, pairs, r) -> list:
+    """[entry ``pair`` ("11", "12" or "22") of C(r) for pair in pairs], for either
+    model class: every term's family at r from one :func:`evaluate` call, so
+    Matern members of one scale read one table."""
+    terms = [term for term in _terms(model) if term[0] in pairs]
+    sums: dict = {}
+    for (p, amp, _), psi in zip(terms, evaluate([fam for _, _, fam in terms], r)):
+        _sum_into(sums, p, amp * np.asarray(psi))
+    return [sums[pair] for pair in pairs]
+
+
 def _entry(model, pair: str, r) -> np.ndarray:
     """Entry ``pair`` ("11", "12" or "22") of C(r) for either model class."""
-    sums: dict = {}
-    for p, amp, fam in _terms(model):
-        if p == pair:
-            _sum_into(sums, p, amp * np.asarray(evaluate(fam, r)))
-    return sums[pair]
+    return _entries(model, (pair,), r)[0]
 
 
 def eval_matrix(model, r):
@@ -168,7 +175,7 @@ def eval_matrix(model, r):
 
     Accepts a :class:`BivariateModel` or an :class:`LmcBivariate`.
     """
-    c11, c12, c22 = (_entry(model, pair, r) for pair in _PAIRS)
+    c11, c12, c22 = _entries(model, _PAIRS, r)
     return np.stack([np.stack([c11, c12], axis=-1),
                      np.stack([c12, c22], axis=-1)], axis=-2)
 

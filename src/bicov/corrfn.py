@@ -11,16 +11,18 @@ function G(t) = exp(-t) or (1 + t)**(-beta/alpha).  One function per family
 returns G and its derivatives in t.  The radial derivatives chain them with
 t's derivatives in r (Faa di Bruno), and the derivatives in alpha, log scale
 and beta that maximum likelihood fitting needs chain them with t's
-derivatives in the parameters; Matern has a closed form in log scale and a
-central difference in nu, the module's one finite difference.  The forms are
+derivatives in the parameters.  Matern members are the trapezoidal rule for
+K's integral, one exp table per bucket of distances serving psi, its radial
+derivatives and its derivatives in log scale and nu, all closed forms; the
+module takes no finite difference.  The forms are
 checked against 50-digit oracles in the test suite and are independent of the
 validity module's auxiliary ratios, so the two code paths check each other.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
 from dataclasses import dataclass
 from typing import Union
 
@@ -45,8 +47,8 @@ __all__ = [
 
 # Below this, (s*r)**alpha is numerically degenerate (hovers near 1 for every r).
 ALPHA_MIN = 1e-4
-# Above this, psi = c x**nu K_nu(x) is NaN at some x: kv overflows where K_nu's
-# small-x series would cancel (first seen at nu = 320 over r in [1e-6, 5e3]).
+# The largest Matern smoothness accepted: up to it the quadrature's values and
+# derivatives are checked against 30-digit mpmath (tests/test_corrfn.py).
 NU_MAX = 300.0
 
 
@@ -62,45 +64,6 @@ def _require(cond: bool, msg: str) -> None:
 def _require_positive(value: float, name: str) -> None:
     """ValueError unless value is positive and finite (NaN fails too)."""
     _require(0.0 < value < math.inf, f"{name} must be positive and finite, got {value}")
-
-
-# A share of at least this many values is worth a thread of its own: on a
-# 2-core Xeon, where kv costs about 0.35 us a value, two shares of 2,048 beat
-# one kv call by about 1.1x and two of 4,096 by 1.2-1.3x.
-_KV_SHARE_MIN = 2048
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# kv is reached through this module attribute, so its calls can be counted
-def _bessel_kv(order: float, x):
-    """scipy's K_order at every value of x.  An array of at least 2 * _KV_SHARE_MIN
-    values is cut into contiguous shares, one per CPU while each keeps at least
-    _KV_SHARE_MIN: the calling thread computes the first, threads started for
-    this call the others, each into its own slice of one output.  kv is
-    elementwise and releases the GIL, so every split gives the same bits; no
-    thread outlives the call, so none is left after a fork."""
-    from scipy.special import kv
-    x = np.asarray(x, dtype=float)
-    shares = min(_cpu_count(), x.size // _KV_SHARE_MIN)
-    if shares < 2:
-        return kv(order, x)
-    from concurrent.futures import ThreadPoolExecutor
-    out = np.empty_like(x, order="C")
-    flat_x, flat_out = np.ravel(x), out.reshape(-1)
-    cuts = [x.size * k // shares for k in range(shares + 1)]
-    with ThreadPoolExecutor(shares - 1) as pool:
-        futures = [pool.submit(kv, order, flat_x[a:b], out=flat_out[a:b])
-                   for a, b in zip(cuts[1:-1], cuts[2:])]
-        kv(order, flat_x[:cuts[1]], out=flat_out[:cuts[1]])
-        for f in futures:
-            f.result()
-    return out
 
 
 @dataclass(frozen=True)
@@ -226,67 +189,217 @@ def _outer(p: Union[StableParams, CauchyParams], t, order: int) -> list:
     return g
 
 
-def _matern_kx(nu: float, x: np.ndarray, power: float, order: float, fill: float) -> np.ndarray:
-    """2**(1-nu)/Gamma(nu) * x**power * K_order(x) at x >= 0, ``fill`` where x <= 1e-150
-    and 0 at x = inf.
+# Matern members by the trapezoidal rule.  With t = e^s in DLMF 10.32.10,
+# x**b K_b(x) = 2**(b-1) I_b(x) for b >= 0, where I_b(x) is the integral over
+# the real line of exp(b s - e^s - (x/2)**2 e^-s) ds: psi = I_nu(x) / Gamma(nu),
+# a gamma density in log time damped by exp(-(x/2)**2 e^-s).  The rule
+# converges geometrically in the step (Trefethen & Weideman 2014, SIAM Review 56).
+# Its nodes s_j depend only on x's binary exponent and the class of b, so one
+# table exp(-(x/2)**2 e^-s_j) per bucket of distances serves every order of a
+# class that a caller asks for, each summing the table with weights of its own,
+# elementwise and in node order: a value has the same bits whatever is summed
+# beside it.
 
-    Where the constant is not a normal float (from nu near 170) or the product is
-    not finite, the value is taken in logs; where kv overflows too, K_a, a = |order|,
-    is (1/2) Gamma(a) (x/2)**-a times :func:`_kv_small_x`, with the constants grouped
-    so that psi itself (power = order = nu) is that series exactly."""
-    from scipy.special import gamma, gammaln
-    out, safe = np.full_like(x, fill), x > 1e-150
-    xs, k = x[safe], _bessel_kv(order, x[safe])
-    const = 2.0 ** (1.0 - nu) / gamma(nu)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        val = const * xs ** power * k
-        redo = ~np.isfinite(val) | (not const >= np.finfo(float).tiny)
-        a, ln2, log_x, kr = abs(order), math.log(2.0), np.log(xs[redo]), k[redo]
-        logs = (1.0 - nu) * ln2 - gammaln(nu) + power * log_x + np.log(kr)
-        over = np.isposinf(kr)
-        logs[over] = ((a - nu) * ln2 + (gammaln(a) - gammaln(nu)) + (power - a) * log_x[over]
-                      + np.log(_kv_small_x(a, xs[redo][over])))
-        val[redo] = np.exp(logs)
-    val[np.isposinf(xs)] = 0.0   # K decays exponentially: every x**power K(x) ends at 0
-    out[safe] = val
+_WINDOW = 40.0     # nodes whose log integrand lies further below its peak are dropped
+_X_ZERO = 4096.0   # from x = 2**12 on every term is below the least double
+_CHUNK = 1 << 13   # distances per pass over the nodes: 64 KB per array and order
+
+
+def _order_class(b: float) -> int:
+    """0 for an order b <= 1, else c with 2**(c-1) < b <= 2**c."""
+    m, e = math.frexp(b)
+    return 0 if b <= 1.0 else e - (m == 0.5)
+
+
+@functools.lru_cache(maxsize=256)
+def _nodes(e: int, c: int) -> tuple:
+    """(s_j, -exp(-s_j), h) for x in [2**(e-1), 2**e) and orders of class c.  The
+    step is min(0.25, 0.45 / (x**2 + b**2)**(1/4)) at the largest x and b; the
+    nodes run over the hull of the windows where b s - e^s - (x/2)**2 e^-s lies
+    within _WINDOW of its peak, at the four corners of the bucket and the class."""
+    x_lo, x_hi = math.ldexp(1.0, e - 1), math.ldexp(1.0, e)
+    b_lo, b_hi = (0.0, 1.0) if c == 0 else (math.ldexp(1.0, c - 1), math.ldexp(1.0, c))
+    h = min(0.25, 0.45 / math.sqrt(math.hypot(x_hi, b_hi)))
+    y_lo, y_hi = 0.25 * x_lo * x_lo, 0.25 * x_hi * x_hi
+    span = x_hi + 2.0 * b_hi + _WINDOW + 10.0   # bounds e^s and (x/2)**2 e^-s in the windows
+    s = h * np.arange(math.floor((math.log(y_lo / span) - 1.0) / h),
+                      math.ceil((math.log(span) + 1.0) / h) + 1)
+    keep = np.zeros(s.size, dtype=bool)
+    for b in (b_lo, b_hi):
+        for y in (y_lo, y_hi):
+            f = b * s - np.exp(s) - y * np.exp(-s)
+            keep |= f >= f.max() - _WINDOW
+    s = s[np.flatnonzero(keep)[0]:np.flatnonzero(keep)[-1] + 1]
+    return s, -np.exp(-s), h
+
+
+def _stirling(b: float) -> float:
+    """b log b - b - log Gamma(b) for b >= 1, by Stirling's series from b = 20 on,
+    where the direct sum would lose the digits that cancel."""
+    if b < 20.0:
+        return b * math.log(b) - b - math.lgamma(b)
+    r = 1.0 / (b * b)
+    return 0.5 * math.log(b / (2.0 * math.pi)) - (1.0 / 12.0 - r * (
+        1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / b
+
+
+def _weights(s: np.ndarray, h: float, b: float, d) -> np.ndarray:
+    """h exp(b s - e^s) / Gamma(b) at the nodes (Gamma(0) read as 1), from b = 1 on
+    as h exp(_stirling(b) - b (e^u - 1 - u)), u = s - log b, so no large terms cancel;
+    times s - d for the sum whose integral is dI_b/db - d I_b."""
+    if b >= 1.0:
+        u = s - math.log(b)
+        w = h * np.exp(_stirling(b) - b * (np.expm1(u) - u))
+    else:
+        w = h * np.exp(b * s - np.exp(s) - (math.lgamma(b) if b > 0.0 else 0.0))
+    return w if d is None else w * (s - d)
+
+
+@functools.lru_cache(maxsize=64)
+def _tail_nodes(e: int, nu: float) -> tuple:
+    """(s_j, -exp(-s_j), h) as :func:`_nodes` gives them, for the integrand
+    (s - d) exp(nu s - e^s) (1 - exp(-(x/2)**2 e^-s)) of one order nu, whose
+    mass lies where the gamma density is cut off, not where it is kept: left of
+    log (x/2)**2 it falls at the rate nu alone."""
+    x_lo, x_hi = math.ldexp(1.0, e - 1), math.ldexp(1.0, e)
+    h = min(0.25, 0.45 / math.sqrt(math.hypot(x_hi, nu)))
+    y_lo, y_hi = 0.25 * x_lo * x_lo, 0.25 * x_hi * x_hi
+    depth = _WINDOW + 10.0   # (s - d) spans up to e**10 below the peak of the rest
+    lo = min(math.log(y_lo), math.log(nu)) - depth / nu - 2.0
+    s = h * np.arange(math.floor(lo / h), math.ceil(math.log(x_hi + 2.0 * nu + depth) / h) + 2)
+    keep = np.zeros(s.size, dtype=bool)
+    with np.errstate(over="ignore", divide="ignore"):   # far left, e^-s is inf: 1 - exp(...) = 1
+        for y in (y_lo, y_hi):
+            f = nu * s - np.exp(s) + np.log(-np.expm1(-y * np.exp(-s)))
+            keep |= f >= f.max() - depth
+        s = s[np.flatnonzero(keep)[0]:np.flatnonzero(keep)[-1] + 1]
+        return s, -np.exp(-s), h
+
+
+def _k_sums(x: np.ndarray, orders, tail: bool = False) -> list:
+    """The trapezoidal sums of I_b(x) / Gamma(b), or of (dI_b/db - d I_b) / Gamma(b),
+    for each (b, d) in ``orders`` (d None for the first), one array each, at
+    1e-150 < x < 2**12.  Orders of one class read one exp table per bucket.
+    With ``tail`` the table holds exp(...) - 1 on :func:`_tail_nodes`, one per
+    order: the sums are then those of -(integral of (s - d) g(s) (1 - exp(...))),
+    which equals the first for d = digamma(b), as the gamma density's own
+    (s - d) g(s) integrates to 0."""
+    out = [np.empty(x.size) for _ in orders]
+    classes: dict = {}
+    for k, (b, _) in enumerate(orders):
+        classes.setdefault(b if tail else _order_class(b), []).append(k)
+    nodes, fn = (_tail_nodes, np.expm1) if tail else (_nodes, np.exp)
+    e = np.frexp(x)[1]
+    low = int(np.min(e, initial=0))
+    for ee in np.flatnonzero(np.bincount(e - low)) + low:
+        bucket = np.flatnonzero(e == ee)
+        for c, ks in classes.items():
+            s, neg_exp, h = nodes(int(ee), c)
+            w = np.stack([_weights(s, h, *orders[k]) for k in ks], axis=1)[:, :, None]
+            for first in range(0, bucket.size, _CHUNK):
+                at = bucket[first:first + _CHUNK]
+                xa = x[at]
+                y = 0.25 * xa * xa
+                if s.size * len(ks) * y.size <= _CHUNK:
+                    # few distances, where the loop's calls cost more than its sums (a
+                    # Matern certify in R^3 takes 17 ms so, 65 ms by the loop): the whole
+                    # table at once, summed by the same additions in the same order
+                    # (accumulate is sequential)
+                    table = fn(np.multiply.outer(neg_exp, y))[:, None, :]
+                    for k, row in zip(ks, np.add.accumulate(w * table, axis=0)[-1]):
+                        out[k][at] = row
+                    continue
+                table, acc = np.empty_like(y), np.empty((len(ks), y.size))
+                term = np.empty_like(acc)
+                for j in range(s.size):
+                    fn(np.multiply(y, neg_exp[j], out=table), out=table)
+                    if j:
+                        acc += np.multiply(w[j], table, out=term)
+                    else:
+                        np.multiply(w[0], table, out=acc)
+                for k, row in zip(ks, acc):
+                    out[k][at] = row
     return out
 
 
-def _kv_small_x(a: float, x: np.ndarray) -> np.ndarray:
-    """sum over k < a of (x**2/4)**k / (k! (1-a)_k), K_a's leading series
-    (DLMF 10.31.1, 10.27.4) over (1/2) Gamma(a) (x/2)**-a, for a > 2 where kv(a, x)
-    overflows: the omitted I-part is below 1e-300 of it there.  The terms stop once
-    all fall below 1e-17; NaN where x**2/4 > (a - 1)/2, where the first terms
-    would not shrink at least twofold (kv overflows there only from a near 315 on)."""
-    q = 0.25 * x * x
-    total, term, j = np.ones_like(x), np.ones_like(x), 0
-    while j + 1 < a and np.max(np.abs(term), initial=0.0) >= 1e-17:
-        term = term * q / ((j + 1) * (j + 1 - a))
-        total += term
-        j += 1
-    return np.where(q <= 0.5 * (a - 1.0), total, np.nan)
+def _gamma_ratio(nu: float, k: int, b: float) -> float:
+    """Gamma(b) / Gamma(nu) for b = |nu - k| > 0, 1 / Gamma(nu) for b = 0."""
+    if b == 0.0:
+        return 1.0 / math.gamma(nu)
+    if nu >= k:   # b = nu - k exactly
+        return 1.0 / math.prod(nu - i for i in range(1, k + 1))
+    # nu < k <= 3: 1 / Gamma(nu) as nu / Gamma(nu + 1), finite down to the least nu
+    return math.gamma(b) * nu / math.gamma(nu + 1.0)
+
+
+@np.errstate(over="ignore")   # a term past the double range is inf
+def _matern_terms(x: np.ndarray, terms, fill) -> list:
+    """[2**(1-nu)/Gamma(nu) x**(nu-j) K_(nu-k)(x) for (nu, k, j, d) in terms] at
+    x >= 0, from one call of :func:`_k_sums`: with b = |nu - k| that is
+    2**(b-nu) Gamma(b)/Gamma(nu) x**(nu-j-b) times its sum.  A term with d given
+    (k = j = 0) is d psi/d nu instead, for d = digamma(nu).  Each value is
+    ``fill`` (one per term) at x <= 1e-150 and 0 from x = 2**12 on, inf among
+    them; psi itself is at most 1.  Each sum is scaled in place, and is the
+    value itself where every x is live."""
+    live = (x > 1e-150) & (x < _X_ZERO)
+    every = bool(live.all())
+    xs = x.ravel() if every else x[live]
+    orders = [(abs(nu - k), d) for nu, k, j, d in terms]
+    sums, out = _k_sums(xs, orders), []
+    for i, ((nu, k, j, d), (b, _), f) in enumerate(zip(terms, orders, fill)):
+        r, sums[i] = sums[i], None   # each sum is let go once its value is made
+        if k == j == 0 and d is None:
+            np.minimum(r, 1.0, out=r)
+        else:
+            q = k - j if nu >= k else 2.0 * nu - (k + j)   # nu - j - b, exactly where it can be
+            r *= 2.0 ** (b - nu) * _gamma_ratio(nu, k, b)
+            r *= xs ** q
+        if every:
+            out.append(r.reshape(x.shape))
+            continue
+        v = np.where(x >= _X_ZERO, 0.0, f)
+        v[live] = r
+        out.append(v)
+    return out
 
 
 @np.errstate(over="ignore")   # a scaled distance past the double range is inf: psi is 0
-def evaluate(family: CorrelationFamily, r):
+def evaluate(family, r):
     """Evaluate psi(r) for scalar or array distances r >= 0.
 
     Returns a float for scalar input, an ndarray otherwise.  psi(0) is
-    exactly 1 for every family, and psi(inf) is 0.
+    exactly 1 for every family, and psi(inf) is 0.  ``family`` may also be a
+    sequence of families, which gives a list, one value per family, each the
+    bits of its own call: Matern members of one scale then sum one table.
     """
     rr, scalar = _as_r(r, allow_zero=True)
-    p = family.params
-    if family.kind in ("Stable", "Cauchy"):
-        out = _outer(p, (p.scale * rr) ** p.alpha, 0)[0]
-    elif family.kind == "Spherical":
-        x = p.scale * rr
-        xc = np.minimum(x, 1.0)   # the cubic is not formed past the range: it would overflow
-        out = np.where(x < 1.0, 1.0 - 1.5 * xc + 0.5 * xc ** 3, 0.0)
-    else:  # Matern; psi is 1 to double precision below the cut-off
-        out = _matern_kx(p.nu, p.scale * rr, p.nu, p.nu, fill=1.0)
-    # r = 0 must give exactly 1
-    out = np.where(rr == 0.0, 1.0, out)
-    return _maybe_scalar(out, scalar)
+    if isinstance(family, CorrelationFamily):
+        return _maybe_scalar(_correlations([family], rr)[0], scalar)
+    return [_maybe_scalar(v, scalar) for v in _correlations(list(family), rr)]
+
+
+def _correlations(families: list, rr: np.ndarray) -> list:
+    out, shared = [], {}
+    for k, family in enumerate(families):
+        p = family.params
+        if family.kind in ("Stable", "Cauchy"):
+            out.append(_outer(p, (p.scale * rr) ** p.alpha, 0)[0])
+        elif family.kind == "Spherical":
+            x = p.scale * rr
+            xc = np.minimum(x, 1.0)   # the cubic is not formed past the range: it would overflow
+            out.append(np.where(x < 1.0, 1.0 - 1.5 * xc + 0.5 * xc ** 3, 0.0))
+        else:   # Matern; psi is 1 to double precision below the cut-off
+            out.append(None)
+            shared.setdefault(p.scale, []).append(k)
+    for scale, ks in shared.items():
+        terms = [(families[k].params.nu, 0, 0, None) for k in ks]
+        for k, v in zip(ks, _matern_terms(scale * rr, terms, [1.0] * len(ks))):
+            out[k] = v
+    # r = 0 must give exactly 1; every value is an array of this call's own
+    zero = rr == 0.0
+    for v in out:
+        v[zero] = 1.0
+    return out
 
 
 def _chain_deriv(p: Union[StableParams, CauchyParams], rr: np.ndarray, orders) -> list:
@@ -319,20 +432,24 @@ def _spherical_deriv(p: SphericalParams, rr: np.ndarray, order: int) -> np.ndarr
     return np.where(inside, 3.0 * s ** 3, 0.0)
 
 
-def _matern_deriv(p: MaternParams, rr: np.ndarray, order: int) -> np.ndarray:
-    """s**order phi^(order)(s*r), phi = c x**nu K_nu(x) (DLMF 10.29.4), NaN at s*r <= 1e-150;
-    K_(nu-2) is read directly from nu = 1 on, below as K_nu - 2(nu-1)/x K_(nu-1): no cancelling."""
+@np.errstate(over="ignore", divide="ignore")   # a derivative past the double range is inf
+def _matern_deriv(p: MaternParams, rr: np.ndarray, orders) -> list:
+    """[s**k phi^(k)(s*r) for k in orders], phi = c x**nu K_nu(x) (DLMF 10.29.4), NaN at
+    s*r <= 1e-150, from one table; K_(nu-2) is read directly from nu = 1 on, below as
+    K_nu - 2(nu-1)/x K_(nu-1): no cancelling.  t[k, j] is c x**(nu-j) K_(nu-k)."""
     s, nu, x = p.scale, p.nu, p.scale * rr
-    def k(power, q): return _matern_kx(nu, x, power, q, fill=np.nan)
-    if order == 1:
-        return -s * k(nu, nu - 1.0)
-    if nu >= 1.0:
-        return s ** order * (k(nu, nu - 2.0) - k(nu - 1.0, nu - 1.0) if order == 2
-                             else 3.0 * k(nu - 1.0, nu - 2.0) - k(nu, nu - 3.0))
-    if order == 2:
-        return s ** 2 * (k(nu, nu) - (2.0 * nu - 1.0) * k(nu - 1.0, nu - 1.0))
-    return s ** 3 * ((2.0 * nu - 1.0) * (k(nu, nu) - 2.0 * (nu - 1.0) * k(nu - 1.0, nu - 1.0))
-                     / x - k(nu, nu - 1.0))
+    need = {1: [(1, 0)], 2: [(2, 0), (1, 1)] if nu >= 1.0 else [(0, 0), (1, 1)],
+            3: [(2, 1), (3, 0)] if nu >= 1.0 else [(0, 0), (1, 1), (1, 0)]}
+    keys = sorted({key for k in orders for key in need[k]})
+    t = dict(zip(keys, _matern_terms(x, [(nu, k, j, None) for k, j in keys],
+                                     [np.nan] * len(keys))))
+    forms = {1: lambda: -s * t[1, 0],
+             2: lambda: s ** 2 * (t[2, 0] - t[1, 1] if nu >= 1.0
+                                  else t[0, 0] - (2.0 * nu - 1.0) * t[1, 1]),
+             3: lambda: s ** 3 * (3.0 * t[2, 1] - t[3, 0] if nu >= 1.0 else
+                                  (2.0 * nu - 1.0) * (t[0, 0] - 2.0 * (nu - 1.0) * t[1, 1])
+                                  / x - t[1, 0])}
+    return [forms[k]() for k in orders]
 
 
 def derivative(family: CorrelationFamily, r, order: int):
@@ -355,28 +472,29 @@ def _radial_derivatives(family: CorrelationFamily, rr: np.ndarray, orders) -> li
     p = family.params
     if family.kind in ("Stable", "Cauchy"):
         return _chain_deriv(p, rr, orders)
-    deriv = _spherical_deriv if family.kind == "Spherical" else _matern_deriv
-    return [deriv(p, rr, k) for k in orders]
+    if family.kind == "Spherical":
+        return [_spherical_deriv(p, rr, k) for k in orders]
+    return _matern_deriv(p, rr, orders)
 
 
-def _param_derivatives(family: CorrelationFamily, r: np.ndarray, free=(True, True, True)):
+def _param_derivatives(family, r: np.ndarray, free=(True, True, True)):
     """psi(r) and its derivatives in the family's parameters at r >= 0.
 
     The parameters are (alpha, log scale) for stable members, (alpha, log
     scale, beta) for Cauchy members and (nu, log scale) for Matern members;
     one whose ``free`` flag is false is not computed and comes back as None.
     psi(0) = 1 for every parameter value, so every derivative is 0 at r = 0.
+    ``family`` may also be a sequence of Matern members of one scale, with one
+    ``free`` per member: that gives a list of the members' values, each the
+    bits of its own call, from one table.
     """
+    if not isinstance(family, CorrelationFamily):
+        return _matern_param_derivatives(list(family), r, list(free))
+    if family.kind == "Matern":
+        return _matern_param_derivatives([family], r, [free])[0]
     p = family.params
     x = p.scale * np.asarray(r, dtype=float)
-    if family.kind == "Matern":
-        h, psi = 1e-5 * p.nu, np.asarray(evaluate(family, r))
-        # x d/dx [x^nu K_nu(x)] = -x^(nu+1) K_(nu-1)(x)
-        # psi at nu +- h straight from _matern_kx, as evaluate reads it: nu + h may pass NU_MAX
-        parts = (lambda: (_matern_kx(p.nu + h, x, p.nu + h, p.nu + h, fill=1.0)
-                          - _matern_kx(p.nu - h, x, p.nu - h, p.nu - h, fill=1.0)) / (2.0 * h),
-                 lambda: -_matern_kx(p.nu, x, p.nu + 1.0, p.nu - 1.0, fill=0.0))
-    elif family.kind in ("Stable", "Cauchy"):
+    if family.kind in ("Stable", "Cauchy"):
         # dt/dalpha = t log x, dt/dlog s = alpha t; a Cauchy member's exponent c = beta/alpha
         # adds dpsi/dc = -psi log(1 + t) times dc/dalpha = -c/alpha or dc/dbeta = 1/alpha
         a, t = p.alpha, x ** p.alpha
@@ -392,3 +510,33 @@ def _param_derivatives(family: CorrelationFamily, r: np.ndarray, free=(True, Tru
     else:
         raise ValueError(f"no parameter derivatives for the {family.kind} family")
     return psi, [d() if f else None for d, f in zip(parts, free)]
+
+
+def _matern_param_derivatives(families: list, r, frees: list) -> list:
+    """[(psi, [dpsi/dnu, dpsi/dlog s])] of Matern members of one scale: dpsi/dnu =
+    (dI_nu/dnu - digamma(nu) I_nu) / Gamma(nu), and x dpsi/dx = -c x**(nu+1)
+    K_(nu-1)(x) (DLMF 10.29.4), all from one :func:`_matern_terms` call."""
+    from scipy.special import digamma
+    rr = np.atleast_1d(np.asarray(r, dtype=float))
+    terms, fill = [], []
+    for family, free in zip(families, frees):
+        nu = family.params.nu
+        wanted = [(nu, 0, 0, None), (nu, 0, 0, float(digamma(nu))), (nu, 1, -1, None)]
+        terms += [t for t, f in zip(wanted, (True, *free[:2])) if f]
+        fill += [f for f, keep in zip((1.0, 0.0, 0.0), (True, *free[:2])) if keep]
+    x = families[0].params.scale * rr
+    values = iter(_matern_terms(x, terms, fill))
+    out = []
+    for family, free in zip(families, frees):
+        psi = np.where(rr == 0.0, 1.0, next(values))
+        d_nu = next(values) if free[0] else None
+        # where psi is near 1 the sum's terms cancel, the more so the larger nu: the
+        # loss measured against mpmath stays below 1e-13 of dpsi/dnu where the tail
+        # takes over at 1 - psi = min(0.5, 0.01 sqrt(nu))
+        nu = family.params.nu
+        near = (1.0 - psi < min(0.5, 0.01 * math.sqrt(max(nu, 1.0)))) & (x > 1e-150)
+        if free[0] and np.any(near):
+            d_nu[near] = _k_sums(x[near], [(nu, float(digamma(nu)))], tail=True)[0]
+        d_ls = -next(values) if free[1] else None
+        out.append((psi, [d_nu, d_ls]))
+    return out

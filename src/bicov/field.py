@@ -14,8 +14,8 @@ for Matern) times the certified bound for the current structural parameters.
 The gradient is 1/2 tr(K^-1 dK) - 1/2 a^T dK a with a = K^-1 (z - means):
 K^-1 - a a^T is summed once onto the slots of the Gram's value table, and each
 parameter's derivative is that sum against the derivative of the table.  The
-table's derivatives are exact, but for a Matern member's smoothness nu, whose
-derivative is a central difference with step 1e-5 nu
+table's derivatives are exact, a Matern member's smoothness nu included: its
+derivative is the quadrature sum of dK_nu/dnu that reads psi's own table
 (:func:`corrfn._param_derivatives`).  The bound's own derivative is taken at
 the bound engine's winning candidate, held fixed.
 """
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bimodels import (_PAIRS, LmcBivariate, _entry, _sum_into, _terms,
+from .bimodels import (_PAIRS, LmcBivariate, _entries, _entry, _sum_into, _terms,
                        cauchy_bivariate, matern_bivariate, stable_bivariate)
 from .corrfn import _param_derivatives, _require, evaluate, stable
 from .validity import _log_infimum_gradient, certify
@@ -212,6 +212,12 @@ class _GramCache:
             self.slots[pair] = slice(start, start + self.dist[pair].size)
             start += self.dist[pair].size
         self.n_slots = start + 2
+        # within[pair] = (base, index): dist[pair] is dist[base][index] (index None: all
+        # of it); with one point set 11 and 22 hold 12's triangle off its diagonal
+        self.within = {pair: (pair, None) for pair in _PAIRS}
+        if key[2] == 1:
+            off = triangles[1, True][0][triangles[1, False][0]]
+            self.within.update({"11": ("12", off), "22": ("12", off)})
         strided = {c: _strided(r) for c, r in self.rows.items()}
         self.writes = {}
         for pair in _PAIRS:
@@ -295,6 +301,21 @@ class _GramCache:
             out[self.rows[c], self.rows[c]] = table[c - 3]
         return out
 
+    def shared(self, terms, many) -> dict:
+        """{k: value} for the Matern terms k of :func:`bimodels._terms`: those of
+        one scale whose distances one array holds take ``many(ks, families,
+        distances)`` on it together, so they read one table, and each keeps its
+        own cells of it."""
+        out, groups = {}, {}
+        for k, (pair, _, fam) in enumerate(terms):
+            if fam.kind == "Matern":
+                groups.setdefault((self.within[pair][0], fam.params.scale), []).append(k)
+        for (base, _), ks in groups.items():
+            for k, value in zip(ks, many(ks, [terms[k][2] for k in ks], self.dist[base])):
+                index = self.within[terms[k][0]][1]
+                out[k] = value if index is None else _pick(value, index)
+        return out
+
     def build(self, model, nugget1: float, nugget2: float, psis=None,
               out: np.ndarray | None = None, check_finite: bool = True) -> np.ndarray:
         """The Gram of ``model`` placed from its value table, on and above the
@@ -308,16 +329,27 @@ class _GramCache:
         scipy's ``ValueError``: every cell LAPACK reads comes from the table,
         so the factorisations need not scan the N x N array."""
         _check_nuggets(nugget1, nugget2)
+        terms = _terms(model)
+        # each value is summed and dropped before the next is made
+        shared = {} if psis else self.shared(terms, lambda ks, fams, r: evaluate(fams, r))
         entries, var = {}, {}
-        for k, (pair, amp, fam) in enumerate(_terms(model)):
+        for k, (pair, amp, fam) in enumerate(terms):
             _sum_into(var, pair, amp)
             if self.dist[pair].size:
-                psi = evaluate(fam, self.dist[pair]) if psis is None else psis[k]
-                _sum_into(entries, pair, amp * psi)
+                psi = psis[k] if psis else shared.pop(k, None)
+                _sum_into(entries, pair, amp * (evaluate(fam, self.dist[pair])
+                                                if psi is None else psi))
         table = np.concatenate([entries[p] for p in _PAIRS if p in entries]
                                + [np.array([var["11"], var["22"]])])
         table[-2:] += nugget1, nugget2
         return self.place(np.asarray_chkfinite(table) if check_finite else table, out)
+
+
+def _pick(value, index):
+    """``value[index]`` of an array, or of each array in a (psi, derivatives) pair."""
+    if isinstance(value, np.ndarray):
+        return value[index]
+    return value[0][index], [None if d is None else d[index] for d in value[1]]
 
 
 def check_pd(matrix: np.ndarray) -> PdCheck:
@@ -908,8 +940,12 @@ class _ProfiledNll:
         try:
             model, nuggets, sens = self.spec.decode(theta)
             terms = _terms(model)
-            derivs = [_param_derivatives(fam, self.cache.dist[pair], [q is not None for q in qs])
-                      for (pair, _, fam), (_, qs) in zip(terms, sens)]
+            free = [[q is not None for q in qs] for _, qs in sens]
+            shared = self.cache.shared(
+                terms, lambda ks, fams, r: _param_derivatives(fams, r, [free[k] for k in ks]))
+            derivs = [shared[k] if k in shared else
+                      _param_derivatives(fam, self.cache.dist[pair], free[k])
+                      for k, (pair, _, fam) in enumerate(terms)]
             (value, _, _, (c, lower), a), nug1, nug2 = self.core(
                 model, nuggets[0].x, nuggets[1].x, [psi for psi, _ in derivs])
         except (ValueError, OverflowError):
@@ -953,9 +989,8 @@ def fit_ml(data: FieldSample, model_kind: str, n_starts: int = 8, seed: int = 0,
     """Multi-start maximum likelihood over a valid-by-design parameter space.
 
     Each of the ``n_starts`` starts (at least 1) runs L-BFGS-B on the
-    gradient of the NLL with the two component means profiled out, exact but
-    for a Matern fit's smoothness derivatives, which are central differences
-    with step 1e-5 nu.  ``max_evals`` caps the NLL-and-gradient evaluations
+    exact gradient of the NLL with the two component means profiled out (a
+    Matern fit's smoothness derivatives included).  ``max_evals`` caps the NLL-and-gradient evaluations
     of each start (default 400 per parameter); a start ends on the cap with
     its best point.
     ``n_iter`` is the total over all starts, at most ``n_starts * max_evals``;
@@ -1075,11 +1110,13 @@ def _cokrige(model, data: FieldSample, targets, target_component: int,
         a = _solve(factor, z - np.where(comp == 1, mu1, mu2))
     dist = _block_distances(pts, data.locations)
     cross = np.empty_like(dist)
-    for c in (1, 2):
-        cols = comp == c
-        if np.any(cols):
-            pair = "".join(sorted(f"{target_component}{c}"))
-            cross[:, cols] = _entry(model, pair, dist[:, cols])
+    groups = [[c] for c in (1, 2) if np.any(comp == c)]
+    if len(groups) == 2 and np.array_equal(data.locations[comp == 1], data.locations[comp == 2]):
+        groups = [[1, 2]]   # one point set: both entries at one set of distances, one table
+    for cs in groups:
+        pairs = ["".join(sorted(f"{target_component}{c}")) for c in cs]
+        for c, entry in zip(cs, _entries(model, pairs, dist[:, comp == cs[0]])):
+            cross[:, comp == c] = entry
     pred = (mu1 if target_component == 1 else mu2) + cross @ a
     # L^-1 c for every target at once; cross.T is Fortran-ordered, solved in place,
     # and only it is checked for finiteness: the factor was made here

@@ -1,7 +1,8 @@
 """Correlation families: values and derivatives against high-precision
 oracles, stable and Cauchy radial derivatives against Richardson-extrapolated
 finite differences, parameter derivatives against central differences, the
-parameter boxes, and Bessel K split across threads.
+parameter boxes, and Matern members against 30-digit mpmath over the
+whole supported range.
 
 All frozen constants were produced with 50-digit arithmetic and pasted at
 full double precision.
@@ -130,7 +131,7 @@ MATERN_DERIVS = [
     (150.0, 3.0, -0.0099152320384142412, -0.0032045955202482596, 9.9456608604568178e-05),
 ]
 
-# (nu, x) -> psi, 50-digit mpmath: kv(nu, x) overflows at nu = 10, and both
+# (nu, x) -> psi, 50-digit mpmath: K_nu(x) leaves the double range at nu = 10, and both
 # Gamma(170) and 2**-169 / Gamma(170) leave double range
 MATERN_EXTREME_VALUES = [
     (10.0, 1e-50, 1.0),
@@ -355,8 +356,8 @@ class TestParamBoxes:
         assert cauchy(0.5, 1.797e308, 1.797e308).params.beta == 1.797e308
 
     def test_matern_nu_cap(self):
-        # psi at the cap is finite and a correlation over x = s r in [1e-6, 5e3]; from
-        # nu = 320 on kv overflows where K's small-x series cancels, and psi is NaN
+        # psi at the cap is finite and a correlation over x = s r in [1e-6, 5e3]; the
+        # cap is the largest nu that the comparison with mpmath below covers
         r = np.concatenate([[0.0], np.geomspace(1e-6, 5e3, 20001)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -379,47 +380,60 @@ class TestParamBoxes:
         assert issubclass(KinkError, ValueError)
 
 
-class TestBesselKvSplit:
-    """kv split across threads gives the bits of one scipy call."""
+def _matern_oracle(nu, x):
+    """psi, its radial derivatives of orders 1-3, dpsi/dnu and dpsi/dlog s of
+    matern(nu, 1) at x, by mpmath to 30 digits, the working precision raised by the
+    digits the closed forms and the nu difference lose at small x."""
+    import mpmath as mp
+    with mp.workdps(40 + int(3 * max(0.0, -math.log10(x)))):
+        nu_m, x_m = mp.mpf(nu), mp.mpf(x)
 
-    N = 2 * corrfn._KV_SHARE_MIN   # the least size that splits
+        def term(n, power, order):   # 2**(1-n)/Gamma(n) x**power K_order(x)
+            return 2 ** (1 - n) / mp.gamma(n) * x_m ** power * mp.besselk(order, x_m)
+        d1 = -term(nu_m, nu_m, nu_m - 1)
+        return [float(v) for v in (
+            term(nu_m, nu_m, nu_m), d1,
+            term(nu_m, nu_m, nu_m - 2) - term(nu_m, nu_m - 1, nu_m - 1),
+            3 * term(nu_m, nu_m - 1, nu_m - 2) - term(nu_m, nu_m, nu_m - 3),
+            mp.diff(lambda n: term(n, n, n), nu_m), x_m * d1)]
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    @pytest.mark.parametrize("shape", [(N - 1,), (N,), (N + 1,), (3 * N + 7,),
-                                       (67, 129), "transposed"])
-    def test_equals_one_kv_call(self, cpus, shape, monkeypatch):
-        from scipy.special import kv
-        monkeypatch.setattr(corrfn, "_cpu_count", lambda: cpus)
-        x = np.random.default_rng(cpus).uniform(1e-3, 40.0, 4 * self.N)
-        if shape == "transposed":
-            x = x[:67 * 129].reshape(67, 129).T
-        else:
-            x = x[:math.prod(shape)].reshape(shape)
-        for order in (0.75, -2.3, 9.5):
-            got = corrfn._bessel_kv(order, x)
-            assert got.shape == x.shape
-            assert got.tobytes() == kv(order, x).tobytes()
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_evaluates_a_matern_gram(self, monkeypatch):
-        monkeypatch.setattr(corrfn, "_cpu_count", lambda: 2)
-        model = matern_bivariate(1.0, 1.3, 0.2, 0.5, 1.0, 1.5, 0.7, 0.7, 0.7)
-        pts = np.random.default_rng(5).uniform(0.0, 10.0, (100, 2))
-        # 100 colocated sites: 4,950 and 5,050 distances, so kv splits
-        sample = FieldSample(np.repeat(pts, 2, axis=0), np.tile([1, 2], 100))
-        want = gram(model, sample)   # the parent splits kv before the fork
-        pid = os.fork()
-        if pid == 0:
-            code = 2
-            try:
-                code = 0 if np.array_equal(gram(model, sample), want) else 1
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 60.0
-        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("the forked child did not finish within 60 s")
-            time.sleep(0.02)
-        assert os.waitstatus_to_exitcode(status[1]) == 0
+class TestMaternAgainstMpmath:
+    """psi of the trapezoidal rule and every derivative read from its table, on
+    seeded nu log-uniform in [0.01, 300] and x log-uniform in [1e-150, 700]."""
+
+    rng = np.random.default_rng(28)
+    POINTS = list(zip(np.exp(rng.uniform(math.log(0.01), math.log(NU_MAX), 60)),
+                      np.exp(rng.uniform(math.log(1e-150), math.log(700.0), 60))))
+    # psi, then its radial derivatives of orders 1-3, dpsi/dnu and dpsi/dlog s
+    TOLERANCE = (1e-13, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12)
+
+    @pytest.mark.parametrize("nu,x", POINTS)
+    def test_within_tolerance(self, nu, x):
+        want = _matern_oracle(nu, x)
+        fam = matern(nu, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi, (d_nu, d_log_s) = _param_derivatives(fam, np.array([x]))
+            got = [evaluate(fam, x), *(derivative(fam, x, k) for k in (1, 2, 3)),
+                   d_nu[0], d_log_s[0]]
+        assert psi[0] == got[0]
+        for g, w, tol in zip(got, want, self.TOLERANCE):
+            # relative where the value is a normal double, to 1e-300 below that
+            assert g == w or abs(g - w) <= (tol * abs(w) if abs(w) >= 1e-300 else 1e-300), (g, w)
+
+    @pytest.mark.parametrize("nu", [0.01, 0.05, 0.5, 0.75, 1.0, 2.5, 10.0, 150.0, NU_MAX])
+    def test_ends_and_range(self, nu):
+        fam = matern(nu, 1.0)
+        x = np.concatenate([[0.0, 1e-200, 1e-150], np.geomspace(1e-149, 700.0, 400),
+                            [1e4, 1e300, math.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = evaluate(fam, x)
+            derivs = [derivative(fam, x[1:], k) for k in (1, 2, 3)]
+        assert psi[0] == 1.0 and psi[-1] == 0.0
+        assert np.all((psi >= 0.0) & (psi <= 1.0))
+        assert np.all(np.diff(psi) <= 0.0)
+        for d in derivs:   # NaN at s r <= 1e-150, as documented; 0 past the double range
+            assert np.all(np.isnan(d[:2])) and not np.any(np.isnan(d[2:]))
+            assert np.all(d[-3:] == 0.0)

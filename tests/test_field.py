@@ -382,12 +382,22 @@ class TestSimulate:
             bc.simulate(MODEL, locs, comps, seed=5, **means)
 
     @pytest.mark.parametrize("model", [
-        bc.matern_bivariate(1.0, 1.0, 0.0, 5e-324, 1.0, 1.0, 1.0, 1.0, 1.0),   # Gamma(nu) = inf
+        # var1 = b1_11 + b2_11 overflows to inf
+        bc.LmcBivariate(b1=(1e308, 0.0, 1.0), b2=(1e308, 0.0, 1.0),
+                        psi1=bc.stable(1.0, 1.0), psi2=bc.stable(1.0, 1.0)),
     ])
     def test_rejects_non_finite_values(self, model):
         locs = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], 2, axis=0)
         with pytest.raises(ValueError, match="simulated values are not finite"):
             bc.simulate(model, locs, np.tile([1, 2], 3), seed=5)
+
+    def test_matern_nu_where_gamma_overflows_is_white_noise(self):
+        # Gamma(5e-324) = inf: psi is 0 at distinct sites, so each component is white noise
+        model = bc.matern_bivariate(1.0, 1.0, 0.0, 5e-324, 1.0, 1.0, 1.0, 1.0, 1.0)
+        locs = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], 2, axis=0)
+        g = bc.gram(model, bc.FieldSample(locs, np.tile([1, 2], 3)))
+        assert np.all(g[0::2, 0::2] == np.eye(3))
+        assert np.all(np.isfinite(bc.simulate(model, locs, np.tile([1, 2], 3), seed=5).values))
 
     def test_matern_scale_past_the_double_range_decorrelates(self):
         # s11 r is inf at every pair of distinct sites, where psi is 0, not NaN
@@ -428,7 +438,6 @@ class TestNll:
         locs, comps = colocated_design(9, 12)
         with pytest.raises(ValueError):
             bc.nll(MODEL, FieldSample(locs, comps))
-
 
     @pytest.mark.parametrize("big", [1e160, 1e300, 1.797e308])
     @pytest.mark.parametrize("fn", [bc.nll, bc.loo_rmse])
@@ -686,13 +695,33 @@ class TestNllGradient:
     def test_matches_central_differences(self, kind, fit_nugget, seed):
         assert _gradient_error(kind, fit_nugget, seed=seed) < 1e-5
 
+    @pytest.mark.parametrize("fit_nugget", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+    def test_matern_gradient_is_exact(self, fit_nugget, seed):
+        # the nu rows too: Richardson-extrapolated central differences of the NLL
+        # (steps 1e-3 and 5e-4) agree within 2e-7 of the largest component, where
+        # a central difference in nu inside the objective was off by up to 4e-6
+        spec = _ParamSpec("matern", GRAD_DATA, 3, fit_nugget, 0.0, 0.0)
+        objective = _ProfiledNll(spec, GRAD_DATA)
+        theta = spec.starts(1, seed)[0]
+        _, grad = objective(theta)
+        num = np.empty_like(grad)
+        for i in range(theta.size):
+            def quotient(h):
+                up, down = theta.copy(), theta.copy()
+                up[i] += h
+                down[i] -= h
+                return (objective(up)[0] - objective(down)[0]) / (2.0 * h)
+            num[i] = (4.0 * quotient(5e-4) - quotient(1e-3)) / 3.0
+        assert np.max(np.abs(grad - num)) <= 2e-7 * np.max(np.abs(num))
+
     @pytest.mark.parametrize("kind", ["stable", "cauchy", "matern", "lmc"])
     def test_one_evaluation_per_term(self, kind, monkeypatch):
         # the Gram's value table and its derivatives come from the same pass
         spec = _ParamSpec(kind, GRAD_DATA, 3, False, 0.0, 0.0)
         objective = _ProfiledNll(spec, GRAD_DATA)
         theta = spec.starts(1, 1)[0]
-        calls, kv_calls = [], []
+        calls, tables = [], []
 
         def counted(fn):
             return lambda family, r, *free: (calls.append((family, np.size(r)))
@@ -702,16 +731,24 @@ class TestNllGradient:
                             counted(bc.field._param_derivatives))
         monkeypatch.setattr(bc.field, "evaluate", counted(bc.corrfn.evaluate))
         monkeypatch.setattr(bc.bimodels, "evaluate", counted(bc.corrfn.evaluate))
-        kv = bc.corrfn._bessel_kv
-        monkeypatch.setattr(bc.corrfn, "_bessel_kv",
-                            lambda nu, x: kv_calls.append(nu) or kv(nu, x))
+        sums = bc.corrfn._k_sums
+        monkeypatch.setattr(bc.corrfn, "_k_sums", lambda x, orders, tail=False: (
+            tables.append((len(orders), tail)) or sums(x, orders, tail)))
         value, _ = objective(theta)
         assert value < 1e12
         model = spec.decode(theta)[0]
-        assert calls == [(fam, objective.cache.dist[pair].size)
-                         for pair, _, fam in _terms(model)]
-        # Matern: psi, psi at nu +- h and K_(nu-1) for d/d log s
-        assert len(kv_calls) == (12 if kind == "matern" else 0)
+        if kind == "matern":
+            # the three members share one scale, and 12's distances hold those of 11
+            # and 22: psi, d/dnu and d/dlog s of all three from one table evaluation;
+            # d/dnu where psi > 1/2 from one tail sum per member at most
+            assert calls == [([fam for _, _, fam in _terms(model)],
+                              objective.cache.dist["12"].size)]
+            assert tables[0] == (9, False) and len(tables) <= 4
+            assert all(t == (1, True) for t in tables[1:])
+        else:
+            assert calls == [(fam, objective.cache.dist[pair].size)
+                             for pair, _, fam in _terms(model)]
+            assert tables == []
 
     @pytest.mark.parametrize("kind", ["stable", "cauchy", "lmc"])
     def test_fixed_parameters_get_no_derivative(self, kind, monkeypatch):
