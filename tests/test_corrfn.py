@@ -9,16 +9,11 @@ full double precision.
 """
 
 import math
-import os
-import signal
-import time
 import warnings
 
 import numpy as np
 import pytest
 
-from bicov import FieldSample, gram, matern_bivariate
-from bicov import corrfn
 from bicov.corrfn import (ALPHA_MIN, NU_MAX, CorrelationFamily, KinkError, StableParams,
                           _param_derivatives, cauchy, derivative, evaluate, matern,
                           spherical, stable)
