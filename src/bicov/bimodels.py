@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .corrfn import (CorrelationFamily, _require, _require_positive, cauchy, evaluate, matern,
+from .corrfn import (CorrelationFamily, _evaluate_all, _require, _require_positive, cauchy, matern,
                      spherical, stable)
 
 __all__ = [
@@ -156,18 +156,13 @@ def _sum_into(sums: dict, key, value) -> None:
 
 def _entries(model, pairs, r) -> list:
     """[entry ``pair`` ("11", "12" or "22") of C(r) for pair in pairs], for either
-    model class: every term's family at r from one :func:`evaluate` call, so
-    Matern members of one scale read one table."""
+    model class: every term's family at r from one :func:`corrfn._evaluate_all`
+    call, so Matern members of one scale read one table."""
     terms = [term for term in _terms(model) if term[0] in pairs]
     sums: dict = {}
-    for (p, amp, _), psi in zip(terms, evaluate([fam for _, _, fam in terms], r)):
+    for (p, amp, _), psi in zip(terms, _evaluate_all([fam for _, _, fam in terms], r)):
         _sum_into(sums, p, amp * np.asarray(psi))
     return [sums[pair] for pair in pairs]
-
-
-def _entry(model, pair: str, r) -> np.ndarray:
-    """Entry ``pair`` ("11", "12" or "22") of C(r) for either model class."""
-    return _entries(model, (pair,), r)[0]
 
 
 def eval_matrix(model, r):

@@ -255,7 +255,6 @@ def _weights(s: np.ndarray, h: float, b: float, d) -> np.ndarray:
     return w if d is None else w * (s - d)
 
 
-@functools.lru_cache(maxsize=64)
 def _tail_nodes(e: int, nu: float) -> tuple:
     """(s_j, -exp(-s_j), h) as :func:`_nodes` gives them, for the integrand
     (s - d) exp(nu s - e^s) (1 - exp(-(x/2)**2 e^-s)) of one order nu, whose
@@ -305,15 +304,6 @@ def _k_sums(x: np.ndarray, orders, tail: bool = False) -> list:
                 at = bucket[first:first + _CHUNK]
                 xa = x[at]
                 y = 0.25 * xa * xa
-                if s.size * len(ks) * y.size <= _CHUNK:
-                    # few distances, where the loop's calls cost more than its sums (a
-                    # Matern certify in R^3 takes 17 ms so, 65 ms by the loop): the whole
-                    # table at once, summed by the same additions in the same order
-                    # (accumulate is sequential)
-                    table = fn(np.multiply.outer(neg_exp, y))[:, None, :]
-                    for k, row in zip(ks, np.add.accumulate(w * table, axis=0)[-1]):
-                        out[k][at] = row
-                    continue
                 table = tab[:y.size]
                 acc, term = (a[:len(ks) * y.size].reshape(len(ks), y.size) for a in work)
                 for j in range(s.size):
@@ -368,22 +358,24 @@ def _matern_terms(x: np.ndarray, terms, fill) -> list:
     return out
 
 
-@np.errstate(over="ignore")   # a scaled distance past the double range is inf: psi is 0
-def evaluate(family, r):
+def evaluate(family: CorrelationFamily, r):
     """Evaluate psi(r) for scalar or array distances r >= 0.
 
     Returns a float for scalar input, an ndarray otherwise.  psi(0) is
-    exactly 1 for every family, and psi(inf) is 0.  ``family`` may also be a
-    sequence of families, which gives a list, one value per family, each the
-    bits of its own call: Matern members of one scale then sum one table.
+    exactly 1 for every family, and psi(inf) is 0.
     """
+    return _evaluate_all([family], r)[0]
+
+
+def _evaluate_all(families, r) -> list:
+    """[evaluate(family, r) for family in families], each value the bits of its own
+    call: Matern members of one scale sum one table."""
     rr, scalar = _as_r(r, allow_zero=True)
-    if isinstance(family, CorrelationFamily):
-        return _maybe_scalar(_correlations([family], rr)[0], scalar)
-    return [_maybe_scalar(v, scalar) for v in _correlations(list(family), rr)]
+    return [_maybe_scalar(v, scalar) for v in _correlations(families, rr)]
 
 
-def _correlations(families: list, rr: np.ndarray) -> list:
+@np.errstate(over="ignore")   # a scaled distance past the double range is inf: psi is 0
+def _correlations(families, rr: np.ndarray) -> list:
     out, shared = [], {}
     for k, family in enumerate(families):
         p = family.params
@@ -489,9 +481,9 @@ def _param_derivatives(family, r: np.ndarray, free=(True, True, True)):
     scale, beta) for Cauchy members and (nu, log scale) for Matern members;
     one whose ``free`` flag is false is not computed and comes back as None.
     psi(0) = 1 for every parameter value, so every derivative is 0 at r = 0.
-    ``family`` may also be a sequence of Matern members of one scale, with one
-    ``free`` per member: that gives a list of the members' values, each the
-    bits of its own call, from one table.
+    ``family`` may also be a sequence of Matern members, with one ``free`` per
+    member: that gives a list of the members' values, each the bits of its own
+    call, those of one scale from one table.
     """
     if not isinstance(family, CorrelationFamily):
         return _matern_param_derivatives(list(family), r, list(free))
@@ -518,27 +510,37 @@ def _param_derivatives(family, r: np.ndarray, free=(True, True, True)):
 
 
 def _matern_param_derivatives(families: list, r, frees: list) -> list:
-    """[(psi, [dpsi/dnu, dpsi/dlog s])] of Matern members of one scale: dpsi/dnu =
-    (dI_nu/dnu - digamma(nu) I_nu) / Gamma(nu), and x dpsi/dx = -c x**(nu+1)
-    K_(nu-1)(x) (DLMF 10.29.4), all from one :func:`_matern_terms` call."""
-    from scipy.special import digamma
+    """[(psi, [dpsi/dnu, dpsi/dlog s])] of Matern members: dpsi/dnu = (dI_nu/dnu -
+    digamma(nu) I_nu) / Gamma(nu), and x dpsi/dx = -c x**(nu+1) K_(nu-1)(x)
+    (DLMF 10.29.4), those of one scale from one :func:`_matern_terms` call."""
     rr = np.atleast_1d(np.asarray(r, dtype=float))
+    groups: dict = {}
+    for k, family in enumerate(families):
+        groups.setdefault(family.params.scale, []).append(k)
+    out = [None] * len(families)
+    for scale, ks in groups.items():
+        for k, value in zip(ks, _matern_scale_derivatives(
+                [families[k].params.nu for k in ks], scale * rr, [frees[k] for k in ks])):
+            out[k] = value
+    return out
+
+
+def _matern_scale_derivatives(nus: list, x: np.ndarray, frees: list) -> list:
+    """:func:`_matern_param_derivatives` of members of smoothness nus at x = s r."""
+    from scipy.special import digamma
     terms, fill = [], []
-    for family, free in zip(families, frees):
-        nu = family.params.nu
+    for nu, free in zip(nus, frees):
         wanted = [(nu, 0, 0, None), (nu, 0, 0, float(digamma(nu))), (nu, 1, -1, None)]
         terms += [t for t, f in zip(wanted, (True, *free[:2])) if f]
         fill += [f for f, keep in zip((1.0, 0.0, 0.0), (True, *free[:2])) if keep]
-    x = families[0].params.scale * rr
     values = iter(_matern_terms(x, terms, fill))
     out = []
-    for family, free in zip(families, frees):
-        psi = np.where(rr == 0.0, 1.0, next(values))
+    for nu, free in zip(nus, frees):
+        psi = np.where(x == 0.0, 1.0, next(values))
         d_nu = next(values) if free[0] else None
         # where psi is near 1 the sum's terms cancel, the more so the larger nu: the
         # loss measured against mpmath stays below 1e-13 of dpsi/dnu where the tail
         # takes over at 1 - psi = min(0.5, 0.01 sqrt(nu))
-        nu = family.params.nu
         near = (1.0 - psi < min(0.5, 0.01 * math.sqrt(max(nu, 1.0)))) & (x > 1e-150)
         if free[0] and np.any(near):
             d_nu[near] = _k_sums(x[near], [(nu, float(digamma(nu)))], tail=True)[0]

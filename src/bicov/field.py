@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bimodels import (_PAIRS, LmcBivariate, _entries, _entry, _sum_into, _terms,
+from .bimodels import (_PAIRS, LmcBivariate, _entries, _sum_into, _terms,
                        cauchy_bivariate, matern_bivariate, stable_bivariate)
-from .corrfn import _param_derivatives, _require, evaluate, stable
+from .corrfn import _evaluate_all, _param_derivatives, _require, evaluate, stable
 from .validity import _log_infimum_gradient, certify
 
 __all__ = [
@@ -302,15 +302,15 @@ class _GramCache:
         return out
 
     def shared(self, terms, many) -> dict:
-        """{k: value} for the Matern terms k of :func:`bimodels._terms`: those of
-        one scale whose distances one array holds take ``many(ks, families,
-        distances)`` on it together, so they read one table, and each keeps its
+        """{k: value} for the Matern terms k of :func:`bimodels._terms`: those whose
+        distances one array holds take ``many(ks, families, distances)`` on it
+        together, so that members of one scale read one table, and each keeps its
         own cells of it."""
         out, groups = {}, {}
         for k, (pair, _, fam) in enumerate(terms):
             if fam.kind == "Matern":
-                groups.setdefault((self.within[pair][0], fam.params.scale), []).append(k)
-        for (base, _), ks in groups.items():
+                groups.setdefault(self.within[pair][0], []).append(k)
+        for base, ks in groups.items():
             for k, value in zip(ks, many(ks, [terms[k][2] for k in ks], self.dist[base])):
                 index = self.within[terms[k][0]][1]
                 out[k] = value if index is None else _pick(value, index)
@@ -331,7 +331,7 @@ class _GramCache:
         _check_nuggets(nugget1, nugget2)
         terms = _terms(model)
         # each value is summed and dropped before the next is made
-        shared = {} if psis else self.shared(terms, lambda ks, fams, r: evaluate(fams, r))
+        shared = {} if psis else self.shared(terms, lambda ks, fams, r: _evaluate_all(fams, r))
         entries, var = {}, {}
         for k, (pair, amp, fam) in enumerate(terms):
             _sum_into(var, pair, amp)
@@ -990,9 +990,9 @@ def fit_ml(data: FieldSample, model_kind: str, n_starts: int = 8, seed: int = 0,
 
     Each of the ``n_starts`` starts (at least 1) runs L-BFGS-B on the
     exact gradient of the NLL with the two component means profiled out (a
-    Matern fit's smoothness derivatives included).  ``max_evals`` caps the NLL-and-gradient evaluations
-    of each start (default 400 per parameter); a start ends on the cap with
-    its best point.
+    Matern fit's smoothness derivatives included).  ``max_evals`` caps the
+    NLL-and-gradient evaluations of each start (default 400 per parameter); a
+    start ends on the cap with its best point.
     ``n_iter`` is the total over all starts, at most ``n_starts * max_evals``;
     ``converged`` is L-BFGS-B's verdict on the winning start (false when it
     ended on the cap).
@@ -1122,7 +1122,7 @@ def _cokrige(model, data: FieldSample, targets, target_component: int,
     # and only it is checked for finiteness: the factor was made here
     half = solve_triangular(factor[0], np.asarray_chkfinite(cross.T), lower=True,
                             overwrite_b=True, check_finite=False)
-    sill = float(_entry(model, f"{target_component}{target_component}", 0.0))
+    sill = float(_entries(model, (f"{target_component}{target_component}",), 0.0)[0])
     var = sill - np.einsum("ij,ij->j", half, half)
     _require(bool(np.isfinite(pred).all() and np.isfinite(var).all()), "cokriging results "
              "are not finite: the data values or the weights leave the double range")

@@ -361,7 +361,7 @@ class TestParamBoxes:
         assert np.all(np.isfinite(psi)) and np.all((psi >= 0.0) & (psi <= 1.0))
         with pytest.raises(ValueError, match="at most 300"):
             matern(1000.0, 1.0)
-        # the fit's central difference in nu steps past the cap
+        # and so is its derivative in nu there
         d_nu = _param_derivatives(matern(NU_MAX, 1.0), r[::400])[1][0]
         assert np.all(np.isfinite(d_nu))
 

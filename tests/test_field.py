@@ -12,7 +12,7 @@ from scipy.stats import multivariate_normal
 
 import bicov as bc
 from bicov import BivariateModel, FieldSample, matern, stable
-from bicov.bimodels import _entry, _terms
+from bicov.bimodels import _entries, _terms
 from bicov.field import (_D, _LEAF, _block_distances, _cokrige, _GramCache, _invert_lower,
                          _mirror, _nll_core, _ParamSpec, _parsimonious_matern_rho_bound,
                          _ProfiledNll, check_pd, gram)
@@ -98,12 +98,12 @@ def scatter_gram(model, sample, nugget1=0.0, nugget2=0.0):
     for code, pair in ((2, "11"), (3, "12"), (4, "22")):
         mask = key == code
         if np.any(mask):
-            vals[mask] = _entry(model, pair, dist[mask])
+            vals[mask] = _entries(model, (pair,), dist[mask])[0]
     out = np.zeros((n_obs, n_obs))
     out[iu, ju] = vals
     out[ju, iu] = vals
-    var1 = float(_entry(model, "11", np.zeros(1))[0])
-    var2 = float(_entry(model, "22", np.zeros(1))[0])
+    var1 = float(_entries(model, ("11",), np.zeros(1))[0][0])
+    var2 = float(_entries(model, ("22",), np.zeros(1))[0][0])
     di = np.arange(n_obs)
     out[di, di] = np.where(comp == 1, var1 + nugget1, var2 + nugget2)
     return out
@@ -383,8 +383,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("model", [
         # var1 = b1_11 + b2_11 overflows to inf
-        bc.LmcBivariate(b1=(1e308, 0.0, 1.0), b2=(1e308, 0.0, 1.0),
-                        psi1=bc.stable(1.0, 1.0), psi2=bc.stable(1.0, 1.0)),
+        pytest.param(bc.LmcBivariate(b1=(1e308, 0.0, 1.0), b2=(1e308, 0.0, 1.0),
+                                     psi1=bc.stable(1.0, 1.0), psi2=bc.stable(1.0, 1.0)),
+                     id="lmc-variance-overflow"),
     ])
     def test_rejects_non_finite_values(self, model):
         locs = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], 2, axis=0)
@@ -730,7 +731,8 @@ class TestNllGradient:
         monkeypatch.setattr(bc.field, "_param_derivatives",
                             counted(bc.field._param_derivatives))
         monkeypatch.setattr(bc.field, "evaluate", counted(bc.corrfn.evaluate))
-        monkeypatch.setattr(bc.bimodels, "evaluate", counted(bc.corrfn.evaluate))
+        monkeypatch.setattr(bc.field, "_evaluate_all", counted(bc.corrfn._evaluate_all))
+        monkeypatch.setattr(bc.bimodels, "_evaluate_all", counted(bc.corrfn._evaluate_all))
         sums = bc.corrfn._k_sums
         monkeypatch.setattr(bc.corrfn, "_k_sums", lambda x, orders, tail=False: (
             tables.append((len(orders), tail)) or sums(x, orders, tail)))
@@ -945,8 +947,8 @@ class TestCokrige:
         targets = np.vstack([locs[:3], np.random.default_rng(5).uniform(0.0, 10.0, (6, 2))])
         k = scatter_gram(model, data, *nuggets)
         dist = np.linalg.norm(targets[:, None, :] - locs[None, :, :], axis=2)
-        cross = np.column_stack([_entry(model, "".join(sorted(f"{target_component}{c}")),
-                                        dist[:, i]) for i, c in enumerate(comps)])
+        cross = np.column_stack([_entries(model, ("".join(sorted(f"{target_component}{c}")),),
+                                          dist[:, i])[0] for i, c in enumerate(comps)])
         weights = np.linalg.solve(k, cross.T)
         if profiled:   # the GLS means, as bicov krige takes them
             means = dense_gls_means(k, comps, data.values)
@@ -955,7 +957,7 @@ class TestCokrige:
             means = (0.5, -1.5)
             pred, var = bc.cokrige(model, data, targets, target_component, *nuggets, *means)
         centred = data.values - np.where(comps == 1, *means)
-        sill = float(_entry(model, f"{target_component}{target_component}", 0.0))
+        sill = float(_entries(model, (f"{target_component}{target_component}",), 0.0)[0])
         assert pred == pytest.approx(means[target_component - 1] + centred @ weights,
                                      abs=1e-12 * sill, rel=0.0)
         assert var == pytest.approx(sill - np.einsum("ij,ji->i", cross, weights),
