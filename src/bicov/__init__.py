@@ -7,7 +7,9 @@ in R^3, and provides the applied layer: Gram assembly, Gaussian simulation,
 maximum likelihood fitting, and simple cokriging, plus a CLI over all of it.
 
 No module imports scipy at its top: each scipy part is imported inside the
-functions that use it, so importing the package loads numpy only.
+functions that use it, so importing the package loads numpy only.  The
+LAPACK and BLAS routines of scipy's own library are called through ctypes,
+so the likelihood, leave-one-out and cokriging import no scipy module.
 """
 
 from . import bimodels, corrfn, field, spectral, validity

@@ -22,8 +22,13 @@ the bound engine's winning candidate, held fixed.
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -326,8 +331,9 @@ class _GramCache:
         ``out``, an (N, N) float array, receives the Gram in place of a new
         one, and its cells below the diagonal are left as :meth:`place`
         says.  With ``check_finite`` a table with a non-finite value raises
-        scipy's ``ValueError``: every cell LAPACK reads comes from the table,
-        so the factorisations need not scan the N x N array."""
+        numpy's ``asarray_chkfinite`` ``ValueError``: every cell LAPACK reads
+        comes from the table, so the factorisations need not scan the N x N
+        array."""
         _check_nuggets(nugget1, nugget2)
         terms = _terms(model)
         # each value is summed and dropped before the next is made
@@ -412,22 +418,86 @@ def simulate(model, locations, components, seed: int, n_draws: int = 1,
 # ---------------------------------------------------------------------------
 # Exact Gaussian likelihood with profiled per-component means.
 
-# scipy's Cholesky pair is reached through these module attributes, so a
-# wrapper set on them from outside sees every call
-def cho_factor(*args, **kwargs):
-    from scipy import linalg
-    return linalg.cho_factor(*args, **kwargs)
+def _cython_lapack() -> ctypes.CDLL:
+    """scipy's ``linalg.cython_lapack`` extension with the LAPACK it links
+    against, opened by ctypes: no scipy module loads."""
+    scipy = importlib.util.find_spec("scipy")
+    spec = importlib.machinery.PathFinder.find_spec(
+        "cython_lapack", [os.path.join(scipy.submodule_search_locations[0], "linalg")])
+    return ctypes.CDLL(spec.origin)
 
 
-def cho_solve(*args, **kwargs):
-    from scipy import linalg
-    return linalg.cho_solve(*args, **kwargs)
+@functools.cache
+def _lapack() -> types.SimpleNamespace:
+    """scipy's LAPACK and BLAS routines as ctypes functions of their Fortran
+    pointer arguments, ints 32-bit as in ``cython_lapack``: the library's
+    ``scipy_<name>_`` symbols or, where it exports none (older scipy wheels;
+    Windows, whose loader does not search a DLL's dependencies), scipy's
+    capsules that call them.  Unlike scipy's wrappers, which copy an array
+    that is not contiguous, they read and write a block where it lies."""
+    # dpotrf(uplo, n, a, lda, info) is "cipii": c a char, i an int, d a double, p an array
+    kinds = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int),
+             "d": ctypes.POINTER(ctypes.c_double), "p": ctypes.c_void_p}
+    routines = {"dpotrf": "cipii", "dpotrs": "ciipipii", "dtrtrs": "ccciipipii",
+                "dtrtri": "ccipii", "dlauum": "cipii", "dtrmm": "cccciidpipi",
+                "dsyr": "cidpipi"}
+    try:
+        library = _cython_lapack()
+        pointers = {name: ctypes.cast(getattr(library, f"scipy_{name}_"), ctypes.c_void_p).value
+                    for name in routines}
+    except (AttributeError, OSError):
+        from scipy.linalg import cython_blas, cython_lapack
+        capsules = {**cython_blas.__pyx_capi__, **cython_lapack.__pyx_capi__}
+        # prototypes of their own, so that ctypes.pythonapi's shared attributes stay as they are
+        capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+            ("PyCapsule_GetName", ctypes.pythonapi))
+        capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", ctypes.pythonapi))
+        pointers = {name: capsule_pointer(capsules[name], capsule_name(capsules[name]))
+                    for name in routines}
+    return types.SimpleNamespace(**{
+        name: ctypes.CFUNCTYPE(None, *(kinds[k] for k in args))(pointers[name])
+        for name, args in routines.items()})
 
 
-def _solve(factor, b: np.ndarray) -> np.ndarray:
-    """K^-1 b from a Cholesky factor made here, whose Gram's table was checked:
-    only b is checked for finiteness, with scipy's own message."""
-    return cho_solve(factor, np.asarray_chkfinite(b), check_finite=False)
+def _square_fortran(c: np.ndarray) -> int:
+    """The rows of c, a square, writeable, Fortran-ordered float64 array, which
+    LAPACK may then read and write where it lies; any other array raises ``ValueError``."""
+    n = c.shape[0]
+    if not (c.dtype == np.float64 and c.shape == (n, n) and c.flags.f_contiguous
+            and c.flags.writeable):
+        raise ValueError("the factor must be a square, writeable, Fortran-ordered float64 array")
+    return n
+
+
+# This module factors and solves through these two module attributes, so a
+# wrapper set on them from outside sees every call.
+def cho_factor(a: np.ndarray):
+    """(L, True), L the lower Cholesky factor of a by LAPACK potrf, written over
+    a's lower triangle, whose strict upper triangle is neither read nor written;
+    a is as :func:`_square_fortran` requires.  A matrix that is not positive
+    definite raises ``LinAlgError``, with scipy's ``cho_factor`` message."""
+    n, info = _square_fortran(a), ctypes.c_int(0)
+    _lapack().dpotrf(b"L", ctypes.c_int(n), a.ctypes.data, ctypes.c_int(max(1, n)), info)
+    if info.value:
+        raise np.linalg.LinAlgError(
+            f"{info.value}-th leading minor of the array is not positive definite")
+    return a, True
+
+
+def cho_solve(factor, b: np.ndarray) -> np.ndarray:
+    """K^-1 b by LAPACK potrs from the factor of K that :func:`cho_factor`
+    returns, on a Fortran-ordered copy of b, a vector or a matrix of columns.
+    Only b is checked for finite values, with numpy's ``asarray_chkfinite``
+    ``ValueError``: the factor was made here from a checked table."""
+    c, n = factor[0], factor[0].shape[0]
+    x = np.asarray_chkfinite(np.array(b, dtype=np.float64, order="F"))
+    if x.shape[0] != n or x.ndim > 2:
+        raise ValueError(f"incompatible dimensions ({c.shape} and {x.shape})")
+    ld, info = ctypes.c_int(max(1, n)), ctypes.c_int(0)
+    _lapack().dpotrs(b"L", ctypes.c_int(n), ctypes.c_int(x.size // n if n else 0),
+                     c.ctypes.data, ld, x.ctypes.data, ld, info)
+    return x
 
 
 _DATA_RANGE = "the data values are too large: the likelihood's products leave the double range"
@@ -441,15 +511,15 @@ def _nll_core(m: np.ndarray, comp: np.ndarray, z: np.ndarray):
     m is overwritten: it is factored in place through m.T, its Fortran-ordered
     view, whose lower triangle that is.  Data whose GLS products or quadratic
     form leave the double range raise ``ValueError``, not a NaN."""
-    factor = cho_factor(m.T, lower=True, overwrite_a=True, check_finite=False)
+    factor = cho_factor(m.T)
     cols = [c for c in (1, 2) if np.any(comp == c)]
     design = np.column_stack([(comp == c).astype(float) for c in cols])
-    solved_design = _solve(factor, design)
+    solved_design = cho_solve(factor, design)
     with np.errstate(over="ignore", invalid="ignore"):   # products past the double range raise
         mu_fit = np.linalg.solve(design.T @ solved_design, solved_design.T @ z)
         resid = z - design @ mu_fit
         _require(bool(np.isfinite(resid).all()), _DATA_RANGE)
-        solved = _solve(factor, resid)
+        solved = cho_solve(factor, resid)
         quad = float(resid @ solved)
     _require(math.isfinite(quad), _DATA_RANGE)
     means = {c: float(v) for c, v in zip(cols, mu_fit)}
@@ -464,31 +534,6 @@ def _nll_core(m: np.ndarray, comp: np.ndarray, z: np.ndarray):
 # same time on factors of 300 and 1,600 rows; 128 took 10-50% longer at 240-300
 # rows, and trtri on the whole factor 1.7-3x as long.
 _LEAF = 64
-
-
-@functools.cache
-def _trtri_trmm():
-    """LAPACK dtrtri and BLAS dtrmm, scipy's own, as ctypes functions of their
-    Fortran pointer arguments: unlike scipy's wrappers, which copy an array that
-    is not contiguous, they read and write a block of a larger array where it lies."""
-    import ctypes
-    from scipy.linalg import cython_blas, cython_lapack
-    char, ptr = ctypes.c_char_p, ctypes.c_void_p
-    ints, doubles = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
-    # prototypes of their own, so that ctypes.pythonapi's shared attributes stay as they are
-    capsule_name = ctypes.PYFUNCTYPE(char, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    capsule_pointer = ctypes.PYFUNCTYPE(ptr, ctypes.py_object, char)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-
-    def routine(module, name, *argtypes):
-        capsule = module.__pyx_capi__[name]
-        return ctypes.CFUNCTYPE(None, *argtypes)(capsule_pointer(capsule, capsule_name(capsule)))
-    # dtrtri(uplo, diag, n, a, lda, info);
-    # dtrmm(side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb)
-    return (routine(cython_lapack, "dtrtri", char, char, ints, ptr, ints, ints),
-            routine(cython_blas, "dtrmm", char, char, char, char, ints, ints, doubles,
-                    ptr, ints, ptr, ints))
 
 
 def _halvings(j: int, size: int):
@@ -512,12 +557,8 @@ def _invert_lower(c: np.ndarray) -> np.ndarray:
     ``_LEAF`` rows, and two BLAS trmm calls take each B to -C^-1 B A^-1, so
     most of the work runs at matrix-multiply speed, where trtri's own panels
     run it at a fraction of that.  Every block is read and written in c."""
-    import ctypes
-    n = c.shape[0]
-    if not (c.dtype == np.float64 and c.shape == (n, n) and c.flags.f_contiguous
-            and c.flags.writeable):
-        raise ValueError("the factor must be a square, writeable, Fortran-ordered float64 array")
-    trtri, trmm = _trtri_trmm()
+    n, lapack = _square_fortran(c), _lapack()
+    trtri, trmm = lapack.dtrtri, lapack.dtrmm
     base, ld, info = c.ctypes.data, ctypes.c_int(n), ctypes.c_int(0)
     one, minus_one = ctypes.c_double(1.0), ctypes.c_double(-1.0)
 
@@ -543,10 +584,11 @@ def _precision(factor) -> np.ndarray:
     """m^-1 = L^-T L^-1 from the lower Cholesky factor L of m, by
     :func:`_invert_lower` and LAPACK lauum, in the factor's lower triangle only
     (the other holds stale values).  The factor is overwritten."""
-    from scipy.linalg import get_lapack_funcs
     inv = _invert_lower(factor[0])
-    lauum, = get_lapack_funcs(("lauum",), (inv,))
-    return lauum(inv, lower=1, overwrite_c=1)[0]
+    n = inv.shape[0]
+    _lapack().dlauum(b"L", ctypes.c_int(n), inv.ctypes.data, ctypes.c_int(max(1, n)),
+                     ctypes.c_int(0))
+    return inv
 
 
 def _precision_diagonal(factor) -> np.ndarray:
@@ -954,9 +996,9 @@ class _ProfiledNll:
             return 1e12, failed, None
         if not math.isfinite(value):
             return 1e12, failed, None
-        from scipy.linalg import get_blas_funcs
-        syr, = get_blas_funcs(("syr",), (c,))
-        p = syr(-1.0, a, a=_precision((c, lower)), lower=lower, overwrite_a=1)
+        p, n = _precision((c, lower)), c.shape[0]
+        _lapack().dsyr(b"L", ctypes.c_int(n), ctypes.c_double(-1.0), a.ctypes.data,
+                       ctypes.c_int(1), p.ctypes.data, ctypes.c_int(n))
         # p.T, the workspace, lists W's cells in idx's order; the discard slot goes
         w = np.bincount(self.idx, p.T.ravel())[:-1]
         w[:-2] *= 2.0
@@ -1090,7 +1132,6 @@ def _cokrige(model, data: FieldSample, targets, target_component: int,
     """:func:`cokrige` for a bare model; ``means=None`` takes the profiled
     GLS means of the data from the same Gram factor as the weights, and a
     from the likelihood's own solve."""
-    from scipy.linalg import solve_triangular
     z = _values(data)
     if target_component not in (1, 2):
         raise ValueError("target component must be 1 or 2")
@@ -1105,9 +1146,8 @@ def _cokrige(model, data: FieldSample, targets, target_component: int,
         _, mu1, mu2, factor, a = _nll_core(m, comp, z)
     else:
         # m.T, whose lower triangle m holds, is factored in place, as in _nll_core
-        (mu1, mu2), factor = means, cho_factor(m.T, lower=True, overwrite_a=True,
-                                               check_finite=False)
-        a = _solve(factor, z - np.where(comp == 1, mu1, mu2))
+        (mu1, mu2), factor = means, cho_factor(m.T)
+        a = cho_solve(factor, z - np.where(comp == 1, mu1, mu2))
     dist = _block_distances(pts, data.locations)
     cross = np.empty_like(dist)
     groups = [[c] for c in (1, 2) if np.any(comp == c)]
@@ -1118,10 +1158,11 @@ def _cokrige(model, data: FieldSample, targets, target_component: int,
         for c, entry in zip(cs, _entries(model, pairs, dist[:, comp == cs[0]])):
             cross[:, comp == c] = entry
     pred = (mu1 if target_component == 1 else mu2) + cross @ a
-    # L^-1 c for every target at once; cross.T is Fortran-ordered, solved in place,
-    # and only it is checked for finiteness: the factor was made here
-    half = solve_triangular(factor[0], np.asarray_chkfinite(cross.T), lower=True,
-                            overwrite_b=True, check_finite=False)
+    # L^-1 c for every target at once, by LAPACK trtrs in place on cross.T, which is
+    # Fortran-ordered; only it is checked for finiteness: the factor was made here
+    half, ld = np.asarray_chkfinite(cross.T), ctypes.c_int(max(1, m.shape[0]))
+    _lapack().dtrtrs(b"L", b"N", b"N", ctypes.c_int(m.shape[0]), ctypes.c_int(half.shape[1]),
+                     factor[0].ctypes.data, ld, half.ctypes.data, ld, ctypes.c_int(0))
     sill = float(_entries(model, (f"{target_component}{target_component}",), 0.0)[0])
     var = sill - np.einsum("ij,ij->j", half, half)
     _require(bool(np.isfinite(pred).all() and np.isfinite(var).all()), "cokriging results "

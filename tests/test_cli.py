@@ -579,12 +579,33 @@ class TestModuleEntryPoint:
         ["validate", "{model}"],
         ["curve", "{model}", "--sweep", "alpha12=0.3:1.1:3", "--out", "{out}"],
         ["simulate", "{model}", "--grid", "5x5:8.0", "--seed", "1", "--out", "{out}"],
+        ["krige", "{model}", "{golden}/sim5x5.csv", "{golden}/targets.csv", "--component", "1",
+         "--out", "{out}"],
     ], ids=lambda argv: argv[0])
     def test_numpy_only_commands_leave_scipy_unloaded(self, tmp_path, argv):
-        # the bound engine and the simulation's Cholesky factor are numpy only
-        argv = [a.format(model=GOLDEN / "stable.txt", out=tmp_path / "out.csv") for a in argv]
+        # the bound engine and the simulation's Cholesky factor are numpy only, and
+        # cokriging reaches scipy's LAPACK through ctypes without importing scipy
+        argv = [a.format(model=GOLDEN / "stable.txt", golden=GOLDEN, out=tmp_path / "out.csv")
+                for a in argv]
         code = f"from bicov.cli import main\nassert main({argv!r}) == 0"
         assert self.scipy_modules_after(code) == "[]"
+
+    SAMPLE = ("import numpy as np, bicov as bc\n"
+              f"model = bc.model_from_text({model_to_text(VALID_STABLE)!r})\n"
+              "locs = np.random.default_rng(0).uniform(0.0, 10.0, size=(40, 2))\n"
+              "data = bc.simulate(model, np.repeat(locs, 2, axis=0), np.tile([1, 2], 40), seed=1)\n")
+
+    @pytest.mark.parametrize("call", [
+        "bc.nll(model, data)", "bc.loo_rmse(model, data)",
+        "bc.cokrige(model, data, [[5.0, 5.0]], 1)",
+    ], ids=lambda call: call[3:call.index("(")])
+    def test_likelihood_and_cokriging_leave_scipy_unloaded(self, call):
+        assert self.scipy_modules_after(self.SAMPLE + call) == "[]"
+
+    def test_fit_loads_scipy_optimize(self):
+        modules = self.scipy_modules_after(
+            self.SAMPLE + "bc.fit_ml(data, 'stable', n_starts=1, max_evals=2)")
+        assert "'scipy.optimize'" in modules
 
     @pytest.mark.parametrize("dim", ["1", "3"])
     @pytest.mark.parametrize("model", [

@@ -1,3 +1,4 @@
+import ctypes
 import gc
 import math
 import warnings
@@ -14,8 +15,8 @@ import bicov as bc
 from bicov import BivariateModel, FieldSample, matern, stable
 from bicov.bimodels import _entries, _terms
 from bicov.field import (_D, _LEAF, _block_distances, _cokrige, _GramCache, _invert_lower,
-                         _mirror, _nll_core, _ParamSpec, _parsimonious_matern_rho_bound,
-                         _ProfiledNll, check_pd, gram)
+                         _lapack, _mirror, _nll_core, _ParamSpec, _parsimonious_matern_rho_bound,
+                         _precision, _ProfiledNll, check_pd, cho_factor, cho_solve, gram)
 from bicov.spectral import cross_spectral_profile
 
 
@@ -1186,6 +1187,64 @@ class TestInvertLower:
         errors = [np.linalg.norm(np.tril(inv) - want) / np.linalg.norm(want)
                   for inv in (_invert_lower(lower.copy(order="F")), trtri(lower, lower=1)[0])]
         assert errors[0] <= 4.0 * errors[1]
+
+
+class TestLapackBinding:
+    """The LAPACK and BLAS pointers come from the library's own symbols, or,
+    where a lookup misses, from scipy's cython_lapack and cython_blas capsules,
+    which call the same routines: every result is the same to the bit."""
+
+    @staticmethod
+    def results():
+        # 140 rows: the triangular inverse recurses past its leaves
+        locs, comps = colocated_design(3, 70)
+        data = bc.simulate(MODEL, locs, comps, seed=4, mean1=1.0, mean2=-2.0)
+        targets = np.random.default_rng(5).uniform(0.0, 10.0, size=(7, 2))
+        k = gram(MODEL, data, 0.1, 0.2)
+        factor = cho_factor(k.copy(order="F"))
+        spec = _ParamSpec("stable", data, 2, False, 0.0, 0.0)
+        value, grad = _ProfiledNll(spec, data)(spec.starts(1, 0)[0])
+        return [factor[0], cho_solve(factor, data.values), cho_solve(factor, k[:, :3]),
+                *_cokrige(MODEL, data, targets, 1, 0.1, 0.2),
+                *_cokrige(MODEL, data, np.empty((0, 2)), 2, 0.1, 0.2),
+                np.array(bc.loo_rmse(MODEL, data, 0.1, 0.2)),
+                np.tril(_precision(cho_factor(k.copy(order="F")))), np.array(value), grad]
+
+    def test_both_pointer_sources_give_the_same_bits(self, monkeypatch):
+        _lapack.cache_clear()
+        by_symbol, symbols = self.results(), _lapack()
+        monkeypatch.setattr(bc.field, "_cython_lapack", object)   # every symbol lookup misses
+        _lapack.cache_clear()
+        try:
+            by_capsule, capsules = self.results(), _lapack()
+        finally:
+            monkeypatch.undo()
+            _lapack.cache_clear()
+        address = [{name: ctypes.cast(f, ctypes.c_void_p).value for name, f in vars(ns).items()}
+                   for ns in (symbols, capsules)]
+        assert address[0].keys() == address[1].keys()
+        assert not set(address[0].values()) & set(address[1].values())
+        assert [r.shape for r in by_symbol[5:7]] == [(0,), (0,)]   # no targets
+        for got, want in zip(by_capsule, by_symbol, strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("call", [
+        lambda data: bc.nll(MODEL, data),
+        lambda data: bc.loo_rmse(MODEL, data),
+        lambda data: bc.cokrige(MODEL, data, [[1.0, 1.0]], 1),
+    ], ids=["nll", "loo_rmse", "cokrige"])
+    def test_a_repeated_row_without_nugget_raises_scipys_message(self, call):
+        locs, comps = colocated_design(0, 6)
+        # row 13 repeats row 4: the 13th leading minor is singular
+        data = layout_data(np.vstack([locs, locs[3]]), np.append(comps, comps[3]))
+        with pytest.raises(np.linalg.LinAlgError, match="^13-th leading minor of the array "
+                                                        "is not positive definite$"):
+            call(data)
+
+    def test_cho_solve_refuses_a_right_hand_side_of_another_size(self):
+        factor = cho_factor(np.asfortranarray(np.eye(3)))
+        with pytest.raises(ValueError, match="incompatible dimensions"):
+            cho_solve(factor, np.ones(4))
 
 
 class TestParsimoniousMaternBound:
