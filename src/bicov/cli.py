@@ -24,9 +24,7 @@ import sys
 import numpy as np
 
 from .bimodels import ModelParseError, _fmt, _write_csv, model_from_text, model_to_text
-from .field import FieldSample, _cokrige, fit_ml, loo_rmse, simulate
-from .spectral import NonIntegrable, QuadratureError, cross_spectral_profile
-from .validity import NECESSARILY_ZERO, SUFFICIENT, _resolve_dim, certify
+from .corrfn import NonIntegrable, QuadratureError
 
 __all__ = ["main"]
 
@@ -93,14 +91,15 @@ def _read_csv(path: str, tails):
     return np.array(locs), {name: np.array(v) for name, v in cols.items()}
 
 
-def _read_sample(path: str) -> FieldSample:
+def _read_sample(path: str):
+    from .field import FieldSample
     locations, cols = _read_csv(path, [("component", "value")])
     return FieldSample(locations=locations, components=cols["component"],
                        values=cols["value"])
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.
+# Subcommand handlers, each importing the layers it runs and no other.
 
 def _print_keys(values: dict, keys) -> None:
     """One key=value line per key whose value is set; numbers repr-exact."""
@@ -118,6 +117,7 @@ _BOUND_SHAPE = ("rho", "rho_bound_raw", "rho_bound", "case", "infimum_location",
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .validity import NECESSARILY_ZERO, SUFFICIENT, certify
     model = _load_model(args.model)
     report = certify(model, args.dim)
     rho = getattr(model, "rho", 0.0)   # an LMC's coefficient matrices carry its correlation
@@ -135,6 +135,7 @@ _SWEEPABLE_MISSING = ("rho is the certified output of the bound, "
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
+    from .validity import certify
     model = _load_model(args.model)
     if model.kind not in ("stable", "cauchy"):
         raise SchemaError("curve sweeps require a stable or Cauchy model file")
@@ -171,6 +172,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectral(args: argparse.Namespace) -> int:
+    from .spectral import cross_spectral_profile
+    from .validity import _resolve_dim
     model = _load_model(args.model)
     if model.kind == "lmc":
         raise SchemaError("spectral profiles expect a bivariate member model")
@@ -202,6 +205,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .field import simulate
     model = _load_model(args.model)
     if args.grid is not None:
         pts = _parse_grid(args.grid)
@@ -225,6 +229,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from .field import fit_ml, loo_rmse
     data = _read_sample(args.data)
     result = fit_ml(data, args.kind, n_starts=args.starts, seed=args.seed,
                     max_evals=args.max_evals, fit_nugget=args.fit_nugget,
@@ -240,6 +245,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_krige(args: argparse.Namespace) -> int:
+    from .field import _cokrige
     model = _load_model(args.model)
     data = _read_sample(args.data)
     targets, _ = _read_csv(args.targets, [(), ("component",)])

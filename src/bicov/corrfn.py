@@ -56,6 +56,15 @@ class KinkError(ValueError):
     """Requested a derivative too close to a non-differentiable point."""
 
 
+# spectral's two refusals live here, so the CLI maps them without loading spectral
+class NonIntegrable(ValueError):
+    """The member correlation has no pointwise spectral density on this path."""
+
+
+class QuadratureError(RuntimeError):
+    """The density's error estimate exceeds 1e-5 of its value plus 1e-9."""
+
+
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValueError(msg)

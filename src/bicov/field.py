@@ -36,7 +36,6 @@ import numpy as np
 from .bimodels import (_PAIRS, LmcBivariate, _entries, _sum_into, _terms,
                        cauchy_bivariate, matern_bivariate, stable_bivariate)
 from .corrfn import _evaluate_all, _param_derivatives, _require, evaluate, stable
-from .validity import _log_infimum_gradient, certify
 
 __all__ = [
     "FieldSample",
@@ -824,6 +823,8 @@ class _ParamSpec:
         else:
             raise ValueError(f"unknown model kind {kind!r}")
         if kind in ("stable", "cauchy"):
+            from . import validity   # rho's cap is field's only use of the bound engine
+            self.validity = validity
             # log s12 as its offset from the mean marginal log scale
             cross = (lambda t, v: t + 0.5 * (v["ls11"] + v["ls22"]),
                      lambda ls, v: ls - 0.5 * (v["ls11"].x + v["ls22"].x))
@@ -903,10 +904,10 @@ class _ParamSpec:
     def _member_bound(self, probe, params) -> _D:
         """:func:`certify`'s bound of a stable or Cauchy probe, bit for bit; its
         gradient holds the bound engine's winning candidate fixed."""
-        report = certify(probe, self.n_valid)
+        report = self.validity.certify(probe, self.n_valid)
         grad = np.zeros(self.dim)
         if 0.0 < report.rho_bound_raw < 1.0:
-            sens = _log_infimum_gradient(probe, report)
+            sens = self.validity._log_infimum_gradient(probe, report)
             for p, ds in zip(_PAIRS, sens):
                 for d, q in zip(ds, params[p]):
                     grad += (0.5 * report.rho_bound * d) * q.g

@@ -37,7 +37,8 @@ from functools import lru_cache
 import numpy as np
 
 from .bimodels import BivariateModel, _write_csv
-from .corrfn import CorrelationFamily, StableParams, _as_r, _check_n13, _maybe_scalar, _outer
+from .corrfn import (CorrelationFamily, NonIntegrable, QuadratureError, StableParams, _as_r,
+                     _check_n13, _maybe_scalar, _outer)
 
 __all__ = [
     "NonIntegrable",
@@ -51,14 +52,6 @@ __all__ = [
     "spectral_pd_inequality",
     "tauberian_slope",
 ]
-
-
-class NonIntegrable(ValueError):
-    """The member correlation has no pointwise spectral density on this path."""
-
-
-class QuadratureError(RuntimeError):
-    """The density's error estimate exceeds 1e-5 of its value plus 1e-9."""
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,6 @@ import numpy as np
 from .bimodels import BivariateModel
 from .corrfn import (CorrelationFamily, _as_r, _check_n13, _maybe_scalar, _radial_derivatives,
                      _require, evaluate)
-from .spectral import spherical_density_closed_form, tan_roots
 
 __all__ = [
     "ExcludedPoint",
@@ -625,6 +624,7 @@ def spherical_triviality(s11: float, s12: float, s22: float, rho: float) -> Triv
     if reason:
         return TrivialityVerdict(True, None, reason)
 
+    from .spectral import spherical_density_closed_form, tan_roots   # validity's only use of it
     base = s11 if not _near(s12, s11) else s22
     roots = tan_roots(_WITNESS_ROOTS)
     us = 2.0 * base * roots

@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -8,9 +9,10 @@ import pytest
 
 import bicov as bc
 from bicov.bimodels import LmcBivariate, model_from_text, model_to_text
-from bicov.cli import main
+from bicov.cli import _COMMANDS, main
 from bicov.field import _ParamSpec, _ProfiledNll
 from bicov import BivariateModel, matern, spherical, stable
+from bicov.spectral import NonIntegrable, QuadratureError
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -288,6 +290,29 @@ class TestUsageAndFileErrors:
                      "--out", str(tmp_path / "s.csv")]) == 66
 
 
+class TestExceptionMap:
+    # each computation failure and the one stderr line main prints for it, exit 70
+    FAILURES = [
+        (NonIntegrable("no pointwise density"), "no pointwise density"),
+        (QuadratureError("error estimate 0.01"), "error estimate 0.01"),
+        (np.linalg.LinAlgError("not positive definite"), "not positive definite"),
+        (ValueError("sigma1 must be positive"), "sigma1 must be positive"),
+        (OverflowError("math range error"), "computation failed: OverflowError: math range error"),
+        (RuntimeError("no bracket"), "computation failed: RuntimeError: no bracket"),
+    ]
+
+    @pytest.mark.parametrize("exc, line", FAILURES, ids=[type(e).__name__ for e, _ in FAILURES])
+    def test_main_maps_each_computation_failure(self, monkeypatch, capsys, exc, line):
+        # a QuadratureError is a RuntimeError: it keeps its bare message only while
+        # main names it before the RuntimeError branch
+        def raising(args):
+            raise exc
+        _, help_line, arguments = _COMMANDS["validate"]
+        monkeypatch.setitem(_COMMANDS, "validate", (raising, help_line, arguments))
+        assert main(["validate", "model.txt"]) == 70
+        assert capsys.readouterr() == ("", line + "\n")
+
+
 class TestCurve:
     def test_sweep_writes_bound_table(self, tmp_path, capsys):
         path = write_model(tmp_path, VALID_STABLE)
@@ -560,19 +585,52 @@ class TestModuleEntryPoint:
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
     @staticmethod
-    def scipy_modules_after(code: str) -> str:
-        """The scipy modules a fresh interpreter holds after running code."""
+    def modules_after(code: str) -> set:
+        """The modules a fresh interpreter holds after running code."""
         res = subprocess.run(
-            [sys.executable, "-c", code + "\nimport sys\n"
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            [sys.executable, "-c", code + "\nimport sys\nprint(sorted(sys.modules))"],
             capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        return res.stdout.strip().splitlines()[-1]
+        return set(ast.literal_eval(res.stdout.strip().splitlines()[-1]))
+
+    @classmethod
+    def scipy_modules_after(cls, code: str) -> str:
+        """The scipy modules a fresh interpreter holds after running code."""
+        return str(sorted(m for m in cls.modules_after(code) if m.split(".")[0] == "scipy"))
+
+    def test_bare_import_loads_no_submodule_and_no_numpy(self):
+        # public names and submodules are imported on first access
+        loaded = self.modules_after("import bicov")
+        assert "numpy" not in loaded
+        assert {m for m in loaded if m.startswith("bicov.")} == set()
+
+    # the layers each command loads beside cli, bimodels and corrfn: validate, curve
+    # and spectral run no field, simulate and krige no bound engine and no spectral
+    # density, and the stable fit runs the bound engine for its rho cap
+    LAYERS = {"validate": {"validity"}, "curve": {"validity"}, "spectral": {"validity", "spectral"},
+              "simulate": {"field"}, "krige": {"field"}, "fit": {"field", "validity"}}
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "{model}"],
+        ["curve", "{model}", "--sweep", "alpha12=0.3:1.1:3", "--out", "{out}"],
+        ["spectral", "{model}", "--out", "{out}"],
+        ["simulate", "{model}", "--grid", "5x5:8.0", "--seed", "1", "--out", "{out}"],
+        ["krige", "{model}", "{golden}/sim5x5.csv", "{golden}/targets.csv", "--out", "{out}"],
+        ["fit", "{golden}/sim5x5.csv", "--kind", "stable", "--starts", "1", "--max-evals", "2",
+         "--out", "{out}"],
+    ], ids=lambda argv: argv[0])
+    def test_each_command_loads_only_its_layers(self, tmp_path, argv):
+        layers = self.LAYERS[argv[0]]
+        argv = [a.format(model=GOLDEN / "stable.txt", golden=GOLDEN, out=tmp_path / "out.csv")
+                for a in argv]
+        loaded = self.modules_after(f"from bicov.cli import main\nassert main({argv!r}) == 0")
+        assert {m for m in loaded if m.startswith("bicov.")} == {
+            f"bicov.{m}" for m in ("cli", "bimodels", "corrfn", *layers)}
 
     @pytest.mark.parametrize("module", ["bicov", "bicov.cli"])
     def test_import_leaves_scipy_unloaded(self, module):
-        # scipy is imported inside the functions that use it: the package and
-        # the CLI load numpy only
+        # scipy is imported inside the functions that use it: the package loads
+        # nothing yet, the CLI numpy and no scipy module
         assert self.scipy_modules_after(f"import {module}") == "[]"
 
     @pytest.mark.parametrize("argv", [
