@@ -377,35 +377,10 @@ def evaluate(family: CorrelationFamily, r):
 
 
 def _evaluate_all(families, r) -> list:
-    """[evaluate(family, r) for family in families], each value the bits of its own
-    call: Matern members of one scale sum one table."""
+    """[evaluate(family, r) for family in families], the evaluator with nothing free."""
     rr, scalar = _as_r(r, allow_zero=True)
-    return [_maybe_scalar(v, scalar) for v in _correlations(families, rr)]
-
-
-@np.errstate(over="ignore")   # a scaled distance past the double range is inf: psi is 0
-def _correlations(families, rr: np.ndarray) -> list:
-    out, shared = [], {}
-    for k, family in enumerate(families):
-        p = family.params
-        if family.kind in ("Stable", "Cauchy"):
-            out.append(_outer(p, (p.scale * rr) ** p.alpha, 0)[0])
-        elif family.kind == "Spherical":
-            x = p.scale * rr
-            xc = np.minimum(x, 1.0)   # the cubic is not formed past the range: it would overflow
-            out.append(np.where(x < 1.0, 1.0 - 1.5 * xc + 0.5 * xc ** 3, 0.0))
-        else:   # Matern; psi is 1 to double precision below the cut-off
-            out.append(None)
-            shared.setdefault(p.scale, []).append(k)
-    for scale, ks in shared.items():
-        terms = [(families[k].params.nu, 0, 0, None) for k in ks]
-        for k, v in zip(ks, _matern_terms(scale * rr, terms, [1.0] * len(ks))):
-            out[k] = v
-    # r = 0 must give exactly 1; every value is an array of this call's own
-    zero = rr == 0.0
-    for v in out:
-        v[zero] = 1.0
-    return out
+    nothing = [(False, False, False)] * len(families)
+    return [_maybe_scalar(psi, scalar) for psi, _ in _param_derivatives(families, rr, nothing)]
 
 
 def _chain_deriv(p: Union[StableParams, CauchyParams], rr: np.ndarray, orders) -> list:
@@ -483,76 +458,80 @@ def _radial_derivatives(family: CorrelationFamily, rr: np.ndarray, orders) -> li
     return _matern_deriv(p, rr, orders)
 
 
-def _param_derivatives(family, r: np.ndarray, free=(True, True, True)):
-    """psi(r) and its derivatives in the family's parameters at r >= 0.
+@np.errstate(over="ignore")   # a scaled distance past the double range is inf: psi is 0
+def _param_derivatives(families, r, frees) -> list:
+    """[(psi, derivatives)] of each member of ``families`` at distances r >= 0:
+    psi(r) and its derivatives in the member's parameters, those whose flag in
+    the member's ``frees`` entry is false not computed and None.
 
     The parameters are (alpha, log scale) for stable members, (alpha, log
-    scale, beta) for Cauchy members and (nu, log scale) for Matern members;
-    one whose ``free`` flag is false is not computed and comes back as None.
-    psi(0) = 1 for every parameter value, so every derivative is 0 at r = 0.
-    ``family`` may also be a sequence of Matern members, with one ``free`` per
-    member: that gives a list of the members' values, each the bits of its own
-    call, those of one scale from one table.
+    scale, beta) for Cauchy members and (nu, log scale) for Matern members; a
+    spherical member has none.  psi(0) = 1 for every parameter value, so every
+    derivative is 0 at r = 0.  A member with nothing free costs psi alone.
+    Each value has the bits of the member's own call: Matern members of one
+    scale sum one table.
     """
-    if not isinstance(family, CorrelationFamily):
-        return _matern_param_derivatives(list(family), r, list(free))
-    if family.kind == "Matern":
-        return _matern_param_derivatives([family], r, [free])[0]
-    p = family.params
-    x = p.scale * np.asarray(r, dtype=float)
-    if family.kind in ("Stable", "Cauchy"):
-        # dt/dalpha = t log x, dt/dlog s = alpha t; a Cauchy member's exponent c = beta/alpha
-        # adds dpsi/dc = -psi log(1 + t) times dc/dalpha = -c/alpha or dc/dbeta = 1/alpha
-        a, t = p.alpha, x ** p.alpha
-        psi, g1 = _outer(p, t, 1)
-        parts = [lambda: g1 * t * np.log(x, out=np.zeros_like(x), where=x > 0.0),
-                 lambda: a * g1 * t]
-        if family.kind == "Cauchy":
-            # the alpha terms sum to psi c/alpha (log1p(u) - u log u/(1 + u)), u = min(t, 1/t)
-            c, u = p.beta / a, np.divide(1.0, t, out=t.copy(), where=t > 1.0)
-            u_log_u = u * np.log(u, out=np.zeros_like(u), where=u > 0.0)
-            parts = [lambda: c / a * psi * (np.log1p(u) - u_log_u / (1.0 + u)), parts[1],
-                     lambda: -psi * np.log1p(t) / a]
-    else:
-        raise ValueError(f"no parameter derivatives for the {family.kind} family")
-    return psi, [d() if f else None for d, f in zip(parts, free)]
-
-
-def _matern_param_derivatives(families: list, r, frees: list) -> list:
-    """[(psi, [dpsi/dnu, dpsi/dlog s])] of Matern members: dpsi/dnu = (dI_nu/dnu -
-    digamma(nu) I_nu) / Gamma(nu), and x dpsi/dx = -c x**(nu+1) K_(nu-1)(x)
-    (DLMF 10.29.4), those of one scale from one :func:`_matern_terms` call."""
     rr = np.atleast_1d(np.asarray(r, dtype=float))
-    groups: dict = {}
-    for k, family in enumerate(families):
-        groups.setdefault(family.params.scale, []).append(k)
-    out = [None] * len(families)
+    out, groups = [], {}
+    for k, (family, free) in enumerate(zip(families, frees)):
+        p = family.params
+        if family.kind == "Matern":
+            out.append(None)
+            groups.setdefault(p.scale, []).append(k)
+        elif family.kind == "Spherical":
+            x = p.scale * rr
+            xc = np.minimum(x, 1.0)   # the cubic is not formed past the range: it would overflow
+            out.append((np.where(x < 1.0, 1.0 - 1.5 * xc + 0.5 * xc ** 3, 0.0), []))
+        else:
+            out.append(_power_derivatives(p, p.scale * rr, free))
     for scale, ks in groups.items():
-        for k, value in zip(ks, _matern_scale_derivatives(
+        for k, value in zip(ks, _matern_derivatives(
                 [families[k].params.nu for k in ks], scale * rr, [frees[k] for k in ks])):
             out[k] = value
     return out
 
 
-def _matern_scale_derivatives(nus: list, x: np.ndarray, frees: list) -> list:
-    """:func:`_matern_param_derivatives` of members of smoothness nus at x = s r."""
-    from scipy.special import digamma
-    terms, fill = [], []
-    for nu, free in zip(nus, frees):
-        wanted = [(nu, 0, 0, None), (nu, 0, 0, float(digamma(nu))), (nu, 1, -1, None)]
-        terms += [t for t, f in zip(wanted, (True, *free[:2])) if f]
-        fill += [f for f, keep in zip((1.0, 0.0, 0.0), (True, *free[:2])) if keep]
-    values = iter(_matern_terms(x, terms, fill))
+def _power_derivatives(p: Union[StableParams, CauchyParams], x: np.ndarray, free) -> tuple:
+    """(psi, derivatives) of a stable or Cauchy member at x = s r, G's derivative
+    taken only when one is free.  dt/dalpha = t log x, dt/dlog s = alpha t; a
+    Cauchy member's exponent c = beta/alpha adds dpsi/dc = -psi log(1 + t) times
+    dc/dalpha = -c/alpha or dc/dbeta = 1/alpha."""
+    a, t = p.alpha, x ** p.alpha
+    psi, *g1 = _outer(p, t, int(any(free)))   # G' too when a derivative is free
+    parts = [lambda: g1[0] * t * np.log(x, out=np.zeros_like(x), where=x > 0.0),
+             lambda: a * g1[0] * t]
+    if isinstance(p, CauchyParams):
+        def d_alpha():   # psi c/alpha (log1p(u) - u log u/(1 + u)), u = min(t, 1/t)
+            c, u = p.beta / a, np.divide(1.0, t, out=t.copy(), where=t > 1.0)
+            u_log_u = u * np.log(u, out=np.zeros_like(u), where=u > 0.0)
+            return c / a * psi * (np.log1p(u) - u_log_u / (1.0 + u))
+        parts = [d_alpha, parts[1], lambda: -psi * np.log1p(t) / a]
+    return psi, [d() if f else None for d, f in zip(parts, free)]
+
+
+def _matern_derivatives(nus: list, x: np.ndarray, frees: list) -> list:
+    """[(psi, [dpsi/dnu, dpsi/dlog s])] of Matern members of smoothness nus at
+    x = s r, from one :func:`_matern_terms` call: dpsi/dnu = (dI_nu/dnu -
+    digamma(nu) I_nu) / Gamma(nu), and x dpsi/dx = -c x**(nu+1) K_(nu-1)(x)
+    (DLMF 10.29.4)."""
+    if any(free[0] for free in frees):   # scipy loads only where a nu derivative is asked for
+        from scipy.special import digamma
+    terms, digammas = [], [float(digamma(nu)) if f[0] else None for nu, f in zip(nus, frees)]
+    for nu, free, d in zip(nus, frees, digammas):
+        wanted = [((nu, 0, 0, None), 1.0), ((nu, 0, 0, d), 0.0), ((nu, 1, -1, None), 0.0)]
+        terms += [term for term, keep in zip(wanted, (True, *free[:2])) if keep]
+    values = iter(_matern_terms(x, *zip(*terms)))
     out = []
-    for nu, free in zip(nus, frees):
-        psi = np.where(x == 0.0, 1.0, next(values))
+    for nu, free, d in zip(nus, frees, digammas):
+        psi = next(values)
         d_nu = next(values) if free[0] else None
-        # where psi is near 1 the sum's terms cancel, the more so the larger nu: the
-        # loss measured against mpmath stays below 1e-13 of dpsi/dnu where the tail
-        # takes over at 1 - psi = min(0.5, 0.01 sqrt(nu))
-        near = (1.0 - psi < min(0.5, 0.01 * math.sqrt(max(nu, 1.0)))) & (x > 1e-150)
-        if free[0] and np.any(near):
-            d_nu[near] = _k_sums(x[near], [(nu, float(digamma(nu)))], tail=True)[0]
+        if free[0]:
+            # where psi is near 1 the sum's terms cancel, the more so the larger nu: the
+            # loss measured against mpmath stays below 1e-13 of dpsi/dnu where the tail
+            # takes over at 1 - psi = min(0.5, 0.01 sqrt(nu))
+            near = (1.0 - psi < min(0.5, 0.01 * math.sqrt(max(nu, 1.0)))) & (x > 1e-150)
+            if np.any(near):
+                d_nu[near] = _k_sums(x[near], [(nu, d)], tail=True)[0]
         d_ls = -next(values) if free[1] else None
         out.append((psi, [d_nu, d_ls]))
     return out

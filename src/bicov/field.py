@@ -35,7 +35,7 @@ import numpy as np
 
 from .bimodels import (_PAIRS, LmcBivariate, _entries, _sum_into, _terms,
                        cauchy_bivariate, matern_bivariate, stable_bivariate)
-from .corrfn import _evaluate_all, _param_derivatives, _require, evaluate, stable
+from .corrfn import _param_derivatives, _require, stable
 
 __all__ = [
     "FieldSample",
@@ -62,17 +62,17 @@ class FieldSample:
 
     def __post_init__(self):
         loc = np.atleast_2d(np.asarray(self.locations, dtype=float))
-        comp = np.asarray(self.components, dtype=int)
+        comp = np.asarray(self.components)
         if loc.ndim != 2 or loc.shape[1] not in (1, 2, 3):
             raise ValueError("locations must be (N, d) with d in {1, 2, 3}")
         if comp.shape != (loc.shape[0],):
             raise ValueError("components must be one index per location row")
-        if not np.all((comp == 1) | (comp == 2)):
+        if not np.all((comp == 1) | (comp == 2)):   # checked before the cast, which truncates
             raise ValueError("component indices must be 1 or 2")
         if not np.all(np.isfinite(loc)):
             raise ValueError("locations must be finite")
         object.__setattr__(self, "locations", loc)
-        object.__setattr__(self, "components", comp)
+        object.__setattr__(self, "components", comp.astype(int))
         if self.values is not None:
             vals = np.asarray(self.values, dtype=float)
             if vals.shape[-1] != loc.shape[0]:
@@ -182,12 +182,12 @@ class _GramCache:
 
     ``writes[pair]`` lists, for the pair's block of rows i and columns j and
     for its mirror, rows j and columns i, where the block's cells that lie
-    above the Gram's diagonal go: the cells ``out[at][above]`` take
-    ``values(entries)``, their entries in row-major order.  When the
-    components' rows are not evenly spaced, ``above`` is None and the whole
-    block, cells below the diagonal included, goes to ``out[at]``, an
-    ``np.ix_`` index.  A block that holds no cell above the diagonal is left
-    out."""
+    above the Gram's diagonal go: ``out[at][above]`` takes ``table[take]``,
+    ``take`` the pair's slice, a mask of the table or an index made here.
+    Where the components' rows are not evenly spaced ``above`` is None: a
+    full block goes whole to ``out[at]``, an ``np.ix_`` index (transposed
+    for its mirror), and a triangle cell by cell.  A block with no cell
+    above the diagonal is left out."""
 
     def __init__(self, sample: FieldSample):
         self.comp = sample.components
@@ -223,57 +223,48 @@ class _GramCache:
             off = triangles[1, True][0][triangles[1, False][0]]
             self.within.update({"11": ("12", off), "22": ("12", off)})
         strided = {c: _strided(r) for c, r in self.rows.items()}
-        self.writes = {}
-        for pair in _PAIRS:
-            i, j = int(pair[0]), int(pair[1])
-            sides = [(i, j)] if i == j else [(i, j), (j, i)]
-            self.writes[pair] = [w for w in (self._write(pair, p, q, strided) for p, q in sides)
-                                 if w is not None]
+        self.writes = {pair: [w for w in (self._write(pair, side, strided) for side in
+                                          dict.fromkeys((pair, pair[::-1]))) if w is not None]
+                       for pair in _PAIRS}
 
-    def _write(self, pair: str, p: int, q: int, strided: dict):
-        """(at, above, values) of the block of rows p and columns q, None when
-        none of its cells lies above the diagonal."""
+    def _write(self, pair: str, side: str, strided: dict):
+        """(at, above, take) of the block of rows p and columns q, side = "pq",
+        None when none of its cells lies above the diagonal."""
+        p, q, flip = int(side[0]), int(side[1]), side != pair
         rows_p, rows_q = self.rows[p], self.rows[q]
         # each row's cells above the diagonal are those from its first column past it on
         first = np.searchsorted(rows_q, rows_p, side="right")
         if np.all(first == rows_q.size):
             return None
-        upper = self.upper[pair]
-        if upper is None:   # a full block, stored as rows i and columns j
-            shape = (self.rows[int(pair[0])].size, self.rows[int(pair[1])].size)
-            flip = p != int(pair[0])
-
-            def block(entries):
-                full = entries.reshape(shape)
-                return full.T if flip else full
-        else:
-            # symmetric: the triangle mirrored, the diagonal left for the
-            # variances where the triangle omits it
-            def block(entries):
-                full = np.empty(upper.shape, dtype=entries.dtype)
-                full[upper] = entries
-                full.T[upper] = entries
-                return full
-        if not (strided[p] and strided[q]):
-            # the whole block through np.ix_: its cells below the diagonal are never read
-            return np.ix_(rows_p, rows_q), None, block
+        upper, slots = self.upper[pair], self.slots[pair]
+        if upper is None and not (strided[p] and strided[q]):
+            # a full block whole, in stored order: its cells below the diagonal are never read
+            at = (rows_p[None, :], rows_q[:, None]) if flip else np.ix_(rows_p, rows_q)
+            return at, None, slots
         above = self._mask(first, rows_q.size)
         if above is upper:   # the stored triangle as it stands
-            def values(entries):
-                return entries
-        elif upper is not None and np.all(first >= np.arange(rows_p.size)):
-            # within the stored triangle, whose rows begin at their own sites
-            chosen = above[upper]
-
-            def values(entries):
-                return entries[chosen]
-        else:
-            # a full block, or a colocated cross block whose cells above the
-            # diagonal reach below the stored triangle, as when component 2
-            # follows component 1: those read the mirrored entries
-            def values(entries):
-                return block(entries)[above]
-        return (strided[p], strided[q]), above, values
+            take = slots
+        elif not flip if upper is None else np.all(first >= np.arange(rows_p.size)):
+            # stored entries in stored order, a full block's or those within the stored
+            # triangle (its rows begin at their own sites): a mask, cheaper than indices
+            take = np.zeros(self.n_slots, dtype=bool)
+            take[slots] = above.ravel() if upper is None else above[upper]
+        else:   # a full block's mirror, or a colocated cross block's triangle mirrored
+            # (12's, which holds the diagonal), as when component 2 follows component 1
+            index = np.arange(slots.start, slots.stop)
+            if upper is None:
+                index = index.reshape(self.rows[int(pair[0])].size, -1)
+            else:
+                index, entries = np.empty(upper.shape, dtype=np.intp), index
+                index[upper] = index.T[upper] = entries
+            take = (index.T if flip else index)[above]
+        if strided[p] and strided[q]:
+            return (strided[p], strided[q]), above, take
+        # a triangle whose rows are not evenly spaced: each cell above the diagonal
+        # at its own row and column, row by row
+        counts = rows_q.size - first
+        cols = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - first, counts)
+        return (rows_p.repeat(counts), rows_q[cols]), None, take
 
     def _mask(self, first: np.ndarray, width: int) -> np.ndarray:
         """The (first.size, width) mask of each row's cells from its ``first``
@@ -295,30 +286,30 @@ class _GramCache:
         n = self.comp.size
         out = np.zeros((n, n), dtype=table.dtype) if out is None else out
         for pair in _PAIRS:
-            entries = table[self.slots[pair]]
-            for at, above, values in self.writes[pair]:
-                if above is None:
-                    out[at] = values(entries)
+            for at, above, take in self.writes[pair]:
+                if above is None:   # whole or cell by cell: the values take the cells' shape
+                    out[at] = table[take].reshape(np.broadcast(*at).shape)
                 else:
-                    out[at][above] = values(entries)
+                    out[at][above] = table[take]
         for c in (1, 2):
             out[self.rows[c], self.rows[c]] = table[c - 3]
         return out
 
-    def shared(self, terms, many) -> dict:
-        """{k: value} for the Matern terms k of :func:`bimodels._terms`: those whose
-        distances one array holds take ``many(ks, families, distances)`` on it
-        together, so that members of one scale read one table, and each keeps its
-        own cells of it."""
-        out, groups = {}, {}
+    def shared(self, terms, frees):
+        """(k, (psi, derivatives)) for each term k of :func:`bimodels._terms`, by one
+        :func:`corrfn._param_derivatives` call per distance array with the terms'
+        ``frees`` entries, an array's values made once the last array's are taken:
+        a Matern term reads its pair's ``within`` base (members of one scale read
+        one table) and keeps its own cells; any other term reads its pair's array."""
+        groups = {}
         for k, (pair, _, fam) in enumerate(terms):
-            if fam.kind == "Matern":
-                groups.setdefault(self.within[pair][0], []).append(k)
-        for base, ks in groups.items():
-            for k, value in zip(ks, many(ks, [terms[k][2] for k in ks], self.dist[base])):
-                index = self.within[terms[k][0]][1]
-                out[k] = value if index is None else _pick(value, index)
-        return out
+            base, index = self.within[pair] if fam.kind == "Matern" else (pair, None)
+            groups.setdefault(base, []).append((k, index, fam, frees[k]))
+        for base, members in groups.items():
+            ks, ix, fams, free = map(list, zip(*members))
+            for k, index, (psi, ds) in zip(ks, ix, _param_derivatives(fams, self.dist[base], free)):
+                yield k, (psi, ds) if index is None else (
+                    psi[index], [None if d is None else d[index] for d in ds])
 
     def build(self, model, nugget1: float, nugget2: float, psis=None,
               out: np.ndarray | None = None, check_finite: bool = True) -> np.ndarray:
@@ -335,26 +326,20 @@ class _GramCache:
         array."""
         _check_nuggets(nugget1, nugget2)
         terms = _terms(model)
-        # each value is summed and dropped before the next is made
-        shared = {} if psis else self.shared(terms, lambda ks, fams, r: _evaluate_all(fams, r))
+        # each array's values are summed before the next array's are made; a pair
+        # sums at most two terms, so the order they come in keeps the bits
+        values = (enumerate(psis) if psis else
+                  ((k, psi) for k, (psi, _) in self.shared(terms, [(False,) * 3] * len(terms))))
         entries, var = {}, {}
-        for k, (pair, amp, fam) in enumerate(terms):
+        for k, psi in values:
+            pair, amp, _ = terms[k]
             _sum_into(var, pair, amp)
             if self.dist[pair].size:
-                psi = psis[k] if psis else shared.pop(k, None)
-                _sum_into(entries, pair, amp * (evaluate(fam, self.dist[pair])
-                                                if psi is None else psi))
+                _sum_into(entries, pair, amp * psi)
         table = np.concatenate([entries[p] for p in _PAIRS if p in entries]
                                + [np.array([var["11"], var["22"]])])
         table[-2:] += nugget1, nugget2
         return self.place(np.asarray_chkfinite(table) if check_finite else table, out)
-
-
-def _pick(value, index):
-    """``value[index]`` of an array, or of each array in a (psi, derivatives) pair."""
-    if isinstance(value, np.ndarray):
-        return value[index]
-    return value[0][index], [None if d is None else d[index] for d in value[1]]
 
 
 def check_pd(matrix: np.ndarray) -> PdCheck:
@@ -984,11 +969,7 @@ class _ProfiledNll:
             model, nuggets, sens = self.spec.decode(theta)
             terms = _terms(model)
             free = [[q is not None for q in qs] for _, qs in sens]
-            shared = self.cache.shared(
-                terms, lambda ks, fams, r: _param_derivatives(fams, r, [free[k] for k in ks]))
-            derivs = [shared[k] if k in shared else
-                      _param_derivatives(fam, self.cache.dist[pair], free[k])
-                      for k, (pair, _, fam) in enumerate(terms)]
+            derivs = [d for _, d in sorted(self.cache.shared(terms, free), key=lambda kd: kd[0])]
             (value, _, _, (c, lower), a), nug1, nug2 = self.core(
                 model, nuggets[0].x, nuggets[1].x, [psi for psi, _ in derivs])
         except (ValueError, OverflowError):

@@ -253,7 +253,7 @@ class TestDerivative:
     ])
     def test_parameter_derivatives_vs_central_differences(self, make, params):
         r = np.array([0.0, 0.01, 0.4, 1.1, 3.7])
-        psi, derivs = _param_derivatives(make(*params), r)
+        (psi, derivs), = _param_derivatives([make(*params)], r, [(True, True, True)])
         assert np.array_equal(psi, evaluate(make(*params), r))
         assert len(derivs) == len(params)
         for k, d in enumerate(derivs):
@@ -266,13 +266,15 @@ class TestDerivative:
 
     @pytest.mark.parametrize("a,s,r,d_alpha,d_log_s", STABLE_PARAM_DERIVS)
     def test_stable_parameter_derivatives_frozen(self, a, s, r, d_alpha, d_log_s):
-        _, (got_alpha, got_log_s) = _param_derivatives(stable(a, s), np.array([r]))
+        (_, (got_alpha, got_log_s)), = _param_derivatives([stable(a, s)], np.array([r]),
+                                                          [(True, True)])
         assert got_alpha[0] == pytest.approx(d_alpha, rel=1e-12, abs=0.0)
         assert got_log_s[0] == pytest.approx(d_log_s, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("a,b,s,r,d_alpha,d_log_s,d_beta", CAUCHY_PARAM_DERIVS)
     def test_cauchy_parameter_derivatives_frozen(self, a, b, s, r, d_alpha, d_log_s, d_beta):
-        _, (got_alpha, got_log_s, got_beta) = _param_derivatives(cauchy(a, b, s), np.array([r]))
+        (_, (got_alpha, got_log_s, got_beta)), = _param_derivatives(
+            [cauchy(a, b, s)], np.array([r]), [(True, True, True)])
         # d/dalpha = psi c / alpha (log(1 + t) - t log t / (1 + t)), c = beta/alpha,
         # falls to zero as t = (s r)^alpha grows (t = 2828 and 2.2e5 at the last
         # two points), where the bracket's two terms would cancel
@@ -362,7 +364,7 @@ class TestParamBoxes:
         with pytest.raises(ValueError, match="at most 300"):
             matern(1000.0, 1.0)
         # and so is its derivative in nu there
-        d_nu = _param_derivatives(matern(NU_MAX, 1.0), r[::400])[1][0]
+        (_, (d_nu, _)), = _param_derivatives([matern(NU_MAX, 1.0)], r[::400], [(True, False)])
         assert np.all(np.isfinite(d_nu))
 
     def test_kind_params_mismatch(self):
@@ -409,7 +411,7 @@ class TestMaternAgainstMpmath:
         fam = matern(nu, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            psi, (d_nu, d_log_s) = _param_derivatives(fam, np.array([x]))
+            (psi, (d_nu, d_log_s)), = _param_derivatives([fam], np.array([x]), [(True, True)])
             got = [evaluate(fam, x), *(derivative(fam, x, k) for k in (1, 2, 3)),
                    d_nu[0], d_log_s[0]]
         assert psi[0] == got[0]
@@ -432,3 +434,47 @@ class TestMaternAgainstMpmath:
         for d in derivs:   # NaN at s r <= 1e-150, as documented; 0 past the double range
             assert np.all(np.isnan(d[:2])) and not np.any(np.isnan(d[2:]))
             assert np.all(d[-3:] == 0.0)
+
+
+class TestOneEvaluator:
+    """One call of the evaluator on a mixed list gives each member the bits of
+    its own call, and a call with nothing free does no derivative work."""
+
+    MEMBERS = [stable(0.7, 1.3), cauchy(0.6, 2.2, 0.8), spherical(0.4),
+               matern(0.7, 1.2), matern(2.6, 1.2), matern(1.5, 0.5)]
+    FREES = [(True, True), (True, False, True), (True, True),
+             (True, True), (True, False), (False, True)]
+    R = np.array([0.0, 1e-3, 0.05, 0.4, 1.1, 3.7, 50.0])
+
+    def test_each_member_keeps_its_own_bits(self):
+        together = _param_derivatives(self.MEMBERS, self.R, self.FREES)
+        for fam, free, (psi, derivs) in zip(self.MEMBERS, self.FREES, together):
+            (alone_psi, alone_derivs), = _param_derivatives([fam], self.R, [free])
+            assert psi.tobytes() == alone_psi.tobytes() == evaluate(fam, self.R).tobytes()
+            params = {"Stable": 2, "Cauchy": 3, "Spherical": 0, "Matern": 2}[fam.kind]
+            assert len(derivs) == len(alone_derivs) == params
+            for d, alone, f in zip(derivs, alone_derivs, free):
+                assert (d is None) == (alone is None) == (not f)
+                assert d is None or d.tobytes() == alone.tobytes()
+
+    def test_nothing_free_asks_for_psi_alone(self, monkeypatch):
+        import bicov as bc
+        from bicov import corrfn
+        orders, terms = [], []
+        outer, matern_terms = corrfn._outer, corrfn._matern_terms
+        monkeypatch.setattr(corrfn, "_outer", lambda p, t, order: (
+            orders.append(order) or outer(p, t, order)))
+        monkeypatch.setattr(corrfn, "_matern_terms", lambda x, ts, fill: (
+            terms.extend(ts) or matern_terms(x, ts, fill)))
+        _param_derivatives(self.MEMBERS, self.R, [(False, False, False)] * len(self.MEMBERS))
+        # a Gram build evaluates its terms with nothing free
+        rng = np.random.default_rng(3)
+        sample = bc.FieldSample(rng.uniform(0.0, 5.0, (12, 2)), np.tile([1, 2], 6))
+        bc.gram(bc.stable_bivariate(1.0, 1.5, 0.4, 0.8, 0.9, 0.6, 0.9, 1.1, 0.8), sample)
+        bc.gram(bc.matern_bivariate(1.0, 1.3, 0.2, 0.5, 1.0, 1.5, 0.7, 0.7, 0.7), sample)
+        assert orders == [0] * 5
+        assert len(terms) == 6 and all(t[1:] == (0, 0, None) for t in terms)
+        # while one free parameter asks for G' and the derivative's own term
+        _param_derivatives([stable(0.7, 1.3), matern(0.7, 1.2)], self.R,
+                           [(False, True), (False, True)])
+        assert orders[-1] == 1 and terms[-1] == (0.7, 1, -1, None)

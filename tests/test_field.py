@@ -48,6 +48,18 @@ class TestFieldSample:
         with pytest.raises(ValueError, match="finite"):
             FieldSample(locs, np.array([1, 2, 1, 2]))
 
+    @pytest.mark.parametrize("bad", [1.7, 2.2, math.nan])
+    def test_rejects_components_other_than_one_or_two_without_truncating(self, bad):
+        # a cast to int first would read 1.7 as 1 and 2.2 as 2, and warn of NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be 1 or 2"):
+                FieldSample(np.zeros((3, 2)), np.array([1.0, bad, 2.0]))
+
+    def test_integral_float_components_are_accepted(self):
+        s = FieldSample(np.zeros((3, 2)), np.array([1.0, 2.0, 1.0]))
+        assert s.components.dtype.kind == "i" and s.components.tolist() == [1, 2, 1]
+
     def test_multidraw_values_align(self):
         s = FieldSample(np.zeros((4, 2)), np.array([1, 2, 1, 2]),
                         values=np.zeros((3, 4)))
@@ -201,20 +213,23 @@ class TestGramAgainstScatter:
         n_sites = 9
         locs, comps = colocated_design(4, n_sites)
         cache = _GramCache(FieldSample(locs, comps))
-        sizes = []
-        evaluate = bc.field.evaluate
+        sizes, frees = [], []
+        evaluate = bc.field._param_derivatives
 
-        def counting(family, r):
+        def counting(families, r, free):
             sizes.append(np.size(r))
-            return evaluate(family, r)
+            frees.extend(free)
+            return evaluate(families, r, free)
 
-        monkeypatch.setattr(bc.field, "evaluate", counting)
+        monkeypatch.setattr(bc.field, "_param_derivatives", counting)
         cache.build(MODEL, 0.0, 0.0)
         pairs = n_sites * (n_sites - 1) // 2
         # 11 and 22: pairs of distinct sites (a self-pair is the diagonal, which
         # reads the variance slot, the amplitude itself); 12: every site pair,
         # self-pairs included
         assert sizes == [pairs, pairs + n_sites, pairs]
+        # and a build asks for no derivative
+        assert len(frees) == 3 and not any(any(free) for free in frees)
 
 
 def reference_cache(sample):
@@ -300,12 +315,16 @@ class TestGramCacheGeometry:
         cache = _GramCache(FieldSample(*sample_layouts(2)["strided-and-scattered"]))
         (at, above, _), = cache.writes["11"]
         assert at == (slice(0, 12, 2),) * 2 and above.shape == (6, 6)
-        rows2 = [1, 3, 5, 7, 9, 11, 12, 13, 14, 15]
-        for pair in ("12", "22"):
-            for at, above, _ in cache.writes[pair]:
-                assert above is None and all(isinstance(ix, np.ndarray) for ix in at)
-        (at, _, _), = cache.writes["22"]   # the whole block of rows and columns 2
-        assert np.array_equal(at[0].ravel(), rows2) and np.array_equal(at[1].ravel(), rows2)
+        rows2 = np.array([1, 3, 5, 7, 9, 11, 12, 13, 14, 15])
+        for at, above, take in cache.writes["12"]:   # the full block whole, in stored order
+            assert above is None and all(isinstance(ix, np.ndarray) for ix in at)
+            assert take == cache.slots["12"]
+        # 22's triangle, cell by cell: each cell above the diagonal of rows and
+        # columns 2 at its own row and column, in the triangle's stored order
+        (at, above, take), = cache.writes["22"]
+        above_rows, above_cols = np.triu_indices(rows2.size, 1)
+        assert above is None and take == cache.slots["22"]
+        assert np.array_equal(at[0], rows2[above_rows]) and np.array_equal(at[1], rows2[above_cols])
 
     @pytest.mark.parametrize("layout,blocks", [
         ("colocated-interleaved", {"11": 1, "12": 2, "22": 1}),
@@ -726,14 +745,13 @@ class TestNllGradient:
         calls, tables = [], []
 
         def counted(fn):
-            return lambda family, r, *free: (calls.append((family, np.size(r)))
-                                             or fn(family, r, *free))
+            return lambda families, r, frees: (calls.append((families, np.size(r)))
+                                               or fn(families, r, frees))
 
-        monkeypatch.setattr(bc.field, "_param_derivatives",
-                            counted(bc.field._param_derivatives))
-        monkeypatch.setattr(bc.field, "evaluate", counted(bc.corrfn.evaluate))
-        monkeypatch.setattr(bc.field, "_evaluate_all", counted(bc.corrfn._evaluate_all))
-        monkeypatch.setattr(bc.bimodels, "_evaluate_all", counted(bc.corrfn._evaluate_all))
+        # field's evaluator, and corrfn's, which evaluate and bimodels reach
+        for module in (bc.field, bc.corrfn):
+            monkeypatch.setattr(module, "_param_derivatives",
+                                counted(bc.corrfn._param_derivatives))
         sums = bc.corrfn._k_sums
         monkeypatch.setattr(bc.corrfn, "_k_sums", lambda x, orders, tail=False: (
             tables.append((len(orders), tail)) or sums(x, orders, tail)))
@@ -749,8 +767,9 @@ class TestNllGradient:
             assert tables[0] == (9, False) and len(tables) <= 4
             assert all(t == (1, True) for t in tables[1:])
         else:
-            assert calls == [(fam, objective.cache.dist[pair].size)
-                             for pair, _, fam in _terms(model)]
+            # one call per distance array: an LMC's two members of a pair together
+            assert calls == [([fam for p, _, fam in _terms(model) if p == pair],
+                              objective.cache.dist[pair].size) for pair in ("11", "12", "22")]
             assert tables == []
 
     @pytest.mark.parametrize("kind", ["stable", "cauchy", "lmc"])
@@ -762,7 +781,7 @@ class TestNllGradient:
 
         def recorded(*args):
             out = make(*args)
-            built.append(out[1])
+            built.extend(derivs for _, derivs in out)
             return out
 
         monkeypatch.setattr(bc.field, "_param_derivatives", recorded)

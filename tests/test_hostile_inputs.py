@@ -10,7 +10,8 @@ when it exits 0; a run that does not fail writes nothing to stderr.  A
 RuntimeWarning is an error here: from the command line it would be stderr
 lines beside the one message.  Deterministic: the base models are fixed and
 simulate's seed is pinned.  The same holds for each coordinate and value
-cell of krige's data and targets files.
+cell of krige's data and targets files, and for each coordinate and
+component cell of a ``simulate --points`` file.
 """
 
 import math
@@ -171,18 +172,42 @@ def test_every_krige_csv_cell_at_every_hostile_value(option_files, tmp_path, cap
     files[sheet].write_text(option_files[sheet].read_text())
     assert main(argv) == 0, capsys.readouterr().err   # the unswept files krige
     capsys.readouterr()
+    assert _sweep_cells(files[sheet], header, rows, argv, files["out"], capsys,
+                        skip=("component",)) == []
+
+
+def _sweep_cells(path, header, rows, argv, out, capsys, skip=()):
+    """The rule breaches of ``argv`` with each cell of the CSV file ``path``
+    (``header`` and ``rows``, lists of cells), but those of the columns in
+    ``skip``, at each hostile value in turn."""
     findings = []
     for r, c in np.ndindex(len(rows), len(header)):
-        if header[c] == "component":
+        if header[c] in skip:
             continue
         for value in HOSTILE:
             cells = [list(row) for row in rows]
             cells[r][c] = value
-            files[sheet].unlink(missing_ok=True)   # a fresh file: truncating one can be slow
-            files[sheet].write_text("".join(",".join(row) + "\n" for row in [header, *cells]))
-            findings += [f"row {r + 2} {header[c]} = {value}: {f}"
-                         for f in run(argv, files["out"], capsys)]
-    assert findings == []
+            path.unlink(missing_ok=True)   # a fresh file: truncating one can be slow
+            path.write_text("".join(",".join(row) + "\n" for row in [header, *cells]))
+            findings += [f"row {r + 2} {header[c]} = {value}: {f}" for f in run(argv, out, capsys)]
+    return findings
+
+
+@pytest.mark.parametrize("kind", list(KRIGE_MODELS))
+def test_every_simulate_points_cell_at_every_hostile_value(tmp_path, capsys, kind):
+    """Each coordinate and component cell of a ``simulate --points`` file at
+    each hostile value in turn: colocated rows, a lone component 1 and two
+    lone component 2 rows."""
+    model, points, out = (tmp_path / name for name in ("model.txt", "points.csv", "out.csv"))
+    model.write_text(model_to_text(KRIGE_MODELS[kind]))
+    header = ["x", "y", "component"]
+    rows = [["0.5", "0.5", "1"], ["0.5", "0.5", "2"], ["2", "3", "1"], ["4", "1", "2"],
+            ["1", "4.5", "2"]]
+    argv = ["simulate", str(model), "--points", str(points), "--seed", "3", "--out", str(out)]
+    points.write_text("".join(",".join(row) + "\n" for row in [header, *rows]))
+    assert main(argv) == 0, capsys.readouterr().err   # the unswept file simulates
+    capsys.readouterr()
+    assert _sweep_cells(points, header, rows, argv, out, capsys) == []
 
 
 @pytest.fixture
